@@ -115,13 +115,17 @@ def cmd_setvalue(args) -> int:
         "points": [io.vector_to_json(p) for p in result.points],
     }
     if args.witnesses:
-        records = eq.enumerate_equilibria(spec, tree, start, eps=epsilon, cap=args.cap)
-        seen = set()
+        # Witnesses come from the variant's policy class; the Pareto variants
+        # keep only witnesses whose value survived the filter.
+        cls = VARIANT_CLASSES.get(variant, PATH_CLASS)
+        wanted = set(result.points)
         chosen = []
-        for rec in records:
-            if rec.value not in seen:
-                seen.add(rec.value)
+        for rec in eq.iter_equilibria(spec, tree, start, eps=epsilon, cls=cls, cap=args.cap):
+            if rec.value in wanted:
+                wanted.discard(rec.value)
                 chosen.append(io.record_to_json(spec, tree, rec))
+                if not wanted:
+                    break
         payload["witnesses"] = chosen
     _emit(payload, args.out)
     return 0

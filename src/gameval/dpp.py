@@ -147,14 +147,9 @@ def verify_dpp(
     }
 
     if selection_class == STATE_CLASS:
-        groups: dict[tuple[int, str], list[int]] = {}
-        for nid in frontier_nodes:
-            node = tree.node(nid)
-            groups.setdefault((node.t, node.state), []).append(nid)
-        keys = sorted(groups)
+        groups = tree.group_by_time_state(frontier_nodes)
         choice_sets = []
-        for key in keys:
-            members = groups[key]
+        for key, members in groups.items():
             base = node_sets[members[0]]
             for other in members[1:]:
                 if node_sets[other].points != base.points:
@@ -163,7 +158,7 @@ def verify_dpp(
                         f"sharing (time, state) {key}; the model is not state dependent there"
                     )
             choice_sets.append(base.points)
-        unit_members = [groups[k] for k in keys]
+        unit_members = list(groups.values())
     else:
         choice_sets = [node_sets[nid].points for nid in frontier_nodes]
         unit_members = [[nid] for nid in frontier_nodes]

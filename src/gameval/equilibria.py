@@ -32,6 +32,7 @@ from .model import (
     PathTree,
     Policy,
     Vector,
+    subgame_key,
 )
 
 DEFAULT_POLICY_CAP = 10_000_000
@@ -202,15 +203,11 @@ def _units_for(spec: GameSpec, tree: PathTree, scope: _Scope, cls: str) -> _Unit
             options=tuple(spec.joint_actions),
         )
     if cls == STATE_CLASS:
-        groups: dict[tuple[int, str], list[int]] = {}
-        for nid in nodes:
-            node = tree.node(nid)
-            groups.setdefault((node.t, node.state), []).append(nid)
-        keys = sorted(groups)
+        groups = tree.group_by_time_state(nodes)
         return _Units(
             kind=cls,
-            units=tuple(keys),
-            members=tuple(tuple(groups[k]) for k in keys),
+            units=tuple(groups),
+            members=tuple(groups.values()),
             options=tuple(spec.joint_actions),
         )
     if cls == SYMMETRIC_CLASS:
@@ -225,10 +222,6 @@ def _units_for(spec: GameSpec, tree: PathTree, scope: _Scope, cls: str) -> _Unit
             options=tuple((a,) * n for a in range(len(shared))),
         )
     raise GameValidationError(f"unknown policy class {cls!r}")
-
-
-def _policy_action_getter(policy: Policy):
-    return policy.action
 
 
 def _check_class_membership(tree: PathTree, scope: _Scope, policy: Policy, cls: str) -> None:
@@ -255,15 +248,6 @@ def _check_class_membership(tree: PathTree, scope: _Scope, policy: Policy, cls: 
 # -- best responses and the equilibrium test ---------------------------------
 
 
-def _state_units_for_player(spec: GameSpec, tree: PathTree, scope: _Scope, player: int):
-    groups: dict[tuple[int, str], list[int]] = {}
-    for nid in scope.decision_nodes:
-        node = tree.node(nid)
-        groups.setdefault((node.t, node.state), []).append(nid)
-    keys = sorted(groups)
-    return keys, [tuple(groups[k]) for k in keys], len(spec.actions[player])
-
-
 def _best_response_state(
     spec: GameSpec, tree: PathTree, scope: _Scope, player: int, opp_action_at
 ):
@@ -273,10 +257,10 @@ def _best_response_state(
     by node-wise backward induction, so the minimum runs over all assignments
     of own actions to (time, state) groups.
     """
-    keys, members, n_actions = _state_units_for_player(spec, tree, scope, player)
+    members = tuple(tree.group_by_time_state(scope.decision_nodes).values())
     best = None
     best_map: dict[int, int] | None = None
-    for combo in itertools.product(range(n_actions), repeat=len(keys)):
+    for combo in itertools.product(range(len(spec.actions[player])), repeat=len(members)):
         own = {}
         for idx, ai in enumerate(combo):
             for nid in members[idx]:
@@ -310,7 +294,7 @@ def best_response(
     break toward the lowest action index.
     """
     scope = scope or _Scope(spec, tree, start)
-    opp = _policy_action_getter(policy)
+    opp = policy.action
     if cls in (PATH_CLASS, SYMMETRIC_CLASS):
         value, choice, _ = _best_response_scope(spec, scope, player, opp)
         return value, Policy(
@@ -602,25 +586,28 @@ def set_value_dpp(
     start: int,
     *,
     selection_cap: int = DEFAULT_SELECTION_CAP,
-    symmetric: bool = False,
 ) -> ValueSet:
     """Set value by the one-step backward recursion.
 
     Requires a strictly positive kernel; with zeros the recursion only yields
     a subset and the caller should go through the verification layer instead.
+    Sets are memoized by :func:`subgame_key`, so Markov specs are solved once
+    per (time, state) rather than once per prefix.
     """
     if not spec.q_positive:
         raise GameValidationError("the backward recursion needs q > 0 everywhere")
-    memo: dict[int, tuple[Vector, ...]] = {}
+    key_of = subgame_key(spec, tree)
+    memo: dict = {}
 
     def sets_at(nid: int) -> tuple[Vector, ...]:
-        hit = memo.get(nid)
+        key = key_of(nid)
+        hit = memo.get(key)
         if hit is not None:
             return hit
         node = tree.node(nid)
         if node.t == tree.horizon:
             out = (spec.terminal_vector(node.prefix),)
-            memo[nid] = out
+            memo[key] = out
             return out
         child_sets = [sets_at(child) for child in node.children]
         n_selections = 1
@@ -634,11 +621,9 @@ def set_value_dpp(
         for chosen in itertools.product(*child_sets):
             continuation = dict(zip(node.children, chosen))
             for rec in one_step_equilibria(spec, tree, nid, continuation):
-                if symmetric and len(set(rec.policy.actions[nid])) > 1:
-                    continue
                 found.add(rec.value)
         out = tuple(sorted(found))
-        memo[nid] = out
+        memo[key] = out
         return out
 
     return ValueSet.of(sets_at(start))

@@ -14,6 +14,7 @@ adaptedness structural rather than something to check.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -80,8 +81,14 @@ class GameSpec:
     def _key(self, prefix: Prefix):
         return prefix[-1] if self.state_dependent else prefix
 
-    def _terminal_key(self, path: Prefix):
-        return path[-1] if self.state_dependent else path
+    def _data_keys(self, t: int):
+        """Keys of the time-t data: the states, or every prefix when path keyed."""
+        if self.state_dependent:
+            return self.states[t]
+        return itertools.product(*self.states[: t + 1])
+
+    def _where(self, key) -> str:
+        return f"state={key!r}" if self.state_dependent else f"prefix={key}"
 
     # -- data accessors ------------------------------------------------------
 
@@ -99,7 +106,7 @@ class GameSpec:
         )
 
     def terminal_vector(self, path: Prefix) -> Vector:
-        key = self._terminal_key(path)
+        key = self._key(path)
         return tuple(self.terminal_costs[i][key] for i in range(self.n_players))
 
     # -- validation ----------------------------------------------------------
@@ -124,19 +131,23 @@ class GameSpec:
         if len(self.running_costs) != self.n_players or len(self.terminal_costs) != self.n_players:
             raise GameValidationError("cost tables must have one entry per player")
 
+        # Markov data are keyed by the current state, so each (t, state) entry
+        # is checked once; path-keyed data once per prefix.
         positive = True
+        joints = self.joint_actions
         for t in range(self.horizon):
-            for prefix in itertools.product(*self.states[: t + 1]):
-                for joint in self.joint_actions:
+            for key in self._data_keys(t):
+                for joint in joints:
                     try:
-                        vec = self.transition_vector(t, prefix, joint)
+                        vec = self.transitions[(t, key, joint)]
                     except KeyError as exc:
                         raise GameValidationError(
-                            f"missing transition at t={t}, prefix={prefix}, action={joint}"
+                            f"missing transition at t={t}, {self._where(key)}, action={joint}"
                         ) from exc
                     if len(vec) != len(self.states[t + 1]):
                         raise GameValidationError(
-                            f"transition vector at t={t}, {prefix}, {joint} has wrong length"
+                            f"transition vector at t={t}, {self._where(key)}, {joint} "
+                            "has wrong length"
                         )
                     total = ZERO
                     for p in vec:
@@ -149,23 +160,27 @@ class GameSpec:
                         total += p
                     if total != ONE:
                         raise GameValidationError(
-                            f"transition at t={t}, {prefix}, {joint} sums to {total}, not 1"
+                            f"transition at t={t}, {self._where(key)}, {joint} sums to {total}, "
+                            "not 1"
                         )
                 for i in range(self.n_players):
                     for ai in range(len(self.actions[i])):
                         try:
-                            c = self.running_cost(i, t, prefix, ai)
+                            c = self.running_costs[i][(t, key, ai)]
                         except KeyError as exc:
                             raise GameValidationError(
-                                f"missing running cost for player {i} at t={t}, {prefix}"
+                                f"missing running cost for player {i} at t={t}, "
+                                f"{self._where(key)}"
                             ) from exc
                         if not isinstance(c, Fraction):
                             raise GameValidationError("running costs must be Fraction")
-        for path in itertools.product(*self.states):
+        for key in self._data_keys(self.horizon):
             try:
-                g = self.terminal_vector(path)
+                g = tuple(table[key] for table in self.terminal_costs)
             except KeyError as exc:
-                raise GameValidationError(f"missing terminal cost on path {path}") from exc
+                raise GameValidationError(
+                    f"missing terminal cost at t={self.horizon}, {self._where(key)}"
+                ) from exc
             if any(not isinstance(v, Fraction) for v in g):
                 raise GameValidationError("terminal costs must be Fraction")
         self.q_positive = positive
@@ -242,10 +257,32 @@ class PathTree:
         """Subtree nodes at times < T, where actions are taken."""
         return [nid for nid in self.subtree(start) if self.nodes[nid].t < self.horizon]
 
+    def group_by_time_state(self, nodes) -> dict[tuple[int, str], tuple[int, ...]]:
+        """Nodes grouped by (time, current state), keys sorted, members in input order."""
+        groups: dict[tuple[int, str], list[int]] = {}
+        for nid in nodes:
+            node = self.nodes[nid]
+            groups.setdefault((node.t, node.state), []).append(nid)
+        return {key: tuple(groups[key]) for key in sorted(groups)}
+
 
 def build_path_tree(spec: GameSpec) -> PathTree:
     """Build the full prefix tree for a validated spec."""
     return PathTree(spec)
+
+
+def subgame_key(spec: GameSpec, tree: PathTree) -> Callable[[int], Hashable]:
+    """Key under which results for the subgame below a node may be shared.
+
+    Markov data make the subgame below a prefix depend only on (t, x_t), so
+    such specs key by (time, state) and their memos live on the lattice of
+    those pairs; path-keyed specs key by node id. Only subgame values may be
+    shared this way: policies stay per node.
+    """
+    if spec.state_dependent:
+        nodes = tree.nodes
+        return lambda nid: (nodes[nid].t, nodes[nid].state)
+    return lambda nid: nid
 
 
 @dataclass(frozen=True)
@@ -265,33 +302,6 @@ class Policy:
             return self.actions[nid]
         except KeyError as exc:
             raise GameValidationError(f"policy has no action at node {nid}") from exc
-
-    def own_action_map(self, player: int) -> dict[int, int]:
-        return {nid: joint[player] for nid, joint in self.actions.items()}
-
-
-def policy_is_state_dependent(tree: PathTree, policy: Policy, nodes: list[int]) -> bool:
-    """True when equal (time, current state) nodes get equal actions."""
-    seen: dict[tuple[int, str], JointAction] = {}
-    for nid in nodes:
-        node = tree.node(nid)
-        key = (node.t, node.state)
-        a = policy.actions.get(nid)
-        if a is None:
-            continue
-        if key in seen and seen[key] != a:
-            return False
-        seen.setdefault(key, a)
-    return True
-
-
-def policy_is_symmetric(policy: Policy, nodes: list[int]) -> bool:
-    """True when all players take the same action everywhere."""
-    for nid in nodes:
-        a = policy.actions.get(nid)
-        if a is not None and len(set(a)) > 1:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from .equilibria import (
     set_value_bruteforce,
 )
 from .errors import GameValidationError
-from .model import ONE, ZERO, GameSpec, PathTree, Policy, Vector, cost_J
+from .model import ONE, ZERO, GameSpec, PathTree, Policy, Vector, cost_J, subgame_key
 
 from .io import frac_from_str
 
@@ -104,12 +104,15 @@ def dictatorship_value(
     """Minimum weighted cost over all controls, ignoring incentives.
 
     A single-agent backward induction over joint actions; the benchmark a
-    coordinator could reach with enforced, non-equilibrium play.
+    coordinator could reach with enforced, non-equilibrium play. Memoized by
+    :func:`subgame_key`.
     """
-    memo: dict[int, Fraction] = {}
+    key_of = subgame_key(spec, tree)
+    memo: dict = {}
 
     def walk(nid: int) -> Fraction:
-        hit = memo.get(nid)
+        key = key_of(nid)
+        hit = memo.get(key)
         if hit is not None:
             return hit
         node = tree.node(nid)
@@ -127,7 +130,7 @@ def dictatorship_value(
                 if best is None or cost < best:
                     best = cost
             out = best
-        memo[nid] = out
+        memo[key] = out
         return out
 
     return walk(start)
@@ -146,7 +149,8 @@ def time_inconsistency_probe(
     Comparison happens at the value level: at each later prefix the chosen
     equilibrium's continuation value is scored against the planner optimum of
     that prefix's own set value. Requires a strictly positive kernel so every
-    prefix matters.
+    prefix matters. Set values are shared by :func:`subgame_key`; the
+    witness's continuation cost is evaluated per node.
     """
     if not spec.q_positive:
         raise GameValidationError("the probe needs q > 0 so every prefix is reachable")
@@ -170,14 +174,19 @@ def time_inconsistency_probe(
         )
 
     chosen_value = cost_J(spec, tree, start, witness)
+    key_of = subgame_key(spec, tree)
+    local_optima: dict = {}
     rows: list[ProbeRow] = []
     first_bad: ProbeRow | None = None
     for nid in tree.subtree(start):
         node = tree.node(nid)
         if nid == start or node.t >= tree.horizon:
             continue
-        vs = set_value_bruteforce(spec, tree, nid, cap=cap)
-        local = planner_optimum(vs, lam)
+        key = key_of(nid)
+        local = local_optima.get(key)
+        if local is None:
+            local = planner_optimum(set_value_bruteforce(spec, tree, nid, cap=cap), lam)
+            local_optima[key] = local
         continuation = cost_J(spec, tree, nid, witness)
         cont_score = lam.score(continuation)
         consistent = local.has_equilibrium and cont_score == local.value

@@ -177,3 +177,18 @@ def test_threads_flag_accepted_and_validated(capsys):
     assert code == 0
     code, _, _ = run(capsys, "--threads", "0", "setvalue", "--example", "table1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "example,variant",
+    [("path", "state"), ("path", "full"), ("pareto", "pareto"), ("pareto", "strong-pareto")],
+)
+def test_setvalue_witnesses_follow_the_variant(capsys, example, variant):
+    code, out, _ = run(
+        capsys, "setvalue", "--example", example, "--variant", variant, "--witnesses"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    values = [w["value"] for w in doc["witnesses"]]
+    assert all(value in doc["points"] for value in values)
+    assert sorted(values) == sorted(doc["points"])

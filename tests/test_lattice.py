@@ -1,0 +1,153 @@
+"""Markov specs solved on the (time, state) lattice agree with the prefix tree.
+
+A Markov spec's path-keyed twin (``truncate_game`` stopped at the horizon, so
+nothing is truncated) has the same tree, kernel and costs but
+``state_dependent=False``, which makes every memo key on node ids. The
+recursion, the dictatorship value and the consistency probe must give equal
+results on both, including blown selection caps.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from gameval import (
+    EnumerationCapExceeded,
+    GameSpec,
+    GameValidationError,
+    StoppingTime,
+    build_path_tree,
+    load_example,
+    truncate_game,
+)
+from gameval.dpp import random_game
+from gameval.equilibria import all_policy_values, set_value_bruteforce, set_value_dpp
+from gameval.planner import (
+    Scalarization,
+    dictatorship_value,
+    planner_optimum,
+    time_inconsistency_probe,
+)
+from gameval.presets import SPEC_FILES
+
+WEIGHTS = (Scalarization.uniform(2), Scalarization.parse("1/3,2/3"))
+# The probe enumerates every equilibrium at its start node, so it starts at
+# the shallowest level whose subtrees have at most this many decision nodes.
+PROBE_MAX_DECISION_NODES = 7
+
+
+def path_keyed_twin(spec, tree):
+    leaves = tree.levels[spec.horizon]
+    terminal = {nid: spec.terminal_vector(tree.node(nid).prefix) for nid in leaves}
+    return truncate_game(spec, tree, StoppingTime.at_time(tree, spec.horizon), terminal)
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except EnumerationCapExceeded as exc:
+        return ("cap exceeded", str(exc))
+
+
+def assert_lattice_equals_tree(spec, *, selection_cap=100_000):
+    """Compare spec and twin; return whether the recursion blew its cap."""
+    tree = build_path_tree(spec)
+    twin = path_keyed_twin(spec, tree)
+    assert spec.state_dependent and not twin.state_dependent
+    assert twin.q_positive == spec.q_positive
+    capped = False
+    for root in tree.levels[0]:
+        lattice = outcome(set_value_dpp, spec, tree, root, selection_cap=selection_cap)
+        assert lattice == outcome(set_value_dpp, twin, tree, root, selection_cap=selection_cap)
+        capped |= isinstance(lattice, tuple)
+        for lam in WEIGHTS:
+            assert dictatorship_value(spec, tree, root, lam) == dictatorship_value(
+                twin, tree, root, lam
+            )
+    starts = next(
+        level
+        for level in tree.levels
+        if len(tree.decision_nodes(level[0])) <= PROBE_MAX_DECISION_NODES
+    )
+    for start in starts:
+        report = time_inconsistency_probe(spec, tree, start, WEIGHTS[1])
+        assert report == time_inconsistency_probe(twin, tree, start, WEIGHTS[1])
+        assert len(report.rows) == len(tree.decision_nodes(start)) - 1
+    return capped
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_FILES))
+def test_lattice_equals_tree_on_examples(name):
+    spec = load_example(name)
+    assert spec.state_dependent and spec.q_positive
+    assert_lattice_equals_tree(spec)
+
+
+def test_lattice_equals_tree_on_random_markov_specs():
+    rng = random.Random(2024)
+    specs = [
+        random_game(rng, max_periods=6, max_states=3, state_dependent=True) for _ in range(40)
+    ]
+    assert max(spec.horizon for spec in specs) == 6
+    capped = [assert_lattice_equals_tree(spec, selection_cap=1000) for spec in specs]
+    assert any(capped)
+
+
+def test_path_keyed_specs_stay_per_node():
+    """Path-keyed data differ between prefixes that share (time, state)."""
+    rng = random.Random(8)
+    lam = WEIGHTS[1]
+    for _ in range(8):
+        spec = random_game(rng, max_periods=2)
+        tree = build_path_tree(spec)
+        root = tree.levels[0][0]
+        every_control = all_policy_values(spec, tree, root).points
+        assert dictatorship_value(spec, tree, root, lam) == min(map(lam.score, every_control))
+    for _ in range(4):
+        spec = random_game(rng, max_periods=3)
+        tree = build_path_tree(spec)
+        report = time_inconsistency_probe(spec, tree, tree.levels[0][0], lam)
+        for row in report.rows:
+            nid = tree.id_of(row.prefix)
+            local = planner_optimum(set_value_bruteforce(spec, tree, nid), lam)
+            assert row.planner_value == local.value
+
+
+def _markov_spec(**overrides):
+    spec = random_game(random.Random(11), max_periods=3, max_states=3, state_dependent=True)
+    fields = dict(
+        horizon=spec.horizon,
+        states=spec.states,
+        actions=spec.actions,
+        transitions=spec.transitions,
+        running_costs=spec.running_costs,
+        terminal_costs=spec.terminal_costs,
+        state_dependent=True,
+    )
+    fields.update(overrides)
+    return spec, GameSpec(**fields)
+
+
+def test_markov_validation_rejects_missing_transition_by_time_and_state():
+    spec, _ = _markov_spec()
+    t = spec.horizon - 1
+    state = spec.states[t][-1]
+    transitions = dict(spec.transitions)
+    del transitions[(t, state, (1, 0))]
+    with pytest.raises(GameValidationError, match=rf"t={t}, state='{state}', action=\(1, 0\)"):
+        _markov_spec(transitions=transitions)
+
+
+def test_markov_validation_zero_entry_clears_q_positive():
+    spec, copy = _markov_spec()
+    assert spec.q_positive and copy.q_positive
+    t = next(t for t in range(spec.horizon) if len(spec.states[t + 1]) > 1)
+    state = spec.states[t][0]
+    width = len(spec.states[t + 1])
+    transitions = dict(spec.transitions)
+    transitions[(t, state, (0, 1))] = (F(1),) + (F(0),) * (width - 1)
+    _, zeroed = _markov_spec(transitions=transitions)
+    assert not zeroed.q_positive
