@@ -9,6 +9,7 @@ for numerical instability.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -258,27 +259,7 @@ def _grid_with_overrides(grid: hjb.GridConfig, args) -> hjb.GridConfig:
         "ht": args.ht,
         "delta_scale": args.delta_scale,
     }
-    updates = {k: v for k, v in fields.items() if v is not None}
-    if not updates:
-        return grid
-    base = {
-        "x_lo": grid.x_lo,
-        "x_hi": grid.x_hi,
-        "nx": grid.nx,
-        "y_lo": grid.y_lo,
-        "y_hi": grid.y_hi,
-        "ny": grid.ny,
-        "t_final": grid.t_final,
-        "z_max": grid.z_max,
-        "nz": grid.nz,
-        "cfl_safety": grid.cfl_safety,
-        "ht": grid.ht,
-        "delta_scale": grid.delta_scale,
-        "monotone": grid.monotone,
-        "store_times": grid.store_times,
-    }
-    base.update(updates)
-    return hjb.GridConfig(**base)
+    return dataclasses.replace(grid, **{k: v for k, v in fields.items() if v is not None})
 
 
 def cmd_solve_pde(args) -> int:
@@ -293,16 +274,7 @@ def cmd_solve_pde(args) -> int:
         raise GameValidationError("provide --preset NAME or --config FILE naming one")
     spec, grid = hjb.pde_preset(name)
     if grid_doc:
-        base = {
-            "x_lo": grid.x_lo, "x_hi": grid.x_hi, "nx": grid.nx,
-            "y_lo": grid.y_lo, "y_hi": grid.y_hi, "ny": grid.ny,
-            "t_final": grid.t_final, "z_max": grid.z_max, "nz": grid.nz,
-            "cfl_safety": grid.cfl_safety, "ht": grid.ht,
-            "delta_scale": grid.delta_scale, "monotone": grid.monotone,
-            "store_times": tuple(grid.store_times),
-        }
-        base.update(grid_doc)
-        grid = hjb.GridConfig(**base)
+        grid = dataclasses.replace(grid, **grid_doc)
     grid = _grid_with_overrides(grid, args)
 
     field = hjb.solve_w(spec, grid)

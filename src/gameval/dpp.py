@@ -24,6 +24,7 @@ from .equilibria import (
     ValueSet,
     _Scope,
     iter_equilibria,
+    nash_profiles,
     pareto_filter,
 )
 from .errors import EnumerationCapExceeded, GameValidationError
@@ -210,42 +211,23 @@ def check_pareto_eps(eps: Fraction) -> GameSpec:
         _variant_set(spec, tree, nid, "full", DEFAULT_POLICY_CAP) for nid in branch_nodes
     ]
 
-    joints = spec.joint_actions
-
-    def nash_profiles(payoff: dict) -> frozenset:
-        out = []
-        for joint, val in payoff.items():
-            ok = True
-            for i in range(2):
-                for ai in range(2):
-                    dev = joint[:i] + (ai,) + joint[i + 1 :]
-                    if payoff[dev][i] < val[i]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(joint)
-        return frozenset(out)
-
     target = {
         tuple(int(x) for x in key.split(",")): s
         for key, s in pareto_tables()["kernel_target"].items()
     }
     branch_index = {s: k for k, s in enumerate(pareto_tables()["branches"])}
-    scope = _Scope(spec, tree, root)
     for chosen in itertools.product(*[vs.points for vs in branch_sets]):
         frontier = dict(zip(branch_nodes, chosen))
         perturbed = {}
-        for joint in joints:
+        for joint in spec.joint_actions:
             vec = spec.transition_vector(0, ("s0",), joint)
             val = [ZERO, ZERO]
             for child, p in zip(tree.node(root).children, vec):
                 for i in range(2):
                     val[i] += p * frontier[child][i]
             perturbed[joint] = tuple(val)
-        limit = {joint: chosen[branch_index[target[joint]]] for joint in joints}
-        if nash_profiles(perturbed) != nash_profiles(limit):
+        limit = {joint: chosen[branch_index[target[joint]]] for joint in spec.joint_actions}
+        if set(nash_profiles(spec, perturbed)) != set(nash_profiles(spec, limit)):
             raise GameValidationError(
                 f"eps={eps} changes the equilibrium structure of a first-period game"
             )
@@ -408,18 +390,20 @@ def random_game(
     n_actions: int = 2,
     allow_zero: bool = False,
     state_dependent: bool = False,
+    n_players: int = 2,
 ) -> GameSpec:
     """Small random game with rational costs and simplex-grid kernels.
 
     Kernels come from integer weights normalized on the simplex, strictly
     positive unless ``allow_zero``; costs are quarter-integer rationals.
+    Each of the ``n_players`` players has ``n_actions`` actions.
     """
     horizon = rng.randint(1, max_periods)
     states: list[list[str]] = [["r0"]]
     for t in range(1, horizon + 1):
         states.append([f"t{t}s{k}" for k in range(rng.randint(1, max_states))])
-    actions = [[str(a) for a in range(n_actions)] for _ in range(2)]
-    joints = list(itertools.product(range(n_actions), range(n_actions)))
+    actions = [[str(a) for a in range(n_actions)] for _ in range(n_players)]
+    joints = list(itertools.product(range(n_actions), repeat=n_players))
 
     def kernel(width: int) -> tuple[Fraction, ...]:
         while True:
@@ -433,29 +417,29 @@ def random_game(
         return Fraction(rng.randint(-8, 8), 4)
 
     transitions: dict = {}
-    running: list[dict] = [{}, {}]
-    terminal: list[dict] = [{}, {}]
+    running: list[dict] = [{} for _ in range(n_players)]
+    terminal: list[dict] = [{} for _ in range(n_players)]
     if state_dependent:
         for t in range(horizon):
             for s in states[t]:
                 for joint in joints:
                     transitions[(t, s, joint)] = kernel(len(states[t + 1]))
-                for i in range(2):
+                for i in range(n_players):
                     for ai in range(n_actions):
                         running[i][(t, s, ai)] = cost()
         for s in states[horizon]:
-            for i in range(2):
+            for i in range(n_players):
                 terminal[i][s] = cost()
     else:
         for t in range(horizon):
             for prefix in itertools.product(*states[: t + 1]):
                 for joint in joints:
                     transitions[(t, prefix, joint)] = kernel(len(states[t + 1]))
-                for i in range(2):
+                for i in range(n_players):
                     for ai in range(n_actions):
                         running[i][(t, prefix, ai)] = cost()
         for path in itertools.product(*states):
-            for i in range(2):
+            for i in range(n_players):
                 terminal[i][path] = cost()
 
     return GameSpec(

@@ -2,10 +2,13 @@
 
 Two independent routes compute the same object:
 
-* ``set_value_bruteforce`` enumerates every joint policy of the requested
-  class below a cap and keeps the cost vectors of those that survive the
-  equilibrium check (per-player best responses, never deviation-policy
-  enumeration in the path class).
+* ``set_value_bruteforce`` enumerates the equilibria of the requested policy
+  class, for classes whose size is below a cap, and keeps their cost vectors.
+  Exact path-class equilibria, for any kernel and any number of players, and
+  exact state-class equilibria on Markov scopes are assembled from per-node
+  argmin sets of backward-induction best responses, pruned to the nodes the
+  profile reaches; every other case checks each profile of the class against
+  per-player best responses (see ``iter_equilibria``).
 * ``set_value_dpp`` runs the one-step backward recursion: terminal sets are
   the terminal cost vectors, and each earlier set is the union, over all
   selections of one continuation value per child and all one-step Nash
@@ -20,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import EnumerationCapExceeded, GameValidationError
 from .model import (
@@ -103,6 +107,9 @@ class _Scope:
     ``frontier`` maps stopped node ids to their terminal vectors; when given,
     paths end there instead of at the leaves, which keeps truncated-game
     enumeration restricted to the decision nodes that still matter.
+    ``decision_nodes`` are listed in breadth-first, hence time, order;
+    ``ends`` maps the frontier nodes and leaves where the scope's paths end
+    to their terminal vectors.
     """
 
     def __init__(
@@ -117,24 +124,37 @@ class _Scope:
         self.start = start
         self.frontier = frontier
         self.decision_nodes: list[int] = []
+        self.ends: dict[int, Vector] = {}
         stack = [start]
         while stack:
             nid = stack.pop(0)
             if frontier is not None and nid in frontier:
+                self.ends[nid] = frontier[nid]
                 continue
-            if tree.node(nid).t == tree.horizon:
+            node = tree.node(nid)
+            if node.t == tree.horizon:
+                self.ends[nid] = spec.terminal_vector(node.prefix)
                 continue
             self.decision_nodes.append(nid)
-            stack.extend(tree.node(nid).children)
-        self.node_index = {nid: k for k, nid in enumerate(self.decision_nodes)}
+            stack.extend(node.children)
 
-    def _terminal(self, nid: int) -> Vector | None:
-        if self.frontier is not None and nid in self.frontier:
-            return self.frontier[nid]
-        node = self.tree.node(nid)
-        if node.t == self.tree.horizon:
-            return self.spec.terminal_vector(node.prefix)
-        return None
+    def is_markov(self) -> bool:
+        """Whether the subgame below every scope node depends only on its (time, state).
+
+        Holds for Markov data when each (time, state) group of the scope is
+        either wholly made of end nodes sharing one terminal vector, or wholly
+        made of decision nodes.
+        """
+        if not self.spec.state_dependent:
+            return False
+        if self.frontier is None:
+            return True
+        nodes = self.tree.nodes
+        groups: dict[tuple[int, str], Vector] = {}
+        for nid, term in self.ends.items():
+            if groups.setdefault((nodes[nid].t, nodes[nid].state), term) != term:
+                return False
+        return not any((nodes[nid].t, nodes[nid].state) in groups for nid in self.decision_nodes)
 
     def value(self, action_at) -> Vector:
         memo: dict[int, Vector] = {}
@@ -143,7 +163,7 @@ class _Scope:
             hit = memo.get(nid)
             if hit is not None:
                 return hit
-            term = self._terminal(nid)
+            term = self.ends.get(nid)
             if term is not None:
                 memo[nid] = term
                 return term
@@ -200,7 +220,7 @@ def _units_for(spec: GameSpec, tree: PathTree, scope: _Scope, cls: str) -> _Unit
             kind=cls,
             units=tuple(nodes),
             members=tuple((nid,) for nid in nodes),
-            options=tuple(spec.joint_actions),
+            options=spec.joint_actions,
         )
     if cls == STATE_CLASS:
         groups = tree.group_by_time_state(nodes)
@@ -208,7 +228,7 @@ def _units_for(spec: GameSpec, tree: PathTree, scope: _Scope, cls: str) -> _Unit
             kind=cls,
             units=tuple(groups),
             members=tuple(groups.values()),
-            options=tuple(spec.joint_actions),
+            options=spec.joint_actions,
         )
     if cls == SYMMETRIC_CLASS:
         shared = spec.actions[0]
@@ -323,7 +343,7 @@ def _best_response_scope(spec: GameSpec, scope: _Scope, player: int, opp_action_
         hit = memo.get(nid)
         if hit is not None:
             return hit
-        term = scope._terminal(nid)
+        term = scope.ends.get(nid)
         if term is not None:
             memo[nid] = term[player]
             return term[player]
@@ -332,13 +352,21 @@ def _best_response_scope(spec: GameSpec, scope: _Scope, player: int, opp_action_
         best = None
         ties: list[int] = []
         for ai in range(len(spec.actions[player])):
-            cost = spec.running_cost(player, node.t, node.prefix, ai)
+            run = spec.running_cost(player, node.t, node.prefix, ai)
             joint = _merge(others, player, ai)
+            # Exact sum of the running cost and p * value over children, kept
+            # as one unreduced numerator/denominator pair: a single Fraction
+            # normalization per action instead of two per child.
+            num, den = run.numerator, run.denominator
             for child, p in zip(
                 node.children, spec.transition_vector(node.t, node.prefix, joint)
             ):
-                if p != 0:
-                    cost = cost + p * walk(child)
+                if p:
+                    sub = walk(child)
+                    scale = p.denominator * sub.denominator
+                    num = num * scale + p.numerator * sub.numerator * den
+                    den *= scale
+            cost = Fraction(num, den)
             if best is None or cost < best:
                 best, ties = cost, [ai]
             elif cost == best:
@@ -407,6 +435,17 @@ def iter_equilibria(
     Games where most actions are payoff-irrelevant have combinatorially many
     equilibrium profiles, so this is a generator; pass ``with_policies=False``
     when only the values matter and witness policies need not be built.
+
+    Exact equilibria (``eps == 0``) of the path class, and of the state class
+    on Markov scopes (:meth:`_Scope.is_markov`), come from argmin pools
+    (:func:`_iter_argmin`): by the performance-difference identity a policy
+    is a best response exactly when it plays an argmin of its backward
+    induction at every node reached with positive probability. On a Markov
+    scope a state-class opponent leaves a state-class backward-induction
+    best response, so state-class and path-class deviations reach the same
+    value. Every other call (``eps > 0``, the symmetric class, the state
+    class elsewhere) checks each profile of the class (:func:`_iter_general`).
+    The cap bounds the size of the class in every case.
     """
     if eps < 0:
         raise GameValidationError("eps must be nonnegative")
@@ -414,8 +453,8 @@ def iter_equilibria(
     units = _units_for(spec, tree, scope, cls)
     if units.count > cap:
         raise EnumerationCapExceeded("joint policy enumeration", units.count, cap)
-    if cls == PATH_CLASS and eps == 0 and spec.n_players == 2 and spec.q_positive:
-        yield from _iter_fast_two_player(spec, scope, with_policies)
+    if eps == 0 and (cls == PATH_CLASS or (cls == STATE_CLASS and scope.is_markov())):
+        yield from _iter_argmin(spec, scope, units, with_policies)
     else:
         yield from _iter_general(spec, tree, scope, units, eps, cls)
 
@@ -467,43 +506,174 @@ def _iter_general(spec, tree, scope, units: _Units, eps, cls):
             yield EquilibriumRecord(policy=policy, value=value, slack=tuple(slacks))
 
 
-def _iter_fast_two_player(spec, scope, with_policies: bool):
-    """Exact Nash enumeration for two players under a strictly positive kernel.
+def _pool(argmins: dict[int, tuple[int, ...]], nodes) -> tuple[int, ...]:
+    """Actions that are an argmin at every one of ``nodes``, in index order."""
+    pool = argmins[nodes[0]]
+    for nid in nodes[1:]:
+        pool = tuple(a for a in pool if a in argmins[nid])
+    return pool
 
-    With q > 0 every node stays reachable under every profile, so a policy is
-    a best response exactly when it picks an argmin action at every node, and
-    its cost then equals the best-response root value. Nash pairs are
-    assembled from per-node argmin sets; no per-profile cost evaluation runs.
+
+def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bool):
+    """Exact Nash enumeration from per-unit argmin pools, for any kernel.
+
+    A unit is a node (path class) or a (time, state) group (state class on a
+    Markov scope). For every assignment of the other players' actions to the
+    units, one backward-induction walk gives player 0's argmin sets; player 0
+    then ranges over the assignments that play, at each unit, an action that
+    is an argmin at all of its reached members, and any action at a unit with
+    none (:func:`_reached_argmin_profiles`). Each remaining player j passes
+    when it plays an argmin at every reached node of one walk against the
+    others, memoized on their actions. An equilibrium's value is the vector
+    of these walks' root values, so no per-profile cost walk runs.
     """
-    nodes = scope.decision_nodes
-    idx = scope.node_index
-    m = [len(a) for a in spec.actions]
-    memo_p2: dict[tuple[int, ...], tuple[Fraction, dict[int, tuple[int, ...]]]] = {}
+    n = spec.n_players
+    members = units.members
+    n_units = len(members)
+    flat = list(itertools.chain.from_iterable(members))
+    spread = None
+    if len(flat) != n_units:  # some unit has several member nodes
+        spread = [k for k, mem in enumerate(members) for _ in mem]
+    memo: list[dict] = [{} for _ in range(n)]
 
-    def getter_from(assign: tuple[int, ...], owner: int):
-        def get(nid: int) -> JointAction:
-            a = assign[idx[nid]]
-            return (a, 0) if owner == 0 else (0, a)
+    def joint_map(cols: tuple[tuple[int, ...], ...]) -> dict[int, JointAction]:
+        """Node -> joint action, from per-player columns of unit actions."""
+        joints = zip(*cols)
+        if spread is not None:
+            joints = list(joints)
+            joints = [joints[k] for k in spread]
+        return dict(zip(flat, joints))
 
-        return get
+    def walk(player: int, cols: tuple[tuple[int, ...], ...]):
+        """Root value and per-node argmin sets of a player against the others."""
+        value, _, argmins = _best_response_scope(spec, scope, player, joint_map(cols).__getitem__)
+        return value, argmins
 
-    for opp2 in itertools.product(range(m[1]), repeat=len(nodes)):
-        v1, _, argmins1 = _best_response_scope(spec, scope, 0, getter_from(opp2, 1))
-        pools = [argmins1[nid] for nid in nodes]
-        for own1 in itertools.product(*pools):
-            hit = memo_p2.get(own1)
-            if hit is None:
-                v2, _, sets2 = _best_response_scope(spec, scope, 1, getter_from(own1, 0))
-                hit = (v2, sets2)
-                memo_p2[own1] = hit
-            v2, sets2 = hit
-            if all(opp2[k] in sets2[nid] for k, nid in enumerate(nodes)):
+    idle = (0,) * n_units
+    slack = (ZERO,) * n
+    reach = _Reach.of(spec, scope, members)
+    spaces = [
+        itertools.product(range(len(spec.actions[j])), repeat=n_units) for j in range(1, n)
+    ]
+    for others in itertools.product(*spaces):
+        v0, argmins0 = walk(0, (idle,) + others)
+        for own, hits in _reached_argmin_profiles(spec, reach, others, argmins0):
+            cols = (own,) + others
+            values = [v0]
+            for j in range(1, n):
+                key = own if n == 2 else cols[:j] + cols[j + 1 :]
+                entry = memo[j].get(key)
+                if entry is None:
+                    entry = memo[j][key] = walk(j, cols)
+                vj, argmins = entry
+                if not all(a in argmins[nid] for a, hit in zip(cols[j], hits) for nid in hit):
+                    break
+                values.append(vj)
+            else:
                 if with_policies:
-                    actions = {nid: (own1[idx[nid]], opp2[idx[nid]]) for nid in nodes}
-                    policy = Policy(actions=actions, policy_class=PATH_CLASS)
+                    policy = Policy(actions=joint_map(cols), policy_class=units.kind)
                 else:
                     policy = _NO_POLICY
-                yield EquilibriumRecord(policy=policy, value=(v1, v2), slack=(ZERO, ZERO))
+                yield EquilibriumRecord(policy=policy, value=tuple(values), slack=slack)
+
+
+class _Reach(NamedTuple):
+    """Which nodes of a scope's units a profile reaches with positive probability.
+
+    A node is *sure* when every profile reaches it: the start node, and any
+    node whose parent is sure and whose kernel entry is positive under every
+    joint action. The other members are *contingent*: reached when the parent
+    is and the kernel entry under the parent's joint action is nonzero.
+    ``sure[k]`` are unit k's sure members; ``links[k]`` hold ``(node, parent,
+    parent's unit, index among the parent's children)`` for its contingent
+    members. ``cuts`` split the units, which are in time order, into segments
+    such that every contingent member's parent lies in an earlier segment,
+    so a segment's reach is fixed once the segments before it are assigned;
+    the last entry is the unit count. With a strictly positive kernel every
+    node is sure and the units form one segment.
+    """
+
+    sure: tuple[tuple[int, ...], ...]
+    links: tuple[tuple[tuple, ...], ...]
+    cuts: tuple[int, ...]
+
+    @classmethod
+    def of(cls, spec: GameSpec, scope: _Scope, members) -> "_Reach":
+        if spec.q_positive:  # what the loop below finds, without the kernel scan
+            return cls(tuple(members), ((),) * len(members), (0, len(members)))
+        tree = scope.tree
+        unit_of = {nid: k for k, mem in enumerate(members) for nid in mem}
+        sure_nodes = {scope.start}
+        sure, links, cuts = [], [], [0]
+        for k, mem in enumerate(members):
+            ours, theirs = [], []
+            for nid in mem:
+                if nid in sure_nodes:
+                    ours.append(nid)
+                    continue
+                parent = tree.node(tree.node(nid).parent)
+                idx = parent.children.index(nid)
+                if parent.id in sure_nodes and all(
+                    spec.transition_vector(parent.t, parent.prefix, joint)[idx] != 0
+                    for joint in spec.joint_actions
+                ):
+                    sure_nodes.add(nid)
+                    ours.append(nid)
+                else:
+                    theirs.append((nid, parent, unit_of[parent.id], idx))
+            if any(pk >= cuts[-1] for _, _, pk, _ in theirs):
+                cuts.append(k)
+            sure.append(tuple(ours))
+            links.append(tuple(theirs))
+        cuts.append(len(members))
+        return cls(tuple(sure), tuple(links), tuple(cuts))
+
+
+def _reached_argmin_profiles(spec: GameSpec, reach: _Reach, others, argmins0):
+    """Player 0's unit assignments that play an argmin wherever they reach.
+
+    Depth first over the segments of ``reach``, and over the product of the
+    units' pools within one segment, so assignments come out in lexicographic
+    order of the pools. Entering a segment fixes which members of its units
+    are reached; a unit's pool is the actions that are an argmin at each of
+    its reached members, or every action when none is reached. Each
+    assignment is yielded with ``hits``, the reached members of every unit
+    under it.
+    """
+    sure, links, cuts = reach
+    own = [0] * len(sure)
+    hits = list(sure)
+    reached: dict[int, bool] = {}  # contingent nodes entered so far; sure ones are absent
+    last = len(cuts) - 2
+
+    def segment(seg: int):
+        pools = []
+        for k in range(cuts[seg], cuts[seg + 1]):
+            hit = sure[k]
+            if links[k]:
+                hit = list(hit)
+                for nid, parent, pk, idx in links[k]:
+                    joint = (own[pk],) + tuple([col[pk] for col in others])
+                    reached[nid] = flag = (
+                        reached.get(parent.id, True)
+                        and spec.transition_vector(parent.t, parent.prefix, joint)[idx] != 0
+                    )
+                    if flag:
+                        hit.append(nid)
+                hits[k] = hit
+            pools.append(_pool(argmins0, hit) if hit else range(len(spec.actions[0])))
+        combos = itertools.product(*pools)
+        if seg == last:
+            head = tuple(own[: cuts[seg]])
+            return zip(map(head.__add__, combos), itertools.repeat(tuple(hits)))
+        return descend(seg, combos)
+
+    def descend(seg: int, combos):
+        for combo in combos:
+            own[cuts[seg] : cuts[seg + 1]] = combo
+            yield from segment(seg + 1)
+
+    return segment(0)
 
 
 _NO_POLICY = Policy(actions={}, policy_class=PATH_CLASS)
@@ -561,23 +731,32 @@ def one_step_equilibria(
         return tuple(out)
 
     table = {joint: payoff(joint) for joint in spec.joint_actions}
-    records = []
-    for joint, value in table.items():
-        ok = True
-        slacks = []
-        for i in range(n):
-            br = min(
-                table[_merge(joint, i, ai)][i] for ai in range(len(spec.actions[i]))
-            )
-            slack = value[i] - br
-            slacks.append(slack)
-            if slack > 0:
-                ok = False
-                break
-        if ok:
-            policy = Policy(actions={nid: joint}, policy_class=PATH_CLASS)
-            records.append(EquilibriumRecord(policy=policy, value=value, slack=tuple(slacks)))
-    return records
+    slack = (ZERO,) * n
+    return [
+        EquilibriumRecord(
+            policy=Policy(actions={nid: joint}, policy_class=PATH_CLASS),
+            value=table[joint],
+            slack=slack,
+        )
+        for joint in nash_profiles(spec, table)
+    ]
+
+
+def nash_profiles(spec: GameSpec, table: dict[JointAction, Vector]) -> list[JointAction]:
+    """Pure Nash profiles of a static cost game, in the order of ``table``.
+
+    ``table`` maps every joint action to its cost vector. A profile is Nash
+    when no player lowers its own cost by changing its own action alone.
+    """
+    return [
+        joint
+        for joint, value in table.items()
+        if all(
+            table[_merge(joint, i, ai)][i] >= value[i]
+            for i in range(spec.n_players)
+            for ai in range(len(spec.actions[i]))
+        )
+    ]
 
 
 def set_value_dpp(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -211,22 +211,7 @@ class GridConfig:
 
     def refined(self) -> GridConfig:
         """Halved spatial spacings in x and y, everything else unchanged."""
-        return GridConfig(
-            x_lo=self.x_lo,
-            x_hi=self.x_hi,
-            nx=2 * self.nx - 1,
-            y_lo=self.y_lo,
-            y_hi=self.y_hi,
-            ny=2 * self.ny - 1,
-            t_final=self.t_final,
-            z_max=self.z_max,
-            nz=self.nz,
-            cfl_safety=self.cfl_safety,
-            ht=None,
-            delta_scale=self.delta_scale,
-            monotone=self.monotone,
-            store_times=self.store_times,
-        )
+        return replace(self, nx=2 * self.nx - 1, ny=2 * self.ny - 1, ht=None)
 
 
 @dataclass

@@ -60,6 +60,9 @@ class GameSpec:
         self.horizon = int(horizon)
         self.states = tuple(tuple(level) for level in states)
         self.actions = tuple(tuple(acts) for acts in actions)
+        self.joint_actions: tuple[JointAction, ...] = tuple(
+            itertools.product(*(range(len(acts)) for acts in self.actions))
+        )
         self.transitions = dict(transitions)
         self.running_costs = tuple(dict(d) for d in running_costs)
         self.terminal_costs = tuple(dict(d) for d in terminal_costs)
@@ -73,10 +76,6 @@ class GameSpec:
     @property
     def n_players(self) -> int:
         return len(self.actions)
-
-    @property
-    def joint_actions(self) -> list[JointAction]:
-        return list(itertools.product(*[range(len(a)) for a in self.actions]))
 
     def _key(self, prefix: Prefix):
         return prefix[-1] if self.state_dependent else prefix

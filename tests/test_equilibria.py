@@ -25,12 +25,51 @@ from gameval import (
     strong_pareto_filter,
 )
 from gameval.dpp import random_game
-from gameval.model import STATE_CLASS, SYMMETRIC_CLASS
-from gameval.presets import build_pareto_spec
+from gameval.equilibria import _iter_argmin, _iter_general, _Reach, _Scope, _units_for
+from gameval.model import PATH_CLASS, STATE_CLASS, SYMMETRIC_CLASS, StoppingTime, truncate_game
+from gameval.presets import build_pareto_spec, load_example
 
 
 def pts(vs):
     return set(vs.points)
+
+
+def general_records(spec, tree, start, cls=PATH_CLASS, frontier=None):
+    """Equilibria found by checking every profile of the class: the reference."""
+    scope = _Scope(spec, tree, start, frontier=frontier)
+    units = _units_for(spec, tree, scope, cls)
+    return list(_iter_general(spec, tree, scope, units, F(0), cls))
+
+
+def profiles(records):
+    return sorted(tuple(sorted(rec.policy.actions.items())) for rec in records)
+
+
+def assert_matches_general(spec, tree, start, cls=PATH_CLASS, frontier=None):
+    """iter_equilibria yields the reference's profiles and values; returns the values."""
+    scope = _Scope(spec, tree, start, frontier=frontier)
+    records = list(iter_equilibria(spec, tree, start, cls=cls, scope=scope))
+    reference = general_records(spec, tree, start, cls, frontier)
+    assert profiles(records) == profiles(reference)
+    values = {rec.value for rec in records}
+    assert values == {rec.value for rec in reference}
+    if records:
+        ok, slack = is_equilibrium(spec, tree, start, records[0].policy, cls=cls, scope=scope)
+        assert ok and slack == records[0].slack
+    return values
+
+
+def random_frontier(rng, tree, start, t0, n_players, by_state=False):
+    """Random terminal vectors at the time-t0 stopped nodes; one per (time, state) if by_state."""
+    values = {}
+    frontier = {}
+    for nid in StoppingTime.at_time(tree, t0).frontier(tree, start):
+        node = tree.node(nid)
+        key = (node.t, node.state) if by_state else nid
+        if key not in values:
+            values[key] = tuple(F(rng.randint(-4, 4), 2) for _ in range(n_players))
+        frontier[nid] = values[key]
+    return frontier
 
 
 def test_table1_set_value_both_engines(table1):
@@ -135,10 +174,106 @@ def test_fast_and_general_enumeration_agree():
         tree = build_path_tree(spec)
         root = tree.id_of(("r0",))
         fast = set_value_bruteforce(spec, tree, root)
-        slow_spec = copy.copy(spec)
-        slow_spec.q_positive = False  # forces the generic enumerator
-        slow = set_value_bruteforce(slow_spec, tree, root)
-        assert pts(fast) == pts(slow)
+        slow = {rec.value for rec in general_records(spec, tree, root)}
+        assert pts(fast) == slow
+
+
+def test_reach_on_positive_kernels_is_one_segment_of_sure_nodes():
+    """The q_positive shortcut of _Reach.of gives what its kernel scan gives."""
+    rng = random.Random(71)
+    for k in range(8):
+        spec = random_game(rng, state_dependent=k % 2 == 1)
+        assert spec.q_positive
+        scanned = copy.copy(spec)
+        scanned.q_positive = False  # takes the scan; the kernel itself is unchanged
+        tree = build_path_tree(spec)
+        for start in tree.decision_nodes(tree.id_of(("r0",))):
+            scope = _Scope(spec, tree, start)
+            for cls in (PATH_CLASS, STATE_CLASS):
+                members = _units_for(spec, tree, scope, cls).members
+                reach = _Reach.of(spec, scope, members)
+                assert reach == _Reach.of(scanned, scope, members)
+                assert reach.cuts == (0, len(members))
+
+
+def test_argmin_enumerator_on_zero_kernel_path_specs():
+    rng = random.Random(53)
+    sizes = []
+    checked = 0
+    while checked < 12:
+        spec = random_game(rng, allow_zero=True, n_actions=rng.choice((2, 3)))
+        tree = build_path_tree(spec)
+        root = tree.id_of(("r0",))
+        scope = _Scope(spec, tree, root)
+        if spec.q_positive or _units_for(spec, tree, scope, PATH_CLASS).count > 4**5:
+            continue
+        checked += 1
+        sizes.append(len(assert_matches_general(spec, tree, root)))
+        if spec.horizon > 1:
+            frontier = random_frontier(rng, tree, root, 1, spec.n_players)
+            sizes.append(len(assert_matches_general(spec, tree, root, frontier=frontier)))
+    assert max(sizes) > 1
+
+
+def test_argmin_enumerator_on_three_player_specs():
+    rng = random.Random(59)
+    sizes = []
+    for k in range(10):
+        spec = random_game(rng, max_periods=2, allow_zero=k % 2 == 1, n_players=3)
+        tree = build_path_tree(spec)
+        root = tree.id_of(("r0",))
+        assert spec.n_players == 3
+        sizes.append(len(assert_matches_general(spec, tree, root)))
+        frontier = random_frontier(rng, tree, root, spec.horizon, 3)
+        sizes.append(len(assert_matches_general(spec, tree, root, frontier=frontier)))
+    assert max(sizes) > 1
+
+
+def test_argmin_enumerator_on_markov_state_class():
+    rng = random.Random(61)
+    sizes = []
+    for k in range(12):
+        spec = random_game(
+            rng, max_periods=2, n_actions=3, allow_zero=k % 2 == 1, state_dependent=True
+        )
+        tree = build_path_tree(spec)
+        root = tree.id_of(("r0",))
+        assert _Scope(spec, tree, root).is_markov()
+        sizes.append(len(assert_matches_general(spec, tree, root, cls=STATE_CLASS)))
+        frontier = random_frontier(rng, tree, root, spec.horizon, 2, by_state=True)
+        assert _Scope(spec, tree, root, frontier=frontier).is_markov()
+        sizes.append(
+            len(assert_matches_general(spec, tree, root, cls=STATE_CLASS, frontier=frontier))
+        )
+    assert max(sizes) > 1
+
+
+def test_state_class_falls_back_off_markov_scopes():
+    """Two non-Markov scopes built from the path example: its leaf values with
+    player 0's cost at one leaf lowered by 1, once as a frontier on the Markov
+    spec and once as the terminal cost of its path-keyed twin. The two time-2
+    nodes of state s2 then head different subgames, and a state-class policy
+    must play one action at both. Argmin pools alone miss an equilibrium value
+    there, so iter_equilibria checks every state-class profile instead."""
+    spec = load_example("path")
+    tree = build_path_tree(spec)
+    root = tree.id_of(("s0",))
+    at_horizon = StoppingTime.at_time(tree, spec.horizon)
+    leaves = {
+        nid: spec.terminal_vector(tree.node(nid).prefix) for nid in at_horizon.frontier(tree, root)
+    }
+    assert _Scope(spec, tree, root, frontier=leaves).is_markov()
+    off = tree.id_of(("s0", "s10", "s2", "s30"))
+    leaves[off] = (leaves[off][0] - 1, leaves[off][1])
+    twin = truncate_game(spec, tree, at_horizon, leaves)
+    for game, frontier in ((spec, leaves), (twin, None)):
+        scope = _Scope(game, tree, root, frontier=frontier)
+        assert not scope.is_markov()
+        values = assert_matches_general(game, tree, root, cls=STATE_CLASS, frontier=frontier)
+        assert values == {(F(1, 8), F(0)), (F(-1, 8), F(1, 4))}
+        units = _units_for(game, tree, scope, STATE_CLASS)
+        pooled = {rec.value for rec in _iter_argmin(game, scope, units, False)}
+        assert pooled == {(F(-1, 8), F(1, 4))}
 
 
 def test_large_eps_accepts_everything(table1):
