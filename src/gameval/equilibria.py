@@ -805,7 +805,10 @@ def set_value_dpp(
         memo[key] = out
         return out
 
-    return ValueSet.of(sets_at(start))
+    try:
+        return ValueSet.of(sets_at(start))
+    finally:
+        del sets_at  # the closure refers to itself; break the cycle so the memo dies here
 
 
 # -- order filters -------------------------------------------------------------

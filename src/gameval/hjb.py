@@ -61,18 +61,34 @@ class DiffusionGameSpec:
         return list(itertools.product(*self.action_grids))
 
     def check_bounds(self, x_values: np.ndarray) -> None:
-        """Sample the declared bounds on the grid; continuity is assumed."""
-        times = (0.0, 0.5 * self.horizon, self.horizon)
-        for t in times:
+        """Sample the declared bounds on the grid; continuity is assumed.
+
+        The grid solver tabulates drift and running costs once, at t=0, so
+        data that differ between the sampled times are rejected as well.
+        """
+        samples = []
+        for t in (0.0, 0.5 * self.horizon, self.horizon):
+            values = []
             for a in self.joint_actions:
                 for x in x_values:
-                    if abs(self.drift(t, float(x), a)) > self.drift_bound + _BOUND_TOL:
+                    drift = self.drift(t, float(x), a)
+                    if abs(drift) > self.drift_bound + _BOUND_TOL:
                         raise GameValidationError(
                             f"drift exceeds declared bound at t={t}, x={x}, a={a}"
                         )
+                    values.append(drift)
                     for i in range(self.n_players):
-                        if abs(self.running[i](t, float(x), a[i])) > self.cost_bound + _BOUND_TOL:
+                        cost = self.running[i](t, float(x), a[i])
+                        if abs(cost) > self.cost_bound + _BOUND_TOL:
                             raise GameValidationError("running cost exceeds declared bound")
+                        values.append(cost)
+            samples.append(values)
+        for t, values in zip((0.5 * self.horizon, self.horizon), samples[1:]):
+            if any(abs(u - v) > _BOUND_TOL for u, v in zip(samples[0], values)):
+                raise GameValidationError(
+                    f"drift or running cost changes between t=0 and t={t}; "
+                    "the grid solver needs time-invariant data"
+                )
         for i in range(self.n_players):
             for x in x_values:
                 if abs(self.terminal[i](float(x))) > self.cost_bound + _BOUND_TOL:
@@ -190,14 +206,21 @@ class GridConfig:
     def z_values(self) -> np.ndarray:
         return np.linspace(-self.z_max, self.z_max, self.nz)
 
-    @property
-    def ht_bound(self) -> float:
+    def ht_bound(self, spec: DiffusionGameSpec) -> float:
+        """Explicit-scheme step bound from every term of the declared bounds.
+
+        Diffusion in x and in y (with z up to z_max), and the upwinded y drift,
+        whose coefficient |own_min| is at most cost_bound + drift_bound*z_max.
+        """
+        upwind = spec.cost_bound + spec.drift_bound * self.z_max
         return self.cfl_safety * min(
-            self.hx * self.hx, self.hy * self.hy / (1.0 + self.z_max * self.z_max)
+            self.hx * self.hx,
+            self.hy * self.hy / (1.0 + self.z_max * self.z_max),
+            self.hy / upwind if upwind > 0 else math.inf,
         )
 
-    def resolve_ht(self) -> tuple[float, int]:
-        bound = self.ht_bound
+    def resolve_ht(self, spec: DiffusionGameSpec) -> tuple[float, int]:
+        bound = self.ht_bound(spec)
         if self.ht is not None:
             if self.ht > bound:
                 raise GameValidationError(
@@ -237,32 +260,51 @@ class PdeField:
 # -- finite differences --------------------------------------------------------
 
 
-def first_diff(w: np.ndarray, h: float, axis: int, mode: str = "central") -> np.ndarray:
-    out = np.empty_like(w)
+def first_diff(
+    w: np.ndarray, h: float, axis: int, mode: str = "central", out: np.ndarray | None = None
+) -> np.ndarray:
+    out = np.empty_like(w) if out is None else out
     wm = np.moveaxis(w, axis, 0)
     om = np.moveaxis(out, axis, 0)
     if mode == "central":
-        om[1:-1] = (wm[2:] - wm[:-2]) / (2.0 * h)
-        om[0] = (wm[1] - wm[0]) / h
-        om[-1] = (wm[-1] - wm[-2]) / h
+        # (target, upper, lower, spacing): central inside, one-sided at the ends
+        pieces = (
+            (om[1:-1], wm[2:], wm[:-2], 2.0 * h),
+            (om[:1], wm[1:2], wm[:1], h),
+            (om[-1:], wm[-1:], wm[-2:-1], h),
+        )
     elif mode == "forward":
-        om[:-1] = (wm[1:] - wm[:-1]) / h
-        om[-1] = om[-2]
+        pieces = ((om[:-1], wm[1:], wm[:-1], h),)
     elif mode == "backward":
-        om[1:] = (wm[1:] - wm[:-1]) / h
-        om[0] = om[1]
+        pieces = ((om[1:], wm[1:], wm[:-1], h),)
     else:
         raise GameValidationError(f"unknown difference mode {mode!r}")
+    for o, upper, lower, step in pieces:
+        np.subtract(upper, lower, out=o)
+        np.divide(o, step, out=o)
+    if mode == "forward":
+        om[-1] = om[-2]
+    elif mode == "backward":
+        om[0] = om[1]
     return out
 
 
-def second_diff(w: np.ndarray, h: float, axis: int) -> np.ndarray:
-    out = np.empty_like(w)
+def second_diff(w: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.empty_like(w) if out is None else out
     wm = np.moveaxis(w, axis, 0)
     om = np.moveaxis(out, axis, 0)
-    om[1:-1] = (wm[2:] - 2.0 * wm[1:-1] + wm[:-2]) / (h * h)
-    om[0] = (wm[0] - 2.0 * wm[1] + wm[2]) / (h * h)
-    om[-1] = (wm[-1] - 2.0 * wm[-2] + wm[-3]) / (h * h)
+    # (target, first, middle, last) for (first - 2*middle + last) / h^2, one-sided
+    # at the ends
+    pieces = (
+        (om[1:-1], wm[2:], wm[1:-1], wm[:-2]),
+        (om[:1], wm[:1], wm[1:2], wm[2:3]),
+        (om[-1:], wm[-1:], wm[-2:-1], wm[-3:-2]),
+    )
+    for o, first, middle, last in pieces:
+        np.multiply(middle, 2.0, out=o)
+        np.subtract(first, o, out=o)
+        np.add(o, last, out=o)
+        np.divide(o, h * h, out=o)
     return out
 
 
@@ -280,88 +322,100 @@ def _terminal_layer(spec: DiffusionGameSpec, grid: GridConfig) -> np.ndarray:
 def solve_w(spec: DiffusionGameSpec, grid: GridConfig) -> PdeField:
     """Explicit backward sweep of the auxiliary HJB equation.
 
-    Per-combination coefficient arrays (coupled cost envelope and excess
-    power) are precomputed over the x axis at t=0; the presets are time
-    invariant, and mild time dependence only shifts those coefficients.
+    The coefficients are tabulated over the x axis once, at t=0;
+    ``check_bounds`` rejects data that change in time. Pairs (a, z) with the
+    same z and the same own-min column for every player differ only in the
+    summed excess power, which does not depend on W, so each such group keeps
+    the pointwise minimum of that sum: adding a common float term preserves
+    order, so the minimum over the group is exact.
     """
-    ht, nt = grid.resolve_ht()
+    ht, nt = grid.resolve_ht(spec)
     xs = grid.x_values
     spec.check_bounds(xs)
     n = spec.n_players
     costs = CoupledCost(spec)
-    combos = []
+    col_shape = (grid.nx,) + (1,) * n
+    drifts = []  # mu_i = -own_min_i as x-columns, one per distinct (i, column)
+    drift_ids = {}
+    groups = {}  # z -> {drift ids per player: min over the group of sum_i excess_pow_i}
     for a in spec.joint_actions:
         for z in itertools.product(grid.z_values.tolist(), repeat=n):
-            own_min = []
-            excess_pow = []
+            ids = []
+            excess_sum = 0.0
             for i in range(n):
                 om = np.array([costs.own_min(i, 0.0, float(x), a, z[i]) for x in xs])
                 ex = np.array([costs.excess(i, 0.0, float(x), a, z[i]) for x in xs])
                 if float(ex.min()) < -1e-9:
                     raise GameValidationError("coupled cost fell below its own minimum")
-                own_min.append(om)
-                excess_pow.append(np.maximum(ex, 0.0) ** 1.5)
-            combos.append((z, own_min, excess_pow))
-
-    shape_tail = (1,) * n
-
-    def col(arr: np.ndarray) -> np.ndarray:
-        return arr.reshape((grid.nx,) + shape_tail)
+                excess_sum = excess_sum + np.maximum(ex, 0.0) ** 1.5
+                key = (i, om.tobytes())
+                if key not in drift_ids:
+                    drift_ids[key] = len(drifts)
+                    drifts.append((i, (-om).reshape(col_shape)))
+                ids.append(drift_ids[key])
+            by_ids = groups.setdefault(z, {})
+            ids = tuple(ids)
+            excess_sum = excess_sum.reshape(col_shape)
+            by_ids[ids] = np.minimum(by_ids[ids], excess_sum) if ids in by_ids else excess_sum
 
     w = _terminal_layer(spec, grid)
     layers = {grid.t_final: w.copy()}
     want_times = set(grid.store_times) | {0.0, grid.t_final}
-    min_w = float(w.min())
-
-    y_axes = tuple(range(1, n + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        return _sweep(spec, grid, w, layers, want_times, min_w, ht, nt, combos, y_axes, col)
+        return _sweep(spec, grid, w, layers, want_times, ht, nt, drifts, groups)
 
 
-def _sweep(spec, grid, w, layers, want_times, min_w, ht, nt, combos, y_axes, col):
+def _sweep(spec, grid, w, layers, want_times, ht, nt, drifts, groups):
     n = spec.n_players
+    y_axes = range(1, n + 1)
+    min_w = float(w.min())
+    # mu = mu+ + mu-; the monotone scheme pairs mu+ with the forward difference
+    splits = [(i, np.maximum(mu, 0.0), np.minimum(mu, 0.0), mu) for i, mu in drifts]
+    # every per-step array lives in one of these buffers
+    base, z_term, val, tmp, h_min = (np.empty_like(w) for _ in range(5))
+    w_yy, w_y_c, w_yx, w_y_f, w_y_b = ([np.empty_like(w) for _ in y_axes] for _ in range(5))
+    w_y1y2 = np.empty_like(w)
+    drift_terms = [np.empty_like(w) for _ in drifts]
     for step in range(1, nt + 1):
-        w_xx = second_diff(w, grid.hx, axis=0)
-        w_yy = [second_diff(w, grid.hy, axis=ax) for ax in y_axes]
-        w_y_c = [first_diff(w, grid.hy, axis=ax, mode="central") for ax in y_axes]
-        w_y_f = (
-            [first_diff(w, grid.hy, axis=ax, mode="forward") for ax in y_axes]
-            if grid.monotone
-            else w_y_c
-        )
-        w_y_b = (
-            [first_diff(w, grid.hy, axis=ax, mode="backward") for ax in y_axes]
-            if grid.monotone
-            else w_y_c
-        )
-        w_yx = [
-            first_diff(first_diff(w, grid.hy, axis=ax, mode="central"), grid.hx, axis=0)
-            for ax in y_axes
-        ]
-        w_y1y2 = None
+        second_diff(w, grid.hx, axis=0, out=base)
+        np.multiply(base, 0.5, out=base)
+        for i, ax in enumerate(y_axes):
+            second_diff(w, grid.hy, axis=ax, out=w_yy[i])
+            first_diff(w, grid.hy, axis=ax, mode="central", out=w_y_c[i])
+            first_diff(w_y_c[i], grid.hx, axis=0, mode="central", out=w_yx[i])
+            if grid.monotone:
+                first_diff(w, grid.hy, axis=ax, mode="forward", out=w_y_f[i])
+                first_diff(w, grid.hy, axis=ax, mode="backward", out=w_y_b[i])
         if n == 2:
-            w_y1y2 = first_diff(
-                first_diff(w, grid.hy, axis=1, mode="central"), grid.hy, axis=2
-            )
+            first_diff(w_y_c[0], grid.hy, axis=2, mode="central", out=w_y1y2)
 
-        base = 0.5 * w_xx
-        h_min = None
-        for z, own_min, excess_pow in combos:
-            val = base.copy()
+        for (i, mu_pos, mu_neg, mu), out in zip(splits, drift_terms):
+            if grid.monotone:
+                np.multiply(mu_pos, w_y_f[i], out=out)
+                np.multiply(mu_neg, w_y_b[i], out=tmp)
+                np.add(out, tmp, out=out)
+            else:
+                np.multiply(mu, w_y_c[i], out=out)
+
+        h_min.fill(np.inf)
+        for z, by_ids in groups.items():
+            # the z-only terms: 0.5*z'W_yy z + z.W_yx on top of 0.5*W_xx
             for i in range(n):
-                zi = z[i]
-                val += (0.5 * zi * zi) * w_yy[i] + zi * w_yx[i]
-                mu = -col(own_min[i])
-                if grid.monotone:
-                    val += mu * np.where(mu > 0, w_y_f[i], w_y_b[i])
-                else:
-                    val += mu * w_y_c[i]
-                val += col(excess_pow[i])
+                np.multiply(w_yy[i], 0.5 * z[i] * z[i], out=tmp)
+                np.multiply(w_yx[i], z[i], out=val)
+                np.add(tmp, val, out=tmp)
+                np.add(base if i == 0 else z_term, tmp, out=z_term)
             if n == 2:
-                val += (z[0] * z[1]) * w_y1y2
-            h_min = val if h_min is None else np.minimum(h_min, val)
+                np.multiply(w_y1y2, z[0] * z[1], out=tmp)
+                np.add(z_term, tmp, out=z_term)
+            for ids, excess in by_ids.items():
+                np.add(z_term, excess, out=val)
+                for k in ids:
+                    np.add(val, drift_terms[k], out=val)
+                np.minimum(h_min, val, out=h_min)
 
-        w = w + ht * h_min
+        np.multiply(h_min, ht, out=h_min)
+        np.add(w, h_min, out=w)
         mn = float(w.min())
         if not math.isfinite(mn) or not math.isfinite(float(w.max())):
             raise NumericInstabilityError(

@@ -133,7 +133,10 @@ def dictatorship_value(
         memo[key] = out
         return out
 
-    return walk(start)
+    try:
+        return walk(start)
+    finally:
+        del walk  # the closure refers to itself; break the cycle so the memo dies here
 
 
 def time_inconsistency_probe(

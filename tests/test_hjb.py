@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,7 +115,7 @@ def test_hamiltonian_matches_independent_scan():
 def test_solver_step_agrees_with_hamiltonian_at_interior_nodes():
     spec, grid = pde_preset("single-player")
     grid = small_grid(grid, nx=15, ny=15, t_final=0.01, monotone=False)
-    ht, _ = grid.resolve_ht()
+    ht, _ = grid.resolve_ht(spec)
     one = small_grid(grid, ht=ht, t_final=ht)
     field = solve_w(spec, one)
     w0 = field.layer(one.t_final)
@@ -133,6 +135,97 @@ def test_solver_step_agrees_with_hamiltonian_at_interior_nodes():
         x = float(grid.x_values[xi])
         h = hamiltonian(spec, zs, 0.0, x, (0.0,), grads)
         assert w1[xi, yi] == pytest.approx(w0[xi, yi] + ht * h, rel=1e-12, abs=1e-12)
+
+
+def last_step(spec, grid, steps):
+    """W one step before the end of a run of ``steps`` steps, W at its end, and ht."""
+    ht, _ = grid.resolve_ht(spec)
+    field = solve_w(spec, replace(grid, ht=ht, t_final=steps * ht, store_times=(ht,)))
+    return field.layer(ht), field.layer(0.0), ht
+
+
+def test_zero_sum_step_agrees_with_hamiltonian_at_interior_nodes():
+    """Two players: both y axes, the off-diagonal z0*z1*W_y1y2 term included.
+
+    The terminal layer is separable in y, so the step starts 20 steps in.
+    """
+    spec, grid = pde_preset("zero-sum")
+    w0, w1, ht = last_step(spec, small_grid(grid, monotone=False), 20)
+    w_xx = second_diff(w0, grid.hx, axis=0)
+    w_yy = [second_diff(w0, grid.hy, axis=ax) for ax in (1, 2)]
+    w_y = [first_diff(w0, grid.hy, axis=ax) for ax in (1, 2)]
+    w_yx = [first_diff(d, grid.hx, axis=0) for d in w_y]
+    w_y1y2 = first_diff(w_y[0], grid.hy, axis=2)
+    zs = [float(z) for z in grid.z_values]
+    for idx in [(10, 6, 6), (6, 4, 11), (13, 10, 4)]:
+        assert abs(w_y1y2[idx]) > 0.05
+        grads = {
+            "w_xx": w_xx[idx],
+            "w_y": (w_y[0][idx], w_y[1][idx]),
+            "w_yx": (w_yx[0][idx], w_yx[1][idx]),
+            "w_yy": ((w_yy[0][idx], w_y1y2[idx]), (w_y1y2[idx], w_yy[1][idx])),
+        }
+        x = float(grid.x_values[idx[0]])
+        h = hamiltonian(spec, zs, 0.0, x, (0.0, 0.0), grads)
+        assert w1[idx] == pytest.approx(w0[idx] + ht * h, rel=1e-12, abs=1e-12)
+
+
+def per_combination_step(spec, grid, w, ht):
+    """One monotone step evaluating the bracket for every (joint action, z) pair.
+
+    The reference the grouped sweep of ``solve_w`` must reproduce.
+    """
+    n = spec.n_players
+    costs = CoupledCost(spec)
+    xs = grid.x_values
+    y_axes = tuple(range(1, n + 1))
+
+    def col(arr):
+        return arr.reshape((grid.nx,) + (1,) * n)
+
+    w_xx = second_diff(w, grid.hx, axis=0)
+    w_yy = [second_diff(w, grid.hy, axis=ax) for ax in y_axes]
+    w_y_f = [first_diff(w, grid.hy, axis=ax, mode="forward") for ax in y_axes]
+    w_y_b = [first_diff(w, grid.hy, axis=ax, mode="backward") for ax in y_axes]
+    w_yx = [first_diff(first_diff(w, grid.hy, axis=ax), grid.hx, axis=0) for ax in y_axes]
+    w_y1y2 = first_diff(first_diff(w, grid.hy, axis=1), grid.hy, axis=2)
+    h_min = None
+    for a in spec.joint_actions:
+        for z in itertools.product(grid.z_values.tolist(), repeat=n):
+            val = 0.5 * w_xx
+            for i in range(n):
+                om = np.array([costs.own_min(i, 0.0, float(x), a, z[i]) for x in xs])
+                ex = np.array([costs.excess(i, 0.0, float(x), a, z[i]) for x in xs])
+                val += (0.5 * z[i] * z[i]) * w_yy[i] + z[i] * w_yx[i]
+                mu = -col(om)
+                val += mu * np.where(mu > 0, w_y_f[i], w_y_b[i])
+                val += col(np.maximum(ex, 0.0) ** 1.5)
+            val += (z[0] * z[1]) * w_y1y2
+            h_min = val if h_min is None else np.minimum(h_min, val)
+    return w + ht * h_min
+
+
+def test_grouped_monotone_step_matches_per_combination_loop():
+    spec = DiffusionGameSpec(
+        n_players=2,
+        drift=lambda t, x, a: 0.5 * a[0] - 0.3 * a[1] + 0.2 * a[0] * a[1],
+        running=(lambda t, x, a: 0.6 * x + 0.3 * a, lambda t, x, a: -0.5 * x + 0.2 * a * x),
+        terminal=(lambda x: 0.4 * x, lambda x: 0.1 - 0.3 * x),
+        action_grids=((-1.0, 0.0, 1.0), (-1.0, 1.0)),
+        horizon=0.1,
+        drift_bound=1.0,
+        cost_bound=1.0,
+    )
+    grid = GridConfig(
+        x_lo=-1.0, x_hi=1.0, nx=9, y_lo=-1.0, y_hi=1.0, ny=9, t_final=0.1, z_max=1.0, nz=3
+    )
+    costs = CoupledCost(spec)
+    for i in range(2):
+        # the upwind direction flips across x for both players
+        ends = [costs.own_min(i, 0.0, x, (0.0, 1.0), 0.0) for x in (grid.x_lo, grid.x_hi)]
+        assert ends[0] * ends[1] < 0
+    w0, w1, ht = last_step(spec, grid, 20)
+    assert float(np.max(np.abs(w1 - per_combination_step(spec, grid, w0, ht)))) <= 1e-12
 
 
 def test_single_player_cluster_tracks_the_oracle():
@@ -240,11 +333,13 @@ def test_uniform_terminal_shift_moves_the_level_set():
 
 
 def test_refinement_shrinks_both_spacings():
-    _, grid = pde_preset("single-player")
+    spec, grid = pde_preset("single-player")
     fine = grid.refined()
     assert fine.nx == 2 * grid.nx - 1 and fine.ny == 2 * grid.ny - 1
     assert fine.hx == pytest.approx(grid.hx / 2)
-    assert default_delta(fine, fine.resolve_ht()[0]) < default_delta(grid, grid.resolve_ht()[0])
+    assert default_delta(fine, fine.resolve_ht(spec)[0]) < default_delta(
+        grid, grid.resolve_ht(spec)[0]
+    )
 
 
 def test_cfl_violation_is_rejected():
@@ -252,6 +347,41 @@ def test_cfl_violation_is_rejected():
     bad = small_grid(grid, ht=1.0)
     with pytest.raises(GameValidationError, match="stability bound"):
         solve_w(spec, bad)
+
+
+@pytest.mark.parametrize("drift_scale, nt", [(200.0, 1004), (400.0, 2004)])
+def test_upwind_term_bounds_the_time_step(drift_scale, nt):
+    """A fast drift makes the upwinded y term bind; W must stay nonnegative."""
+    spec, grid = pde_preset("single-player")
+    spec = replace(spec, drift=lambda t, x, a: drift_scale * a[0], drift_bound=drift_scale)
+    grid = small_grid(grid, t_final=0.05)
+    upwind = grid.cfl_safety * grid.hy / (spec.cost_bound + drift_scale * grid.z_max)
+    assert grid.ht_bound(spec) == upwind
+    field = solve_w(spec, grid)
+    assert field.nt == nt
+    assert field.min_w >= -1e-10
+    with pytest.raises(GameValidationError, match="stability bound"):
+        solve_w(spec, small_grid(grid, ht=1.01 * upwind))
+
+
+def test_upwind_term_binds_on_no_preset():
+    steps = []
+    for name, refine in [("single-player", False), ("zero-sum", False), ("static", False),
+                         ("single-player", True)]:
+        spec, grid = pde_preset(name)
+        steps.append((grid.refined() if refine else grid).resolve_ht(spec)[1])
+    assert steps == [903, 100, 80, 3612]
+
+
+@pytest.mark.parametrize(
+    "moving",
+    [{"drift": lambda t, x, a: (1.0 - t) * a[0]}, {"running": (lambda t, x, a: t * a,)}],
+    ids=["drift", "running"],
+)
+def test_time_dependent_data_are_rejected(moving):
+    spec, grid = pde_preset("single-player")
+    with pytest.raises(GameValidationError, match="changes between t=0"):
+        solve_w(replace(spec, **moving), small_grid(grid, nx=11, ny=11, t_final=0.02))
 
 
 def test_unstable_run_aborts_with_diagnostics():

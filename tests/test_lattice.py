@@ -9,7 +9,9 @@ results on both, including blown selection caps.
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -94,6 +96,28 @@ def test_lattice_equals_tree_on_random_markov_specs():
     assert max(spec.horizon for spec in specs) == 6
     capped = [assert_lattice_equals_tree(spec, selection_cap=1000) for spec in specs]
     assert any(capped)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda spec, tree: set_value_dpp(spec, tree, tree.levels[0][0]),
+        lambda spec, tree: dictatorship_value(spec, tree, tree.levels[0][0], WEIGHTS[0]),
+    ],
+    ids=["set_value_dpp", "dictatorship_value"],
+)
+def test_memoized_recursions_leave_no_reference_cycle(solve):
+    """The tree and the memo die with their last reference, with no collector run."""
+    spec = load_example("state")
+    gc.disable()
+    try:
+        tree = build_path_tree(spec)
+        alive = weakref.ref(tree)
+        solve(spec, tree)
+        del tree
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_path_keyed_specs_stay_per_node():
