@@ -21,8 +21,10 @@ of the package and is what the verification layer stresses.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import EnumerationCapExceeded, GameValidationError
@@ -36,7 +38,9 @@ from .model import (
     PathTree,
     Policy,
     Vector,
-    subgame_key,
+    _Scope,
+    induct,
+    tables_of,
 )
 
 DEFAULT_POLICY_CAP = 10_000_000
@@ -78,12 +82,6 @@ class ValueSet:
             sum((yi - pi) * (yi - pi) for yi, pi in zip(y, p)) < eps_sq for p in self.points
         )
 
-    def issubset(self, other: ValueSet) -> bool:
-        return set(self.points) <= set(other.points)
-
-    def difference(self, other: ValueSet) -> tuple[Vector, ...]:
-        return tuple(sorted(set(self.points) - set(other.points)))
-
 
 @dataclass(frozen=True)
 class EquilibriumRecord:
@@ -98,91 +96,6 @@ class EquilibriumRecord:
     slack: Vector
 
 
-# -- evaluation scope --------------------------------------------------------
-
-
-class _Scope:
-    """Cost evaluation on the subtree of a start node, optionally truncated.
-
-    ``frontier`` maps stopped node ids to their terminal vectors; when given,
-    paths end there instead of at the leaves, which keeps truncated-game
-    enumeration restricted to the decision nodes that still matter.
-    ``decision_nodes`` are listed in breadth-first, hence time, order;
-    ``ends`` maps the frontier nodes and leaves where the scope's paths end
-    to their terminal vectors.
-    """
-
-    def __init__(
-        self,
-        spec: GameSpec,
-        tree: PathTree,
-        start: int,
-        frontier: dict[int, Vector] | None = None,
-    ):
-        self.spec = spec
-        self.tree = tree
-        self.start = start
-        self.frontier = frontier
-        self.decision_nodes: list[int] = []
-        self.ends: dict[int, Vector] = {}
-        stack = [start]
-        while stack:
-            nid = stack.pop(0)
-            if frontier is not None and nid in frontier:
-                self.ends[nid] = frontier[nid]
-                continue
-            node = tree.node(nid)
-            if node.t == tree.horizon:
-                self.ends[nid] = spec.terminal_vector(node.prefix)
-                continue
-            self.decision_nodes.append(nid)
-            stack.extend(node.children)
-
-    def is_markov(self) -> bool:
-        """Whether the subgame below every scope node depends only on its (time, state).
-
-        Holds for Markov data when each (time, state) group of the scope is
-        either wholly made of end nodes sharing one terminal vector, or wholly
-        made of decision nodes.
-        """
-        if not self.spec.state_dependent:
-            return False
-        if self.frontier is None:
-            return True
-        nodes = self.tree.nodes
-        groups: dict[tuple[int, str], Vector] = {}
-        for nid, term in self.ends.items():
-            if groups.setdefault((nodes[nid].t, nodes[nid].state), term) != term:
-                return False
-        return not any((nodes[nid].t, nodes[nid].state) in groups for nid in self.decision_nodes)
-
-    def value(self, action_at) -> Vector:
-        memo: dict[int, Vector] = {}
-
-        def walk(nid: int) -> Vector:
-            hit = memo.get(nid)
-            if hit is not None:
-                return hit
-            term = self.ends.get(nid)
-            if term is not None:
-                memo[nid] = term
-                return term
-            node = self.tree.node(nid)
-            joint = action_at(nid)
-            vec = self.spec.transition_vector(node.t, node.prefix, joint)
-            total = list(self.spec.running_cost_vector(node.t, node.prefix, joint))
-            for child, p in zip(node.children, vec):
-                if p != 0:
-                    sub = walk(child)
-                    for i in range(len(total)):
-                        total[i] += p * sub[i]
-            out = tuple(total)
-            memo[nid] = out
-            return out
-
-        return walk(self.start)
-
-
 # -- policy-class enumeration units ------------------------------------------
 
 
@@ -190,77 +103,50 @@ class _Scope:
 class _Units:
     """How a policy class is enumerated over a scope.
 
-    ``units`` lists independent decision units (nodes for the path class,
-    (time, state) groups for the state class); ``members`` gives the node ids
-    each unit controls; ``options`` are the joint actions a unit may take.
+    ``members`` lists the node ids of each independent decision unit (a node
+    for the path and symmetric classes, a (time, state) group for the state
+    class); ``options`` are the joint actions a unit may take.
     """
 
     kind: str
-    units: tuple
     members: tuple[tuple[int, ...], ...]
     options: tuple[JointAction, ...]
 
     @property
     def count(self) -> int:
-        return len(self.options) ** len(self.units)
+        return len(self.options) ** len(self.members)
 
-    def policy(self, assignment: tuple[int, ...], tag: str) -> Policy:
-        actions: dict[int, JointAction] = {}
-        for idx, opt in enumerate(assignment):
-            joint = self.options[opt]
-            for nid in self.members[idx]:
-                actions[nid] = joint
+    def policy(self, joints, tag: str) -> Policy:
+        """The policy that plays ``joints[k]`` at every member of unit k."""
+        actions = {nid: joint for mem, joint in zip(self.members, joints) for nid in mem}
         return Policy(actions=actions, policy_class=tag)
 
 
 def _units_for(spec: GameSpec, tree: PathTree, scope: _Scope, cls: str) -> _Units:
     nodes = scope.decision_nodes
-    if cls == PATH_CLASS:
-        return _Units(
-            kind=cls,
-            units=tuple(nodes),
-            members=tuple((nid,) for nid in nodes),
-            options=spec.joint_actions,
-        )
+    options = spec.joint_actions
     if cls == STATE_CLASS:
-        groups = tree.group_by_time_state(nodes)
-        return _Units(
-            kind=cls,
-            units=tuple(groups),
-            members=tuple(groups.values()),
-            options=spec.joint_actions,
-        )
+        return _Units(cls, tuple(tree.group_by_time_state(nodes).values()), options)
     if cls == SYMMETRIC_CLASS:
         shared = spec.actions[0]
         if any(acts != shared for acts in spec.actions[1:]):
             raise GameValidationError("symmetric class needs identical action sets")
-        n = spec.n_players
-        return _Units(
-            kind=cls,
-            units=tuple(nodes),
-            members=tuple((nid,) for nid in nodes),
-            options=tuple((a,) * n for a in range(len(shared))),
-        )
-    raise GameValidationError(f"unknown policy class {cls!r}")
+        options = tuple((a,) * spec.n_players for a in range(len(shared)))
+    elif cls != PATH_CLASS:
+        raise GameValidationError(f"unknown policy class {cls!r}")
+    return _Units(cls, tuple((nid,) for nid in nodes), options)
 
 
 def _check_class_membership(tree: PathTree, scope: _Scope, policy: Policy, cls: str) -> None:
-    nodes = scope.decision_nodes
     if cls == STATE_CLASS:
-        seen: dict[tuple[int, str], JointAction] = {}
-        for nid in nodes:
-            node = tree.node(nid)
-            a = policy.action(nid)
-            key = (node.t, node.state)
-            if seen.setdefault(key, a) != a:
+        for key, members in tree.group_by_time_state(scope.decision_nodes).items():
+            if len({policy.action(nid) for nid in members}) > 1:
                 raise GameValidationError(
                     f"policy tagged {policy.policy_class!r} is not state dependent at {key}"
                 )
     elif cls == SYMMETRIC_CLASS:
-        for nid in nodes:
-            a = policy.action(nid)
-            if len(set(a)) > 1:
-                raise GameValidationError("policy is not symmetric")
+        if any(len(set(policy.action(nid))) > 1 for nid in scope.decision_nodes):
+            raise GameValidationError("policy is not symmetric")
     elif cls != PATH_CLASS:
         raise GameValidationError(f"unknown policy class {cls!r}")
 
@@ -278,23 +164,13 @@ def _best_response_state(
     of own actions to (time, state) groups.
     """
     members = tuple(tree.group_by_time_state(scope.decision_nodes).values())
-    best = None
-    best_map: dict[int, int] | None = None
+    best = best_map = None
     for combo in itertools.product(range(len(spec.actions[player])), repeat=len(members)):
-        own = {}
-        for idx, ai in enumerate(combo):
-            for nid in members[idx]:
-                own[nid] = ai
-
-        def merged(nid: int):
-            others = opp_action_at(nid)
-            ai = own[nid]
-            return others[:player] + (ai,) + others[player + 1 :]
-
-        val = scope.value(merged)[player]
+        own = {nid: ai for ai, mem in zip(combo, members) for nid in mem}
+        val = scope.costs(lambda nid: _merge(opp_action_at(nid), player, own[nid]), player)[0]
         if best is None or val < best:
-            best, best_map = val, dict(own)
-    return best, best_map
+            best, best_map = val, own
+    return scope.fraction(best), best_map
 
 
 def best_response(
@@ -309,75 +185,27 @@ def best_response(
 ):
     """Player's optimal unilateral deviation value and a witness policy.
 
-    Path-class deviations use backward induction with the other players
-    frozen; state-class deviations enumerate state-dependent controls. Ties
-    break toward the lowest action index.
+    Path-class (and symmetric-class) deviations use backward induction with
+    the other players frozen; state-class deviations enumerate
+    state-dependent controls. Ties break toward the lowest action index.
     """
     scope = scope or _Scope(spec, tree, start)
     opp = policy.action
-    if cls in (PATH_CLASS, SYMMETRIC_CLASS):
-        value, choice, _ = _best_response_scope(spec, scope, player, opp)
-        return value, Policy(
-            actions={nid: _merge(opp(nid), player, choice[nid]) for nid in choice},
-            policy_class=PATH_CLASS,
-        )
     if cls == STATE_CLASS:
-        value, own_map = _best_response_state(spec, tree, scope, player, opp)
-        actions = {nid: _merge(opp(nid), player, ai) for nid, ai in own_map.items()}
-        return value, Policy(actions=actions, policy_class=STATE_CLASS)
-    raise GameValidationError(f"unknown policy class {cls!r}")
+        value, own = _best_response_state(spec, tree, scope, player, opp)
+    elif cls in (PATH_CLASS, SYMMETRIC_CLASS):
+        val, argmins = scope.respond(player, opp)
+        value = scope.fraction(val[0])
+        own = {scope.nodes[u]: ties[0] for u, ties in enumerate(argmins) if ties}
+    else:
+        raise GameValidationError(f"unknown policy class {cls!r}")
+    actions = {nid: _merge(opp(nid), player, ai) for nid, ai in own.items()}
+    tag = STATE_CLASS if cls == STATE_CLASS else PATH_CLASS
+    return value, Policy(actions=actions, policy_class=tag)
 
 
 def _merge(joint: JointAction, player: int, ai: int) -> JointAction:
     return joint[:player] + (ai,) + joint[player + 1 :]
-
-
-def _best_response_scope(spec: GameSpec, scope: _Scope, player: int, opp_action_at):
-    """Backward-induction best response inside a scope."""
-    tree = scope.tree
-    memo: dict[int, Fraction] = {}
-    choice: dict[int, int] = {}
-    argmins: dict[int, tuple[int, ...]] = {}
-
-    def walk(nid: int) -> Fraction:
-        hit = memo.get(nid)
-        if hit is not None:
-            return hit
-        term = scope.ends.get(nid)
-        if term is not None:
-            memo[nid] = term[player]
-            return term[player]
-        node = tree.node(nid)
-        others = opp_action_at(nid)
-        best = None
-        ties: list[int] = []
-        for ai in range(len(spec.actions[player])):
-            run = spec.running_cost(player, node.t, node.prefix, ai)
-            joint = _merge(others, player, ai)
-            # Exact sum of the running cost and p * value over children, kept
-            # as one unreduced numerator/denominator pair: a single Fraction
-            # normalization per action instead of two per child.
-            num, den = run.numerator, run.denominator
-            for child, p in zip(
-                node.children, spec.transition_vector(node.t, node.prefix, joint)
-            ):
-                if p:
-                    sub = walk(child)
-                    scale = p.denominator * sub.denominator
-                    num = num * scale + p.numerator * sub.numerator * den
-                    den *= scale
-            cost = Fraction(num, den)
-            if best is None or cost < best:
-                best, ties = cost, [ai]
-            elif cost == best:
-                ties.append(ai)
-        memo[nid] = best
-        choice[nid] = ties[0]
-        argmins[nid] = tuple(ties)
-        return best
-
-    value = walk(scope.start)
-    return value, choice, argmins
 
 
 def is_equilibrium(
@@ -400,18 +228,11 @@ def is_equilibrium(
     scope = scope or _Scope(spec, tree, start)
     _check_class_membership(tree, scope, policy, cls)
     value = scope.value(policy.action)
-    slacks = []
-    ok = True
-    for i in range(spec.n_players):
-        if cls == STATE_CLASS:
-            br, _ = _best_response_state(spec, tree, scope, i, policy.action)
-        else:
-            br, _, _ = _best_response_scope(spec, scope, i, policy.action)
-        slack = value[i] - br
-        slacks.append(slack)
-        if slack > eps:
-            ok = False
-    return ok, tuple(slacks)
+    slacks = tuple(
+        value[i] - best_response(spec, tree, start, policy, i, cls=cls, scope=scope)[0]
+        for i in range(spec.n_players)
+    )
+    return all(slack <= eps for slack in slacks), slacks
 
 
 # -- brute-force enumeration --------------------------------------------------
@@ -478,24 +299,17 @@ def enumerate_equilibria(
 def _iter_general(spec, tree, scope, units: _Units, eps, cls):
     n = spec.n_players
     br_memo: list[dict[tuple, Fraction]] = [{} for _ in range(n)]
-    n_units = len(units.units)
-    for assignment in itertools.product(range(len(units.options)), repeat=n_units):
-        policy = units.policy(assignment, cls)
+    for assignment in itertools.product(range(len(units.options)), repeat=len(units.members)):
+        policy = units.policy(map(units.options.__getitem__, assignment), cls)
         getter = policy.action
         value = scope.value(getter)
         slacks = []
         ok = True
         for i in range(n):
-            opp_key = tuple(
-                tuple(aj for j, aj in enumerate(units.options[opt]) if j != i)
-                for opt in assignment
-            )
+            opp_key = tuple(_merge(units.options[opt], i, -1) for opt in assignment)
             br = br_memo[i].get(opp_key)
             if br is None:
-                if cls == STATE_CLASS:
-                    br, _ = _best_response_state(spec, tree, scope, i, getter)
-                else:
-                    br, _, _ = _best_response_scope(spec, scope, i, getter)
+                br = best_response(spec, tree, scope.start, policy, i, cls=cls, scope=scope)[0]
                 br_memo[i][opp_key] = br
             slack = value[i] - br
             slacks.append(slack)
@@ -506,12 +320,66 @@ def _iter_general(spec, tree, scope, units: _Units, eps, cls):
             yield EquilibriumRecord(policy=policy, value=value, slack=tuple(slacks))
 
 
-def _pool(argmins: dict[int, tuple[int, ...]], nodes) -> tuple[int, ...]:
+def _pool(argmins, nodes) -> tuple[int, ...]:
     """Actions that are an argmin at every one of ``nodes``, in index order."""
     pool = argmins[nodes[0]]
-    for nid in nodes[1:]:
-        pool = tuple(a for a in pool if a in argmins[nid])
+    for u in nodes[1:]:
+        pool = tuple(a for a in pool if a in argmins[u])
     return pool
+
+
+class _Responder:
+    """One player's best response over a scope, kept current as the others
+    change their actions unit by unit: ``val`` and ``argmins`` at every local
+    node. An update recomputes the members of the changed units and all their
+    ancestors, whatever the kernel: with a zero entry a parent that skips a
+    child under one profile may need it under the next.
+    """
+
+    def __init__(self, scope: _Scope, player: int, members):
+        tables = scope.tables
+        self.player, self.members = player, members
+        self.kids, self.rows, self.kern = scope.kids, scope.rows, tables.kern
+        self.own = [cost[player] for cost in tables.cost]
+        self.stride = tables.strides[player]
+        self.span = self.stride * tables.sizes[player]
+        self.weights = tables.strides[:player] + tables.strides[player + 1 :]
+        self.val = scope.column(player)
+        self.argmins, self.menus = [None] * len(scope.nodes), [None] * len(scope.nodes)
+        self.last: tuple | None = None
+        self.closure = []  # per unit: its members and their ancestors, deepest first
+        for mem in members:
+            up: set[int] = set()
+            for u in mem:
+                while u is not None and u not in up:
+                    up.add(u)
+                    u = scope.parent[u]
+            self.closure.append(sorted(up, reverse=True))
+        self.everything = scope.inner[::-1]
+
+    def update(self, cols: tuple[tuple[int, ...], ...]) -> None:
+        """Respond to every player's column of unit actions; its own is ignored."""
+        # Per unit, the others' joint action numbered with the player's own action at 0.
+        key = (0,) * len(self.members)
+        for w, col in zip(self.weights, cols[: self.player] + cols[self.player + 1 :]):
+            key = tuple(map(add, key, map(w.__mul__, col)))
+        last, self.last = self.last, key
+        if last is None:
+            changed, order = range(len(self.members)), self.everything
+        else:
+            changed = [k for k, (a, b) in enumerate(zip(key, last)) if a != b]
+            if len(changed) == 1:
+                order = self.closure[changed[0]]
+            else:
+                order = sorted(set().union(*(self.closure[k] for k in changed)), reverse=True)
+        menus, rows, own, kern = self.menus, self.rows, self.own, self.kern
+        stride, span = self.stride, self.span
+        for k in changed:
+            base = key[k]
+            for u in self.members[k]:
+                row = rows[u]
+                menus[u] = own[row], kern[row][base : base + span : stride]
+        induct(order, self.kids, menus, self.val, self.argmins)
 
 
 def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bool):
@@ -519,78 +387,66 @@ def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bo
 
     A unit is a node (path class) or a (time, state) group (state class on a
     Markov scope). For every assignment of the other players' actions to the
-    units, one backward-induction walk gives player 0's argmin sets; player 0
+    units, player 0's best-response walk gives its argmin sets; player 0
     then ranges over the assignments that play, at each unit, an action that
     is an argmin at all of its reached members, and any action at a unit with
     none (:func:`_reached_argmin_profiles`). Each remaining player j passes
-    when it plays an argmin at every reached node of one walk against the
+    when it plays an argmin at every reached node of its walk against the
     others, memoized on their actions. An equilibrium's value is the vector
-    of these walks' root values, so no per-profile cost walk runs.
+    of these walks' root values, so no per-profile cost walk runs. Every
+    walk is a :class:`_Responder`, and values stay integers until a record
+    is yielded.
     """
     n = spec.n_players
     members = units.members
     n_units = len(members)
-    flat = list(itertools.chain.from_iterable(members))
-    spread = None
-    if len(flat) != n_units:  # some unit has several member nodes
-        spread = [k for k, mem in enumerate(members) for _ in mem]
+    local = [tuple(map(scope.local.__getitem__, mem)) for mem in members]
+    walks = [_Responder(scope, i, local) for i in range(n)]
     memo: list[dict] = [{} for _ in range(n)]
-
-    def joint_map(cols: tuple[tuple[int, ...], ...]) -> dict[int, JointAction]:
-        """Node -> joint action, from per-player columns of unit actions."""
-        joints = zip(*cols)
-        if spread is not None:
-            joints = list(joints)
-            joints = [joints[k] for k in spread]
-        return dict(zip(flat, joints))
-
-    def walk(player: int, cols: tuple[tuple[int, ...], ...]):
-        """Root value and per-node argmin sets of a player against the others."""
-        value, _, argmins = _best_response_scope(spec, scope, player, joint_map(cols).__getitem__)
-        return value, argmins
-
-    idle = (0,) * n_units
     slack = (ZERO,) * n
     reach = _Reach.of(spec, scope, members)
-    spaces = [
-        itertools.product(range(len(spec.actions[j])), repeat=n_units) for j in range(1, n)
-    ]
+    spaces = [itertools.product(range(size), repeat=n_units) for size in scope.tables.sizes[1:]]
+    first, idle = walks[0], (0,) * n_units
     for others in itertools.product(*spaces):
-        v0, argmins0 = walk(0, (idle,) + others)
-        for own, hits in _reached_argmin_profiles(spec, reach, others, argmins0):
+        first.update((idle,) + others)
+        v0 = first.val[0]
+        for own, hits in _reached_argmin_profiles(scope.tables, reach, others, first.argmins):
             cols = (own,) + others
             values = [v0]
             for j in range(1, n):
-                key = own if n == 2 else cols[:j] + cols[j + 1 :]
+                key = cols[:j] + cols[j + 1 :]
                 entry = memo[j].get(key)
                 if entry is None:
-                    entry = memo[j][key] = walk(j, cols)
+                    walk = walks[j]
+                    walk.update(cols)
+                    entry = memo[j][key] = (walk.val[0], tuple(walk.argmins))
                 vj, argmins = entry
-                if not all(a in argmins[nid] for a, hit in zip(cols[j], hits) for nid in hit):
+                if not all(a in argmins[u] for a, hit in zip(cols[j], hits) for u in hit):
                     break
                 values.append(vj)
             else:
+                policy = _NO_POLICY
                 if with_policies:
-                    policy = Policy(actions=joint_map(cols), policy_class=units.kind)
-                else:
-                    policy = _NO_POLICY
-                yield EquilibriumRecord(policy=policy, value=tuple(values), slack=slack)
+                    policy = units.policy(zip(*cols), units.kind)
+                value = tuple(map(scope.fraction, values))
+                yield EquilibriumRecord(policy=policy, value=value, slack=slack)
 
 
 class _Reach(NamedTuple):
     """Which nodes of a scope's units a profile reaches with positive probability.
 
-    A node is *sure* when every profile reaches it: the start node, and any
-    node whose parent is sure and whose kernel entry is positive under every
-    joint action. The other members are *contingent*: reached when the parent
-    is and the kernel entry under the parent's joint action is nonzero.
-    ``sure[k]`` are unit k's sure members; ``links[k]`` hold ``(node, parent,
-    parent's unit, index among the parent's children)`` for its contingent
-    members. ``cuts`` split the units, which are in time order, into segments
-    such that every contingent member's parent lies in an earlier segment,
-    so a segment's reach is fixed once the segments before it are assigned;
-    the last entry is the unit count. With a strictly positive kernel every
-    node is sure and the units form one segment.
+    Nodes are local indices of the scope. A node is *sure* when every profile
+    reaches it: the start node, and any node whose parent is sure and whose
+    child weight is positive under every joint action. The other members are
+    *contingent*: reached when the parent is and the weight under the
+    parent's joint action is nonzero. ``sure[k]`` are unit k's sure members;
+    ``links[k]`` hold ``(node, parent, parent's unit, index among the
+    parent's children, the parent's child weights per joint action)`` for its
+    contingent members. ``cuts`` split the units, which are in time order,
+    into segments such that every contingent member's parent lies in an
+    earlier segment, so a segment's reach is fixed once the segments before
+    it are assigned; the last entry is the unit count. With a strictly
+    positive kernel every node is sure and the units form one segment.
     """
 
     sure: tuple[tuple[int, ...], ...]
@@ -599,29 +455,28 @@ class _Reach(NamedTuple):
 
     @classmethod
     def of(cls, spec: GameSpec, scope: _Scope, members) -> "_Reach":
+        members = [tuple(map(scope.local.__getitem__, mem)) for mem in members]
         if spec.q_positive:  # what the loop below finds, without the kernel scan
             return cls(tuple(members), ((),) * len(members), (0, len(members)))
-        tree = scope.tree
-        unit_of = {nid: k for k, mem in enumerate(members) for nid in mem}
-        sure_nodes = {scope.start}
+        kern = scope.tables.kern
+        unit_of = {u: k for k, mem in enumerate(members) for u in mem}
+        sure_nodes = {0}
         sure, links, cuts = [], [], [0]
         for k, mem in enumerate(members):
             ours, theirs = [], []
-            for nid in mem:
-                if nid in sure_nodes:
-                    ours.append(nid)
+            for u in mem:
+                if u in sure_nodes:
+                    ours.append(u)
                     continue
-                parent = tree.node(tree.node(nid).parent)
-                idx = parent.children.index(nid)
-                if parent.id in sure_nodes and all(
-                    spec.transition_vector(parent.t, parent.prefix, joint)[idx] != 0
-                    for joint in spec.joint_actions
-                ):
-                    sure_nodes.add(nid)
-                    ours.append(nid)
+                parent = scope.parent[u]
+                idx = u - scope.kids[parent][0]
+                weights = kern[scope.rows[parent]]
+                if parent in sure_nodes and all(w[idx] for w in weights):
+                    sure_nodes.add(u)
+                    ours.append(u)
                 else:
-                    theirs.append((nid, parent, unit_of[parent.id], idx))
-            if any(pk >= cuts[-1] for _, _, pk, _ in theirs):
+                    theirs.append((u, parent, unit_of[parent], idx, weights))
+            if any(link[2] >= cuts[-1] for link in theirs):
                 cuts.append(k)
             sure.append(tuple(ours))
             links.append(tuple(theirs))
@@ -629,7 +484,7 @@ class _Reach(NamedTuple):
         return cls(tuple(sure), tuple(links), tuple(cuts))
 
 
-def _reached_argmin_profiles(spec: GameSpec, reach: _Reach, others, argmins0):
+def _reached_argmin_profiles(tables, reach: _Reach, others, argmins0):
     """Player 0's unit assignments that play an argmin wherever they reach.
 
     Depth first over the segments of ``reach``, and over the product of the
@@ -645,6 +500,7 @@ def _reached_argmin_profiles(spec: GameSpec, reach: _Reach, others, argmins0):
     hits = list(sure)
     reached: dict[int, bool] = {}  # contingent nodes entered so far; sure ones are absent
     last = len(cuts) - 2
+    strides = tables.strides
 
     def segment(seg: int):
         pools = []
@@ -652,16 +508,14 @@ def _reached_argmin_profiles(spec: GameSpec, reach: _Reach, others, argmins0):
             hit = sure[k]
             if links[k]:
                 hit = list(hit)
-                for nid, parent, pk, idx in links[k]:
-                    joint = (own[pk],) + tuple([col[pk] for col in others])
-                    reached[nid] = flag = (
-                        reached.get(parent.id, True)
-                        and spec.transition_vector(parent.t, parent.prefix, joint)[idx] != 0
-                    )
+                for u, parent, pk, idx, weights in links[k]:
+                    joint = sum(map(mul, strides, [own[pk]] + [col[pk] for col in others]))
+                    flag = reached.get(parent, True) and weights[joint][idx] != 0
+                    reached[u] = flag
                     if flag:
-                        hit.append(nid)
+                        hit.append(u)
                 hits[k] = hit
-            pools.append(_pool(argmins0, hit) if hit else range(len(spec.actions[0])))
+            pools.append(_pool(argmins0, hit) if hit else range(tables.sizes[0]))
         combos = itertools.product(*pools)
         if seg == last:
             head = tuple(own[: cuts[seg]])
@@ -710,7 +564,8 @@ def one_step_equilibria(
     """Nash profiles of the static game one transition deep.
 
     Player i's cost of a joint action is the running cost of the own action
-    plus the kernel-weighted continuation value over children.
+    plus the kernel-weighted continuation value over children (the game
+    truncated at the children, enumerated by :func:`iter_equilibria`).
     """
     node = tree.node(nid)
     if node.t >= tree.horizon:
@@ -718,28 +573,8 @@ def one_step_equilibria(
     for child in node.children:
         if child not in continuation:
             raise GameValidationError("continuation value missing for a child prefix")
-    n = spec.n_players
-
-    def payoff(joint: JointAction) -> Vector:
-        vec = spec.transition_vector(node.t, node.prefix, joint)
-        out = list(spec.running_cost_vector(node.t, node.prefix, joint))
-        for child, p in zip(node.children, vec):
-            if p != 0:
-                cont = continuation[child]
-                for i in range(n):
-                    out[i] += p * cont[i]
-        return tuple(out)
-
-    table = {joint: payoff(joint) for joint in spec.joint_actions}
-    slack = (ZERO,) * n
-    return [
-        EquilibriumRecord(
-            policy=Policy(actions={nid: joint}, policy_class=PATH_CLASS),
-            value=table[joint],
-            slack=slack,
-        )
-        for joint in nash_profiles(spec, table)
-    ]
+    frontier = {child: continuation[child] for child in node.children}
+    return list(iter_equilibria(spec, tree, nid, scope=_Scope(spec, tree, nid, frontier=frontier)))
 
 
 def nash_profiles(spec: GameSpec, table: dict[JointAction, Vector]) -> list[JointAction]:
@@ -770,58 +605,59 @@ def set_value_dpp(
 
     Requires a strictly positive kernel; with zeros the recursion only yields
     a subset and the caller should go through the verification layer instead.
-    Sets are memoized by :func:`subgame_key`, so Markov specs are solved once
-    per (time, state) rather than once per prefix.
+    Sets of integer points are memoized by table row, so Markov specs are
+    solved once per (time, state) rather than once per prefix.
     """
     if not spec.q_positive:
         raise GameValidationError("the backward recursion needs q > 0 everywhere")
-    key_of = subgame_key(spec, tree)
-    memo: dict = {}
+    tables = tables_of(spec, tree)
+    memo: dict[int, tuple[tuple[int, ...], ...]] = {}
 
-    def sets_at(nid: int) -> tuple[Vector, ...]:
-        key = key_of(nid)
-        hit = memo.get(key)
+    def sets_at(row: int) -> tuple[tuple[int, ...], ...]:
+        hit = memo.get(row)
         if hit is not None:
             return hit
-        node = tree.node(nid)
-        if node.t == tree.horizon:
-            out = (spec.terminal_vector(node.prefix),)
-            memo[key] = out
-            return out
-        child_sets = [sets_at(child) for child in node.children]
-        n_selections = 1
-        for cs in child_sets:
-            n_selections *= len(cs)
+        end = tables.end[row]
+        if end is not None:
+            return (end,)
+        child_sets = [sets_at(child) for child in range(*tables.kids[row])]
+        n_selections = math.prod(map(len, child_sets))
         if n_selections > selection_cap:
             raise EnumerationCapExceeded(
                 "continuation selection enumeration", n_selections, selection_cap
             )
-        found: set[Vector] = set()
+        found: set[tuple[int, ...]] = set()
+        cost, kern = tables.cost[row], tables.kern[row]
         for chosen in itertools.product(*child_sets):
-            continuation = dict(zip(node.children, chosen))
-            for rec in one_step_equilibria(spec, tree, nid, continuation):
-                found.add(rec.value)
-        out = tuple(sorted(found))
-        memo[key] = out
+            cols = tuple(zip(*chosen))
+            table = {
+                joint: tuple(c[a] + sum(map(mul, w, col)) for c, a, col in zip(cost, joint, cols))
+                for joint, w in zip(spec.joint_actions, kern)
+            }
+            found.update(table[joint] for joint in nash_profiles(spec, table))
+        memo[row] = out = tuple(found)
         return out
 
+    node = tree.node(start)
+    scale = tables.scale[node.t]
     try:
-        return ValueSet.of(sets_at(start))
+        points = sets_at(tables.row(node))
     finally:
         del sets_at  # the closure refers to itself; break the cycle so the memo dies here
+    return ValueSet.of(tuple(Fraction(v, scale) for v in p) for p in points)
 
 
 # -- order filters -------------------------------------------------------------
 
 
+def _dominated(y: Vector, points) -> bool:
+    """Whether some other point is <= y in every coordinate."""
+    return any(x != y and all(xi <= yi for xi, yi in zip(x, y)) for x in points)
+
+
 def pareto_filter(vs: ValueSet) -> ValueSet:
     """Minimal elements: drop y when some other point is <= y with a strict coordinate."""
-    kept = [
-        y
-        for y in vs.points
-        if not any(x != y and all(xi <= yi for xi, yi in zip(x, y)) for x in vs.points)
-    ]
-    return ValueSet.of(kept, epsilon=vs.epsilon)
+    return ValueSet.of([y for y in vs.points if not _dominated(y, vs.points)], epsilon=vs.epsilon)
 
 
 def all_policy_values(
@@ -836,10 +672,9 @@ def all_policy_values(
     units = _units_for(spec, tree, scope, PATH_CLASS)
     if units.count > cap:
         raise EnumerationCapExceeded("policy value enumeration", units.count, cap)
-    values = set()
-    for assignment in itertools.product(range(len(units.options)), repeat=len(units.units)):
-        values.add(scope.value(units.policy(assignment, PATH_CLASS).action))
-    return ValueSet.of(values)
+    assignments = itertools.product(range(len(units.options)), repeat=len(units.members))
+    joints = (map(units.options.__getitem__, a) for a in assignments)
+    return ValueSet.of(scope.value(units.policy(js, PATH_CLASS).action) for js in joints)
 
 
 def strong_pareto_filter(
@@ -851,12 +686,5 @@ def strong_pareto_filter(
     cap: int = DEFAULT_POLICY_CAP,
 ) -> ValueSet:
     """Equilibrium values not dominated by the value of any control at all."""
-    achievable = all_policy_values(spec, tree, start, cap=cap)
-    kept = []
-    for rec in records:
-        y = rec.value
-        if not any(
-            w != y and all(wi <= yi for wi, yi in zip(w, y)) for w in achievable.points
-        ):
-            kept.append(y)
-    return ValueSet.of(kept)
+    achievable = all_policy_values(spec, tree, start, cap=cap).points
+    return ValueSet.of([rec.value for rec in records if not _dominated(rec.value, achievable)])

@@ -9,14 +9,23 @@ own action, and per-player terminal costs. All quantities are
 Histories are handled through an explicit prefix tree (`PathTree`). Policies,
 stopping times, and cost evaluation are all keyed by tree nodes, which makes
 adaptedness structural rather than something to check.
+
+Every exact walk (policy costs, best responses, the planner's dictatorship
+value, the recursion's one-step games) runs on `Tables`, the (spec, tree)
+pair compiled once to Python integers at a common scale per level, and on
+`induct`, the one backward-induction loop; `Fraction` appears only where
+values enter and leave.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections.abc import Callable, Hashable
+import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import GameValidationError
 
@@ -97,12 +106,6 @@ class GameSpec:
 
     def running_cost(self, player: int, t: int, prefix: Prefix, own_action: int) -> Fraction:
         return self.running_costs[player][(t, self._key(prefix), own_action)]
-
-    def running_cost_vector(self, t: int, prefix: Prefix, joint: JointAction) -> Vector:
-        return tuple(
-            self.running_costs[i][(t, self._key(prefix), joint[i])]
-            for i in range(self.n_players)
-        )
 
     def terminal_vector(self, path: Prefix) -> Vector:
         key = self._key(path)
@@ -206,6 +209,8 @@ class PathTree:
     def __init__(self, spec: GameSpec):
         self.horizon = spec.horizon
         self.nodes: list[Node] = []
+        # Compiled tables per spec (see tables_of); weak keys, so no spec is pinned.
+        self._tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self.levels: list[list[int]] = [[] for _ in range(spec.horizon + 1)]
         self._id_by_prefix: dict[Prefix, int] = {}
         for label in spec.states[0]:
@@ -236,10 +241,6 @@ class PathTree:
             raise GameValidationError(f"unknown prefix {prefix}") from exc
 
     @property
-    def paths(self) -> list[Prefix]:
-        return [self.nodes[nid].prefix for nid in self.levels[self.horizon]]
-
-    @property
     def n_paths(self) -> int:
         return len(self.levels[self.horizon])
 
@@ -268,20 +269,6 @@ class PathTree:
 def build_path_tree(spec: GameSpec) -> PathTree:
     """Build the full prefix tree for a validated spec."""
     return PathTree(spec)
-
-
-def subgame_key(spec: GameSpec, tree: PathTree) -> Callable[[int], Hashable]:
-    """Key under which results for the subgame below a node may be shared.
-
-    Markov data make the subgame below a prefix depend only on (t, x_t), so
-    such specs key by (time, state) and their memos live on the lattice of
-    those pairs; path-keyed specs key by node id. Only subgame values may be
-    shared this way: policies stay per node.
-    """
-    if spec.state_dependent:
-        nodes = tree.nodes
-        return lambda nid: (nodes[nid].t, nodes[nid].state)
-    return lambda nid: nid
 
 
 @dataclass(frozen=True)
@@ -385,30 +372,7 @@ def path_measure(
 
 def cost_J(spec: GameSpec, tree: PathTree, start: int, policy: Policy) -> Vector:
     """Expected cost vector J(t, x, policy) from the start node, exact."""
-    return _cost_below(spec, tree, start, policy, {})
-
-
-def _cost_below(
-    spec: GameSpec, tree: PathTree, nid: int, policy: Policy, memo: dict[int, Vector]
-) -> Vector:
-    hit = memo.get(nid)
-    if hit is not None:
-        return hit
-    node = tree.node(nid)
-    if node.t == tree.horizon:
-        val = spec.terminal_vector(node.prefix)
-    else:
-        joint = policy.action(nid)
-        vec = spec.transition_vector(node.t, node.prefix, joint)
-        total = list(spec.running_cost_vector(node.t, node.prefix, joint))
-        for child, p in zip(node.children, vec):
-            if p != 0:
-                sub = _cost_below(spec, tree, child, policy, memo)
-                for i in range(len(total)):
-                    total[i] += p * sub[i]
-        val = tuple(total)
-    memo[nid] = val
-    return val
+    return _Scope(spec, tree, start).value(policy.action)
 
 
 def truncate_game(
@@ -435,19 +399,13 @@ def truncate_game(
                     f"no terminal value for reachable stopped prefix {tree.node(nid).prefix}"
                 )
 
-    stopped_by: dict[int, bool] = {}
-    stop_node: dict[int, int] = {}
-    for nid in (node_id for level in tree.levels for node_id in level):
-        node = tree.node(nid)
-        parent_stopped = stopped_by.get(node.parent, False) if node.parent is not None else False
-        if parent_stopped:
-            stopped_by[nid] = True
-            stop_node[nid] = stop_node[node.parent]
-        elif stopping.stops_at(tree, nid):
-            stopped_by[nid] = True
-            stop_node[nid] = nid
-        else:
-            stopped_by[nid] = False
+    # The node where play stopped on the way to each node, None before any stop.
+    stop_node: dict[int | None, int | None] = {None: None}
+    for node in tree.nodes:  # parents come before their children
+        stop = stop_node[node.parent]
+        if stop is None and stopping.stops_at(tree, node.id):
+            stop = node.id
+        stop_node[node.id] = stop
 
     transitions: dict = {}
     running: list[dict] = [{} for _ in range(n)]
@@ -455,7 +413,7 @@ def truncate_game(
     for t in range(spec.horizon):
         for nid in tree.levels[t]:
             node = tree.node(nid)
-            silent = stopped_by[nid]
+            silent = stop_node[nid] is not None
             for joint in spec.joint_actions:
                 transitions[(t, node.prefix, joint)] = spec.transition_vector(
                     t, node.prefix, joint
@@ -480,3 +438,231 @@ def truncate_game(
         terminal_costs=terminal,
         state_dependent=False,
     )
+
+
+# -- the exact integer core ----------------------------------------------------
+
+
+class Tables:
+    """A (spec, tree) pair compiled to Python integers, for every exact walk.
+
+    A *row* holds one subgame's data: one per (time, state) on Markov specs,
+    level by level in state order, else one per node (the node id); a row's
+    children are the rows ``range(*kids[row])``. Level t has the scale
+    ``scale[t]``: ``factor`` times the lcm of L_t·scale[t+1] (L_t: the lcm of
+    the level's kernel denominators) and the level's cost denominators. An
+    integer v at level t stands for v / scale[t], so sums and ties are exact.
+    ``kern[row][j]`` are joint action j's child weights p·scale[t]/scale[t+1],
+    ``cost[row][i][a]`` player i's running cost of own action a, and
+    ``end[row]`` the terminal vector (None before the horizon), all scaled.
+    Joint action (a_0, a_1, ...) is j = Σ a_i·strides[i], its place in
+    ``GameSpec.joint_actions``. The tables refer to neither the spec nor the
+    tree, so keeping them with the tree (:func:`tables_of`) pins neither.
+    """
+
+    def __init__(self, spec: GameSpec, tree: PathTree, factor: int = 1):
+        horizon = spec.horizon
+        self.markov = spec.state_dependent
+        if self.markov:
+            keys = spec.states
+            self.index = [{s: k for k, s in enumerate(level)} for level in keys]
+        else:
+            keys = [[tree.nodes[nid].prefix for nid in level] for level in tree.levels]
+        self.offset = list(itertools.accumulate(map(len, keys), initial=0))
+        self.sizes = tuple(map(len, spec.actions))
+        self.strides = tuple(math.prod(self.sizes[i + 1 :]) for i in range(len(self.sizes)))
+        data = [(t, key) for t in range(horizon) for key in keys[t]]
+        kern, cost = [], []
+        for t, key in data:
+            kern.append([spec.transitions[(t, key, joint)] for joint in spec.joint_actions])
+            cost.append(
+                [[table[(t, key, a)] for a in range(size)]
+                 for table, size in zip(spec.running_costs, self.sizes)]
+            )
+        end = [[table[key] for table in spec.terminal_costs] for key in keys[horizon]]
+        scale = [math.lcm(*_denominators([end]))] * (horizon + 1)
+        for t in reversed(range(horizon)):
+            level = slice(self.offset[t], self.offset[t + 1])
+            step = math.lcm(*_denominators(kern[level]))
+            scale[t] = math.lcm(step * scale[t + 1], *_denominators(cost[level]))
+        self.scale = scale = [s * factor for s in scale]
+        self.kern = [_scaled(k, scale[t] // scale[t + 1]) for (t, _), k in zip(data, kern)]
+        self.cost = [_scaled(c, scale[t]) for (t, _), c in zip(data, cost)]
+        self.end = [None] * len(data) + list(_scaled(end, scale[horizon]))
+        self.kids = []
+        for row, (t, _) in enumerate(data):
+            first = self.offset[t + 1] if self.markov else tree.nodes[row].children[0]
+            self.kids.append((first, first + len(spec.states[t + 1])))
+
+    def row(self, node: Node) -> int:
+        if self.markov:
+            return self.offset[node.t] + self.index[node.t][node.state]
+        return node.id
+
+    def rows_below(self, tree: PathTree, start: int) -> list[int]:
+        """The rows of the subgames below a node, itself first, parents before children."""
+        node = tree.nodes[start]
+        if self.markov:
+            return [self.row(node), *range(self.offset[node.t + 1], self.offset[-1])]
+        return tree.subtree(start)
+
+
+def _denominators(rows):
+    return (x.denominator for row in rows for vec in row for x in vec)
+
+
+def _scaled(rows, scale: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of fractions as integers over ``scale``, a multiple of their denominators."""
+    return tuple(tuple(x.numerator * (scale // x.denominator) for x in vec) for vec in rows)
+
+
+def tables_of(spec: GameSpec, tree: PathTree, factor: int = 1) -> Tables:
+    """The tables of (spec, tree), compiled on first use and kept with the tree."""
+    cache = tree._tables.setdefault(spec, {})
+    if factor not in cache:
+        cache[factor] = Tables(spec, tree, factor)
+    return cache[factor]
+
+
+def induct(order, kids, menus, val, argmins=None) -> None:
+    """The one exact backward induction, in integers.
+
+    For each u of ``order`` (children before parents), ``val[u]`` becomes the
+    least of c + Σ_k w_k·val[lo + k] over the options of ``menus[u]``, a pair
+    of running costs and child weights, with ``(lo, hi) = kids[u]``;
+    ``argmins[u]``, when given, lists the options that attain it, in order.
+    """
+    for u in order:
+        lo, hi = kids[u]
+        sub = val[lo:hi]
+        costs = [c + sum(map(mul, w, sub)) for c, w in zip(*menus[u])]
+        best = val[u] = min(costs)
+        if argmins is not None:
+            argmins[u] = [a for a, c in enumerate(costs) if c == best]
+
+
+class _Scope:
+    """The subtree of a start node, optionally truncated, for integer walks.
+
+    ``frontier`` maps stopped node ids to their terminal vectors; when given,
+    paths end there instead of at the leaves, which keeps truncated-game
+    enumeration restricted to the decision nodes that still matter.
+    ``nodes`` are the scope's tree ids in breadth-first, hence time, order; a
+    node's position there is its local index (the start is 0). ``kids`` and
+    ``rows`` give each local decision node's child range and table row (None
+    at ends), ``ends`` each frontier node's and leaf's integer terminal
+    vector, and ``inner`` the local decision nodes (``decision_nodes`` their
+    tree ids). A frontier whose denominators the spec never uses gets tables
+    rescaled by the least factor that makes it integral.
+    """
+
+    def __init__(
+        self, spec: GameSpec, tree: PathTree, start: int, frontier: dict[int, Vector] | None = None
+    ):
+        self.spec, self.tree, self.start, self.frontier = spec, tree, start, frontier
+        base = tables_of(spec, tree)
+        self.nodes = nodes = [start]
+        self.parent: list[int | None] = [None]
+        self.kids: list = []  # per local node, as ``rows``; None at ends
+        self.rows: list = []
+        stops = frontier or {}
+        ends: dict[int, Node] = {}
+        factor = 1
+        for u, nid in enumerate(nodes):  # an index walk: ``nodes`` grows as it goes
+            node = tree.nodes[nid]
+            if nid in stops or node.t == tree.horizon:
+                ends[u] = node
+                for x in stops.get(nid, ()):
+                    missing = x.denominator // math.gcd(x.denominator, base.scale[node.t])
+                    factor = math.lcm(factor, missing)
+                self.kids.append(None)
+                self.rows.append(None)
+            else:
+                self.kids.append((len(nodes), len(nodes) + len(node.children)))
+                self.rows.append(base.row(node))
+                self.parent.extend([u] * len(node.children))
+                nodes.extend(node.children)
+        self.tables = tables = tables_of(spec, tree, factor)
+        self.ends = {
+            u: _scaled([stops[node.id]], tables.scale[node.t])[0]
+            if node.id in stops
+            else tables.end[tables.row(node)]
+            for u, node in ends.items()
+        }
+        self.inner = [u for u, row in enumerate(self.rows) if row is not None]
+        self.decision_nodes = [nodes[u] for u in self.inner]
+        self.local = {nid: u for u, nid in enumerate(nodes)}
+        self.scale = tables.scale[tree.nodes[start].t]
+        # A value at the start node, as a Fraction.
+        self.fraction = functools.cache(functools.partial(Fraction, denominator=self.scale))
+
+    def column(self, player: int) -> list[int]:
+        """Player's terminal values at the ends, zero at decision nodes."""
+        val = [0] * len(self.nodes)
+        for u, vec in self.ends.items():
+            val[u] = vec[player]
+        return val
+
+    def walk(self, menu_at, player: int):
+        """Player's values and argmin lists at every local node, by :func:`induct`.
+
+        ``menu_at(u)`` gives decision node u's options. It is asked, parents
+        first, only where options' positive weights reach; the rest keep zeros.
+        """
+        menus: list = [None] * len(self.nodes)
+        order = []
+        for u in self.inner:
+            p = self.parent[u]
+            if p is None or menus[p] and any(w[u - self.kids[p][0]] for w in menus[p][1]):
+                menus[u] = menu_at(u)
+                order.append(u)
+        val, argmins = self.column(player), [None] * len(self.nodes)
+        induct(reversed(order), self.kids, menus, val, argmins)
+        return val, argmins
+
+    def costs(self, action_at, player: int) -> list[int]:
+        """Player's cost of a joint policy at every node the policy reaches."""
+        tables, nodes, rows = self.tables, self.nodes, self.rows
+
+        def menu_at(u):
+            joint, row = action_at(nodes[u]), rows[u]
+            own = tables.cost[row][player][joint[player]]
+            return (own,), (tables.kern[row][sum(map(mul, tables.strides, joint))],)
+
+        return self.walk(menu_at, player)[0]
+
+    def value(self, action_at) -> Vector:
+        """Cost vector of a joint policy at the start node."""
+        n = self.spec.n_players
+        return tuple(self.fraction(self.costs(action_at, i)[0]) for i in range(n))
+
+    def respond(self, player: int, opp_action_at):
+        """Player's best-response values and argmin lists against the others' policy."""
+        tables, stride = self.tables, self.tables.strides[player]
+        span = stride * tables.sizes[player]
+
+        def menu_at(u):
+            joint, row = opp_action_at(self.nodes[u]), self.rows[u]
+            base = sum(map(mul, tables.strides, joint)) - joint[player] * stride
+            return tables.cost[row][player], tables.kern[row][base : base + span : stride]
+
+        return self.walk(menu_at, player)
+
+    def is_markov(self) -> bool:
+        """Whether the subgame below every scope node depends only on its (time, state).
+
+        Holds for Markov data when each (time, state) group of the scope is
+        either wholly made of end nodes sharing one terminal vector, or wholly
+        made of decision nodes.
+        """
+        if not self.spec.state_dependent:
+            return False
+        if self.frontier is None:
+            return True
+        nodes = self.tree.nodes
+        groups: dict[tuple[int, str], tuple[int, ...]] = {}
+        for u, term in self.ends.items():
+            node = nodes[self.nodes[u]]
+            if groups.setdefault((node.t, node.state), term) != term:
+                return False
+        return not any((nodes[nid].t, nodes[nid].state) in groups for nid in self.decision_nodes)

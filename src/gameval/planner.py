@@ -8,8 +8,10 @@ continuation value would still be selected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem, mul
 
 from .equilibria import (
     DEFAULT_POLICY_CAP,
@@ -18,7 +20,7 @@ from .equilibria import (
     set_value_bruteforce,
 )
 from .errors import GameValidationError
-from .model import ONE, ZERO, GameSpec, PathTree, Policy, Vector, cost_J, subgame_key
+from .model import ONE, ZERO, GameSpec, PathTree, Policy, Vector, _Scope, induct, tables_of
 
 from .io import frac_from_str
 
@@ -104,39 +106,24 @@ def dictatorship_value(
     """Minimum weighted cost over all controls, ignoring incentives.
 
     A single-agent backward induction over joint actions; the benchmark a
-    coordinator could reach with enforced, non-equilibrium play. Memoized by
-    :func:`subgame_key`.
+    coordinator could reach with enforced, non-equilibrium play. It runs on
+    the rows of the compiled tables, so Markov specs are solved once per
+    (time, state), with the weights over their common denominator.
     """
-    key_of = subgame_key(spec, tree)
-    memo: dict = {}
-
-    def walk(nid: int) -> Fraction:
-        key = key_of(nid)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        node = tree.node(nid)
-        if node.t == tree.horizon:
-            out = lam.score(spec.terminal_vector(node.prefix))
+    tables = tables_of(spec, tree)
+    den = math.lcm(*(w.denominator for w in lam.weights))
+    weights = [w.numerator * (den // w.denominator) for w in lam.weights]
+    val, menus = [0] * tables.offset[-1], [None] * tables.offset[-1]
+    rows = tables.rows_below(tree, start)
+    for row in rows:
+        if tables.end[row] is not None:
+            val[row] = sum(map(mul, weights, tables.end[row]))
         else:
-            best = None
-            for joint in spec.joint_actions:
-                cost = lam.score(spec.running_cost_vector(node.t, node.prefix, joint))
-                for child, p in zip(
-                    node.children, spec.transition_vector(node.t, node.prefix, joint)
-                ):
-                    if p != 0:
-                        cost += p * walk(child)
-                if best is None or cost < best:
-                    best = cost
-            out = best
-        memo[key] = out
-        return out
-
-    try:
-        return walk(start)
-    finally:
-        del walk  # the closure refers to itself; break the cycle so the memo dies here
+            cost = tables.cost[row]
+            run = [sum(map(mul, weights, map(getitem, cost, j))) for j in spec.joint_actions]
+            menus[row] = run, tables.kern[row]
+    induct([row for row in reversed(rows) if menus[row]], tables.kids, menus, val)
+    return Fraction(val[rows[0]], tables.scale[tree.node(start).t] * den)
 
 
 def time_inconsistency_probe(
@@ -152,8 +139,10 @@ def time_inconsistency_probe(
     Comparison happens at the value level: at each later prefix the chosen
     equilibrium's continuation value is scored against the planner optimum of
     that prefix's own set value. Requires a strictly positive kernel so every
-    prefix matters. Set values are shared by :func:`subgame_key`; the
-    witness's continuation cost is evaluated per node.
+    prefix matters. Set values are shared between the prefixes of one row
+    of the compiled tables (one (time, state) on Markov specs); the
+    witness's continuation costs at every prefix come from one walk of the
+    start's subtree per player.
     """
     if not spec.q_positive:
         raise GameValidationError("the probe needs q > 0 so every prefix is reachable")
@@ -167,43 +156,35 @@ def time_inconsistency_probe(
         if best_score is None or score < best_score:
             best_score, witness = score, rec.policy
     optimum = planner_optimum(ValueSet.of(values), lam)
-    if not optimum.has_equilibrium:
-        return ProbeReport(
-            optimum=optimum,
-            chosen_value=None,
-            rows=(),
-            first_inconsistency=None,
-            dictatorship_value=dictatorship_value(spec, tree, start, lam),
-        )
-
-    chosen_value = cost_J(spec, tree, start, witness)
-    key_of = subgame_key(spec, tree)
-    local_optima: dict = {}
+    chosen_value: Vector | None = None
     rows: list[ProbeRow] = []
     first_bad: ProbeRow | None = None
-    for nid in tree.subtree(start):
-        node = tree.node(nid)
-        if nid == start or node.t >= tree.horizon:
-            continue
-        key = key_of(nid)
-        local = local_optima.get(key)
-        if local is None:
-            local = planner_optimum(set_value_bruteforce(spec, tree, nid, cap=cap), lam)
-            local_optima[key] = local
-        continuation = cost_J(spec, tree, nid, witness)
-        cont_score = lam.score(continuation)
-        consistent = local.has_equilibrium and cont_score == local.value
-        row = ProbeRow(
-            t=node.t,
-            prefix=node.prefix,
-            planner_value=local.value,
-            continuation_score=cont_score,
-            continuation_value=continuation,
-            consistent=consistent,
-        )
-        rows.append(row)
-        if not consistent and first_bad is None:
-            first_bad = row
+    if witness is not None:
+        scope = _Scope(spec, tree, start)
+        costs = [scope.costs(witness.action, i) for i in range(spec.n_players)]
+        chosen_value = tuple(scope.fraction(col[0]) for col in costs)
+        local_optima: dict[int, PlannerOptimum] = {}
+        for u in scope.inner[1:]:
+            node = tree.node(scope.nodes[u])
+            local = local_optima.get(scope.rows[u])
+            if local is None:
+                local = planner_optimum(set_value_bruteforce(spec, tree, node.id, cap=cap), lam)
+                local_optima[scope.rows[u]] = local
+            scale = scope.tables.scale[node.t]
+            continuation = tuple(Fraction(col[u], scale) for col in costs)
+            cont_score = lam.score(continuation)
+            consistent = local.has_equilibrium and cont_score == local.value
+            row = ProbeRow(
+                t=node.t,
+                prefix=node.prefix,
+                planner_value=local.value,
+                continuation_score=cont_score,
+                continuation_value=continuation,
+                consistent=consistent,
+            )
+            rows.append(row)
+            if not consistent and first_bad is None:
+                first_bad = row
     return ProbeReport(
         optimum=optimum,
         chosen_value=chosen_value,

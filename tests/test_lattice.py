@@ -103,11 +103,14 @@ def test_lattice_equals_tree_on_random_markov_specs():
     [
         lambda spec, tree: set_value_dpp(spec, tree, tree.levels[0][0]),
         lambda spec, tree: dictatorship_value(spec, tree, tree.levels[0][0], WEIGHTS[0]),
+        lambda spec, tree: set_value_bruteforce(spec, tree, tree.levels[2][0]),
+        lambda spec, tree: time_inconsistency_probe(spec, tree, tree.levels[2][0], WEIGHTS[1]),
     ],
-    ids=["set_value_dpp", "dictatorship_value"],
+    ids=["set_value_dpp", "dictatorship_value", "set_value_bruteforce", "probe"],
 )
 def test_memoized_recursions_leave_no_reference_cycle(solve):
-    """The tree and the memo die with their last reference, with no collector run."""
+    """The tree, the memo and the compiled tables kept with the tree die with
+    the tree's last reference, with no collector run."""
     spec = load_example("state")
     gc.disable()
     try:

@@ -238,7 +238,7 @@ def test_tower_property():
         node = tree.node(root)
         joint = policy.action(root)
         vec = spec.transition_vector(0, node.prefix, joint)
-        expected = list(spec.running_cost_vector(0, node.prefix, joint))
+        expected = [spec.running_cost(i, 0, node.prefix, joint[i]) for i in range(2)]
         for child, p in zip(node.children, vec):
             sub = cost_J(spec, tree, child, policy)
             for i in range(2):
