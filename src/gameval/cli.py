@@ -298,6 +298,7 @@ def cmd_solve_pde(args) -> int:
                 "n_nodes": c.n_nodes,
                 "diameter": c.diameter,
                 "w_min": c.w_min,
+                "touches_y_boundary": c.touches_y_boundary,
             }
             for c in res.clusters
         ],

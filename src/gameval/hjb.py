@@ -13,8 +13,14 @@ equilibrium value, so the set value is read off as the near-zero level set on
 the grid.
 
 Explicit time stepping on a rectangular grid, one spatial dimension, one or
-two players. First-order y-terms can be upwinded (monotone variant); all
-other derivatives are central with one-sided stencils at the boundary.
+two players. The second-order part has rank one,
+0.5*W_xx + z.W_yx + 0.5*z'W_yy z = 0.5*(d/dx + z.grad_y)^2 W, so the default
+(monotone) scheme restricts z to lattice slopes z_i = m_i*hy/(j*hx) and
+evaluates it as a three-point stencil along the grid direction
+(j*hx, m*hy) with the y drift upwinded: every weight is nonnegative, and W
+stays nonnegative by construction. The central variant (``monotone=False``)
+keeps central differences for every derivative, with one-sided stencils at
+the boundary.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .equilibria import ValueSet
 from .errors import GameValidationError, NumericInstabilityError
 
 _BOUND_TOL = 1e-9
+_NEG_TOL = 1e-10  # the monotone scheme aborts when W falls below -_NEG_TOL
 
 
 @dataclass(frozen=True)
@@ -206,13 +213,54 @@ class GridConfig:
     def z_values(self) -> np.ndarray:
         return np.linspace(-self.z_max, self.z_max, self.nz)
 
+    def lattice_stencils(self, n_players: int) -> dict:
+        """The monotone scheme's z vectors, each mapped to its direction (j, m).
+
+        z_i = m_i*hy/(j*hx) for integers m_i and 1 <= j <= J, with
+        |z_i| <= z_max and stencils inside the grid (2j <= nx-1,
+        2|m_i| <= ny-1); each z keeps its shortest direction. J is the least j
+        whose slopes come within half a z-spacing of every point of
+        ``z_values``, so nz and z_max keep their meaning as the z resolution.
+        """
+
+        def m_top(j: int) -> int:
+            reach = int(self.z_max * j * self.hx / self.hy * (1 + 1e-9))
+            return min(reach, (self.ny - 1) // 2)
+
+        half = self.z_max / (self.nz - 1) if self.nz > 1 else math.inf
+        slopes = []
+        for big_j in range(1, (self.nx - 1) // 2 + 1):
+            m = np.arange(-m_top(big_j), m_top(big_j) + 1)
+            slopes = np.concatenate([slopes, m * self.hy / (big_j * self.hx)])
+            gaps = np.abs(self.z_values[:, None] - slopes[None, :]).min(axis=1)
+            if float(gaps.max()) <= half * (1 + 1e-9):
+                break
+        else:
+            raise GameValidationError(
+                f"no lattice slopes with j <= {(self.nx - 1) // 2} resolve the z grid "
+                f"(z_max={self.z_max}, nz={self.nz}); refine y or lower nz"
+            )
+        stencils = {}
+        for j in range(1, big_j + 1):
+            for m in itertools.product(range(-m_top(j), m_top(j) + 1), repeat=n_players):
+                if math.gcd(j, *m) == 1:
+                    stencils[tuple(mi * self.hy / (j * self.hx) for mi in m)] = (j, m)
+        return stencils
+
     def ht_bound(self, spec: DiffusionGameSpec) -> float:
         """Explicit-scheme step bound from every term of the declared bounds.
 
-        Diffusion in x and in y (with z up to z_max), and the upwinded y drift,
-        whose coefficient |own_min| is at most cost_bound + drift_bound*z_max.
+        The y drift coefficient |own_min| is at most cost_bound +
+        drift_bound*z_max per player. The monotone scheme weighs the centre
+        node by 1 - ht*(1/(j*hx)^2 + sum_i |own_min_i|/hy), which is
+        nonnegative for every stencil exactly when ht*(1/hx^2 + n*upwind/hy)
+        <= 1. The central scheme takes the smallest of its per-term bounds:
+        diffusion in x, in y (with z up to z_max) and the y drift.
         """
         upwind = spec.cost_bound + spec.drift_bound * self.z_max
+        if self.monotone:
+            rate = 1.0 / (self.hx * self.hx) + spec.n_players * upwind / self.hy
+            return self.cfl_safety / rate
         return self.cfl_safety * min(
             self.hx * self.hx,
             self.hy * self.hy / (1.0 + self.z_max * self.z_max),
@@ -333,13 +381,17 @@ def solve_w(spec: DiffusionGameSpec, grid: GridConfig) -> PdeField:
     xs = grid.x_values
     spec.check_bounds(xs)
     n = spec.n_players
+    if grid.monotone:
+        stencils = grid.lattice_stencils(n)
+    else:
+        stencils = dict.fromkeys(itertools.product(grid.z_values.tolist(), repeat=n))
     costs = CoupledCost(spec)
     col_shape = (grid.nx,) + (1,) * n
     drifts = []  # mu_i = -own_min_i as x-columns, one per distinct (i, column)
     drift_ids = {}
     groups = {}  # z -> {drift ids per player: min over the group of sum_i excess_pow_i}
     for a in spec.joint_actions:
-        for z in itertools.product(grid.z_values.tolist(), repeat=n):
+        for z in stencils:
             ids = []
             excess_sum = 0.0
             for i in range(n):
@@ -361,53 +413,145 @@ def solve_w(spec: DiffusionGameSpec, grid: GridConfig) -> PdeField:
     w = _terminal_layer(spec, grid)
     layers = {grid.t_final: w.copy()}
     want_times = set(grid.store_times) | {0.0, grid.t_final}
+    if grid.monotone:
+        terms = _LatticeTerms(grid, w, drifts, stencils)
+    else:
+        terms = _CentralTerms(grid, w, drifts)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _sweep(spec, grid, w, layers, want_times, ht, nt, drifts, groups)
+        return _sweep(spec, grid, w, layers, want_times, ht, nt, terms, groups)
 
 
-def _sweep(spec, grid, w, layers, want_times, ht, nt, drifts, groups):
-    n = spec.n_players
-    y_axes = range(1, n + 1)
+class _CentralTerms:
+    """Central differences for every derivative: the ``monotone=False`` scheme."""
+
+    def __init__(self, grid, w, drifts):
+        self.grid, self.drifts = grid, drifts
+        self.y_axes = range(1, w.ndim)
+        self.base, self.z_term, self.tmp, self.val = (np.empty_like(w) for _ in range(4))
+        self.w_yy, self.w_y, self.w_yx = (
+            [np.empty_like(w) for _ in self.y_axes] for _ in range(3)
+        )
+        self.w_y1y2 = np.empty_like(w)
+        self.drift_terms = [np.empty_like(w) for _ in drifts]
+
+    def update(self, w):
+        """Derivatives of this step's W; returns mu_i*W_yi per drift column."""
+        grid = self.grid
+        second_diff(w, grid.hx, axis=0, out=self.base)
+        np.multiply(self.base, 0.5, out=self.base)
+        for i, ax in enumerate(self.y_axes):
+            second_diff(w, grid.hy, axis=ax, out=self.w_yy[i])
+            first_diff(w, grid.hy, axis=ax, mode="central", out=self.w_y[i])
+            first_diff(self.w_y[i], grid.hx, axis=0, mode="central", out=self.w_yx[i])
+        if len(self.y_axes) == 2:
+            first_diff(self.w_y[0], grid.hy, axis=2, mode="central", out=self.w_y1y2)
+        for (i, mu), out in zip(self.drifts, self.drift_terms):
+            np.multiply(mu, self.w_y[i], out=out)
+        return self.drift_terms
+
+    def second_order(self, z):
+        """0.5*W_xx + 0.5*z'W_yy z + z.W_yx."""
+        tmp, val, z_term = self.tmp, self.val, self.z_term
+        for i in range(len(z)):
+            np.multiply(self.w_yy[i], 0.5 * z[i] * z[i], out=tmp)
+            np.multiply(self.w_yx[i], z[i], out=val)
+            np.add(tmp, val, out=tmp)
+            np.add(self.base if i == 0 else z_term, tmp, out=z_term)
+        if len(z) == 2:
+            np.multiply(self.w_y1y2, z[0] * z[1], out=tmp)
+            np.add(z_term, tmp, out=z_term)
+        return z_term
+
+
+def _along(axis: int, index: slice) -> tuple:
+    """An index that applies ``index`` on ``axis`` and takes every other axis whole."""
+    return (slice(None),) * axis + (index,)
+
+
+class _LatticeTerms:
+    """Lattice-direction stencils and upwinded y drift: the monotone scheme.
+
+    Every weight is nonnegative at every node. In x, ghost columns replicate
+    the edge columns; in y, a direction whose stencil leaves the grid is not
+    offered at that node (+inf), and the upwinded difference across the edge
+    is zero (a replicated ghost). z = 0, the pure x direction, is offered
+    everywhere.
+    """
+
+    def __init__(self, grid, w, drifts, stencils):
+        nx, ny = grid.nx, grid.ny
+        self.hy = grid.hy
+        self.pad = pad = max(j for j, _ in stencils.values())
+        self.wp = np.empty((nx + 2 * pad,) + w.shape[1:])
+        self.z_term, self.tmp = np.empty_like(w), np.empty_like(w)
+        # per y axis, (W[k] - W[k-1]) / hy with a zero at both ends: the forward
+        # difference at node k is diff[k+1] and the backward one diff[k]
+        self.diffs = [
+            np.zeros(w.shape[:ax] + (ny + 1,) + w.shape[ax + 1:]) for ax in range(1, w.ndim)
+        ]
+        self.splits = [
+            (np.maximum(mu, 0.0), np.minimum(mu, 0.0),
+             self.diffs[i][_along(i + 1, slice(1, None))],
+             self.diffs[i][_along(i + 1, slice(None, -1))])
+            for i, mu in drifts
+        ]
+        self.drift_terms = [np.empty_like(w) for _ in drifts]
+        self.plans = {}
+        for z, (j, m) in stencils.items():
+            centre = [slice(None)]
+            plus = [slice(pad + j, pad + j + nx)]
+            minus = [slice(pad - j, pad - j + nx)]
+            border = []
+            for ax, mi in enumerate(m, start=1):
+                a = abs(mi)
+                centre.append(slice(a, ny - a))
+                plus.append(slice(a + mi, ny - a + mi))
+                minus.append(slice(a - mi, ny - a - mi))
+                if a:
+                    border += [_along(ax, slice(0, a)), _along(ax, slice(ny - a, ny))]
+            coef = 0.5 / (j * grid.hx) ** 2
+            self.plans[z] = coef, tuple(centre), tuple(plus), tuple(minus), border
+
+    def update(self, w):
+        """Pad this step's W in x; returns the upwinded mu_i*W_yi per drift column."""
+        pad, nx = self.pad, w.shape[0]
+        self.w = w
+        self.wp[pad:pad + nx] = w
+        self.wp[:pad] = w[0]
+        self.wp[pad + nx:] = w[-1]
+        for ax, diff in enumerate(self.diffs, start=1):
+            inner = diff[_along(ax, slice(1, -1))]
+            np.subtract(w[_along(ax, slice(1, None))], w[_along(ax, slice(None, -1))], out=inner)
+            np.divide(inner, self.hy, out=inner)
+        for (mu_pos, mu_neg, forward, backward), out in zip(self.splits, self.drift_terms):
+            np.multiply(mu_pos, forward, out=out)
+            np.multiply(mu_neg, backward, out=self.tmp)
+            np.add(out, self.tmp, out=out)
+        return self.drift_terms
+
+    def second_order(self, z):
+        """0.5*[W(x+j*hx, y+m*hy) - 2W + W(x-j*hx, y-m*hy)] / (j*hx)^2."""
+        coef, centre, plus, minus, border = self.plans[z]
+        out, w = self.z_term, self.w
+        for idx in border:
+            out[idx] = np.inf
+        inner = out[centre]
+        np.subtract(self.wp[plus], w[centre], out=inner)
+        np.add(inner, self.wp[minus], out=inner)
+        np.subtract(inner, w[centre], out=inner)
+        np.multiply(inner, coef, out=inner)
+        return out
+
+
+def _sweep(spec, grid, w, layers, want_times, ht, nt, terms, groups):
     min_w = float(w.min())
-    # mu = mu+ + mu-; the monotone scheme pairs mu+ with the forward difference
-    splits = [(i, np.maximum(mu, 0.0), np.minimum(mu, 0.0), mu) for i, mu in drifts]
-    # every per-step array lives in one of these buffers
-    base, z_term, val, tmp, h_min = (np.empty_like(w) for _ in range(5))
-    w_yy, w_y_c, w_yx, w_y_f, w_y_b = ([np.empty_like(w) for _ in y_axes] for _ in range(5))
-    w_y1y2 = np.empty_like(w)
-    drift_terms = [np.empty_like(w) for _ in drifts]
+    floor = -_NEG_TOL if grid.monotone else -math.inf
+    val, h_min = np.empty_like(w), np.empty_like(w)
     for step in range(1, nt + 1):
-        second_diff(w, grid.hx, axis=0, out=base)
-        np.multiply(base, 0.5, out=base)
-        for i, ax in enumerate(y_axes):
-            second_diff(w, grid.hy, axis=ax, out=w_yy[i])
-            first_diff(w, grid.hy, axis=ax, mode="central", out=w_y_c[i])
-            first_diff(w_y_c[i], grid.hx, axis=0, mode="central", out=w_yx[i])
-            if grid.monotone:
-                first_diff(w, grid.hy, axis=ax, mode="forward", out=w_y_f[i])
-                first_diff(w, grid.hy, axis=ax, mode="backward", out=w_y_b[i])
-        if n == 2:
-            first_diff(w_y_c[0], grid.hy, axis=2, mode="central", out=w_y1y2)
-
-        for (i, mu_pos, mu_neg, mu), out in zip(splits, drift_terms):
-            if grid.monotone:
-                np.multiply(mu_pos, w_y_f[i], out=out)
-                np.multiply(mu_neg, w_y_b[i], out=tmp)
-                np.add(out, tmp, out=out)
-            else:
-                np.multiply(mu, w_y_c[i], out=out)
-
+        drift_terms = terms.update(w)
         h_min.fill(np.inf)
         for z, by_ids in groups.items():
-            # the z-only terms: 0.5*z'W_yy z + z.W_yx on top of 0.5*W_xx
-            for i in range(n):
-                np.multiply(w_yy[i], 0.5 * z[i] * z[i], out=tmp)
-                np.multiply(w_yx[i], z[i], out=val)
-                np.add(tmp, val, out=tmp)
-                np.add(base if i == 0 else z_term, tmp, out=z_term)
-            if n == 2:
-                np.multiply(w_y1y2, z[0] * z[1], out=tmp)
-                np.add(z_term, tmp, out=z_term)
+            z_term = terms.second_order(z)
             for ids, excess in by_ids.items():
                 np.add(z_term, excess, out=val)
                 for k in ids:
@@ -417,10 +561,11 @@ def _sweep(spec, grid, w, layers, want_times, ht, nt, drifts, groups):
         np.multiply(h_min, ht, out=h_min)
         np.add(w, h_min, out=w)
         mn = float(w.min())
-        if not math.isfinite(mn) or not math.isfinite(float(w.max())):
+        if not (math.isfinite(mn) and mn >= floor and math.isfinite(float(w.max()))):
+            what = "non-finite or negative" if grid.monotone else "non-finite"
             raise NumericInstabilityError(
-                f"non-finite W at step {step}/{nt} (t={grid.t_final - step * ht:.5f}); "
-                "refine the grid or lower cfl_safety"
+                f"{what} W at step {step}/{nt} (t={grid.t_final - step * ht:.5f}, "
+                f"min W={mn:.3e}); refine the grid or lower cfl_safety"
             )
         min_w = min(min_w, mn)
         t_now = grid.t_final - step * ht
@@ -440,6 +585,7 @@ class NodalCluster:
     n_nodes: int
     extent: tuple
     w_min: float
+    touches_y_boundary: bool  # a member sits at y index 0 or ny-1 on some axis
 
     @property
     def diameter(self) -> float:
@@ -508,6 +654,7 @@ def nodal_set(field: PdeField, t: float, x: float, delta: float | None = None) -
                     float(coords[:, k].max() - coords[:, k].min()) for k in range(n)
                 ),
                 w_min=float(w_vals.min()),
+                touches_y_boundary=any(k in (0, grid.ny - 1) for m in members for k in m),
             )
         )
     clusters.sort(key=lambda c: c.centroid)

@@ -151,6 +151,8 @@ def time_inconsistency_probe(
     witness: Policy | None = None
     values = set()
     for rec in iter_equilibria(spec, tree, start, cap=cap):
+        if rec.value in values:
+            continue  # an equal score never beats the first record with that value
         values.add(rec.value)
         score = lam.score(rec.value)
         if best_score is None or score < best_score:

@@ -138,6 +138,17 @@ def test_solve_pde_static_writes_artifacts(capsys, tmp_path):
     assert bundle["W_0"].shape == (meta["nx"], meta["ny"], meta["ny"])
 
 
+def test_solve_pde_clusters_report_the_y_boundary(capsys):
+    for delta, touches in (("0.05", False), ("4.0", True)):
+        code, out, _ = run(
+            capsys, "solve-pde", "--preset", "single-player", "--nx", "21", "--ny", "21",
+            "--t-final", "0.05", "--delta", delta,
+        )
+        assert code == 0
+        nodal = json.loads(out.split("\n", 1)[1])
+        assert [c["touches_y_boundary"] for c in nodal["clusters"]] == [touches]
+
+
 def test_solve_pde_config_file(capsys, tmp_path):
     config = tmp_path / "custom.json"
     config.write_text(json.dumps({"preset": "static", "grid": {"nx": 11, "ny": 11, "t_final": 0.02}}))

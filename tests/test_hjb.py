@@ -170,37 +170,61 @@ def test_zero_sum_step_agrees_with_hamiltonian_at_interior_nodes():
         assert w1[idx] == pytest.approx(w0[idx] + ht * h, rel=1e-12, abs=1e-12)
 
 
-def per_combination_step(spec, grid, w, ht):
+def per_combination_step(spec, grid, w, ht, big_j):
     """One monotone step evaluating the bracket for every (joint action, z) pair.
 
-    The reference the grouped sweep of ``solve_w`` must reproduce.
+    Written for grids with hx = hy and z_max = 1, where the lattice slopes
+    with j <= ``big_j`` are z = m/j for integer vectors m with |m_i| <= j,
+    each along its shortest direction (j*hx, m*hy). x ghosts replicate the
+    edge columns, a stencil that leaves the y grid is not offered, and the
+    upwinded y differences see replicated ghosts. The reference the grouped
+    sweep of ``solve_w`` must reproduce.
     """
     n = spec.n_players
     costs = CoupledCost(spec)
     xs = grid.x_values
-    y_axes = tuple(range(1, n + 1))
+    ix, iy = np.arange(grid.nx), np.arange(grid.ny)
 
     def col(arr):
         return arr.reshape((grid.nx,) + (1,) * n)
 
-    w_xx = second_diff(w, grid.hx, axis=0)
-    w_yy = [second_diff(w, grid.hy, axis=ax) for ax in y_axes]
-    w_y_f = [first_diff(w, grid.hy, axis=ax, mode="forward") for ax in y_axes]
-    w_y_b = [first_diff(w, grid.hy, axis=ax, mode="backward") for ax in y_axes]
-    w_yx = [first_diff(first_diff(w, grid.hy, axis=ax), grid.hx, axis=0) for ax in y_axes]
-    w_y1y2 = first_diff(first_diff(w, grid.hy, axis=1), grid.hy, axis=2)
+    def at(dx, dy):
+        """W at (x + dx*hx, y + dy*hy), indices clamped to the grid."""
+        clamp = [np.clip(ix + dx, 0, grid.nx - 1)]
+        clamp += [np.clip(iy + d, 0, grid.ny - 1) for d in dy]
+        return w[np.ix_(*clamp)]
+
+    def off_grid(dy):
+        """True where y + dy*hy or y - dy*hy leaves the y grid."""
+        out = np.zeros(w.shape, dtype=bool)
+        for ax, d in enumerate(dy, start=1):
+            shape = [1] * (n + 1)
+            shape[ax] = grid.ny
+            out |= ((iy - abs(d) < 0) | (iy + abs(d) >= grid.ny)).reshape(shape)
+        return out
+
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    w_y_f = [(at(0, e) - w) / grid.hy for e in unit]
+    w_y_b = [(w - at(0, tuple(-d for d in e))) / grid.hy for e in unit]
+    directions = [
+        (j, m)
+        for j in range(1, big_j + 1)
+        for m in itertools.product(range(-j, j + 1), repeat=n)
+        if math.gcd(j, *m) == 1
+    ]
     h_min = None
     for a in spec.joint_actions:
-        for z in itertools.product(grid.z_values.tolist(), repeat=n):
-            val = 0.5 * w_xx
+        for j, m in directions:
+            z = tuple(mi * grid.hy / (j * grid.hx) for mi in m)
+            back = tuple(-d for d in m)
+            stencil = 0.5 * (at(j, m) - 2.0 * w + at(-j, back)) / (j * grid.hx) ** 2
+            val = np.where(off_grid(m), np.inf, stencil)
             for i in range(n):
                 om = np.array([costs.own_min(i, 0.0, float(x), a, z[i]) for x in xs])
                 ex = np.array([costs.excess(i, 0.0, float(x), a, z[i]) for x in xs])
-                val += (0.5 * z[i] * z[i]) * w_yy[i] + z[i] * w_yx[i]
                 mu = -col(om)
-                val += mu * np.where(mu > 0, w_y_f[i], w_y_b[i])
-                val += col(np.maximum(ex, 0.0) ** 1.5)
-            val += (z[0] * z[1]) * w_y1y2
+                val = val + mu * np.where(mu > 0, w_y_f[i], w_y_b[i])
+                val = val + col(np.maximum(ex, 0.0) ** 1.5)
             h_min = val if h_min is None else np.minimum(h_min, val)
     return w + ht * h_min
 
@@ -224,8 +248,10 @@ def test_grouped_monotone_step_matches_per_combination_loop():
         # the upwind direction flips across x for both players
         ends = [costs.own_min(i, 0.0, x, (0.0, 1.0), 0.0) for x in (grid.x_lo, grid.x_hi)]
         assert ends[0] * ends[1] < 0
-    w0, w1, ht = last_step(spec, grid, 20)
-    assert float(np.max(np.abs(w1 - per_combination_step(spec, grid, w0, ht)))) <= 1e-12
+    # nz = 3 needs slopes 0 and +-1 (J = 1); nz = 5 adds +-1/2 (J = 2)
+    for g, big_j in ((grid, 1), (replace(grid, nz=5), 2)):
+        w0, w1, ht = last_step(spec, g, 20)
+        assert float(np.max(np.abs(w1 - per_combination_step(spec, g, w0, ht, big_j)))) <= 1e-12
 
 
 def test_single_player_cluster_tracks_the_oracle():
@@ -332,6 +358,82 @@ def test_uniform_terminal_shift_moves_the_level_set():
     assert abs((c1 - c0) - shift) <= 2 * grid.hy
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_level_set_meeting_y_hi_keeps_w_nonnegative(k):
+    """A terminal shifted up by k*hy puts the zero set through y_hi near x = 2.
+
+    The central cross term of the earlier scheme drove W down to -6e-4,
+    -1.9e-2 and -5.0e-2 here; the lattice scheme is monotone at every node.
+    """
+    spec, grid = pde_preset("single-player")
+    grid = small_grid(grid, nx=21, ny=21)
+    shift, base = k * grid.hy, spec.terminal[0]
+    spec = replace(
+        spec, terminal=(lambda x: base(x) + shift,), cost_bound=spec.cost_bound + shift
+    )
+    assert spec.terminal[0](grid.x_hi) > grid.y_hi
+    field = solve_w(spec, grid)
+    assert field.min_w >= -1e-10
+    assert len(nodal_set(field, 0.0, 0.0).clusters) == 1
+
+
+def parabolic_argmin(field):
+    """Vertex of the parabola through the least node of W(0, 0, .) and its neighbours."""
+    grid = field.grid
+    sect = field.layer(0.0)[grid.nx // 2]
+    k = int(np.argmin(sect))
+    lo, mid, hi = sect[k - 1], sect[k], sect[k + 1]
+    return float(grid.y_values[k]) + 0.5 * grid.hy * (lo - hi) / (lo - 2 * mid + hi)
+
+
+def test_lattice_scheme_converges_to_the_oracle():
+    """The x = 0 argmin approaches the scalar HJB value as the grid is refined."""
+    spec, grid = pde_preset("single-player")
+    oracle = float(
+        single_player_hjb(spec.terminal[0], spec.action_grids[0], grid.x_lo, grid.x_hi,
+                          641, grid.t_final)[320]
+    )
+    errors = [abs(parabolic_argmin(solve_w(spec, g)) - oracle) for g in (grid, grid.refined())]
+    assert errors[1] < errors[0] < grid.hy
+
+
+def test_lattice_stencils_resolve_the_z_grid():
+    spec, grid = pde_preset("single-player")
+    for g in (grid, grid.refined()):
+        stencils = g.lattice_stencils(1)
+        assert len(stencils) == 21
+        assert max(j for j, _ in stencils.values()) == 3
+        for (z,), (j, (m,)) in stencils.items():
+            assert z == pytest.approx(m * g.hy / (j * g.hx)) and abs(z) <= g.z_max + 1e-12
+            assert math.gcd(j, m) == 1
+    for name in ("zero-sum", "static"):
+        spec, grid = pde_preset(name)
+        stencils = grid.lattice_stencils(2)
+        assert max(j for j, _ in stencils.values()) == 2
+        assert sorted(stencils) == sorted(itertools.product(grid.z_values.tolist(), repeat=2))
+    # five nodes per axis allow j, |m| <= 2: slopes 0, 0.5 and 1 leave gaps in a
+    # z grid spaced 0.1
+    with pytest.raises(GameValidationError, match="resolve the z grid"):
+        small_grid(grid, nx=5, ny=5, z_max=1.0, nz=21).lattice_stencils(2)
+
+
+def test_clusters_report_touching_the_y_boundary():
+    for name in ("single-player", "zero-sum", "static"):
+        spec, grid = pde_preset(name)
+        res = nodal_set(solve_w(spec, grid), 0.0, 0.0)
+        assert [c.touches_y_boundary for c in res.clusters] == [False]
+    spec, grid = pde_preset("single-player")
+    grid = small_grid(grid, nx=21, ny=21, t_final=0.05)
+    field = solve_w(spec, grid)
+    wide = nodal_set(field, 0.0, 0.0, delta=4.0)
+    assert [c.touches_y_boundary for c in wide.clusters] == [True]
+    # at x = 2 the terminal value 1 lies near y_hi = 1.2: the cluster reaches y_hi only
+    top = nodal_set(field, 0.0, grid.x_hi)
+    ys = [y for (y,) in top.points]
+    assert grid.y_values[0] < min(ys) and max(ys) == grid.y_values[-1]
+    assert [c.touches_y_boundary for c in top.clusters] == [True]
+
+
 def test_refinement_shrinks_both_spacings():
     spec, grid = pde_preset("single-player")
     fine = grid.refined()
@@ -349,28 +451,30 @@ def test_cfl_violation_is_rejected():
         solve_w(spec, bad)
 
 
-@pytest.mark.parametrize("drift_scale, nt", [(200.0, 1004), (400.0, 2004)])
+@pytest.mark.parametrize("drift_scale, nt", [(200.0, 1024), (400.0, 2024)])
 def test_upwind_term_bounds_the_time_step(drift_scale, nt):
-    """A fast drift makes the upwinded y term bind; W must stay nonnegative."""
+    """A fast drift dominates the monotone bound; W must stay nonnegative."""
     spec, grid = pde_preset("single-player")
     spec = replace(spec, drift=lambda t, x, a: drift_scale * a[0], drift_bound=drift_scale)
     grid = small_grid(grid, t_final=0.05)
-    upwind = grid.cfl_safety * grid.hy / (spec.cost_bound + drift_scale * grid.z_max)
-    assert grid.ht_bound(spec) == upwind
+    upwind = (spec.cost_bound + drift_scale * grid.z_max) / grid.hy
+    bound = grid.cfl_safety / (1.0 / (grid.hx * grid.hx) + upwind)
+    assert grid.ht_bound(spec) == bound
     field = solve_w(spec, grid)
     assert field.nt == nt
     assert field.min_w >= -1e-10
     with pytest.raises(GameValidationError, match="stability bound"):
-        solve_w(spec, small_grid(grid, ht=1.01 * upwind))
+        solve_w(spec, small_grid(grid, ht=1.01 * bound))
 
 
 def test_upwind_term_binds_on_no_preset():
+    """Step counts of the presets and the 81x81 grid under the monotone bound."""
     steps = []
     for name, refine in [("single-player", False), ("zero-sum", False), ("static", False),
                          ("single-player", True)]:
         spec, grid = pde_preset(name)
         steps.append((grid.refined() if refine else grid).resolve_ht(spec)[1])
-    assert steps == [903, 100, 80, 3612]
+    assert steps == [142, 45, 57, 484]
 
 
 @pytest.mark.parametrize(
