@@ -211,6 +211,8 @@ class GridConfig:
 
     @property
     def z_values(self) -> np.ndarray:
+        if self.nz == 1:
+            return np.zeros(1)
         return np.linspace(-self.z_max, self.z_max, self.nz)
 
     def lattice_stencils(self, n_players: int) -> dict:
@@ -367,6 +369,59 @@ def _terminal_layer(spec: DiffusionGameSpec, grid: GridConfig) -> np.ndarray:
     ) ** 2
 
 
+def _coefficients(spec: DiffusionGameSpec, xs: np.ndarray, zs) -> tuple[list, dict]:
+    """Drift columns and excess groups of the bracket, as 1-D arrays over x.
+
+    ``drift(0, x, a)`` is called once per (x, joint action) and
+    ``running_i(0, x, a_i)`` once per (x, own action); own_min and excess
+    follow by array ops with the float operations and order of
+    ``CoupledCost``. Returns the distinct (player, mu_i = -own_min_i) columns
+    and, per z, the groups {drift ids per player: minimum over the group of
+    sum_i max(excess_i, 0)^1.5}.
+    """
+    n = spec.n_players
+    grids = spec.action_grids
+    drift = {
+        a: np.array([spec.drift(0.0, float(x), a) for x in xs], dtype=float)
+        for a in spec.joint_actions
+    }
+    running = [
+        [np.array([spec.running[i](0.0, float(x), ai) for x in xs], dtype=float) for ai in g]
+        for i, g in enumerate(grids)
+    ]
+
+    def own_min(i, a, z_i):
+        best = np.full(len(xs), math.inf)
+        for k, ai in enumerate(grids[i]):
+            c = running[i][k] + drift[a[:i] + (ai,) + a[i + 1:]] * z_i
+            best = np.where(c < best, c, best)  # min() keeps the first of equal values
+        return best
+
+    drifts = []
+    drift_ids = {}
+    groups = {}
+    for idx in itertools.product(*(range(len(g)) for g in grids)):
+        a = tuple(g[k] for g, k in zip(grids, idx))
+        for z in zs:
+            ids = []
+            excess_sum = 0.0
+            for i in range(n):
+                om = own_min(i, a, z[i])
+                ex = (running[i][idx[i]] + drift[a] * z[i]) - om
+                if float(ex.min()) < -1e-9:
+                    raise GameValidationError("coupled cost fell below its own minimum")
+                excess_sum = excess_sum + np.maximum(ex, 0.0) ** 1.5
+                key = (i, om.tobytes())
+                if key not in drift_ids:
+                    drift_ids[key] = len(drifts)
+                    drifts.append((i, -om))
+                ids.append(drift_ids[key])
+            by_ids = groups.setdefault(z, {})
+            ids = tuple(ids)
+            by_ids[ids] = np.minimum(by_ids[ids], excess_sum) if ids in by_ids else excess_sum
+    return drifts, groups
+
+
 def solve_w(spec: DiffusionGameSpec, grid: GridConfig) -> PdeField:
     """Explicit backward sweep of the auxiliary HJB equation.
 
@@ -385,30 +440,10 @@ def solve_w(spec: DiffusionGameSpec, grid: GridConfig) -> PdeField:
         stencils = grid.lattice_stencils(n)
     else:
         stencils = dict.fromkeys(itertools.product(grid.z_values.tolist(), repeat=n))
-    costs = CoupledCost(spec)
-    col_shape = (grid.nx,) + (1,) * n
-    drifts = []  # mu_i = -own_min_i as x-columns, one per distinct (i, column)
-    drift_ids = {}
-    groups = {}  # z -> {drift ids per player: min over the group of sum_i excess_pow_i}
-    for a in spec.joint_actions:
-        for z in stencils:
-            ids = []
-            excess_sum = 0.0
-            for i in range(n):
-                om = np.array([costs.own_min(i, 0.0, float(x), a, z[i]) for x in xs])
-                ex = np.array([costs.excess(i, 0.0, float(x), a, z[i]) for x in xs])
-                if float(ex.min()) < -1e-9:
-                    raise GameValidationError("coupled cost fell below its own minimum")
-                excess_sum = excess_sum + np.maximum(ex, 0.0) ** 1.5
-                key = (i, om.tobytes())
-                if key not in drift_ids:
-                    drift_ids[key] = len(drifts)
-                    drifts.append((i, (-om).reshape(col_shape)))
-                ids.append(drift_ids[key])
-            by_ids = groups.setdefault(z, {})
-            ids = tuple(ids)
-            excess_sum = excess_sum.reshape(col_shape)
-            by_ids[ids] = np.minimum(by_ids[ids], excess_sum) if ids in by_ids else excess_sum
+    drifts, groups = _coefficients(spec, xs, stencils)
+    groups = {
+        z: {ids: ex[:, None] for ids, ex in by_ids.items()} for z, by_ids in groups.items()
+    }
 
     w = _terminal_layer(spec, grid)
     layers = {grid.t_final: w.copy()}
@@ -422,17 +457,29 @@ def solve_w(spec: DiffusionGameSpec, grid: GridConfig) -> PdeField:
 
 
 class _CentralTerms:
-    """Central differences for every derivative: the ``monotone=False`` scheme."""
+    """Central differences for every derivative: the ``monotone=False`` scheme.
+
+    The sweep sees its arrays as (nx, ny^n) matrices.
+    """
 
     def __init__(self, grid, w, drifts):
-        self.grid, self.drifts = grid, drifts
+        self.grid = grid
         self.y_axes = range(1, w.ndim)
+        self.shape = (w.shape[0], w[0].size)
         self.base, self.z_term, self.tmp, self.val = (np.empty_like(w) for _ in range(4))
         self.w_yy, self.w_y, self.w_yx = (
             [np.empty_like(w) for _ in self.y_axes] for _ in range(3)
         )
         self.w_y1y2 = np.empty_like(w)
+        col_shape = (w.shape[0],) + (1,) * len(self.y_axes)
+        self.drifts = [(i, mu.reshape(col_shape)) for i, mu in drifts]
         self.drift_terms = [np.empty_like(w) for _ in drifts]
+        self.drift_views = [d.reshape(self.shape) for d in self.drift_terms]
+        self.w_shape = w.shape
+
+    def interior(self, arr):
+        """The nodes of W inside an (nx, ny^n) sweep array."""
+        return arr.reshape(self.w_shape)
 
     def update(self, w):
         """Derivatives of this step's W; returns mu_i*W_yi per drift column."""
@@ -447,7 +494,7 @@ class _CentralTerms:
             first_diff(self.w_y[0], grid.hy, axis=2, mode="central", out=self.w_y1y2)
         for (i, mu), out in zip(self.drifts, self.drift_terms):
             np.multiply(mu, self.w_y[i], out=out)
-        return self.drift_terms
+        return self.drift_views
 
     def second_order(self, z):
         """0.5*W_xx + 0.5*z'W_yy z + z.W_yx."""
@@ -460,70 +507,87 @@ class _CentralTerms:
         if len(z) == 2:
             np.multiply(self.w_y1y2, z[0] * z[1], out=tmp)
             np.add(z_term, tmp, out=z_term)
-        return z_term
-
-
-def _along(axis: int, index: slice) -> tuple:
-    """An index that applies ``index`` on ``axis`` and takes every other axis whole."""
-    return (slice(None),) * axis + (index,)
+        return z_term.reshape(self.shape)
 
 
 class _LatticeTerms:
     """Lattice-direction stencils and upwinded y drift: the monotone scheme.
 
-    Every weight is nonnegative at every node. In x, ghost columns replicate
-    the edge columns; in y, a direction whose stencil leaves the grid is not
-    offered at that node (+inf), and the upwinded difference across the edge
-    is zero (a replicated ghost). z = 0, the pure x direction, is offered
-    everywhere.
+    Each step copies W into one padded array, read flat. In x, the edge rows
+    are replicated J deep, with one spare row beyond them at each end; every
+    y axis is padded by P = max|m| with +inf, so an axis holds R = ny + 2P
+    nodes. A direction (j, m) is then one flat offset
+    o = j*R^n + sum_k m_k*R^(n-1-k), and its stencil reads three contiguous
+    slices, flat[c+o], flat[c] and flat[c-o], over the core: the nx x rows
+    with their y pads. The sweep works on core arrays of shape (nx, R^n) and
+    keeps only their interior. Every weight is nonnegative at every node. A
+    direction whose stencil leaves the y grid meets the +inf pad and is not
+    offered at that node, and z = 0, the pure x direction, is offered
+    everywhere. The upwinded y differences are zero across the edge (a
+    replicated ghost). Stencils cross into a neighbouring x row, or into a
+    spare row, only from pad nodes, whose values are never kept.
     """
 
     def __init__(self, grid, w, drifts, stencils):
-        nx, ny = grid.nx, grid.ny
+        n, nx, ny = w.ndim - 1, grid.nx, grid.ny
+        big_j = max(j for j, _ in stencils.values())
+        pad = max(abs(mi) for _, m in stencils.values() for mi in m)
+        r = ny + 2 * pad
+        plane = r**n
         self.hy = grid.hy
-        self.pad = pad = max(j for j, _ in stencils.values())
-        self.wp = np.empty((nx + 2 * pad,) + w.shape[1:])
-        self.z_term, self.tmp = np.empty_like(w), np.empty_like(w)
-        # per y axis, (W[k] - W[k-1]) / hy with a zero at both ends: the forward
-        # difference at node k is diff[k+1] and the backward one diff[k]
-        self.diffs = [
-            np.zeros(w.shape[:ax] + (ny + 1,) + w.shape[ax + 1:]) for ax in range(1, w.ndim)
-        ]
-        self.splits = [
-            (np.maximum(mu, 0.0), np.minimum(mu, 0.0),
-             self.diffs[i][_along(i + 1, slice(1, None))],
-             self.diffs[i][_along(i + 1, slice(None, -1))])
+        self.shape = (nx, plane)
+        padded = np.full((nx + 2 * big_j + 2,) + (r,) * n, np.inf)
+        flat = padded.reshape(-1)
+        y_in = (slice(pad, pad + ny),) * n
+        self.cube_shape, self.y_in = (nx,) + (r,) * n, y_in
+        self.w_in = padded[(slice(big_j + 1, big_j + 1 + nx),) + y_in]
+        self.ghosts = (
+            padded[(slice(1, big_j + 1),) + y_in],
+            padded[(slice(big_j + 1 + nx, 2 * big_j + 1 + nx),) + y_in],
+        )
+        c, size = (big_j + 1) * plane, nx * plane
+
+        def core(offset, rows=nx):
+            return flat[c + offset:c + offset + rows * plane].reshape(rows, plane)
+
+        self.centre = core(0)
+        self.z_term, self.tmp = np.empty(self.shape), np.empty(self.shape)
+        # per y axis with stride s, (W[c] - W[c-s]) / hy over the core and one
+        # more x row, zero on the planes y = P and y = P + ny: the backward
+        # difference at a node is diff[c] and the forward one diff[c+s]
+        self.diffs, splits = [], []
+        for k in range(n):
+            s = r ** (n - 1 - k)
+            diff = np.empty((nx + 1, plane))
+            cube = diff.reshape((nx + 1,) + (r,) * n)
+            edges = [cube[(slice(None),) * (k + 1) + (e,)] for e in (pad, pad + ny)]
+            self.diffs.append((core(0, nx + 1), core(-s, nx + 1), diff, edges))
+            splits.append((diff.reshape(-1)[s:s + size].reshape(self.shape), diff[:nx]))
+        self.upwind = [
+            (np.maximum(mu, 0.0)[:, None], np.minimum(mu, 0.0)[:, None]) + splits[i]
             for i, mu in drifts
         ]
-        self.drift_terms = [np.empty_like(w) for _ in drifts]
+        self.drift_terms = [np.empty(self.shape) for _ in drifts]
         self.plans = {}
         for z, (j, m) in stencils.items():
-            centre = [slice(None)]
-            plus = [slice(pad + j, pad + j + nx)]
-            minus = [slice(pad - j, pad - j + nx)]
-            border = []
-            for ax, mi in enumerate(m, start=1):
-                a = abs(mi)
-                centre.append(slice(a, ny - a))
-                plus.append(slice(a + mi, ny - a + mi))
-                minus.append(slice(a - mi, ny - a - mi))
-                if a:
-                    border += [_along(ax, slice(0, a)), _along(ax, slice(ny - a, ny))]
-            coef = 0.5 / (j * grid.hx) ** 2
-            self.plans[z] = coef, tuple(centre), tuple(plus), tuple(minus), border
+            o = j * plane + sum(mk * r ** (n - 1 - k) for k, mk in enumerate(m))
+            self.plans[z] = 0.5 / (j * grid.hx) ** 2, core(o), core(-o)
+
+    def interior(self, arr):
+        """The nodes of W inside an (nx, R^n) core array."""
+        return arr.reshape(self.cube_shape)[(slice(None),) + self.y_in]
 
     def update(self, w):
-        """Pad this step's W in x; returns the upwinded mu_i*W_yi per drift column."""
-        pad, nx = self.pad, w.shape[0]
-        self.w = w
-        self.wp[pad:pad + nx] = w
-        self.wp[:pad] = w[0]
-        self.wp[pad + nx:] = w[-1]
-        for ax, diff in enumerate(self.diffs, start=1):
-            inner = diff[_along(ax, slice(1, -1))]
-            np.subtract(w[_along(ax, slice(1, None))], w[_along(ax, slice(None, -1))], out=inner)
-            np.divide(inner, self.hy, out=inner)
-        for (mu_pos, mu_neg, forward, backward), out in zip(self.splits, self.drift_terms):
+        """Pad this step's W; returns the upwinded mu_i*W_yi per drift column."""
+        self.w_in[...] = w
+        self.ghosts[0][...] = w[0]
+        self.ghosts[1][...] = w[-1]
+        for upper, lower, diff, edges in self.diffs:
+            np.subtract(upper, lower, out=diff)
+            np.divide(diff, self.hy, out=diff)
+            for edge in edges:
+                edge[...] = 0.0
+        for (mu_pos, mu_neg, forward, backward), out in zip(self.upwind, self.drift_terms):
             np.multiply(mu_pos, forward, out=out)
             np.multiply(mu_neg, backward, out=self.tmp)
             np.add(out, self.tmp, out=out)
@@ -531,22 +595,20 @@ class _LatticeTerms:
 
     def second_order(self, z):
         """0.5*[W(x+j*hx, y+m*hy) - 2W + W(x-j*hx, y-m*hy)] / (j*hx)^2."""
-        coef, centre, plus, minus, border = self.plans[z]
-        out, w = self.z_term, self.w
-        for idx in border:
-            out[idx] = np.inf
-        inner = out[centre]
-        np.subtract(self.wp[plus], w[centre], out=inner)
-        np.add(inner, self.wp[minus], out=inner)
-        np.subtract(inner, w[centre], out=inner)
-        np.multiply(inner, coef, out=inner)
+        coef, plus, minus = self.plans[z]
+        out, centre = self.z_term, self.centre
+        np.subtract(plus, centre, out=out)
+        np.add(out, minus, out=out)
+        np.subtract(out, centre, out=out)
+        np.multiply(out, coef, out=out)
         return out
 
 
 def _sweep(spec, grid, w, layers, want_times, ht, nt, terms, groups):
     min_w = float(w.min())
     floor = -_NEG_TOL if grid.monotone else -math.inf
-    val, h_min = np.empty_like(w), np.empty_like(w)
+    val, h_min = np.empty(terms.shape), np.empty(terms.shape)
+    h_in = terms.interior(h_min)
     for step in range(1, nt + 1):
         drift_terms = terms.update(w)
         h_min.fill(np.inf)
@@ -558,8 +620,8 @@ def _sweep(spec, grid, w, layers, want_times, ht, nt, terms, groups):
                     np.add(val, drift_terms[k], out=val)
                 np.minimum(h_min, val, out=h_min)
 
-        np.multiply(h_min, ht, out=h_min)
-        np.add(w, h_min, out=w)
+        np.multiply(h_in, ht, out=h_in)
+        np.add(w, h_in, out=w)
         mn = float(w.min())
         if not (math.isfinite(mn) and mn >= floor and math.isfinite(float(w.max()))):
             what = "non-finite or negative" if grid.monotone else "non-finite"

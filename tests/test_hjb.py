@@ -11,6 +11,7 @@ import pytest
 from gameval import GameValidationError, NumericInstabilityError
 from gameval.hjb import (
     CoupledCost,
+    _coefficients,
     DiffusionGameSpec,
     GridConfig,
     default_delta,
@@ -173,12 +174,13 @@ def test_zero_sum_step_agrees_with_hamiltonian_at_interior_nodes():
 def per_combination_step(spec, grid, w, ht, big_j):
     """One monotone step evaluating the bracket for every (joint action, z) pair.
 
-    Written for grids with hx = hy and z_max = 1, where the lattice slopes
-    with j <= ``big_j`` are z = m/j for integer vectors m with |m_i| <= j,
-    each along its shortest direction (j*hx, m*hy). x ghosts replicate the
-    edge columns, a stencil that leaves the y grid is not offered, and the
-    upwinded y differences see replicated ghosts. The reference the grouped
-    sweep of ``solve_w`` must reproduce.
+    The directions are every (j, m) with 1 <= j <= ``big_j``, integer vectors m
+    with gcd(j, m) = 1 and |m_i*hy/(j*hx)| <= z_max, and stencils inside the
+    grid (2j <= nx - 1, 2|m_i| <= ny - 1); direction (j, m) carries
+    z_i = m_i*hy/(j*hx). x ghosts replicate the edge columns, a stencil that
+    leaves the y grid is not offered, and the upwinded y differences see
+    replicated ghosts. The reference the grouped sweep of ``solve_w`` must
+    reproduce.
     """
     n = spec.n_players
     costs = CoupledCost(spec)
@@ -206,11 +208,14 @@ def per_combination_step(spec, grid, w, ht, big_j):
     unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     w_y_f = [(at(0, e) - w) / grid.hy for e in unit]
     w_y_b = [(w - at(0, tuple(-d for d in e))) / grid.hy for e in unit]
+    m_top = (grid.ny - 1) // 2
     directions = [
         (j, m)
         for j in range(1, big_j + 1)
-        for m in itertools.product(range(-j, j + 1), repeat=n)
+        if 2 * j <= grid.nx - 1
+        for m in itertools.product(range(-m_top, m_top + 1), repeat=n)
         if math.gcd(j, *m) == 1
+        and all(abs(mi * grid.hy / (j * grid.hx)) <= grid.z_max * (1 + 1e-9) for mi in m)
     ]
     h_min = None
     for a in spec.joint_actions:
@@ -229,8 +234,9 @@ def per_combination_step(spec, grid, w, ht, big_j):
     return w + ht * h_min
 
 
-def test_grouped_monotone_step_matches_per_combination_loop():
-    spec = DiffusionGameSpec(
+def sign_flipping_spec():
+    """Two players whose upwind direction flips across x."""
+    return DiffusionGameSpec(
         n_players=2,
         drift=lambda t, x, a: 0.5 * a[0] - 0.3 * a[1] + 0.2 * a[0] * a[1],
         running=(lambda t, x, a: 0.6 * x + 0.3 * a, lambda t, x, a: -0.5 * x + 0.2 * a * x),
@@ -240,6 +246,10 @@ def test_grouped_monotone_step_matches_per_combination_loop():
         drift_bound=1.0,
         cost_bound=1.0,
     )
+
+
+def test_grouped_monotone_step_matches_per_combination_loop():
+    spec = sign_flipping_spec()
     grid = GridConfig(
         x_lo=-1.0, x_hi=1.0, nx=9, y_lo=-1.0, y_hi=1.0, ny=9, t_final=0.1, z_max=1.0, nz=3
     )
@@ -248,10 +258,75 @@ def test_grouped_monotone_step_matches_per_combination_loop():
         # the upwind direction flips across x for both players
         ends = [costs.own_min(i, 0.0, x, (0.0, 1.0), 0.0) for x in (grid.x_lo, grid.x_hi)]
         assert ends[0] * ends[1] < 0
-    # nz = 3 needs slopes 0 and +-1 (J = 1); nz = 5 adds +-1/2 (J = 2)
-    for g, big_j in ((grid, 1), (replace(grid, nz=5), 2)):
-        w0, w1, ht = last_step(spec, g, 20)
-        assert float(np.max(np.abs(w1 - per_combination_step(spec, g, w0, ht, big_j)))) <= 1e-12
+    single, _ = pde_preset("single-player")
+    cases = [
+        # hx = hy, z_max = 1: nz = 3 needs slopes 0 and +-1 (J = 1); nz = 5 adds
+        # +-1/2 (J = 2)
+        (spec, grid, 1),
+        (spec, replace(grid, nz=5), 2),
+        # nx != ny and hx != hy: one player with hx = 1/3, hy = 0.2 and |m| up
+        # to 3, two players with hx = 0.25, hy = 1/6 and |m| up to 3
+        (single, replace(grid, nx=7, ny=11, nz=5), 2),
+        (spec, replace(grid, nx=9, ny=13, nz=7), 2),
+    ]
+    for s, g, big_j in cases:
+        assert max(j for j, _ in g.lattice_stencils(s.n_players).values()) == big_j
+        w0, w1, ht = last_step(s, g, 20)
+        assert float(np.max(np.abs(w1 - per_combination_step(s, g, w0, ht, big_j)))) <= 1e-12
+
+
+def per_x_coefficients(spec, xs, zs):
+    """The drift columns and excess groups of ``solve_w``, one x at a time via CoupledCost."""
+    costs = CoupledCost(spec)
+    drifts, drift_ids, groups = [], {}, {}
+    for a in spec.joint_actions:
+        for z in zs:
+            ids = []
+            excess_sum = 0.0
+            for i in range(spec.n_players):
+                om = np.array([costs.own_min(i, 0.0, float(x), a, z[i]) for x in xs])
+                ex = np.array([costs.excess(i, 0.0, float(x), a, z[i]) for x in xs])
+                excess_sum = excess_sum + np.maximum(ex, 0.0) ** 1.5
+                key = (i, om.tobytes())
+                if key not in drift_ids:
+                    drift_ids[key] = len(drifts)
+                    drifts.append((i, -om))
+                ids.append(drift_ids[key])
+            by_ids = groups.setdefault(z, {})
+            ids = tuple(ids)
+            by_ids[ids] = np.minimum(by_ids[ids], excess_sum) if ids in by_ids else excess_sum
+    return drifts, groups
+
+
+@pytest.mark.parametrize(
+    "name", ["single-player", "zero-sum", "static", "sign-flipping", "signed-zeros"]
+)
+def test_tabulated_coefficients_equal_the_per_x_loop(name):
+    grid = GridConfig(x_lo=-1.0, x_hi=1.0, nx=9, y_lo=-1.0, y_hi=1.0, ny=9, nz=5, z_max=1.0)
+    if name == "sign-flipping":
+        spec = sign_flipping_spec()
+    elif name == "signed-zeros":
+        # at z < 0 the coupled costs are 0.0 and -0.0: own_min keeps the first,
+        # as min() does, and the drift ids tell the two zeros apart
+        spec, _ = pde_preset("single-player")
+        spec = replace(
+            spec,
+            drift=lambda t, x, a: 0.0,
+            running=(lambda t, x, a: math.copysign(0.0, -a),),
+            action_grids=((-1.0, 1.0),),
+        )
+    else:
+        spec, grid = pde_preset(name)
+    n = spec.n_players
+    for zs in (grid.lattice_stencils(n), list(itertools.product(grid.z_values.tolist(), repeat=n))):
+        drifts, groups = _coefficients(spec, grid.x_values, zs)
+        want_drifts, want_groups = per_x_coefficients(spec, grid.x_values, zs)
+        assert [i for i, _ in drifts] == [i for i, _ in want_drifts]
+        assert all(mu.tobytes() == want.tobytes() for (_, mu), (_, want) in zip(drifts, want_drifts))
+        assert list(groups) == list(want_groups)
+        for z, by_ids in want_groups.items():
+            assert list(groups[z]) == list(by_ids)
+            assert all(groups[z][ids].tobytes() == ex.tobytes() for ids, ex in by_ids.items())
 
 
 def test_single_player_cluster_tracks_the_oracle():
@@ -493,6 +568,17 @@ def test_unstable_run_aborts_with_diagnostics():
     wild = small_grid(grid, cfl_safety=4.0, t_final=6.0)
     with pytest.raises(NumericInstabilityError, match="non-finite"):
         solve_w(spec, wild)
+
+
+def test_a_one_node_z_grid_is_zero():
+    """nz = 1 is odd, so the z grid is {0}, as validation promises."""
+    assert GridConfig(nz=1).z_values.tolist() == [0.0]
+    spec, grid = pde_preset("single-player")
+    grid = small_grid(grid, nx=15, ny=15, nz=1, monotone=False)
+    w0, w1, ht = last_step(spec, grid, 1)
+    # at z = 0 every coupled cost of the preset is 0: the step is x diffusion
+    step = w0 + ht * (0.5 * second_diff(w0, grid.hx, axis=0))
+    assert float(np.max(np.abs(w1 - step))) <= 1e-12
 
 
 def test_grid_validation():
