@@ -30,6 +30,7 @@ from .equilibria import (
     set_value_bruteforce,
     set_value_dpp,
     strong_pareto_filter,
+    value_index,
 )
 from .errors import EnumerationCapExceeded, GameValidationError, NumericInstabilityError
 from .hjb import (

@@ -79,20 +79,16 @@ def cmd_setvalue(args) -> int:
     epsilon = Fraction(args.eps)
     variant = args.variant
 
+    # The brute-force set value and the witnesses read one memoized enumeration.
+    cls = VARIANT_CLASSES.get(variant, PATH_CLASS)
+    brute = None
     if variant in ("pareto", "strong-pareto") or args.engine in ("brute", "both"):
-        if variant in VARIANT_CLASSES:
-            brute = eq.set_value_bruteforce(
-                spec, tree, start, eps=epsilon, cls=VARIANT_CLASSES[variant], cap=args.cap
-            )
-        else:
-            records = eq.enumerate_equilibria(spec, tree, start, eps=epsilon, cap=args.cap)
-            base = eq.ValueSet.of((r.value for r in records), epsilon=epsilon)
-            if variant == "pareto":
-                brute = eq.pareto_filter(base)
-            else:
-                brute = eq.strong_pareto_filter(spec, tree, start, records, cap=args.cap)
-    else:
-        brute = None
+        brute = eq.set_value_bruteforce(spec, tree, start, eps=epsilon, cls=cls, cap=args.cap)
+        if variant == "pareto":
+            brute = eq.pareto_filter(brute)
+        elif variant == "strong-pareto":
+            index = eq.value_index(spec, tree, start, eps=epsilon, cls=cls, cap=args.cap)
+            brute = eq.strong_pareto_filter(spec, tree, start, list(index.values()), cap=args.cap)
 
     recursive = None
     if args.engine in ("dpp", "both"):
@@ -116,18 +112,14 @@ def cmd_setvalue(args) -> int:
         "points": [io.vector_to_json(p) for p in result.points],
     }
     if args.witnesses:
-        # Witnesses come from the variant's policy class; the Pareto variants
-        # keep only witnesses whose value survived the filter.
-        cls = VARIANT_CLASSES.get(variant, PATH_CLASS)
+        # The first equilibrium of each value in the set, in enumeration order,
+        # from the variant's policy class; the Pareto variants keep only
+        # witnesses whose value survived the filter.
         wanted = set(result.points)
-        chosen = []
-        for rec in eq.iter_equilibria(spec, tree, start, eps=epsilon, cls=cls, cap=args.cap):
-            if rec.value in wanted:
-                wanted.discard(rec.value)
-                chosen.append(io.record_to_json(spec, tree, rec))
-                if not wanted:
-                    break
-        payload["witnesses"] = chosen
+        index = eq.value_index(spec, tree, start, eps=epsilon, cls=cls, cap=args.cap)
+        payload["witnesses"] = [
+            io.record_to_json(spec, tree, rec) for value, rec in index.items() if value in wanted
+        ]
     _emit(payload, args.out)
     return 0
 

@@ -26,6 +26,7 @@ from .equilibria import (
     iter_equilibria,
     nash_profiles,
     pareto_filter,
+    set_value_bruteforce,
 )
 from .errors import EnumerationCapExceeded, GameValidationError
 from .model import (
@@ -87,12 +88,7 @@ def compare_sets(lhs: ValueSet, rhs: ValueSet, context: dict | None = None) -> D
 def _variant_set(
     spec: GameSpec, tree: PathTree, nid: int, variant: str, cap: int
 ) -> ValueSet:
-    cls = _VARIANT_POLICY_CLASS[variant]
-    values = {
-        rec.value
-        for rec in iter_equilibria(spec, tree, nid, cls=cls, cap=cap, with_policies=False)
-    }
-    vs = ValueSet.of(values)
+    vs = set_value_bruteforce(spec, tree, nid, cls=_VARIANT_POLICY_CLASS[variant], cap=cap)
     return pareto_filter(vs) if variant == "pareto" else vs
 
 

@@ -8,7 +8,9 @@ Two independent routes compute the same object:
   exact state-class equilibria on Markov scopes are assembled from per-node
   argmin sets of backward-induction best responses, pruned to the nodes the
   profile reaches; every other case checks each profile of the class against
-  per-player best responses (see ``iter_equilibria``).
+  per-player best responses (see ``iter_equilibria``). ``value_index``
+  memoizes one such enumeration per (tree, start, eps, class), with a
+  witness record per value, for every caller that needs it.
 * ``set_value_dpp`` runs the one-step backward recursion: terminal sets are
   the terminal cost vectors, and each earlier set is the union, over all
   selections of one continuation value per child and all one-step Nash
@@ -25,6 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import EnumerationCapExceeded, GameValidationError
@@ -255,7 +258,8 @@ def iter_equilibria(
     are enumerated; actions elsewhere cannot influence the cost there.
     Games where most actions are payoff-irrelevant have combinatorially many
     equilibrium profiles, so this is a generator; pass ``with_policies=False``
-    when only the values matter and witness policies need not be built.
+    when only the values matter: then only the first record of each value is
+    sure to carry its witness policy, and later ones may carry an empty one.
 
     Exact equilibria (``eps == 0``) of the path class, and of the state class
     on Markov scopes (:meth:`_Scope.is_markov`), come from argmin pools
@@ -395,7 +399,8 @@ def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bo
     others, memoized on their actions. An equilibrium's value is the vector
     of these walks' root values, so no per-profile cost walk runs. Every
     walk is a :class:`_Responder`, and values stay integers until a record
-    is yielded.
+    is yielded; each distinct value is converted once, and its first record
+    carries a policy even when ``with_policies`` is false.
     """
     n = spec.n_players
     members = units.members
@@ -403,6 +408,7 @@ def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bo
     local = [tuple(map(scope.local.__getitem__, mem)) for mem in members]
     walks = [_Responder(scope, i, local) for i in range(n)]
     memo: list[dict] = [{} for _ in range(n)]
+    seen: dict[tuple[int, ...], Vector] = {}  # integer values -> their Fractions
     slack = (ZERO,) * n
     reach = _Reach.of(spec, scope, members)
     spaces = [itertools.product(range(size), repeat=n_units) for size in scope.tables.sizes[1:]]
@@ -425,10 +431,14 @@ def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bo
                     break
                 values.append(vj)
             else:
+                key = tuple(values)
+                value = seen.get(key)
+                fresh = value is None
+                if fresh:
+                    value = seen[key] = tuple(map(scope.fraction, values))
                 policy = _NO_POLICY
-                if with_policies:
+                if fresh or with_policies:
                     policy = units.policy(zip(*cols), units.kind)
-                value = tuple(map(scope.fraction, values))
                 yield EquilibriumRecord(policy=policy, value=value, slack=slack)
 
 
@@ -533,6 +543,48 @@ def _reached_argmin_profiles(tables, reach: _Reach, others, argmins0):
 _NO_POLICY = Policy(actions={}, policy_class=PATH_CLASS)
 
 
+class _IndexEntry(NamedTuple):
+    count: int  # the size of the policy class, for the cap check on a hit
+    witnesses: dict[Vector, EquilibriumRecord]
+
+
+def value_index(
+    spec: GameSpec,
+    tree: PathTree,
+    start: int,
+    *,
+    eps: Fraction = ZERO,
+    cls: str = PATH_CLASS,
+    cap: int = DEFAULT_POLICY_CAP,
+) -> MappingProxyType:
+    """Distinct equilibrium values at the start node, each with a witness.
+
+    A read-only map from every value :func:`iter_equilibria` yields, in the
+    order first yielded, to the first record that attains it, policy and
+    slack included. One enumeration per (start, eps, cls) is memoized with
+    the compiled tables of (spec, tree), so it lives as long as they do. The
+    cap is checked against the class size on every call, whether the
+    enumeration ran now or earlier.
+    """
+    memo = tables_of(spec, tree).value_index
+    key = (start, eps, cls)
+    entry = memo.get(key)
+    if entry is None:
+        scope = _Scope(spec, tree, start)
+        count = _units_for(spec, tree, scope, cls).count
+        witnesses: dict[Vector, EquilibriumRecord] = {}
+        records = iter_equilibria(
+            spec, tree, start, eps=eps, cls=cls, cap=cap, scope=scope, with_policies=False
+        )
+        for rec in records:
+            if rec.policy is not _NO_POLICY:  # without a policy it repeats a value
+                witnesses.setdefault(rec.value, rec)
+        memo[key] = entry = _IndexEntry(count, witnesses)
+    elif entry.count > cap:
+        raise EnumerationCapExceeded("joint policy enumeration", entry.count, cap)
+    return MappingProxyType(entry.witnesses)
+
+
 def set_value_bruteforce(
     spec: GameSpec,
     tree: PathTree,
@@ -542,14 +594,8 @@ def set_value_bruteforce(
     cls: str = PATH_CLASS,
     cap: int = DEFAULT_POLICY_CAP,
 ) -> ValueSet:
-    """Set of equilibrium cost vectors by policy enumeration."""
-    values = {
-        rec.value
-        for rec in iter_equilibria(
-            spec, tree, start, eps=eps, cls=cls, cap=cap, with_policies=False
-        )
-    }
-    return ValueSet.of(values, epsilon=eps)
+    """Set of equilibrium cost vectors by policy enumeration (:func:`value_index`)."""
+    return ValueSet.of(value_index(spec, tree, start, eps=eps, cls=cls, cap=cap), epsilon=eps)
 
 
 # -- one-step games and the backward recursion --------------------------------

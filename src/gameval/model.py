@@ -458,6 +458,9 @@ class Tables:
     Joint action (a_0, a_1, ...) is j = Σ a_i·strides[i], its place in
     ``GameSpec.joint_actions``. The tables refer to neither the spec nor the
     tree, so keeping them with the tree (:func:`tables_of`) pins neither.
+    ``value_index`` is the memo of ``equilibria.value_index``: the
+    equilibrium values of full scopes by (start, eps, class), with witness
+    records that hold node ids and numbers only.
     """
 
     def __init__(self, spec: GameSpec, tree: PathTree, factor: int = 1):
@@ -493,6 +496,7 @@ class Tables:
         for row, (t, _) in enumerate(data):
             first = self.offset[t + 1] if self.markov else tree.nodes[row].children[0]
             self.kids.append((first, first + len(spec.states[t + 1])))
+        self.value_index: dict = {}
 
     def row(self, node: Node) -> int:
         if self.markov:

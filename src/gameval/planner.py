@@ -16,8 +16,8 @@ from operator import getitem, mul
 from .equilibria import (
     DEFAULT_POLICY_CAP,
     ValueSet,
-    iter_equilibria,
     set_value_bruteforce,
+    value_index,
 )
 from .errors import GameValidationError
 from .model import ONE, ZERO, GameSpec, PathTree, Policy, Vector, _Scope, induct, tables_of
@@ -139,25 +139,24 @@ def time_inconsistency_probe(
     Comparison happens at the value level: at each later prefix the chosen
     equilibrium's continuation value is scored against the planner optimum of
     that prefix's own set value. Requires a strictly positive kernel so every
-    prefix matters. Set values are shared between the prefixes of one row
-    of the compiled tables (one (time, state) on Markov specs); the
-    witness's continuation costs at every prefix come from one walk of the
-    start's subtree per player.
+    prefix matters. The root's values and the witness come from
+    :func:`~gameval.equilibria.value_index`, the enumeration the root's set
+    value shares; the witness is the first equilibrium of least score. Set
+    values are shared between the prefixes of one row of the compiled tables
+    (one (time, state) on Markov specs); the witness's continuation costs at
+    every prefix come from one walk of the start's subtree per player.
     """
     if not spec.q_positive:
         raise GameValidationError("the probe needs q > 0 so every prefix is reachable")
 
     best_score: Fraction | None = None
     witness: Policy | None = None
-    values = set()
-    for rec in iter_equilibria(spec, tree, start, cap=cap):
-        if rec.value in values:
-            continue  # an equal score never beats the first record with that value
-        values.add(rec.value)
-        score = lam.score(rec.value)
+    index = value_index(spec, tree, start, cap=cap)
+    for value, rec in index.items():  # first-enumerated order, first record per value
+        score = lam.score(value)
         if best_score is None or score < best_score:
             best_score, witness = score, rec.policy
-    optimum = planner_optimum(ValueSet.of(values), lam)
+    optimum = planner_optimum(ValueSet.of(index), lam)
     chosen_value: Vector | None = None
     rows: list[ProbeRow] = []
     first_bad: ProbeRow | None = None

@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from gameval import dump_game
+from gameval import build_path_tree, dump_game, iter_equilibria, load_example
 from gameval.cli import main
 from gameval.dpp import random_game
-from gameval.io import write_json
+from gameval.io import record_to_json, write_json
+from gameval.model import PATH_CLASS, STATE_CLASS
+from gameval.presets import build_pareto_spec
 
 
 def run(capsys, *argv):
@@ -191,15 +194,38 @@ def test_threads_flag_accepted_and_validated(capsys):
 
 
 @pytest.mark.parametrize(
-    "example,variant",
-    [("path", "state"), ("path", "full"), ("pareto", "pareto"), ("pareto", "strong-pareto")],
+    "example,variant,eps",
+    [
+        pytest.param("path", "state", "0", id="path-state"),
+        pytest.param("path", "full", "0", id="path-full"),
+        pytest.param("pareto", "pareto", "0", id="pareto-pareto"),
+        pytest.param("pareto", "strong-pareto", "0", id="pareto-strong-pareto"),
+        pytest.param("table1", "full", "0", id="table1-full"),
+        pytest.param("path", "full", "1/10", id="path-full-eps"),
+    ],
 )
-def test_setvalue_witnesses_follow_the_variant(capsys, example, variant):
+def test_setvalue_witnesses_follow_the_variant(capsys, example, variant, eps):
+    """The payload equals the one built by the witness loop that ran before the
+    value index: one pass over the records, the first record of each wanted
+    value, in enumeration order, slack included."""
     code, out, _ = run(
-        capsys, "setvalue", "--example", example, "--variant", variant, "--witnesses"
+        capsys, "setvalue", "--example", example, "--variant", variant, "--eps", eps,
+        "--witnesses",
     )
     assert code == 0
     doc = json.loads(out)
     values = [w["value"] for w in doc["witnesses"]]
     assert all(value in doc["points"] for value in values)
     assert sorted(values) == sorted(doc["points"])
+    spec = build_pareto_spec(F(1, 100)) if example == "pareto" else load_example(example)
+    tree = build_path_tree(spec)
+    wanted = {tuple(map(F, point)) for point in doc["points"]}
+    cls = STATE_CLASS if variant == "state" else PATH_CLASS
+    chosen = []
+    for rec in iter_equilibria(spec, tree, tree.levels[0][0], eps=F(eps), cls=cls):
+        if rec.value in wanted:
+            wanted.discard(rec.value)
+            chosen.append(record_to_json(spec, tree, rec))
+            if not wanted:
+                break
+    assert out == write_json(dict(doc, witnesses=chosen), None) + "\n"
