@@ -651,46 +651,53 @@ def set_value_dpp(
 
     Requires a strictly positive kernel; with zeros the recursion only yields
     a subset and the caller should go through the verification layer instead.
-    Sets of integer points are memoized by table row, so Markov specs are
-    solved once per (time, state) rather than once per prefix.
+    Sets of integer points are memoized by table row with the compiled tables
+    (``Tables.dpp_sets``), so Markov specs are solved once per (time, state)
+    rather than once per prefix, and later calls anywhere in a solved subtree
+    read them. The selection cap is checked on every call: an entry keeps the
+    largest selection count met at its row or below.
     """
     if not spec.q_positive:
         raise GameValidationError("the backward recursion needs q > 0 everywhere")
     tables = tables_of(spec, tree)
-    memo: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-    def sets_at(row: int) -> tuple[tuple[int, ...], ...]:
-        hit = memo.get(row)
-        if hit is not None:
-            return hit
-        end = tables.end[row]
-        if end is not None:
-            return (end,)
-        child_sets = [sets_at(child) for child in range(*tables.kids[row])]
-        n_selections = math.prod(map(len, child_sets))
-        if n_selections > selection_cap:
-            raise EnumerationCapExceeded(
-                "continuation selection enumeration", n_selections, selection_cap
-            )
-        found: set[tuple[int, ...]] = set()
-        cost, kern = tables.cost[row], tables.kern[row]
-        for chosen in itertools.product(*child_sets):
-            cols = tuple(zip(*chosen))
-            table = {
-                joint: tuple(c[a] + sum(map(mul, w, col)) for c, a, col in zip(cost, joint, cols))
-                for joint, w in zip(spec.joint_actions, kern)
-            }
-            found.update(table[joint] for joint in nash_profiles(spec, table))
-        memo[row] = out = tuple(found)
-        return out
-
     node = tree.node(start)
     scale = tables.scale[node.t]
-    try:
-        points = sets_at(tables.row(node))
-    finally:
-        del sets_at  # the closure refers to itself; break the cycle so the memo dies here
+    points, _ = _dpp_row(spec, tables, tables.row(node), selection_cap)
     return ValueSet.of(tuple(Fraction(v, scale) for v in p) for p in points)
+
+
+def _dpp_row(spec: GameSpec, tables, row: int, selection_cap: int):
+    """A row's recursion set of integer points and the largest selection count
+    met at the row or below, from ``tables.dpp_sets``; cold rows are solved."""
+    memo = tables.dpp_sets
+    entry = memo.get(row)
+    if entry is not None:
+        if entry[1] > selection_cap:
+            raise EnumerationCapExceeded(
+                "continuation selection enumeration", entry[1], selection_cap
+            )
+        return entry
+    end = tables.end[row]
+    if end is not None:
+        return (end,), 0
+    children = [_dpp_row(spec, tables, child, selection_cap) for child in range(*tables.kids[row])]
+    child_sets, counts = zip(*children)
+    n_selections = math.prod(map(len, child_sets))
+    if n_selections > selection_cap:
+        raise EnumerationCapExceeded(
+            "continuation selection enumeration", n_selections, selection_cap
+        )
+    found: set[tuple[int, ...]] = set()
+    cost, kern = tables.cost[row], tables.kern[row]
+    for chosen in itertools.product(*child_sets):
+        cols = tuple(zip(*chosen))
+        table = {
+            joint: tuple(c[a] + sum(map(mul, w, col)) for c, a, col in zip(cost, joint, cols))
+            for joint, w in zip(spec.joint_actions, kern)
+        }
+        found.update(table[joint] for joint in nash_profiles(spec, table))
+    memo[row] = entry = tuple(found), max(n_selections, *counts)
+    return entry
 
 
 # -- order filters -------------------------------------------------------------

@@ -460,7 +460,9 @@ class Tables:
     tree, so keeping them with the tree (:func:`tables_of`) pins neither.
     ``value_index`` is the memo of ``equilibria.value_index``: the
     equilibrium values of full scopes by (start, eps, class), with witness
-    records that hold node ids and numbers only.
+    records that hold node ids and numbers only; ``dpp_sets`` is the memo of
+    ``equilibria.set_value_dpp``: each solved row's pair of its set of integer
+    points and the largest selection count met at or below it.
     """
 
     def __init__(self, spec: GameSpec, tree: PathTree, factor: int = 1):
@@ -497,6 +499,7 @@ class Tables:
             first = self.offset[t + 1] if self.markov else tree.nodes[row].children[0]
             self.kids.append((first, first + len(spec.states[t + 1])))
         self.value_index: dict = {}
+        self.dpp_sets: dict = {}
 
     def row(self, node: Node) -> int:
         if self.markov:

@@ -3,7 +3,10 @@
 The planner weighs the players' costs with a convex weight vector, picks an
 equilibrium minimizing the weighted cost at the root, and then re-solves the
 same problem at every later prefix to see whether the chosen equilibrium's
-continuation value would still be selected.
+continuation value would still be selected. The root's set value comes from
+its enumeration (``equilibria.value_index``); the later prefixes' set values
+come from the backward recursion's per-row memo, which equals enumeration at
+every node when the kernel is strictly positive, as the probe requires.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from operator import getitem, mul
 from .equilibria import (
     DEFAULT_POLICY_CAP,
     ValueSet,
-    set_value_bruteforce,
+    set_value_dpp,
     value_index,
 )
 from .errors import GameValidationError
@@ -46,6 +49,11 @@ class Scalarization:
     @classmethod
     def uniform(cls, n: int) -> Scalarization:
         return cls(tuple(Fraction(1, n) for _ in range(n)))
+
+    def over_common_denominator(self) -> tuple[list[int], int]:
+        """Integer weights and their common denominator, for exact integer scores."""
+        den = math.lcm(*(w.denominator for w in self.weights))
+        return [w.numerator * (den // w.denominator) for w in self.weights], den
 
     def score(self, y: Vector) -> Fraction:
         if len(y) != len(self.weights):
@@ -111,8 +119,7 @@ def dictatorship_value(
     (time, state), with the weights over their common denominator.
     """
     tables = tables_of(spec, tree)
-    den = math.lcm(*(w.denominator for w in lam.weights))
-    weights = [w.numerator * (den // w.denominator) for w in lam.weights]
+    weights, den = lam.over_common_denominator()
     val, menus = [0] * tables.offset[-1], [None] * tables.offset[-1]
     rows = tables.rows_below(tree, start)
     for row in rows:
@@ -141,10 +148,15 @@ def time_inconsistency_probe(
     that prefix's own set value. Requires a strictly positive kernel so every
     prefix matters. The root's values and the witness come from
     :func:`~gameval.equilibria.value_index`, the enumeration the root's set
-    value shares; the witness is the first equilibrium of least score. Set
-    values are shared between the prefixes of one row of the compiled tables
-    (one (time, state) on Markov specs); the witness's continuation costs at
-    every prefix come from one walk of the start's subtree per player.
+    value shares; the witness is the first equilibrium of least score.
+
+    A later prefix's set value is its table row's set in the memo of
+    :func:`~gameval.equilibria.set_value_dpp`, called at the start with
+    ``cap`` as its selection cap: under q > 0 the recursion equals brute force
+    at every node (the dynamic programming principle), and a row's selection
+    count is at most the start's class size, already checked. Scores are
+    compared in integers; the witness's continuation costs at every prefix
+    come from one walk of the start's subtree per player.
     """
     if not spec.q_positive:
         raise GameValidationError("the probe needs q > 0 so every prefix is reachable")
@@ -161,26 +173,32 @@ def time_inconsistency_probe(
     rows: list[ProbeRow] = []
     first_bad: ProbeRow | None = None
     if witness is not None:
+        set_value_dpp(spec, tree, start, selection_cap=cap)
         scope = _Scope(spec, tree, start)
+        tables = scope.tables
+        weights, den = lam.over_common_denominator()
         costs = [scope.costs(witness.action, i) for i in range(spec.n_players)]
         chosen_value = tuple(scope.fraction(col[0]) for col in costs)
-        local_optima: dict[int, PlannerOptimum] = {}
+        local_optima: dict[int, int | None] = {}  # table row -> least integer score
         for u in scope.inner[1:]:
             node = tree.node(scope.nodes[u])
-            local = local_optima.get(scope.rows[u])
-            if local is None:
-                local = planner_optimum(set_value_bruteforce(spec, tree, node.id, cap=cap), lam)
-                local_optima[scope.rows[u]] = local
-            scale = scope.tables.scale[node.t]
-            continuation = tuple(Fraction(col[u], scale) for col in costs)
-            cont_score = lam.score(continuation)
-            consistent = local.has_equilibrium and cont_score == local.value
+            key = scope.rows[u]
+            if key in local_optima:
+                local = local_optima[key]
+            else:
+                points, _ = tables.dpp_sets[key]
+                local = local_optima[key] = min(
+                    (sum(map(mul, weights, p)) for p in points), default=None
+                )
+            scale = tables.scale[node.t]
+            cont_score = sum(map(mul, weights, (col[u] for col in costs)))
+            consistent = cont_score == local
             row = ProbeRow(
                 t=node.t,
                 prefix=node.prefix,
-                planner_value=local.value,
-                continuation_score=cont_score,
-                continuation_value=continuation,
+                planner_value=None if local is None else Fraction(local, scale * den),
+                continuation_score=Fraction(cont_score, scale * den),
+                continuation_value=tuple(Fraction(col[u], scale) for col in costs),
                 consistent=consistent,
             )
             rows.append(row)

@@ -11,6 +11,7 @@ from gameval import (
     EnumerationCapExceeded,
     GameValidationError,
     Policy,
+    Scalarization,
     ValueSet,
     best_response,
     build_path_tree,
@@ -18,16 +19,28 @@ from gameval import (
     enumerate_equilibria,
     is_equilibrium,
     iter_equilibria,
+    load_game,
     one_step_equilibria,
     pareto_filter,
     set_value_bruteforce,
     set_value_dpp,
     strong_pareto_filter,
+    time_inconsistency_probe,
 )
+from gameval.cli import main
 from gameval.dpp import random_game
 from gameval.equilibria import _iter_argmin, _iter_general, _Reach, _Scope, _units_for
-from gameval.model import PATH_CLASS, STATE_CLASS, SYMMETRIC_CLASS, StoppingTime, truncate_game
+from gameval.model import (
+    PATH_CLASS,
+    STATE_CLASS,
+    SYMMETRIC_CLASS,
+    StoppingTime,
+    tables_of,
+    truncate_game,
+)
 from gameval.presets import build_pareto_spec, load_example
+
+from test_core import clone_action, indifferent, tied_game
 
 
 def pts(vs):
@@ -457,6 +470,125 @@ def test_dpp_matches_bruteforce_on_random_specs():
         assert pts(set_value_dpp(spec, tree, root)) == pts(
             set_value_bruteforce(spec, tree, root)
         )
+
+
+def row_oracle_specs():
+    """Strictly positive specs whose root class has at most 9**4 profiles:
+    plain, tie-heavy with 2 and 3 players, and tie-heavy Markov specs, whose
+    recursion sets have several points."""
+    rng = random.Random(53)
+
+    def small(make):
+        while True:
+            spec = make()
+            tree = build_path_tree(spec)
+            root = tree.levels[0][0]
+            if _units_for(spec, tree, _Scope(spec, tree, root), PATH_CLASS).count <= 9**4:
+                return spec
+
+    specs = [random_game(rng) for _ in range(6)]
+    for n_players, periods in ((2, 3), (3, 2)):
+        for _ in range(2):
+            base = random_game(rng, max_periods=periods, n_players=n_players)
+            specs += [clone_action(base, 1), indifferent(base, 0)]
+            tied = dict(zero_first=True, max_periods=periods, n_players=n_players)
+            specs.append(small(lambda: tied_game(rng, **tied)))
+    markov = dict(max_periods=3, max_states=3, state_dependent=True)
+    for zero_first in (False, True) * 3:
+        specs.append(indifferent(random_game(rng, **markov), 1))
+        specs.append(small(lambda: tied_game(rng, zero_first=zero_first, **markov)))
+    assert all(spec.q_positive for spec in specs)
+    return specs
+
+
+def test_dpp_matches_bruteforce_at_every_node_cold_and_warm():
+    """The recursion's row sets, which the planner probe reads, equal fresh
+    enumerations at every decision node, from an empty memo and from the
+    memo a root call leaves."""
+    sizes = []
+    for spec in row_oracle_specs():
+        tree = build_path_tree(spec)
+        root = tree.levels[0][0]
+        nodes = tree.decision_nodes(root)
+        for nid in nodes:
+            cold = build_path_tree(spec)  # fresh tables, so an empty memo
+            assert set_value_dpp(spec, cold, nid) == set_value_bruteforce(spec, cold, nid)
+        set_value_dpp(spec, tree, root)
+        memo = tables_of(spec, tree).dpp_sets
+        solved = dict(memo)
+        for nid in nodes:
+            warm = set_value_dpp(spec, tree, nid)
+            assert warm == set_value_bruteforce(spec, tree, nid)
+            if nid != root:
+                sizes.append(len(warm))
+        assert memo == solved  # the root call solved every row below it
+    assert max(sizes) >= 2  # some row below a root has several points
+
+
+def test_a_warm_recursion_memo_still_checks_the_selection_cap():
+    spec = load_example("state")
+    tree = build_path_tree(spec)
+    root = tree.levels[0][0]
+    set_value_dpp(spec, tree, root)
+    for start in (root, tree.node(root).children[0]):
+        with pytest.raises(EnumerationCapExceeded):
+            set_value_dpp(spec, tree, start, selection_cap=1)
+    count = _units_for(spec, tree, _Scope(spec, tree, root), PATH_CLASS).count
+    lam = Scalarization.uniform(spec.n_players)
+    with pytest.raises(EnumerationCapExceeded):
+        time_inconsistency_probe(spec, tree, root, lam, cap=count - 1)
+    assert time_inconsistency_probe(spec, tree, root, lam, cap=count).rows
+    assert main(["planner", "--example", "state", "--probe", "--cap", "1"]) == 3
+
+
+def pennies_over_coordination():
+    """A Markov spec whose only t = 1 row is matching pennies through the
+    kernel, with no pure equilibrium, over two coordination rows with two
+    equilibrium values each: that row has 4 selections and an empty set, so
+    the root's own selection count is 0."""
+    transitions = {}
+    for a0, a1 in itertools.product("01", repeat=2):
+        likely, unlikely = ("3/4", "1/4") if a0 == a1 else ("1/4", "3/4")
+        transitions[f"0|s0|{a0},{a1}"] = {"a": "1"}
+        transitions[f"1|a|{a0},{a1}"] = {"b0": likely, "b1": unlikely}
+        for b in ("b0", "b1"):
+            transitions[f"2|{b}|{a0},{a1}"] = {"e0": unlikely, "e1": likely}
+    running = [{}, {}]
+    for a in "01":
+        for i in range(2):
+            running[i][f"0|s0|{a}"] = running[i][f"1|a|{a}"] = "0"
+        # Player 1 pays at b0 and player 0 at b1; player 0 leans to action 0.
+        running[0][f"2|b0|{a}"], running[1][f"2|b0|{a}"] = ("0" if a == "0" else "1/8"), "1"
+        running[0][f"2|b1|{a}"], running[1][f"2|b1|{a}"] = ("1" if a == "0" else "9/8"), "0"
+    return load_game(
+        {
+            "players": 2,
+            "horizon": 3,
+            "actions": [["0", "1"], ["0", "1"]],
+            "flags": {"state_dependent": True},
+            "states": [["s0"], ["a"], ["b0", "b1"], ["e0", "e1"]],
+            "running_costs": running,
+            "terminal_costs": [{"e0": "1", "e1": "0"}] * 2,
+            "transitions": transitions,
+        }
+    )
+
+
+def test_a_warm_memo_checks_the_selection_counts_below_a_row():
+    spec = pennies_over_coordination()
+    tree = build_path_tree(spec)
+    root = tree.levels[0][0]
+    row = tree.node(root).children[0]
+    for start in (row, root):
+        cold = build_path_tree(spec)
+        with pytest.raises(EnumerationCapExceeded):
+            set_value_dpp(spec, cold, start, selection_cap=3)
+    assert set_value_dpp(spec, tree, row, selection_cap=4).is_empty
+    assert set_value_dpp(spec, tree, root).is_empty
+    with pytest.raises(EnumerationCapExceeded) as err:
+        set_value_dpp(spec, tree, root, selection_cap=3)
+    assert (err.value.required, err.value.cap) == (4, 3)
+    assert set_value_bruteforce(spec, tree, root).is_empty
 
 
 def test_iter_equilibria_lazy_and_consistent(path_game):
