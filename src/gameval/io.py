@@ -25,9 +25,17 @@ def frac_from_str(text: str) -> Fraction:
     if not isinstance(text, str):
         raise GameValidationError(f"expected rational string, got {text!r}")
     try:
+        # Plain "-?digits[/digits]" text skips Fraction's regular-expression parse.
+        num, slash, den = text.partition("/")
+        if _digits(num.removeprefix("-")) and (not slash or _digits(den)):
+            return Fraction(int(num), int(den) if slash else 1)
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise GameValidationError(f"bad rational {text!r}") from exc
+
+
+def _digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
 
 
 def frac_to_str(value: Fraction) -> str:

@@ -6,23 +6,28 @@ over next states, per-player running costs that depend only on the player's
 own action, and per-player terminal costs. All quantities are
 `fractions.Fraction`; nothing in this module touches floats.
 
-Histories are handled through an explicit prefix tree (`PathTree`). Policies,
+Histories are handled through a prefix tree (`PathTree`). Policies,
 stopping times, and cost evaluation are all keyed by tree nodes, which makes
-adaptedness structural rather than something to check.
+adaptedness structural rather than something to check. The tree is implicit:
+a node id is a mixed-radix number of the prefix's state indices, and a
+`Node` is built only when asked for, so a Markov solve, which runs on the
+(time, state) rows, pays for the nodes it reads and not for every prefix.
 
 Every exact walk (policy costs, best responses, the planner's dictatorship
-value, the recursion's one-step games) runs on `Tables`, the (spec, tree)
-pair compiled once to Python integers at a common scale per level, and on
+value, the recursion's one-step games) runs on `Tables`, the spec compiled
+once per tree to Python integers at a common scale per level, and on
 `induct`, the one backward-induction loop; `Fraction` appears only where
 values enter and leave.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -151,19 +156,19 @@ class GameSpec:
                             f"transition vector at t={t}, {self._where(key)}, {joint} "
                             "has wrong length"
                         )
-                    total = ZERO
                     for p in vec:
                         if not isinstance(p, Fraction):
                             raise GameValidationError("transition probabilities must be Fraction")
-                        if p < 0:
+                        if p.numerator < 0:
                             raise GameValidationError("negative transition probability")
-                        if p == 0:
+                        if not p.numerator:
                             positive = False
-                        total += p
-                    if total != ONE:
+                    # Summed in integers over the lcm of the denominators.
+                    den = math.lcm(*(p.denominator for p in vec))
+                    if sum(p.numerator * (den // p.denominator) for p in vec) != den:
                         raise GameValidationError(
-                            f"transition at t={t}, {self._where(key)}, {joint} sums to {total}, "
-                            "not 1"
+                            f"transition at t={t}, {self._where(key)}, {joint} sums to "
+                            f"{sum(vec, ZERO)}, not 1"
                         )
                 for i in range(self.n_players):
                     for ai in range(len(self.actions[i])):
@@ -203,66 +208,113 @@ class Node:
         return self.prefix[-1]
 
 
+class _Nodes(Sequence):
+    """A tree's nodes in id order, each built on first access and kept.
+
+    Holds the state levels and the level offsets only, never the tree, so
+    nothing kept with the tree can form a reference cycle through it.
+    """
+
+    def __init__(self, states: tuple[tuple[str, ...], ...]):
+        self.states = states
+        sizes = itertools.accumulate(map(len, states), mul)
+        self.offset = list(itertools.accumulate(sizes, initial=0))
+        self._built: dict[int, Node] = {}
+
+    def __len__(self) -> int:
+        return self.offset[-1]  # OverflowError past sys.maxsize nodes
+
+    def locate(self, nid: int) -> tuple[int, int]:
+        """The time of node ``nid`` and its place among the level's nodes."""
+        if not 0 <= nid < self.offset[-1]:
+            raise IndexError(f"no node {nid}")
+        t = bisect.bisect_right(self.offset, nid) - 1
+        return t, nid - self.offset[t]
+
+    def __getitem__(self, nid: int) -> Node:
+        if nid < 0:
+            nid += self.offset[-1]
+        node = self._built.get(nid)
+        if node is None:
+            t, r = self.locate(nid)
+            states, offset = self.states, self.offset
+            prefix, rest = [], r
+            for level in reversed(states[: t + 1]):
+                rest, k = divmod(rest, len(level))
+                prefix.append(level[k])
+            parent = offset[t - 1] + r // len(states[t]) if t else None
+            width = len(states[t + 1]) if t + 1 < len(states) else 0
+            first = offset[t + 1] + r * width
+            node = Node(nid, t, tuple(reversed(prefix)), parent, tuple(range(first, first + width)))
+            self._built[nid] = node
+        return node
+
+
 class PathTree:
-    """All prefixes of all paths, with deterministic (lexicographic) ids."""
+    """All prefixes of all paths, with deterministic (lexicographic) ids.
+
+    The tree is implicit. Every level holds every prefix, and ids run level
+    by level in lexicographic order of the state indices, so the id of a
+    time-t prefix is ``offset[t]`` plus the mixed-radix number of its state
+    indices, with level sizes as radices. Parents, children, times and
+    prefixes follow by arithmetic; ``nodes`` builds a :class:`Node` only
+    when one is asked for, and ``levels[t]`` is a ``range`` of ids.
+    """
 
     def __init__(self, spec: GameSpec):
         self.horizon = spec.horizon
-        self.nodes: list[Node] = []
+        self.states = spec.states
+        self.nodes = _Nodes(spec.states)
         # Compiled tables per spec (see tables_of); weak keys, so no spec is pinned.
         self._tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-        self.levels: list[list[int]] = [[] for _ in range(spec.horizon + 1)]
-        self._id_by_prefix: dict[Prefix, int] = {}
-        for label in spec.states[0]:
-            self._add_node(0, (label,), None)
-        for t in range(spec.horizon):
-            for nid in list(self.levels[t]):
-                node = self.nodes[nid]
-                kids = tuple(
-                    self._add_node(t + 1, node.prefix + (label,), nid)
-                    for label in spec.states[t + 1]
-                )
-                object.__setattr__(node, "children", kids)
-
-    def _add_node(self, t: int, prefix: Prefix, parent: int | None) -> int:
-        nid = len(self.nodes)
-        self.nodes.append(Node(id=nid, t=t, prefix=prefix, parent=parent))
-        self.levels[t].append(nid)
-        self._id_by_prefix[prefix] = nid
-        return nid
+        self._offset = offset = self.nodes.offset
+        self._index = [{s: k for k, s in enumerate(level)} for level in spec.states]
+        self.levels = [range(lo, hi) for lo, hi in itertools.pairwise(offset)]
 
     def node(self, nid: int) -> Node:
         return self.nodes[nid]
 
     def id_of(self, prefix: Prefix) -> int:
-        try:
-            return self._id_by_prefix[tuple(prefix)]
-        except KeyError as exc:
-            raise GameValidationError(f"unknown prefix {prefix}") from exc
+        labels = tuple(prefix)
+        if not 1 <= len(labels) <= self.horizon + 1:
+            raise GameValidationError(f"unknown prefix {prefix}")
+        r = 0
+        for level, index, label in zip(self.states, self._index, labels):
+            try:
+                r = r * len(level) + index[label]
+            except KeyError as exc:
+                raise GameValidationError(f"unknown prefix {prefix}") from exc
+        return self._offset[len(labels) - 1] + r
 
     @property
     def n_paths(self) -> int:
         return len(self.levels[self.horizon])
 
+    def _blocks(self, start: int, stop: int):
+        """The ids below ``start`` (inclusive) at each time before ``stop``, as ranges."""
+        t, r = self.nodes.locate(start)
+        lo, hi = r, r + 1
+        for s in range(t, stop):
+            yield range(self._offset[s] + lo, self._offset[s] + hi)
+            if s < self.horizon:
+                width = len(self.states[s + 1])
+                lo, hi = lo * width, hi * width
+
     def subtree(self, start: int) -> list[int]:
         """Node ids reachable from ``start`` (inclusive), BFS order."""
-        out = [start]
-        i = 0
-        while i < len(out):
-            out.extend(self.nodes[out[i]].children)
-            i += 1
-        return out
+        return list(itertools.chain.from_iterable(self._blocks(start, self.horizon + 1)))
 
     def decision_nodes(self, start: int) -> list[int]:
         """Subtree nodes at times < T, where actions are taken."""
-        return [nid for nid in self.subtree(start) if self.nodes[nid].t < self.horizon]
+        return list(itertools.chain.from_iterable(self._blocks(start, self.horizon)))
 
     def group_by_time_state(self, nodes) -> dict[tuple[int, str], tuple[int, ...]]:
         """Nodes grouped by (time, current state), keys sorted, members in input order."""
         groups: dict[tuple[int, str], list[int]] = {}
         for nid in nodes:
-            node = self.nodes[nid]
-            groups.setdefault((node.t, node.state), []).append(nid)
+            t, r = self.nodes.locate(nid)
+            level = self.states[t]
+            groups.setdefault((t, level[r % len(level)]), []).append(nid)
         return {key: tuple(groups[key]) for key in sorted(groups)}
 
 
@@ -308,7 +360,13 @@ class StoppingTime:
 
     @classmethod
     def hitting_state(cls, tree: PathTree, label: str) -> StoppingTime:
-        ids = frozenset(n.id for n in tree.nodes if n.state == label)
+        # A level's nodes cycle through its states, so each state's ids are a stride.
+        ids = frozenset(
+            nid
+            for level, states in zip(tree.levels, tree.states)
+            if label in states
+            for nid in level[states.index(label) :: len(states)]
+        )
         if not ids:
             raise GameValidationError(f"no node carries state {label!r}")
         return cls(ids)
@@ -444,19 +502,21 @@ def truncate_game(
 
 
 class Tables:
-    """A (spec, tree) pair compiled to Python integers, for every exact walk.
+    """A spec's data compiled to Python integers, for every exact walk.
 
     A *row* holds one subgame's data: one per (time, state) on Markov specs,
-    level by level in state order, else one per node (the node id); a row's
-    children are the rows ``range(*kids[row])``. Level t has the scale
-    ``scale[t]``: ``factor`` times the lcm of L_t·scale[t+1] (L_t: the lcm of
-    the level's kernel denominators) and the level's cost denominators. An
-    integer v at level t stands for v / scale[t], so sums and ties are exact.
+    level by level in state order, else one per prefix in the tree's id
+    order (the node id); a row's children are the rows ``range(*kids[row])``,
+    found by the tree's arithmetic, so compiling builds no node. Level t has
+    the scale ``scale[t]``: ``factor`` times the lcm of L_t·scale[t+1] (L_t:
+    the lcm of the level's kernel denominators) and the level's cost
+    denominators. An integer v at level t stands for v / scale[t], so sums and
+    ties are exact.
     ``kern[row][j]`` are joint action j's child weights p·scale[t]/scale[t+1],
     ``cost[row][i][a]`` player i's running cost of own action a, and
     ``end[row]`` the terminal vector (None before the horizon), all scaled.
     Joint action (a_0, a_1, ...) is j = Σ a_i·strides[i], its place in
-    ``GameSpec.joint_actions``. The tables refer to neither the spec nor the
+    ``GameSpec.joint_actions``. The tables refer to neither the spec nor a
     tree, so keeping them with the tree (:func:`tables_of`) pins neither.
     ``value_index`` is the memo of ``equilibria.value_index``: the
     equilibrium values of full scopes by (start, eps, class), with witness
@@ -465,14 +525,13 @@ class Tables:
     points and the largest selection count met at or below it.
     """
 
-    def __init__(self, spec: GameSpec, tree: PathTree, factor: int = 1):
+    def __init__(self, spec: GameSpec, factor: int = 1):
         horizon = spec.horizon
         self.markov = spec.state_dependent
+        # Path-keyed keys come in id order: level t's prefixes, lexicographically.
+        keys = [list(spec._data_keys(t)) for t in range(horizon + 1)]
         if self.markov:
-            keys = spec.states
             self.index = [{s: k for k, s in enumerate(level)} for level in keys]
-        else:
-            keys = [[tree.nodes[nid].prefix for nid in level] for level in tree.levels]
         self.offset = list(itertools.accumulate(map(len, keys), initial=0))
         self.sizes = tuple(map(len, spec.actions))
         self.strides = tuple(math.prod(self.sizes[i + 1 :]) for i in range(len(self.sizes)))
@@ -496,8 +555,9 @@ class Tables:
         self.end = [None] * len(data) + list(_scaled(end, scale[horizon]))
         self.kids = []
         for row, (t, _) in enumerate(data):
-            first = self.offset[t + 1] if self.markov else tree.nodes[row].children[0]
-            self.kids.append((first, first + len(spec.states[t + 1])))
+            width = len(spec.states[t + 1])
+            first = self.offset[t + 1] + (0 if self.markov else (row - self.offset[t]) * width)
+            self.kids.append((first, first + width))
         self.value_index: dict = {}
         self.dpp_sets: dict = {}
 
@@ -527,7 +587,7 @@ def tables_of(spec: GameSpec, tree: PathTree, factor: int = 1) -> Tables:
     """The tables of (spec, tree), compiled on first use and kept with the tree."""
     cache = tree._tables.setdefault(spec, {})
     if factor not in cache:
-        cache[factor] = Tables(spec, tree, factor)
+        cache[factor] = Tables(spec, factor)
     return cache[factor]
 
 

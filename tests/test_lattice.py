@@ -10,9 +10,11 @@ results on both, including blown selection caps.
 from __future__ import annotations
 
 import gc
+import json
 import random
 import weakref
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -23,8 +25,10 @@ from gameval import (
     StoppingTime,
     build_path_tree,
     load_example,
+    load_game,
     truncate_game,
 )
+from gameval.cli import main
 from gameval.dpp import random_game
 from gameval.equilibria import all_policy_values, set_value_bruteforce, set_value_dpp
 from gameval.planner import (
@@ -153,6 +157,43 @@ def test_path_keyed_specs_stay_per_node():
             nid = tree.id_of(row.prefix)
             local = planner_optimum(set_value_bruteforce(spec, tree, nid), lam)
             assert row.planner_value == local.value
+
+
+# Horizon 30: a root state r0, then states m0, m1, m2 at every time, so the
+# tree has (3^31 - 1) / 2 prefixes; the kernel moves with player 0 only.
+DEEP_SPEC = Path(__file__).parent / "data" / "markov_h30.json"
+
+
+def test_deep_markov_spec_is_solved_without_its_tree():
+    spec = load_game(DEEP_SPEC)
+    tree = build_path_tree(spec)
+    assert spec.state_dependent and spec.q_positive and spec.horizon == 30
+    assert len(tree.nodes) == (3**31 - 1) // 2
+    root = tree.levels[0][0]
+    assert not set_value_dpp(spec, tree, root).is_empty
+    dictatorship_value(spec, tree, root, WEIGHTS[0])
+    # Two prefixes sharing (28, m2): each subtree has 13 nodes, so brute force
+    # is an independent check of the recursion on the deep tree.
+    a = tree.id_of(("r0",) + ("m0",) * 27 + ("m2",))
+    b = tree.id_of(("r0",) + ("m1", "m2") * 14)
+    assert len(tree.subtree(a)) == 13 and tree.node(b).t == 28
+    recursive = set_value_dpp(spec, tree, a)
+    assert recursive == set_value_bruteforce(spec, tree, a)
+    assert recursive == set_value_dpp(spec, tree, b)
+    for lam in WEIGHTS:
+        least = min(map(lam.score, all_policy_values(spec, tree, a).points))
+        assert dictatorship_value(spec, tree, a, lam) == least
+        assert dictatorship_value(spec, tree, b, lam) == least
+
+
+def test_deep_markov_spec_from_the_command_line(capsys):
+    code = main(
+        ["setvalue", "--spec", str(DEEP_SPEC), "--engine", "dpp", "--prefix", "r0/m2/m0"]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["t"] == 2 and payload["prefix"] == "r0/m2/m0"
+    assert payload["points"]
 
 
 def _markov_spec(**overrides):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -19,6 +20,8 @@ from gameval import (
     truncate_game,
 )
 from gameval.dpp import random_game
+from gameval.io import frac_from_str
+from gameval.model import Node
 
 
 def all_zero_policy(tree, start):
@@ -127,6 +130,164 @@ def test_rejects_unnormalized_kernel():
                 {("a", "b"): F(0), ("a", "c"): F(0)},
             ],
         )
+
+
+@pytest.mark.parametrize("delta", [F(1, 12), F(-1, 12)])
+def test_rejects_kernel_off_one_by_a_twelfth(delta):
+    with pytest.raises(GameValidationError, match=f"sums to {1 + delta}, not 1"):
+        GameSpec(
+            horizon=1,
+            states=[["a"], ["b", "c"]],
+            actions=[["0"], ["0"]],
+            transitions={(0, ("a",), (0, 0)): (F(1, 4), F(3, 4) + delta)},
+            running_costs=[{(0, ("a",), 0): F(0)}, {(0, ("a",), 0): F(0)}],
+            terminal_costs=[
+                {("a", "b"): F(0), ("a", "c"): F(0)},
+                {("a", "b"): F(0), ("a", "c"): F(0)},
+            ],
+        )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["3/4", "-3/4", " 3/4 ", "0.25", "1e-2", "+1/2", "-0/5", "3/0", "3/-4", "1_0/3", "a/b", "3/", 5],
+)
+def test_rational_parse_agrees_with_fraction(text):
+    try:
+        want = F(text.strip()) if isinstance(text, str) else F(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(GameValidationError, match=f"bad rational {text!r}"):
+            frac_from_str(text)
+    else:
+        got = frac_from_str(text)
+        assert type(got) is F and got == want
+
+
+# -- the prefix tree -----------------------------------------------------------
+
+
+def eager_tree(spec):
+    """Reference: every prefix built up front, breadth first, as a list of nodes."""
+    nodes, levels, ids = [], [[] for _ in spec.states], {}
+
+    def add(t, prefix, parent):
+        nid = len(nodes)
+        nodes.append(Node(id=nid, t=t, prefix=prefix, parent=parent))
+        levels[t].append(nid)
+        ids[prefix] = nid
+        return nid
+
+    for label in spec.states[0]:
+        add(0, (label,), None)
+    for t in range(spec.horizon):
+        for nid in list(levels[t]):
+            node = nodes[nid]
+            kids = tuple(add(t + 1, node.prefix + (label,), nid) for label in spec.states[t + 1])
+            nodes[nid] = dataclasses.replace(node, children=kids)
+    return nodes, levels, ids
+
+
+# Several root labels, labels shared between levels in different orders, and
+# a level with one state.
+FIXED_STATES = [["a", "b"], ["b", "a", "c"], ["c"], ["a", "c"]]
+
+
+def shaped_spec(rng, states, state_dependent):
+    """A valid three-player spec on the given state levels, with random costs."""
+    horizon = len(states) - 1
+    actions = [["0", "1"][: rng.randint(1, 2)] for _ in range(3)]
+    joints = list(itertools.product(*(range(len(acts)) for acts in actions)))
+
+    def keys(t):
+        return states[t] if state_dependent else itertools.product(*states[: t + 1])
+
+    transitions, running, terminal = {}, [{}, {}, {}], [{}, {}, {}]
+    for t in range(horizon):
+        width = len(states[t + 1])
+        for key in keys(t):
+            for joint in joints:
+                transitions[(t, key, joint)] = (F(1, width),) * width
+            for i, acts in enumerate(actions):
+                for a in range(len(acts)):
+                    running[i][(t, key, a)] = F(rng.randint(-4, 4), 4)
+    for key in keys(horizon):
+        for i in range(3):
+            terminal[i][key] = F(rng.randint(-4, 4), 4)
+    return GameSpec(
+        horizon=horizon,
+        states=states,
+        actions=actions,
+        transitions=transitions,
+        running_costs=running,
+        terminal_costs=terminal,
+        state_dependent=state_dependent,
+    )
+
+
+def oracle_specs():
+    rng = random.Random(41)
+    specs = []
+    for markov in (False, True):
+        specs.append(shaped_spec(rng, FIXED_STATES, markov))
+        for _ in range(5):
+            horizon = rng.randint(1, 4)
+            states = [rng.sample("abc", rng.randint(1, 3)) for _ in range(horizon + 1)]
+            specs.append(shaped_spec(rng, states, markov))
+        specs.append(random_game(rng, n_players=3, state_dependent=markov))
+    return specs
+
+
+def fields(node):
+    return node.id, node.t, node.prefix, node.parent, node.children
+
+
+@pytest.mark.parametrize("spec", oracle_specs())
+def test_implicit_tree_equals_eager_tree(spec):
+    nodes, levels, ids = eager_tree(spec)
+    tree = build_path_tree(spec)
+    # Nodes built in a random order, before any neighbour, equal the eager ones.
+    order = list(range(len(nodes)))
+    random.Random(len(nodes)).shuffle(order)
+    assert [fields(tree.nodes[nid]) for nid in order] == [fields(nodes[nid]) for nid in order]
+    assert len(tree.nodes) == len(nodes)
+    assert list(map(fields, tree.nodes)) == list(map(fields, nodes))
+    assert tree.nodes[-1] == nodes[-1] and tree.node(0) is tree.nodes[0]
+    with pytest.raises(IndexError):
+        tree.nodes[len(nodes)]
+    assert [list(level) for level in tree.levels] == levels
+    assert tree.n_paths == len(levels[-1])
+    assert all(tree.id_of(prefix) == nid for prefix, nid in ids.items())
+    for node in nodes:
+        below, i = [node.id], 0
+        while i < len(below):
+            below.extend(nodes[below[i]].children)
+            i += 1
+        assert tree.subtree(node.id) == below
+        assert tree.decision_nodes(node.id) == [u for u in below if nodes[u].t < spec.horizon]
+    shuffled = order[: len(order) // 2]
+    for members in (range(len(nodes)), shuffled):
+        groups = {}
+        for nid in members:
+            groups.setdefault((nodes[nid].t, nodes[nid].state), []).append(nid)
+        want = {key: tuple(groups[key]) for key in sorted(groups)}
+        got = tree.group_by_time_state(members)
+        assert list(got.items()) == list(want.items())
+    for label in set().union(*spec.states):
+        want = frozenset(node.id for node in nodes if node.state == label)
+        assert StoppingTime.hitting_state(tree, label).stopped == want
+
+
+def test_implicit_tree_rejects_what_the_eager_tree_rejected():
+    spec = shaped_spec(random.Random(0), FIXED_STATES, False)
+    tree = build_path_tree(spec)
+    assert len(tree.nodes) == 2 + 6 + 6 + 12
+    # State indices (1, 2, 0, 0) in radices (2, 3, 1, 2): ((1·3 + 2)·1 + 0)·2 + 0.
+    assert tree.id_of(["b", "c", "c", "a"]) == tree.levels[3][10]
+    for prefix in [("z",), ("c",), ("a", "b", "a"), (), ("a", "b", "c", "a", "a"), ("a", "b", "c", "b")]:
+        with pytest.raises(GameValidationError, match="unknown prefix"):
+            tree.id_of(prefix)
+    with pytest.raises(GameValidationError, match="no node carries"):
+        StoppingTime.hitting_state(tree, "z")
 
 
 def test_path_measure_first_branch_half(path_game):
