@@ -22,7 +22,6 @@ from .equilibria import (
     ValueSet,
     all_policy_values,
     best_response,
-    enumerate_equilibria,
     is_equilibrium,
     iter_equilibria,
     one_step_equilibria,
@@ -39,13 +38,12 @@ from .hjb import (
     GridConfig,
     NodalResult,
     PdeField,
-    hamiltonian,
     nodal_set,
     pde_preset,
     single_player_hjb,
     solve_w,
 )
-from .io import dump_game, load_game, save_game
+from .io import dump_game, load_game
 from .model import (
     PATH_CLASS,
     STATE_CLASS,
@@ -56,8 +54,6 @@ from .model import (
     StoppingTime,
     build_path_tree,
     cost_J,
-    path_measure,
-    truncate_game,
 )
 from .planner import (
     PlannerOptimum,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -267,14 +267,7 @@ def pareto_dpp_counterexample(
         }
     context = dict(report.context)
     context.update({"eps": str(eps), "branch_values": branch_info})
-    return DppReport(
-        lhs=report.lhs,
-        rhs=report.rhs,
-        relation=report.relation,
-        lhs_only=report.lhs_only,
-        rhs_only=report.rhs_only,
-        context=context,
-    )
+    return replace(report, context=context)
 
 
 # -- open-loop linear-quadratic two-period game --------------------------------

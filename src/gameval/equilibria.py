@@ -284,22 +284,6 @@ def iter_equilibria(
         yield from _iter_general(spec, tree, scope, units, eps, cls)
 
 
-def enumerate_equilibria(
-    spec: GameSpec,
-    tree: PathTree,
-    start: int,
-    *,
-    eps: Fraction = ZERO,
-    cls: str = PATH_CLASS,
-    cap: int = DEFAULT_POLICY_CAP,
-    scope: _Scope | None = None,
-) -> list[EquilibriumRecord]:
-    """Materialized form of :func:`iter_equilibria`."""
-    return list(
-        iter_equilibria(spec, tree, start, eps=eps, cls=cls, cap=cap, scope=scope)
-    )
-
-
 def _iter_general(spec, tree, scope, units: _Units, eps, cls):
     n = spec.n_players
     br_memo: list[dict[tuple, Fraction]] = [{} for _ in range(n)]
@@ -410,7 +394,7 @@ def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bo
     memo: list[dict] = [{} for _ in range(n)]
     seen: dict[tuple[int, ...], Vector] = {}  # integer values -> their Fractions
     slack = (ZERO,) * n
-    reach = _Reach.of(spec, scope, members)
+    reach = _Reach.of(scope, members)
     spaces = [itertools.product(range(size), repeat=n_units) for size in scope.tables.sizes[1:]]
     first, idle = walks[0], (0,) * n_units
     for others in itertools.product(*spaces):
@@ -464,10 +448,8 @@ class _Reach(NamedTuple):
     cuts: tuple[int, ...]
 
     @classmethod
-    def of(cls, spec: GameSpec, scope: _Scope, members) -> "_Reach":
+    def of(cls, scope: _Scope, members) -> "_Reach":
         members = [tuple(map(scope.local.__getitem__, mem)) for mem in members]
-        if spec.q_positive:  # what the loop below finds, without the kernel scan
-            return cls(tuple(members), ((),) * len(members), (0, len(members)))
         kern = scope.tables.kern
         unit_of = {u: k for k, mem in enumerate(members) for u in mem}
         sure_nodes = {0}

@@ -123,47 +123,6 @@ class CoupledCost:
         return self.coupled(i, t, x, a, z_i) - self.own_min(i, t, x, a, z_i)
 
 
-def hamiltonian(
-    spec: DiffusionGameSpec,
-    z_values,
-    t: float,
-    x: float,
-    y,
-    grads: dict,
-    return_argmin: bool = False,
-):
-    """Minimized PDE bracket over the joint action and z grids at one point.
-
-    ``grads`` supplies the finite-difference derivatives: ``w_xx`` (scalar),
-    ``w_y`` and ``w_yx`` (length-N), and ``w_yy`` (N x N). The y argument is
-    unused by the bracket itself but kept for symmetric call sites.
-    """
-    del y
-    n = spec.n_players
-    costs = CoupledCost(spec)
-    w_xx = float(grads["w_xx"])
-    w_y = [float(v) for v in grads["w_y"]]
-    w_yx = [float(v) for v in grads["w_yx"]]
-    w_yy = [[float(v) for v in row] for row in grads["w_yy"]]
-    best = math.inf
-    best_arg = None
-    for a in spec.joint_actions:
-        for z in itertools.product(z_values, repeat=n):
-            val = 0.5 * w_xx
-            for i in range(n):
-                val += z[i] * w_yx[i]
-                for j in range(n):
-                    val += 0.5 * z[i] * z[j] * w_yy[i][j]
-            for i in range(n):
-                ex = max(costs.excess(i, t, x, a, z[i]), 0.0)
-                val += ex**1.5 - costs.own_min(i, t, x, a, z[i]) * w_y[i]
-            if val < best:
-                best, best_arg = val, (a, z)
-    if return_argmin:
-        return best, best_arg
-    return best
-
-
 @dataclass(frozen=True)
 class GridConfig:
     """Rectangular grid and scheme knobs for the W solver."""

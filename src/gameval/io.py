@@ -180,10 +180,6 @@ def dump_game(spec: GameSpec) -> dict:
     }
 
 
-def save_game(spec: GameSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(dump_game(spec), indent=1, sort_keys=True), "utf-8")
-
-
 # -- result payloads ---------------------------------------------------------
 
 

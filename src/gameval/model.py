@@ -69,7 +69,6 @@ class GameSpec:
         running_costs: list[dict] | tuple[dict, ...],
         terminal_costs: list[dict] | tuple[dict, ...],
         state_dependent: bool = False,
-        validate: bool = True,
     ):
         self.horizon = int(horizon)
         self.states = tuple(tuple(level) for level in states)
@@ -81,9 +80,7 @@ class GameSpec:
         self.running_costs = tuple(dict(d) for d in running_costs)
         self.terminal_costs = tuple(dict(d) for d in terminal_costs)
         self.state_dependent = bool(state_dependent)
-        self.q_positive = False
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- basic shape ---------------------------------------------------------
 
@@ -347,16 +344,18 @@ class StoppingTime:
     """Stop/continue map on prefixes; stopping happens at the first hit.
 
     Terminal nodes always stop, so the stop time is at most T on every path.
-    Non-anticipativity is automatic because membership is keyed by node.
+    Non-anticipativity is automatic because membership is keyed by node. A
+    whole level is kept as its ``range`` of ids, so a deep tree's level is
+    never materialized.
     """
 
-    stopped: frozenset[int]
+    stopped: frozenset[int] | range
 
     @classmethod
     def at_time(cls, tree: PathTree, t0: int) -> StoppingTime:
         if not 0 <= t0 <= tree.horizon:
             raise GameValidationError(f"stopping time {t0} outside 0..{tree.horizon}")
-        return cls(frozenset(tree.levels[t0]))
+        return cls(tree.levels[t0])
 
     @classmethod
     def hitting_state(cls, tree: PathTree, label: str) -> StoppingTime:
@@ -388,114 +387,13 @@ class StoppingTime:
                 stack.extend(reversed(tree.node(nid).children))
         return out
 
-    def stop_node_along(self, tree: PathTree, leaf: int) -> int:
-        """The node where stopping occurs on the path ending at ``leaf``."""
-        chain = []
-        nid: int | None = leaf
-        while nid is not None:
-            chain.append(nid)
-            nid = tree.node(nid).parent
-        for node_id in reversed(chain):
-            if self.stops_at(tree, node_id):
-                return node_id
-        return leaf
 
-
-# -- measures and costs ------------------------------------------------------
-
-
-def path_measure(
-    spec: GameSpec, tree: PathTree, start: int, policy: Policy
-) -> dict[Prefix, Fraction]:
-    """Probability of each full path extending the start prefix.
-
-    Paths not extending the prefix have probability zero and are omitted.
-    The returned masses sum to exactly 1.
-    """
-    out: dict[Prefix, Fraction] = {}
-
-    def walk(nid: int, mass: Fraction) -> None:
-        node = tree.node(nid)
-        if node.t == tree.horizon:
-            out[node.prefix] = out.get(node.prefix, ZERO) + mass
-            return
-        vec = spec.transition_vector(node.t, node.prefix, policy.action(nid))
-        for child, p in zip(node.children, vec):
-            if p != 0:
-                walk(child, mass * p)
-
-    walk(start, ONE)
-    return out
+# -- costs -------------------------------------------------------------------
 
 
 def cost_J(spec: GameSpec, tree: PathTree, start: int, policy: Policy) -> Vector:
     """Expected cost vector J(t, x, policy) from the start node, exact."""
     return _Scope(spec, tree, start).value(policy.action)
-
-
-def truncate_game(
-    spec: GameSpec,
-    tree: PathTree,
-    stopping: StoppingTime,
-    terminal_map: dict[int, Vector],
-    start: int | None = None,
-) -> GameSpec:
-    """Game with the same kernel whose cost functional stops at ``stopping``.
-
-    Running costs vanish from the stop time on and the terminal cost is the
-    supplied value at the first stopped prefix, so the new spec's J equals the
-    truncated-game cost of the original one. Stopped prefixes reachable from
-    ``start`` must have an entry in ``terminal_map``; unreachable ones default
-    to zero, which the truncated costs never read from ``start``.
-    """
-    n = spec.n_players
-    zero_vec = (ZERO,) * n
-    if start is not None:
-        for nid in stopping.frontier(tree, start):
-            if nid not in terminal_map:
-                raise GameValidationError(
-                    f"no terminal value for reachable stopped prefix {tree.node(nid).prefix}"
-                )
-
-    # The node where play stopped on the way to each node, None before any stop.
-    stop_node: dict[int | None, int | None] = {None: None}
-    for node in tree.nodes:  # parents come before their children
-        stop = stop_node[node.parent]
-        if stop is None and stopping.stops_at(tree, node.id):
-            stop = node.id
-        stop_node[node.id] = stop
-
-    transitions: dict = {}
-    running: list[dict] = [{} for _ in range(n)]
-    terminal: list[dict] = [{} for _ in range(n)]
-    for t in range(spec.horizon):
-        for nid in tree.levels[t]:
-            node = tree.node(nid)
-            silent = stop_node[nid] is not None
-            for joint in spec.joint_actions:
-                transitions[(t, node.prefix, joint)] = spec.transition_vector(
-                    t, node.prefix, joint
-                )
-            for i in range(n):
-                for ai in range(len(spec.actions[i])):
-                    running[i][(t, node.prefix, ai)] = (
-                        ZERO if silent else spec.running_cost(i, t, node.prefix, ai)
-                    )
-    for nid in tree.levels[spec.horizon]:
-        node = tree.node(nid)
-        value = terminal_map.get(stop_node[nid], zero_vec)
-        for i in range(n):
-            terminal[i][node.prefix] = value[i]
-
-    return GameSpec(
-        horizon=spec.horizon,
-        states=spec.states,
-        actions=spec.actions,
-        transitions=transitions,
-        running_costs=running,
-        terminal_costs=terminal,
-        state_dependent=False,
-    )
 
 
 # -- the exact integer core ----------------------------------------------------

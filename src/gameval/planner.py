@@ -23,7 +23,7 @@ from .equilibria import (
     value_index,
 )
 from .errors import GameValidationError
-from .model import ONE, ZERO, GameSpec, PathTree, Policy, Vector, _Scope, induct, tables_of
+from .model import ONE, ZERO, GameSpec, PathTree, Vector, _Scope, induct, tables_of
 
 from .io import frac_from_str
 
@@ -161,14 +161,12 @@ def time_inconsistency_probe(
     if not spec.q_positive:
         raise GameValidationError("the probe needs q > 0 so every prefix is reachable")
 
-    best_score: Fraction | None = None
-    witness: Policy | None = None
     index = value_index(spec, tree, start, cap=cap)
-    for value, rec in index.items():  # first-enumerated order, first record per value
-        score = lam.score(value)
-        if best_score is None or score < best_score:
-            best_score, witness = score, rec.policy
     optimum = planner_optimum(ValueSet.of(index), lam)
+    # First-enumerated order, first record per value: the first of least score.
+    witness = next(
+        (rec.policy for value, rec in index.items() if lam.score(value) == optimum.value), None
+    )
     chosen_value: Vector | None = None
     rows: list[ProbeRow] = []
     first_bad: ProbeRow | None = None

@@ -1,0 +1,197 @@
+"""Reference implementations the tests compare the package against.
+
+Each one is direct and slow: the truncated game is rebuilt as a path-keyed
+spec prefix by prefix, the path measure by recursion over the tree, and the
+PDE bracket by a scan of every (action, z) pair at one point. The package
+computes none of these itself, so they live here, next to the tests that use
+them.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+
+from gameval.equilibria import DEFAULT_POLICY_CAP, EquilibriumRecord, iter_equilibria
+from gameval.errors import GameValidationError
+from gameval.hjb import CoupledCost, DiffusionGameSpec
+from gameval.model import (
+    ONE,
+    PATH_CLASS,
+    ZERO,
+    GameSpec,
+    PathTree,
+    Policy,
+    Prefix,
+    StoppingTime,
+    Vector,
+    _Scope,
+)
+
+# -- stopping, measures and truncation -----------------------------------------
+
+
+def stop_node_along(stopping: StoppingTime, tree: PathTree, leaf: int) -> int:
+    """The node where stopping occurs on the path ending at ``leaf``."""
+    chain = []
+    nid: int | None = leaf
+    while nid is not None:
+        chain.append(nid)
+        nid = tree.node(nid).parent
+    for node_id in reversed(chain):
+        if stopping.stops_at(tree, node_id):
+            return node_id
+    return leaf
+
+
+def path_measure(
+    spec: GameSpec, tree: PathTree, start: int, policy: Policy
+) -> dict[Prefix, Fraction]:
+    """Probability of each full path extending the start prefix.
+
+    Paths not extending the prefix have probability zero and are omitted.
+    The returned masses sum to exactly 1.
+    """
+    out: dict[Prefix, Fraction] = {}
+
+    def walk(nid: int, mass: Fraction) -> None:
+        node = tree.node(nid)
+        if node.t == tree.horizon:
+            out[node.prefix] = out.get(node.prefix, ZERO) + mass
+            return
+        vec = spec.transition_vector(node.t, node.prefix, policy.action(nid))
+        for child, p in zip(node.children, vec):
+            if p != 0:
+                walk(child, mass * p)
+
+    walk(start, ONE)
+    return out
+
+
+def truncate_game(
+    spec: GameSpec,
+    tree: PathTree,
+    stopping: StoppingTime,
+    terminal_map: dict[int, Vector],
+    start: int | None = None,
+) -> GameSpec:
+    """Game with the same kernel whose cost functional stops at ``stopping``.
+
+    Running costs vanish from the stop time on and the terminal cost is the
+    supplied value at the first stopped prefix, so the new spec's J equals the
+    truncated-game cost of the original one. Stopped prefixes reachable from
+    ``start`` must have an entry in ``terminal_map``; unreachable ones default
+    to zero, which the truncated costs never read from ``start``.
+    """
+    n = spec.n_players
+    zero_vec = (ZERO,) * n
+    if start is not None:
+        for nid in stopping.frontier(tree, start):
+            if nid not in terminal_map:
+                raise GameValidationError(
+                    f"no terminal value for reachable stopped prefix {tree.node(nid).prefix}"
+                )
+
+    # The node where play stopped on the way to each node, None before any stop.
+    stop_node: dict[int | None, int | None] = {None: None}
+    for node in tree.nodes:  # parents come before their children
+        stop = stop_node[node.parent]
+        if stop is None and stopping.stops_at(tree, node.id):
+            stop = node.id
+        stop_node[node.id] = stop
+
+    transitions: dict = {}
+    running: list[dict] = [{} for _ in range(n)]
+    terminal: list[dict] = [{} for _ in range(n)]
+    for t in range(spec.horizon):
+        for nid in tree.levels[t]:
+            node = tree.node(nid)
+            silent = stop_node[nid] is not None
+            for joint in spec.joint_actions:
+                transitions[(t, node.prefix, joint)] = spec.transition_vector(
+                    t, node.prefix, joint
+                )
+            for i in range(n):
+                for ai in range(len(spec.actions[i])):
+                    running[i][(t, node.prefix, ai)] = (
+                        ZERO if silent else spec.running_cost(i, t, node.prefix, ai)
+                    )
+    for nid in tree.levels[spec.horizon]:
+        node = tree.node(nid)
+        value = terminal_map.get(stop_node[nid], zero_vec)
+        for i in range(n):
+            terminal[i][node.prefix] = value[i]
+
+    return GameSpec(
+        horizon=spec.horizon,
+        states=spec.states,
+        actions=spec.actions,
+        transitions=transitions,
+        running_costs=running,
+        terminal_costs=terminal,
+        state_dependent=False,
+    )
+
+
+# -- equilibria ------------------------------------------------------------------
+
+
+def enumerate_equilibria(
+    spec: GameSpec,
+    tree: PathTree,
+    start: int,
+    *,
+    eps: Fraction = ZERO,
+    cls: str = PATH_CLASS,
+    cap: int = DEFAULT_POLICY_CAP,
+    scope: _Scope | None = None,
+) -> list[EquilibriumRecord]:
+    """Materialized form of :func:`iter_equilibria`."""
+    return list(
+        iter_equilibria(spec, tree, start, eps=eps, cls=cls, cap=cap, scope=scope)
+    )
+
+
+# -- the PDE bracket -------------------------------------------------------------
+
+
+def hamiltonian(
+    spec: DiffusionGameSpec,
+    z_values,
+    t: float,
+    x: float,
+    y,
+    grads: dict,
+    return_argmin: bool = False,
+):
+    """Minimized PDE bracket over the joint action and z grids at one point.
+
+    ``grads`` supplies the finite-difference derivatives: ``w_xx`` (scalar),
+    ``w_y`` and ``w_yx`` (length-N), and ``w_yy`` (N x N). The y argument is
+    unused by the bracket itself but kept for symmetric call sites.
+    """
+    del y
+    n = spec.n_players
+    costs = CoupledCost(spec)
+    w_xx = float(grads["w_xx"])
+    w_y = [float(v) for v in grads["w_y"]]
+    w_yx = [float(v) for v in grads["w_yx"]]
+    w_yy = [[float(v) for v in row] for row in grads["w_yy"]]
+    best = math.inf
+    best_arg = None
+    for a in spec.joint_actions:
+        for z in itertools.product(z_values, repeat=n):
+            val = 0.5 * w_xx
+            for i in range(n):
+                val += z[i] * w_yx[i]
+                for j in range(n):
+                    val += 0.5 * z[i] * z[j] * w_yy[i][j]
+            for i in range(n):
+                ex = max(costs.excess(i, t, x, a, z[i]), 0.0)
+                val += ex**1.5 - costs.own_min(i, t, x, a, z[i]) * w_y[i]
+            if val < best:
+                best, best_arg = val, (a, z)
+    if return_argmin:
+        return best, best_arg
+    return best

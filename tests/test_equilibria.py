@@ -16,7 +16,6 @@ from gameval import (
     best_response,
     build_path_tree,
     cost_J,
-    enumerate_equilibria,
     is_equilibrium,
     iter_equilibria,
     load_game,
@@ -36,9 +35,10 @@ from gameval.model import (
     SYMMETRIC_CLASS,
     StoppingTime,
     tables_of,
-    truncate_game,
 )
 from gameval.presets import build_pareto_spec, load_example
+
+from oracles import enumerate_equilibria, truncate_game
 
 from test_core import clone_action, indifferent, tied_game
 
@@ -192,20 +192,19 @@ def test_fast_and_general_enumeration_agree():
 
 
 def test_reach_on_positive_kernels_is_one_segment_of_sure_nodes():
-    """The q_positive shortcut of _Reach.of gives what its kernel scan gives."""
+    """On a strictly positive kernel the scan finds every member sure and no links."""
     rng = random.Random(71)
     for k in range(8):
         spec = random_game(rng, state_dependent=k % 2 == 1)
         assert spec.q_positive
-        scanned = copy.copy(spec)
-        scanned.q_positive = False  # takes the scan; the kernel itself is unchanged
         tree = build_path_tree(spec)
         for start in tree.decision_nodes(tree.id_of(("r0",))):
             scope = _Scope(spec, tree, start)
             for cls in (PATH_CLASS, STATE_CLASS):
                 members = _units_for(spec, tree, scope, cls).members
-                reach = _Reach.of(spec, scope, members)
-                assert reach == _Reach.of(scanned, scope, members)
+                reach = _Reach.of(scope, members)
+                assert reach.sure == tuple(tuple(map(scope.local.__getitem__, m)) for m in members)
+                assert reach.links == ((),) * len(members)
                 assert reach.cuts == (0, len(members))
 
 

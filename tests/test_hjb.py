@@ -16,13 +16,14 @@ from gameval.hjb import (
     GridConfig,
     default_delta,
     first_diff,
-    hamiltonian,
     nodal_set,
     pde_preset,
     second_diff,
     single_player_hjb,
     solve_w,
 )
+
+from oracles import hamiltonian
 
 
 def small_grid(grid, **overrides):

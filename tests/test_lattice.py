@@ -26,11 +26,11 @@ from gameval import (
     build_path_tree,
     load_example,
     load_game,
-    truncate_game,
 )
 from gameval.cli import main
-from gameval.dpp import random_game
+from gameval.dpp import random_game, verify_dpp
 from gameval.equilibria import all_policy_values, set_value_bruteforce, set_value_dpp
+from gameval.model import PATH_CLASS, STATE_CLASS
 from gameval.planner import (
     Scalarization,
     dictatorship_value,
@@ -38,6 +38,8 @@ from gameval.planner import (
     time_inconsistency_probe,
 )
 from gameval.presets import SPEC_FILES
+
+from oracles import truncate_game
 
 WEIGHTS = (Scalarization.uniform(2), Scalarization.parse("1/3,2/3"))
 # The probe enumerates the equilibria of its start node once, and reads its
@@ -184,6 +186,21 @@ def test_deep_markov_spec_is_solved_without_its_tree():
         least = min(map(lam.score, all_policy_values(spec, tree, a).points))
         assert dictatorship_value(spec, tree, a, lam) == least
         assert dictatorship_value(spec, tree, b, lam) == least
+
+
+def test_verify_dpp_deep_in_a_deep_markov_tree():
+    """A stopping time at a whole level keeps it as a range of ids, not a set.
+
+    Level 29 of the horizon-30 tree holds 3^29 prefixes; the 3 reachable from
+    the start are the frontier.
+    """
+    spec = load_game(DEEP_SPEC)
+    tree = build_path_tree(spec)
+    start = tree.id_of(("r0",) + ("m0",) * 27 + ("m2",))
+    stopping = StoppingTime.at_time(tree, 29)
+    for cls in (PATH_CLASS, STATE_CLASS):
+        report = verify_dpp(spec, tree, start, stopping, selection_class=cls)
+        assert report.relation == "equal"
 
 
 def test_deep_markov_spec_from_the_command_line(capsys):

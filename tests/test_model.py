@@ -16,12 +16,12 @@ from gameval import (
     cost_J,
     dump_game,
     load_game,
-    path_measure,
-    truncate_game,
 )
 from gameval.dpp import random_game
 from gameval.io import frac_from_str
 from gameval.model import Node
+
+from oracles import path_measure, stop_node_along, truncate_game
 
 
 def all_zero_policy(tree, start):
@@ -501,7 +501,7 @@ def test_truncation_hitting_time_matches_manual_sum():
     masses = path_measure(spec, tree, root, policy)
     expected = [F(0), F(0)]
     for path, mass in masses.items():
-        stop = stopping.stop_node_along(tree, tree.id_of(path))
+        stop = stop_node_along(stopping, tree, tree.id_of(path))
         stop_t = tree.node(stop).t
         for i in range(2):
             acc = terminal[stop][i] if stop in terminal else F(0)
