@@ -20,7 +20,6 @@ from .equilibria import (
     DEFAULT_SELECTION_CAP,
     EquilibriumRecord,
     ValueSet,
-    all_policy_values,
     best_response,
     is_equilibrium,
     iter_equilibria,

@@ -12,6 +12,7 @@ equilibria does not reproduce the whole-game equilibrium value.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -22,6 +23,8 @@ from .equilibria import (
     DEFAULT_POLICY_CAP,
     DEFAULT_SELECTION_CAP,
     ValueSet,
+    _one_step_table,
+    _row_set,
     _Scope,
     iter_equilibria,
     nash_profiles,
@@ -33,12 +36,12 @@ from .model import (
     PATH_CLASS,
     STATE_CLASS,
     SYMMETRIC_CLASS,
-    ZERO,
     GameSpec,
     PathTree,
     StoppingTime,
     Vector,
     build_path_tree,
+    tables_of,
 )
 from .presets import build_pareto_spec, pareto_tables
 
@@ -103,13 +106,8 @@ def _truncated_values(
     """Equilibrium values of the truncated game for one terminal selection."""
     cls = _VARIANT_POLICY_CLASS[variant]
     scope = _Scope(spec, tree, start, frontier=frontier)
-    values = {
-        rec.value
-        for rec in iter_equilibria(
-            spec, tree, start, cls=cls, cap=cap, scope=scope, with_policies=False
-        )
-    }
-    vs = ValueSet.of(values)
+    found = iter_equilibria(spec, tree, start, cls=cls, cap=cap, scope=scope, with_policies=False)
+    vs = ValueSet.of(rec.value for rec in found)
     return pareto_filter(vs) if variant == "pareto" else vs
 
 
@@ -148,35 +146,28 @@ def verify_dpp(
         choice_sets = []
         for key, members in groups.items():
             base = node_sets[members[0]]
-            for other in members[1:]:
-                if node_sets[other].points != base.points:
-                    raise GameValidationError(
-                        "state-dependent selections need equal value sets at prefixes "
-                        f"sharing (time, state) {key}; the model is not state dependent there"
-                    )
+            if any(node_sets[other].points != base.points for other in members[1:]):
+                raise GameValidationError(
+                    "state-dependent selections need equal value sets at prefixes "
+                    f"sharing (time, state) {key}; the model is not state dependent there"
+                )
             choice_sets.append(base.points)
         unit_members = list(groups.values())
     else:
         choice_sets = [node_sets[nid].points for nid in frontier_nodes]
         unit_members = [[nid] for nid in frontier_nodes]
 
-    n_selections = 1
-    for points in choice_sets:
-        n_selections *= len(points)
+    n_selections = math.prod(map(len, choice_sets))
     if n_selections > selection_cap:
         raise EnumerationCapExceeded(
             "terminal selection enumeration", n_selections, selection_cap
         )
 
     rhs_points: set[Vector] = set()
-    if n_selections > 0:
-        for chosen in itertools.product(*choice_sets):
-            frontier = {}
-            for members, value in zip(unit_members, chosen):
-                for nid in members:
-                    frontier[nid] = value
-            vs = _truncated_values(spec, tree, start, frontier, variant, policy_cap)
-            rhs_points.update(vs.points)
+    for chosen in itertools.product(*choice_sets):
+        frontier = {nid: value for members, value in zip(unit_members, chosen) for nid in members}
+        vs = _truncated_values(spec, tree, start, frontier, variant, policy_cap)
+        rhs_points.update(vs.points)
     rhs = ValueSet.of(rhs_points)
 
     context = {
@@ -197,32 +188,25 @@ def check_pareto_eps(eps: Fraction) -> GameSpec:
     For every selection of continuation values at the four branches, the
     perturbed first-period game must have exactly the Nash profiles of its
     unperturbed limit. This re-derivation, not a hardcoded bound, decides
-    whether ``eps`` is admissible.
+    whether ``eps`` is admissible. The branch sets are the recursion's rows
+    (the spec has q > 0); Nash profiles do not depend on the scale, so the
+    limit games stay at the branches' scale.
     """
     spec = build_pareto_spec(eps)
-    tree = build_path_tree(spec)
-    root = tree.id_of(("s0",))
-    branch_nodes = [tree.id_of(("s0", s)) for s in pareto_tables()["branches"]]
+    tables = tables_of(spec, build_path_tree(spec))
+    root = 0  # the row of s0
     branch_sets = [
-        _variant_set(spec, tree, nid, "full", DEFAULT_POLICY_CAP) for nid in branch_nodes
+        _row_set(spec, tables, row, DEFAULT_SELECTION_CAP, nash=True)[0]
+        for row in range(*tables.kids[root])
     ]
-
-    target = {
-        tuple(int(x) for x in key.split(",")): s
+    branches = pareto_tables()["branches"]
+    target = {  # each joint action's designated branch, by index
+        tuple(map(int, key.split(","))): branches.index(s)
         for key, s in pareto_tables()["kernel_target"].items()
     }
-    branch_index = {s: k for k, s in enumerate(pareto_tables()["branches"])}
-    for chosen in itertools.product(*[vs.points for vs in branch_sets]):
-        frontier = dict(zip(branch_nodes, chosen))
-        perturbed = {}
-        for joint in spec.joint_actions:
-            vec = spec.transition_vector(0, ("s0",), joint)
-            val = [ZERO, ZERO]
-            for child, p in zip(tree.node(root).children, vec):
-                for i in range(2):
-                    val[i] += p * frontier[child][i]
-            perturbed[joint] = tuple(val)
-        limit = {joint: chosen[branch_index[target[joint]]] for joint in spec.joint_actions}
+    for chosen in itertools.product(*branch_sets):
+        perturbed = _one_step_table(spec, tables, root, chosen)
+        limit = {joint: chosen[target[joint]] for joint in spec.joint_actions}
         if set(nash_profiles(spec, perturbed)) != set(nash_profiles(spec, limit)):
             raise GameValidationError(
                 f"eps={eps} changes the equilibrium structure of a first-period game"
@@ -265,8 +249,7 @@ def pareto_dpp_counterexample(
             "values": [[str(x) for x in p] for p in full.points],
             "pareto": [[str(x) for x in p] for p in pareto_filter(full).points],
         }
-    context = dict(report.context)
-    context.update({"eps": str(eps), "branch_values": branch_info})
+    context = {**report.context, "eps": str(eps), "branch_values": branch_info}
     return replace(report, context=context)
 
 
@@ -405,31 +388,23 @@ def random_game(
     def cost() -> Fraction:
         return Fraction(rng.randint(-8, 8), 4)
 
+    def keys(t: int):
+        """Level t's data keys: its states, or its prefixes when path keyed."""
+        return states[t] if state_dependent else itertools.product(*states[: t + 1])
+
     transitions: dict = {}
     running: list[dict] = [{} for _ in range(n_players)]
     terminal: list[dict] = [{} for _ in range(n_players)]
-    if state_dependent:
-        for t in range(horizon):
-            for s in states[t]:
-                for joint in joints:
-                    transitions[(t, s, joint)] = kernel(len(states[t + 1]))
-                for i in range(n_players):
-                    for ai in range(n_actions):
-                        running[i][(t, s, ai)] = cost()
-        for s in states[horizon]:
+    for t in range(horizon):
+        for key in keys(t):
+            for joint in joints:
+                transitions[(t, key, joint)] = kernel(len(states[t + 1]))
             for i in range(n_players):
-                terminal[i][s] = cost()
-    else:
-        for t in range(horizon):
-            for prefix in itertools.product(*states[: t + 1]):
-                for joint in joints:
-                    transitions[(t, prefix, joint)] = kernel(len(states[t + 1]))
-                for i in range(n_players):
-                    for ai in range(n_actions):
-                        running[i][(t, prefix, ai)] = cost()
-        for path in itertools.product(*states):
-            for i in range(n_players):
-                terminal[i][path] = cost()
+                for ai in range(n_actions):
+                    running[i][(t, key, ai)] = cost()
+    for key in keys(horizon):
+        for i in range(n_players):
+            terminal[i][key] = cost()
 
     return GameSpec(
         horizon=horizon,

@@ -125,19 +125,42 @@ class _Units:
         return Policy(actions=actions, policy_class=tag)
 
 
-def _units_for(spec: GameSpec, tree: PathTree, scope: _Scope, cls: str) -> _Units:
-    nodes = scope.decision_nodes
-    options = spec.joint_actions
-    if cls == STATE_CLASS:
-        return _Units(cls, tuple(tree.group_by_time_state(nodes).values()), options)
+def _options(spec: GameSpec, cls: str) -> tuple[JointAction, ...]:
+    """The joint actions a unit of the class may take."""
     if cls == SYMMETRIC_CLASS:
         shared = spec.actions[0]
         if any(acts != shared for acts in spec.actions[1:]):
             raise GameValidationError("symmetric class needs identical action sets")
-        options = tuple((a,) * spec.n_players for a in range(len(shared)))
-    elif cls != PATH_CLASS:
+        return tuple((a,) * spec.n_players for a in range(len(shared)))
+    if cls not in (PATH_CLASS, STATE_CLASS):
         raise GameValidationError(f"unknown policy class {cls!r}")
+    return spec.joint_actions
+
+
+def _units_for(spec: GameSpec, tree: PathTree, scope: _Scope, cls: str) -> _Units:
+    options, nodes = _options(spec, cls), scope.decision_nodes
+    if cls == STATE_CLASS:
+        return _Units(cls, tuple(tree.group_by_time_state(nodes).values()), options)
     return _Units(cls, tuple((nid,) for nid in nodes), options)
+
+
+def _check_class_size(spec: GameSpec, tree: PathTree, start: int, cls: str, cap: int) -> None:
+    """Raise when the class below ``start`` holds more than ``cap`` policies.
+
+    The size comes from the level widths W_s, with no scope: below a time-t
+    node there are Σ_s W_s decision nodes and 1 + Σ_{s>t} |S_s| (time,
+    state) groups. A class too large to write out is reported as a power.
+    """
+    t = tree.nodes.locate(start)[0]
+    widths = list(map(len, tree.states[t + 1 : tree.horizon]))
+    nodes = itertools.accumulate(widths, mul, initial=1)  # decision nodes per level
+    units = sum([1, *widths] if cls == STATE_CLASS else nodes) if t < tree.horizon else 0
+    options = len(_options(spec, cls))
+    if options > 1 and units > cap.bit_length() + 4096:
+        raise EnumerationCapExceeded("joint policy enumeration", f"{options}**{units}", cap)
+    count = options**units
+    if count > cap:
+        raise EnumerationCapExceeded("joint policy enumeration", count, cap)
 
 
 def _check_class_membership(tree: PathTree, scope: _Scope, policy: Policy, cls: str) -> None:
@@ -270,11 +293,14 @@ def iter_equilibria(
     best response, so state-class and path-class deviations reach the same
     value. Every other call (``eps > 0``, the symmetric class, the state
     class elsewhere) checks each profile of the class (:func:`_iter_general`).
-    The cap bounds the size of the class in every case.
+    The cap bounds the size of the class in every case; without a given
+    scope it is checked before the scope is built.
     """
     if eps < 0:
         raise GameValidationError("eps must be nonnegative")
-    scope = scope or _Scope(spec, tree, start)
+    if scope is None:
+        _check_class_size(spec, tree, start, cls, cap)
+        scope = _Scope(spec, tree, start)
     units = _units_for(spec, tree, scope, cls)
     if units.count > cap:
         raise EnumerationCapExceeded("joint policy enumeration", units.count, cap)
@@ -525,11 +551,6 @@ def _reached_argmin_profiles(tables, reach: _Reach, others, argmins0):
 _NO_POLICY = Policy(actions={}, policy_class=PATH_CLASS)
 
 
-class _IndexEntry(NamedTuple):
-    count: int  # the size of the policy class, for the cap check on a hit
-    witnesses: dict[Vector, EquilibriumRecord]
-
-
 def value_index(
     spec: GameSpec,
     tree: PathTree,
@@ -545,26 +566,23 @@ def value_index(
     order first yielded, to the first record that attains it, policy and
     slack included. One enumeration per (start, eps, cls) is memoized with
     the compiled tables of (spec, tree), so it lives as long as they do. The
-    cap is checked against the class size on every call, whether the
-    enumeration ran now or earlier.
+    cap is checked against the class size on every call, before any scope
+    or table exists, whether the enumeration runs now or ran earlier.
     """
+    _check_class_size(spec, tree, start, cls, cap)
     memo = tables_of(spec, tree).value_index
     key = (start, eps, cls)
-    entry = memo.get(key)
-    if entry is None:
-        scope = _Scope(spec, tree, start)
-        count = _units_for(spec, tree, scope, cls).count
-        witnesses: dict[Vector, EquilibriumRecord] = {}
+    witnesses = memo.get(key)
+    if witnesses is None:
+        witnesses = {}
         records = iter_equilibria(
-            spec, tree, start, eps=eps, cls=cls, cap=cap, scope=scope, with_policies=False
+            spec, tree, start, eps=eps, cls=cls, cap=cap, with_policies=False
         )
         for rec in records:
             if rec.policy is not _NO_POLICY:  # without a policy it repeats a value
                 witnesses.setdefault(rec.value, rec)
-        memo[key] = entry = _IndexEntry(count, witnesses)
-    elif entry.count > cap:
-        raise EnumerationCapExceeded("joint policy enumeration", entry.count, cap)
-    return MappingProxyType(entry.witnesses)
+        memo[key] = witnesses
+    return MappingProxyType(witnesses)
 
 
 def set_value_bruteforce(
@@ -598,9 +616,8 @@ def one_step_equilibria(
     node = tree.node(nid)
     if node.t >= tree.horizon:
         raise GameValidationError("one-step game needs a non-terminal node")
-    for child in node.children:
-        if child not in continuation:
-            raise GameValidationError("continuation value missing for a child prefix")
+    if any(child not in continuation for child in node.children):
+        raise GameValidationError("continuation value missing for a child prefix")
     frontier = {child: continuation[child] for child in node.children}
     return list(iter_equilibria(spec, tree, nid, scope=_Scope(spec, tree, nid, frontier=frontier)))
 
@@ -641,45 +658,60 @@ def set_value_dpp(
     """
     if not spec.q_positive:
         raise GameValidationError("the backward recursion needs q > 0 everywhere")
+    return _row_recursion(spec, tree, start, selection_cap, nash=True)
+
+
+def _row_recursion(spec: GameSpec, tree: PathTree, start: int, cap: int, *, nash: bool):
+    """The start row's recursion set (:func:`_row_set`) as a value set."""
     tables = tables_of(spec, tree)
     node = tree.node(start)
     scale = tables.scale[node.t]
-    points, _ = _dpp_row(spec, tables, tables.row(node), selection_cap)
+    points, _ = _row_set(spec, tables, tables.row(node), cap, nash)
     return ValueSet.of(tuple(Fraction(v, scale) for v in p) for p in points)
 
 
-def _dpp_row(spec: GameSpec, tables, row: int, selection_cap: int):
-    """A row's recursion set of integer points and the largest selection count
-    met at the row or below, from ``tables.dpp_sets``; cold rows are solved."""
-    memo = tables.dpp_sets
+def _row_set(spec: GameSpec, tables, row: int, cap: int, nash: bool):
+    """A row's set of integer points and the largest selection count met at
+    or below it, memoized; the cap is checked on every call.
+
+    Each selection of one point per child gives a one-step cost table. With
+    ``nash`` a row keeps its tables' Nash values (``tables.dpp_sets``), else
+    the minimal values of all their joint actions (``tables.frontiers``):
+    the path class's minimal achievable set, as subpolicies below different
+    children are independent and the weights are nonnegative.
+    """
+    memo = tables.dpp_sets if nash else tables.frontiers
     entry = memo.get(row)
     if entry is not None:
-        if entry[1] > selection_cap:
-            raise EnumerationCapExceeded(
-                "continuation selection enumeration", entry[1], selection_cap
-            )
+        if entry[1] > cap:
+            raise EnumerationCapExceeded("continuation selection enumeration", entry[1], cap)
         return entry
     end = tables.end[row]
     if end is not None:
         return (end,), 0
-    children = [_dpp_row(spec, tables, child, selection_cap) for child in range(*tables.kids[row])]
+    children = [_row_set(spec, tables, child, cap, nash) for child in range(*tables.kids[row])]
     child_sets, counts = zip(*children)
     n_selections = math.prod(map(len, child_sets))
-    if n_selections > selection_cap:
-        raise EnumerationCapExceeded(
-            "continuation selection enumeration", n_selections, selection_cap
-        )
+    if n_selections > cap:
+        raise EnumerationCapExceeded("continuation selection enumeration", n_selections, cap)
     found: set[tuple[int, ...]] = set()
-    cost, kern = tables.cost[row], tables.kern[row]
     for chosen in itertools.product(*child_sets):
-        cols = tuple(zip(*chosen))
-        table = {
-            joint: tuple(c[a] + sum(map(mul, w, col)) for c, a, col in zip(cost, joint, cols))
-            for joint, w in zip(spec.joint_actions, kern)
-        }
-        found.update(table[joint] for joint in nash_profiles(spec, table))
-    memo[row] = entry = tuple(found), max(n_selections, *counts)
+        table = _one_step_table(spec, tables, row, chosen)
+        found.update(map(table.get, nash_profiles(spec, table)) if nash else table.values())
+    points = tuple(found) if nash else tuple(y for y in found if not _dominated(y, found))
+    memo[row] = entry = points, max(n_selections, *counts)
     return entry
+
+
+def _one_step_table(spec: GameSpec, tables, row: int, chosen) -> dict[JointAction, tuple]:
+    """Each joint action's integer cost vector at a row, one child point per
+    child chosen: the own running costs plus the kernel-weighted child points."""
+    cols = tuple(zip(*chosen))
+    cost = tables.cost[row]
+    return {
+        joint: tuple(c[a] + sum(map(mul, w, col)) for c, a, col in zip(cost, joint, cols))
+        for joint, w in zip(spec.joint_actions, tables.kern[row])
+    }
 
 
 # -- order filters -------------------------------------------------------------
@@ -695,23 +727,6 @@ def pareto_filter(vs: ValueSet) -> ValueSet:
     return ValueSet.of([y for y in vs.points if not _dominated(y, vs.points)], epsilon=vs.epsilon)
 
 
-def all_policy_values(
-    spec: GameSpec,
-    tree: PathTree,
-    start: int,
-    *,
-    cap: int = DEFAULT_POLICY_CAP,
-) -> ValueSet:
-    """Cost vectors of every path-class policy (not only equilibria)."""
-    scope = _Scope(spec, tree, start)
-    units = _units_for(spec, tree, scope, PATH_CLASS)
-    if units.count > cap:
-        raise EnumerationCapExceeded("policy value enumeration", units.count, cap)
-    assignments = itertools.product(range(len(units.options)), repeat=len(units.members))
-    joints = (map(units.options.__getitem__, a) for a in assignments)
-    return ValueSet.of(scope.value(units.policy(js, PATH_CLASS).action) for js in joints)
-
-
 def strong_pareto_filter(
     spec: GameSpec,
     tree: PathTree,
@@ -720,6 +735,12 @@ def strong_pareto_filter(
     *,
     cap: int = DEFAULT_POLICY_CAP,
 ) -> ValueSet:
-    """Equilibrium values not dominated by the value of any control at all."""
-    achievable = all_policy_values(spec, tree, start, cap=cap).points
+    """Equilibrium values not dominated by the value of any control at all.
+
+    A value dominated by an achievable one is dominated by a Pareto-minimal
+    one, so the records are checked against the minimal achievable set of
+    the path class, from the row recursion (:func:`_row_set`) with ``cap`` on
+    each row's selections.
+    """
+    achievable = _row_recursion(spec, tree, start, cap, nash=False).points
     return ValueSet.of([rec.value for rec in records if not _dominated(rec.value, achievable)])

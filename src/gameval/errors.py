@@ -14,11 +14,11 @@ class GameValidationError(ValueError):
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """An enumeration would exceed the configured cap."""
+    """An enumeration would exceed the configured cap (``required``: a count, or a power)."""
 
     exit_code = 3
 
-    def __init__(self, message: str, required: int, cap: int):
+    def __init__(self, message: str, required: int | str, cap: int):
         super().__init__(f"{message}: needs {required} > cap {cap}")
         self.required = required
         self.cap = cap

@@ -418,8 +418,9 @@ class Tables:
     tree, so keeping them with the tree (:func:`tables_of`) pins neither.
     ``value_index`` is the memo of ``equilibria.value_index``: the
     equilibrium values of full scopes by (start, eps, class), with witness
-    records that hold node ids and numbers only; ``dpp_sets`` is the memo of
-    ``equilibria.set_value_dpp``: each solved row's pair of its set of integer
+    records that hold node ids and numbers only; ``dpp_sets`` (Nash values)
+    and ``frontiers`` (minimal achievable values) are the memos of
+    ``equilibria._row_set``: each solved row's pair of its set of integer
     points and the largest selection count met at or below it.
     """
 
@@ -458,6 +459,7 @@ class Tables:
             self.kids.append((first, first + width))
         self.value_index: dict = {}
         self.dpp_sets: dict = {}
+        self.frontiers: dict = {}
 
     def row(self, node: Node) -> int:
         if self.markov:

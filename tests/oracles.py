@@ -1,8 +1,9 @@
 """Reference implementations the tests compare the package against.
 
 Each one is direct and slow: the truncated game is rebuilt as a path-keyed
-spec prefix by prefix, the path measure by recursion over the tree, and the
-PDE bracket by a scan of every (action, z) pair at one point. The package
+spec prefix by prefix, the path measure by recursion over the tree, the
+values of every path-class policy by enumerating them all, and the PDE
+bracket by a scan of every (action, z) pair at one point. The package
 computes none of these itself, so they live here, next to the tests that use
 them.
 """
@@ -13,8 +14,14 @@ import itertools
 import math
 from fractions import Fraction
 
-from gameval.equilibria import DEFAULT_POLICY_CAP, EquilibriumRecord, iter_equilibria
-from gameval.errors import GameValidationError
+from gameval.equilibria import (
+    DEFAULT_POLICY_CAP,
+    EquilibriumRecord,
+    ValueSet,
+    _units_for,
+    iter_equilibria,
+)
+from gameval.errors import EnumerationCapExceeded, GameValidationError
 from gameval.hjb import CoupledCost, DiffusionGameSpec
 from gameval.model import (
     ONE,
@@ -151,6 +158,23 @@ def enumerate_equilibria(
     return list(
         iter_equilibria(spec, tree, start, eps=eps, cls=cls, cap=cap, scope=scope)
     )
+
+
+def all_policy_values(
+    spec: GameSpec,
+    tree: PathTree,
+    start: int,
+    *,
+    cap: int = DEFAULT_POLICY_CAP,
+) -> ValueSet:
+    """Cost vectors of every path-class policy (not only equilibria)."""
+    scope = _Scope(spec, tree, start)
+    units = _units_for(spec, tree, scope, PATH_CLASS)
+    if units.count > cap:
+        raise EnumerationCapExceeded("policy value enumeration", units.count, cap)
+    assignments = itertools.product(range(len(units.options)), repeat=len(units.members))
+    joints = (map(units.options.__getitem__, a) for a in assignments)
+    return ValueSet.of(scope.value(units.policy(js, PATH_CLASS).action) for js in joints)
 
 
 # -- the PDE bracket -------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from gameval import (
     EnumerationCapExceeded,
+    EquilibriumRecord,
     GameValidationError,
     Policy,
     Scalarization,
@@ -25,10 +26,18 @@ from gameval import (
     set_value_dpp,
     strong_pareto_filter,
     time_inconsistency_probe,
+    value_index,
 )
 from gameval.cli import main
 from gameval.dpp import random_game
-from gameval.equilibria import _iter_argmin, _iter_general, _Reach, _Scope, _units_for
+from gameval.equilibria import (
+    _iter_argmin,
+    _iter_general,
+    _Reach,
+    _row_recursion,
+    _Scope,
+    _units_for,
+)
 from gameval.model import (
     PATH_CLASS,
     STATE_CLASS,
@@ -38,7 +47,7 @@ from gameval.model import (
 )
 from gameval.presets import build_pareto_spec, load_example
 
-from oracles import enumerate_equilibria, truncate_game
+from oracles import all_policy_values, enumerate_equilibria, truncate_game
 
 from test_core import clone_action, indifferent, tied_game
 
@@ -434,6 +443,58 @@ def test_strong_pareto_contained_in_pareto():
         values = ValueSet.of(r.value for r in records)
         strong = strong_pareto_filter(spec, tree, root, records)
         assert pts(strong) <= pts(pareto_filter(values))
+
+
+def frontier_oracle_cases():
+    """Seeded (spec, start) pairs: zero kernels, Markov specs, three players,
+    and starts below the root."""
+    rng = random.Random(53)
+    games = [dict(allow_zero=True), dict(state_dependent=True, max_states=3), dict(n_players=3)]
+    cases = []
+    for kwargs in games * 8:
+        spec = random_game(rng, **kwargs)
+        tree = build_path_tree(spec)
+        for start in tree.decision_nodes(tree.levels[0][0]):
+            if _units_for(spec, tree, _Scope(spec, tree, start), PATH_CLASS).count <= 4**5:
+                cases.append((spec, tree, start))
+    return cases
+
+
+def test_frontier_is_the_minimal_set_of_every_policy_value():
+    """The row recursion's frontier equals the Pareto-minimal values of an
+    enumeration of every path-class policy, and strong Pareto filters
+    against it exactly."""
+    cases = frontier_oracle_cases()
+    kinds = {(not spec.q_positive, spec.state_dependent, spec.n_players) for spec, _, _ in cases}
+    assert {(True, False, 2), (False, True, 2), (False, False, 3)} <= kinds
+    sizes = {}
+    for spec, tree, start in cases:
+        every = all_policy_values(spec, tree, start)
+        frontier = _row_recursion(spec, tree, start, 10**7, nash=False)
+        assert frontier == pareto_filter(every)
+        root = start == tree.levels[0][0]
+        sizes[root] = max(len(frontier), sizes.get(root, 0))
+        # Every achievable value as a record: strong Pareto keeps the minimal ones.
+        records = [EquilibriumRecord(Policy({}), value, ()) for value in every]
+        assert strong_pareto_filter(spec, tree, start, records) == frontier
+    assert min(sizes.values()) >= 3  # at roots and below them
+
+
+def test_strong_pareto_on_the_state_example(state_game):
+    spec, tree, root = state_game
+    records = list(value_index(spec, tree, root).values())
+    full = set_value_bruteforce(spec, tree, root)
+    strong = strong_pareto_filter(spec, tree, root, records)
+    assert pts(strong) <= pts(pareto_filter(full)) <= pts(full)
+    assert len(strong) == 5
+
+
+def test_strong_pareto_checks_its_cap_on_every_call(state_game):
+    spec, tree, root = state_game
+    strong_pareto_filter(spec, tree, root, [])
+    for start in (root, tree.node(root).children[0]):
+        with pytest.raises(EnumerationCapExceeded):
+            strong_pareto_filter(spec, tree, start, [], cap=1)
 
 
 # -- the recursion -----------------------------------------------------------------

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction as F
 from pathlib import Path
@@ -27,9 +30,8 @@ from gameval import (
     load_example,
     load_game,
 )
-from gameval.cli import main
 from gameval.dpp import random_game, verify_dpp
-from gameval.equilibria import all_policy_values, set_value_bruteforce, set_value_dpp
+from gameval.equilibria import set_value_bruteforce, set_value_dpp
 from gameval.model import PATH_CLASS, STATE_CLASS
 from gameval.planner import (
     Scalarization,
@@ -39,7 +41,7 @@ from gameval.planner import (
 )
 from gameval.presets import SPEC_FILES
 
-from oracles import truncate_game
+from oracles import all_policy_values, truncate_game
 
 WEIGHTS = (Scalarization.uniform(2), Scalarization.parse("1/3,2/3"))
 # The probe enumerates the equilibria of its start node once, and reads its
@@ -165,8 +167,42 @@ def test_path_keyed_specs_stay_per_node():
 # tree has (3^31 - 1) / 2 prefixes; the kernel moves with player 0 only.
 DEEP_SPEC = Path(__file__).parent / "data" / "markov_h30.json"
 
+# Each deep check runs in a fresh interpreter with at most this much address
+# space and time, so a regression that builds the deep tree again fails the
+# check with MemoryError or a timeout instead of exhausting the host.
+GUARD_BYTES = 1_500_000_000
+GUARD_SECONDS = 60
+GUARD_PRELUDE = f"""
+import resource
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+limit = {GUARD_BYTES} if hard == resource.RLIM_INFINITY else min({GUARD_BYTES}, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+"""
 
-def test_deep_markov_spec_is_solved_without_its_tree():
+
+def run_guarded(code: str) -> subprocess.CompletedProcess:
+    """Run Python ``code`` under the guard, with the package and the tests importable."""
+    tests = Path(__file__).parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", GUARD_PRELUDE + code],
+        capture_output=True,
+        text=True,
+        timeout=GUARD_SECONDS,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    )
+
+
+def assert_passes_guarded(check) -> None:
+    result = run_guarded(f"from test_lattice import {check.__name__}; {check.__name__}()")
+    assert result.returncode == 0, result.stderr
+
+
+def run_cli_guarded(*argv: str) -> subprocess.CompletedProcess:
+    return run_guarded(f"import sys; from gameval.cli import main; sys.exit(main({list(argv)!r}))")
+
+
+def solve_the_deep_markov_spec():
     spec = load_game(DEEP_SPEC)
     tree = build_path_tree(spec)
     assert spec.state_dependent and spec.q_positive and spec.horizon == 30
@@ -188,7 +224,11 @@ def test_deep_markov_spec_is_solved_without_its_tree():
         assert dictatorship_value(spec, tree, b, lam) == least
 
 
-def test_verify_dpp_deep_in_a_deep_markov_tree():
+def test_deep_markov_spec_is_solved_without_its_tree():
+    assert_passes_guarded(solve_the_deep_markov_spec)
+
+
+def verify_dpp_deep_in_the_deep_markov_tree():
     """A stopping time at a whole level keeps it as a range of ids, not a set.
 
     Level 29 of the horizon-30 tree holds 3^29 prefixes; the 3 reachable from
@@ -203,14 +243,29 @@ def test_verify_dpp_deep_in_a_deep_markov_tree():
         assert report.relation == "equal"
 
 
-def test_deep_markov_spec_from_the_command_line(capsys):
-    code = main(
-        ["setvalue", "--spec", str(DEEP_SPEC), "--engine", "dpp", "--prefix", "r0/m2/m0"]
+def test_verify_dpp_deep_in_a_deep_markov_tree():
+    assert_passes_guarded(verify_dpp_deep_in_the_deep_markov_tree)
+
+
+def test_deep_markov_spec_from_the_command_line():
+    result = run_cli_guarded(
+        "setvalue", "--spec", str(DEEP_SPEC), "--engine", "dpp", "--prefix", "r0/m2/m0"
     )
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
+    payload = json.loads(result.stdout)
+    assert result.returncode == 0, result.stderr
     assert payload["t"] == 2 and payload["prefix"] == "r0/m2/m0"
     assert payload["points"]
+
+
+def test_deep_markov_brute_force_exits_3_before_building_a_scope():
+    """The class size comes from the level widths: 4 joint actions at each of
+    the (3^30 - 1) / 2 decision nodes, reported as a power."""
+    result = run_cli_guarded("setvalue", "--spec", str(DEEP_SPEC), "--engine", "brute")
+    assert result.returncode == 3, result.stderr
+    error = json.loads(result.stderr)
+    assert error["error"] == "EnumerationCapExceeded"
+    units = (3**30 - 1) // 2
+    assert error["message"] == f"joint policy enumeration: needs 4**{units} > cap 10000000"
 
 
 def _markov_spec(**overrides):

@@ -29,7 +29,7 @@ from gameval import (
 )
 from gameval.cli import main
 from gameval.dpp import random_game
-from gameval.equilibria import _Scope, _units_for
+from gameval.equilibria import _check_class_size, _Scope, _units_for
 from gameval.model import PATH_CLASS, POLICY_CLASSES, STATE_CLASS
 from gameval.presets import build_pareto_spec
 
@@ -164,6 +164,25 @@ def test_a_warm_index_still_checks_the_cap():
     with pytest.raises(EnumerationCapExceeded):
         value_index(spec, tree, root, cls=STATE_CLASS, cap=1)
     assert set_value_bruteforce(spec, tree, root, cap=count).points
+
+
+def test_the_class_size_check_counts_the_units_of_the_scope():
+    """The cap check that runs before any scope exists counts, from the
+    level widths, the units a scope gives, at every node and in every class."""
+    rng = random.Random(59)
+    horizons = []
+    for state_dependent in (False, True) * 6:
+        spec = random_game(rng, max_periods=4, max_states=3, state_dependent=state_dependent)
+        tree = build_path_tree(spec)
+        horizons.append(spec.horizon)
+        for start in tree.subtree(tree.levels[0][0]):
+            for cls in POLICY_CLASSES:
+                count = _units_for(spec, tree, _Scope(spec, tree, start), cls).count
+                _check_class_size(spec, tree, start, cls, count)
+                with pytest.raises(EnumerationCapExceeded) as err:
+                    _check_class_size(spec, tree, start, cls, count - 1)
+                assert err.value.required == count
+    assert max(horizons) == 4
 
 
 def test_planner_probe_over_the_cap_exits_3(capsys):
