@@ -291,10 +291,13 @@ def iter_equilibria(
     induction at every node reached with positive probability. On a Markov
     scope a state-class opponent leaves a state-class backward-induction
     best response, so state-class and path-class deviations reach the same
-    value. Every other call (``eps > 0``, the symmetric class, the state
-    class elsewhere) checks each profile of the class (:func:`_iter_general`).
-    The cap bounds the size of the class in every case; without a given
-    scope it is checked before the scope is built.
+    value. Before it walks, that search drops the other players' actions
+    that no equilibrium plays, from one-step Nash tests at the units whose
+    continuation is fixed (:func:`_one_step_allowed`); the records and their
+    order do not change. Every other call (``eps > 0``, the symmetric class,
+    the state class elsewhere) checks each profile of the class
+    (:func:`_iter_general`). The cap bounds the size of the class in every
+    case; without a given scope it is checked before the scope is built.
     """
     if eps < 0:
         raise GameValidationError("eps must be nonnegative")
@@ -400,11 +403,16 @@ def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bo
     """Exact Nash enumeration from per-unit argmin pools, for any kernel.
 
     A unit is a node (path class) or a (time, state) group (state class on a
-    Markov scope). For every assignment of the other players' actions to the
-    units, player 0's best-response walk gives its argmin sets; player 0
-    then ranges over the assignments that play, at each unit, an action that
-    is an argmin at all of its reached members, and any action at a unit with
-    none (:func:`_reached_argmin_profiles`). Each remaining player j passes
+    Markov scope). The other players' actions range, in lexicographic order,
+    over the assignments :func:`_one_step_allowed` leaves: at a unit whose
+    members are sure and whose continuation is fixed, only the others' parts
+    of one-step Nash joint actions, and none at all when a unit has no such
+    joint. The filter is necessary, not sufficient, so every record is still
+    certified by the walks below. For every remaining assignment, player 0's
+    best-response walk gives its argmin sets; player 0 then ranges over the
+    assignments that play, at each unit, an action that is an argmin at all
+    of its reached members, and any action at a unit with none
+    (:func:`_reached_argmin_profiles`). Each remaining player j passes
     when it plays an argmin at every reached node of its walk against the
     others, memoized on their actions. An equilibrium's value is the vector
     of these walks' root values, so no per-profile cost walk runs. Every
@@ -416,14 +424,16 @@ def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bo
     members = units.members
     n_units = len(members)
     local = [tuple(map(scope.local.__getitem__, mem)) for mem in members]
+    reach = _Reach.of(scope, members)
+    allowed = _one_step_allowed(spec, scope, reach, local)
+    if () in allowed:
+        return
     walks = [_Responder(scope, i, local) for i in range(n)]
     memo: list[dict] = [{} for _ in range(n)]
     seen: dict[tuple[int, ...], Vector] = {}  # integer values -> their Fractions
     slack = (ZERO,) * n
-    reach = _Reach.of(scope, members)
-    spaces = [itertools.product(range(size), repeat=n_units) for size in scope.tables.sizes[1:]]
     first, idle = walks[0], (0,) * n_units
-    for others in itertools.product(*spaces):
+    for others in _opponent_assignments(scope.tables.sizes, allowed):
         first.update((idle,) + others)
         v0 = first.val[0]
         for own, hits in _reached_argmin_profiles(scope.tables, reach, others, first.argmins):
@@ -546,6 +556,90 @@ def _reached_argmin_profiles(tables, reach: _Reach, others, argmins0):
             yield from segment(seg + 1)
 
     return segment(0)
+
+
+def _one_step_allowed(spec: GameSpec, scope: _Scope, reach: _Reach, local) -> list:
+    """Per unit, the others' parts of the joint actions a record can play there.
+
+    Units are tested deepest first. A unit is tested when all its members are
+    sure and every child of every member has a fixed value: an end, or a
+    member of a *forced* unit, one that passes a single joint. A joint passes
+    when it is one-step Nash at every member against those values. A record
+    plays an argmin of every walk at every sure node, so there its walks'
+    values are its own values; by induction from the ends, its joint at a
+    tested unit passes. An untested unit gets None, a tested one the sorted
+    others' parts of its passing joints. A unit that passes none gets (),
+    the walk stops there, and no record exists.
+
+    A scope of one unit is not tested: there each of the others' actions
+    costs one pass of walks over the start alone, about what the test costs.
+    """
+    joints, kids, ends = spec.joint_actions, scope.kids, scope.ends
+    fixed: dict[int, tuple[int, ...]] = {}  # forced members' integer values
+    allowed: list = [None] * len(local)
+    if len(local) == 1:
+        return allowed
+    for k in reversed(range(len(local))):
+        if reach.links[k]:
+            continue
+        passing, found = range(len(joints)), []
+        for u in local[k]:
+            child = [ends.get(c) or fixed.get(c) for c in range(*kids[u])]
+            if None in child:
+                break
+            totals, nash = _one_step_nash(scope.tables, scope.rows[u], child, joints)
+            passing = [j for j in passing if nash[j]]
+            found.append((u, totals))
+        else:
+            allowed[k] = tuple(sorted({joints[j][1:] for j in passing}))
+            if not passing:
+                break
+            if len(passing) == 1:
+                for u, totals in found:
+                    fixed[u] = tuple(tot[passing[0]] for tot in totals)
+    return allowed
+
+
+def _one_step_nash(tables, row: int, child, joints):
+    """Each player's integer one-step cost of every joint action at a row,
+    against the children's values ``child``, and whether each joint is Nash:
+    no player's cost exceeds the least over its own actions."""
+    kern = tables.kern[row]
+    totals, nash = [], [True] * len(kern)
+    for i, (own, stride, size) in enumerate(zip(tables.cost[row], tables.strides, tables.sizes)):
+        col = [v[i] for v in child]
+        tot = [own[joint[i]] + sum(map(mul, w, col)) for joint, w in zip(joints, kern)]
+        span = stride * size
+        for top in range(0, len(tot), span):
+            for base in range(top, top + stride):
+                best = min(tot[base : base + span : stride])
+                for j in range(base, base + span, stride):
+                    if tot[j] != best:
+                        nash[j] = False
+        totals.append(tot)
+    return totals, nash
+
+
+def _opponent_assignments(sizes, allowed):
+    """The other players' unit columns that every tested unit allows, in
+    lexicographic order: player p ranges over its parts of each unit's
+    allowed joints, or every action at an untested unit, and with three or
+    more players the parts must also form an allowed joint at every unit."""
+    spaces = [
+        itertools.product(
+            *(range(size) if a is None else sorted({part[p] for part in a}) for a in allowed)
+        )
+        for p, size in enumerate(sizes[1:])
+    ]
+    combos = itertools.product(*spaces)
+    if len(sizes) <= 2:
+        return combos
+    tested = [(k, frozenset(a)) for k, a in enumerate(allowed) if a is not None]
+    return (
+        others
+        for others in combos
+        if all(tuple(col[k] for col in others) in a for k, a in tested)
+    )
 
 
 _NO_POLICY = Policy(actions={}, policy_class=PATH_CLASS)

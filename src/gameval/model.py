@@ -344,34 +344,34 @@ class StoppingTime:
     """Stop/continue map on prefixes; stopping happens at the first hit.
 
     Terminal nodes always stop, so the stop time is at most T on every path.
-    Non-anticipativity is automatic because membership is keyed by node. A
-    whole level is kept as its ``range`` of ids, so a deep tree's level is
-    never materialized.
+    Non-anticipativity is automatic because membership is keyed by node.
+    ``stopped[t]`` holds the stopped ids of level t as one ``range``: the
+    whole level, a state's stride, or nothing. So no level of a deep tree is
+    materialized, and membership is arithmetic.
     """
 
-    stopped: frozenset[int] | range
+    stopped: tuple[range, ...]
 
     @classmethod
     def at_time(cls, tree: PathTree, t0: int) -> StoppingTime:
         if not 0 <= t0 <= tree.horizon:
             raise GameValidationError(f"stopping time {t0} outside 0..{tree.horizon}")
-        return cls(tree.levels[t0])
+        return cls(tuple(level if t == t0 else level[:0] for t, level in enumerate(tree.levels)))
 
     @classmethod
     def hitting_state(cls, tree: PathTree, label: str) -> StoppingTime:
         # A level's nodes cycle through its states, so each state's ids are a stride.
-        ids = frozenset(
-            nid
+        stopped = tuple(
+            level[states.index(label) :: len(states)] if label in states else level[:0]
             for level, states in zip(tree.levels, tree.states)
-            if label in states
-            for nid in level[states.index(label) :: len(states)]
         )
-        if not ids:
+        if not any(stopped):
             raise GameValidationError(f"no node carries state {label!r}")
-        return cls(ids)
+        return cls(stopped)
 
     def stops_at(self, tree: PathTree, nid: int) -> bool:
-        return nid in self.stopped or tree.node(nid).t == tree.horizon
+        t = tree.nodes.locate(nid)[0]
+        return t == tree.horizon or nid in self.stopped[t]
 
     def frontier(self, tree: PathTree, start: int) -> list[int]:
         """First-stop nodes on paths from ``start``; requires stop time > t(start)."""

@@ -247,6 +247,29 @@ def test_verify_dpp_deep_in_a_deep_markov_tree():
     assert_passes_guarded(verify_dpp_deep_in_the_deep_markov_tree)
 
 
+def verify_dpp_at_a_hitting_time_in_the_deep_markov_tree():
+    """A hitting time keeps each level's stride of ids as a range, not a set.
+
+    About 10^14 nodes of the horizon-30 tree carry ``m1``. From a t = 28
+    start, play stops at the child in ``m1`` and runs on to the leaves
+    elsewhere, so the frontier mixes times 29 and 30.
+    """
+    spec = load_game(DEEP_SPEC)
+    tree = build_path_tree(spec)
+    start = tree.id_of(("r0",) + ("m0",) * 27 + ("m2",))
+    stopping = StoppingTime.hitting_state(tree, "m1")
+    frontier = stopping.frontier(tree, start)
+    assert sorted(tree.node(nid).t for nid in frontier) == [29, 30, 30, 30, 30, 30, 30]
+    assert stopping.stops_at(tree, tree.id_of(("r0",) + ("m2", "m1") * 14 + ("m0",) * 2))
+    for cls in (PATH_CLASS, STATE_CLASS):
+        report = verify_dpp(spec, tree, start, stopping, selection_class=cls)
+        assert report.relation == "equal"
+
+
+def test_verify_dpp_at_a_hitting_time_in_a_deep_markov_tree():
+    assert_passes_guarded(verify_dpp_at_a_hitting_time_in_the_deep_markov_tree)
+
+
 def test_deep_markov_spec_from_the_command_line():
     result = run_cli_guarded(
         "setvalue", "--spec", str(DEEP_SPEC), "--engine", "dpp", "--prefix", "r0/m2/m0"

@@ -274,7 +274,11 @@ def test_implicit_tree_equals_eager_tree(spec):
         assert list(got.items()) == list(want.items())
     for label in set().union(*spec.states):
         want = frozenset(node.id for node in nodes if node.state == label)
-        assert StoppingTime.hitting_state(tree, label).stopped == want
+        stopping = StoppingTime.hitting_state(tree, label)
+        assert frozenset(itertools.chain.from_iterable(stopping.stopped)) == want
+        for node in nodes:
+            stops = node.id in want or node.t == spec.horizon
+            assert stopping.stops_at(tree, node.id) == stops
 
 
 def test_implicit_tree_rejects_what_the_eager_tree_rejected():
