@@ -282,7 +282,10 @@ def iter_equilibria(
     Games where most actions are payoff-irrelevant have combinatorially many
     equilibrium profiles, so this is a generator; pass ``with_policies=False``
     when only the values matter: then only the first record of each value is
-    sure to carry its witness policy, and later ones may carry an empty one.
+    sure to carry its witness policy, later ones may carry an empty one, and
+    the argmin search below may skip tied repeats altogether, as it plays
+    one action per payoff-equivalence class. Every value still comes, in the
+    same order, with the same first record.
 
     Exact equilibria (``eps == 0``) of the path class, and of the state class
     on Markov scopes (:meth:`_Scope.is_markov`), come from argmin pools
@@ -356,8 +359,8 @@ class _Responder:
     def __init__(self, scope: _Scope, player: int, members):
         tables = scope.tables
         self.player, self.members = player, members
-        self.kids, self.rows, self.kern = scope.kids, scope.rows, tables.kern
-        self.own = [cost[player] for cost in tables.cost]
+        self.kids, self.rows = scope.kids, scope.rows
+        self.kern, self.cost = tables.kern, tables.cost
         self.stride = tables.strides[player]
         self.span = self.stride * tables.sizes[player]
         self.weights = tables.strides[:player] + tables.strides[player + 1 :]
@@ -389,13 +392,13 @@ class _Responder:
                 order = self.closure[changed[0]]
             else:
                 order = sorted(set().union(*(self.closure[k] for k in changed)), reverse=True)
-        menus, rows, own, kern = self.menus, self.rows, self.own, self.kern
-        stride, span = self.stride, self.span
+        menus, rows, cost, kern = self.menus, self.rows, self.cost, self.kern
+        player, stride, span = self.player, self.stride, self.span
         for k in changed:
             base = key[k]
             for u in self.members[k]:
                 row = rows[u]
-                menus[u] = own[row], kern[row][base : base + span : stride]
+                menus[u] = cost[row][player], kern[row][base : base + span : stride]
         induct(order, self.kids, menus, self.val, self.argmins)
 
 
@@ -419,6 +422,15 @@ def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bo
     walk is a :class:`_Responder`, and values stay integers until a record
     is yielded; each distinct value is converted once, and its first record
     carries a policy even when ``with_policies`` is false.
+
+    Without policies every player ranges, at each unit, over the least
+    action of each payoff-equivalence class at the unit's row only
+    (:func:`_class_choices`), so tied repeats of a value are skipped. The
+    first record σ of a value comes out as before: replacing each of its
+    actions by its class's least gives an equilibrium with the same value
+    whose place in the lexicographic order of (others' columns, own column)
+    is not later than σ's, so it is σ. A scope whose rows have no ties runs
+    the loop unchanged, and with policies every tied profile still comes.
     """
     n = spec.n_players
     members = units.members
@@ -428,15 +440,17 @@ def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bo
     allowed = _one_step_allowed(spec, scope, reach, local)
     if () in allowed:
         return
+    choices = None if with_policies else _class_choices(scope, local)
     walks = [_Responder(scope, i, local) for i in range(n)]
     memo: list[dict] = [{} for _ in range(n)]
     seen: dict[tuple[int, ...], Vector] = {}  # integer values -> their Fractions
     slack = (ZERO,) * n
     first, idle = walks[0], (0,) * n_units
-    for others in _opponent_assignments(scope.tables.sizes, allowed):
+    for others in _opponent_assignments(scope.tables.sizes, allowed, choices):
         first.update((idle,) + others)
         v0 = first.val[0]
-        for own, hits in _reached_argmin_profiles(scope.tables, reach, others, first.argmins):
+        profiles = _reached_argmin_profiles(scope.tables, reach, others, first.argmins, choices)
+        for own, hits in profiles:
             cols = (own,) + others
             values = [v0]
             for j in range(1, n):
@@ -512,26 +526,26 @@ class _Reach(NamedTuple):
         return cls(tuple(sure), tuple(links), tuple(cuts))
 
 
-def _reached_argmin_profiles(tables, reach: _Reach, others, argmins0):
+def _reached_argmin_profiles(tables, reach: _Reach, others, argmins0, choices):
     """Player 0's unit assignments that play an argmin wherever they reach.
 
     Depth first over the segments of ``reach``, and over the product of the
     units' pools within one segment, so assignments come out in lexicographic
     order of the pools. Entering a segment fixes which members of its units
     are reached; a unit's pool is the actions that are an argmin at each of
-    its reached members, or every action when none is reached. Each
-    assignment is yielded with ``hits``, the reached members of every unit
-    under it.
+    its reached members, or every action when none is reached, kept to
+    ``choices[k][0]`` when ``choices`` are given. Each assignment is yielded
+    with ``hits``, the reached members of every unit under it.
     """
     sure, links, cuts = reach
     own = [0] * len(sure)
     hits = list(sure)
     reached: dict[int, bool] = {}  # contingent nodes entered so far; sure ones are absent
-    last = len(cuts) - 2
     strides = tables.strides
+    every = range(tables.sizes[0])
 
-    def segment(seg: int):
-        pools = []
+    def pools(seg: int) -> list:
+        out = []
         for k in range(cuts[seg], cuts[seg + 1]):
             hit = sure[k]
             if links[k]:
@@ -543,19 +557,28 @@ def _reached_argmin_profiles(tables, reach: _Reach, others, argmins0):
                     if flag:
                         hit.append(u)
                 hits[k] = hit
-            pools.append(_pool(argmins0, hit) if hit else range(tables.sizes[0]))
-        combos = itertools.product(*pools)
-        if seg == last:
-            head = tuple(own[: cuts[seg]])
-            return zip(map(head.__add__, combos), itertools.repeat(tuple(hits)))
-        return descend(seg, combos)
+            pool = _pool(argmins0, hit) if hit else every
+            out.append(pool if choices is None else [a for a in pool if a in choices[k][0]])
+        return out
 
-    def descend(seg: int, combos):
-        for combo in combos:
-            own[cuts[seg] : cuts[seg + 1]] = combo
-            yield from segment(seg + 1)
+    return _descend(pools, cuts, own, hits, 0)
 
-    return segment(0)
+
+def _descend(pools, cuts, own, hits, seg: int):
+    """The assignments from segment ``seg`` on, after ``own`` holds the
+    earlier segments' actions. Module-level and handed the ``pools`` closure,
+    so no closure refers to itself and an enumeration leaves no cycle."""
+    combos = itertools.product(*pools(seg))
+    if seg == len(cuts) - 2:
+        head = tuple(own[: cuts[seg]])
+        return zip(map(head.__add__, combos), itertools.repeat(tuple(hits)))
+    return _deeper(pools, cuts, own, hits, seg, combos)
+
+
+def _deeper(pools, cuts, own, hits, seg: int, combos):
+    for combo in combos:
+        own[cuts[seg] : cuts[seg + 1]] = combo
+        yield from _descend(pools, cuts, own, hits, seg + 1)
 
 
 def _one_step_allowed(spec: GameSpec, scope: _Scope, reach: _Reach, local) -> list:
@@ -620,17 +643,22 @@ def _one_step_nash(tables, row: int, child, joints):
     return totals, nash
 
 
-def _opponent_assignments(sizes, allowed):
+def _opponent_assignments(sizes, allowed, choices):
     """The other players' unit columns that every tested unit allows, in
     lexicographic order: player p ranges over its parts of each unit's
-    allowed joints, or every action at an untested unit, and with three or
-    more players the parts must also form an allowed joint at every unit."""
-    spaces = [
-        itertools.product(
-            *(range(size) if a is None else sorted({part[p] for part in a}) for a in allowed)
-        )
-        for p, size in enumerate(sizes[1:])
-    ]
+    allowed joints, or every action at an untested unit, kept to
+    ``choices[k][p]`` when ``choices`` are given, and with three or more
+    players the parts must also form an allowed joint at every unit."""
+    spaces = []
+    for p, size in enumerate(sizes[1:], 1):
+        columns = []
+        for k, a in enumerate(allowed):
+            acts = range(size) if choices is None else choices[k][p]
+            if a is not None:
+                parts = {part[p - 1] for part in a}
+                acts = [x for x in acts if x in parts]
+            columns.append(acts)
+        spaces.append(itertools.product(*columns))
     combos = itertools.product(*spaces)
     if len(sizes) <= 2:
         return combos
@@ -640,6 +668,46 @@ def _opponent_assignments(sizes, allowed):
         for others in combos
         if all(tuple(col[k] for col in others) in a for k, a in tested)
     )
+
+
+def _class_choices(scope: _Scope, local):
+    """Per unit, each player's least actions of its payoff-equivalence
+    classes at the unit's row (:func:`_class_minima`), or None when no unit's
+    row has ties. A state-class unit on a Markov scope has one row."""
+    tables = scope.tables
+    minima = [_class_minima(tables, scope.rows[mem[0]]) for mem in local]
+    if not any(minima):
+        return None
+    every = tuple(map(range, tables.sizes))
+    return [m or every for m in minima]
+
+
+def _class_minima(tables, row: int):
+    """Per player, the least action of each payoff-equivalence class at a
+    table row, in index order, or None when no two actions of a player are
+    equivalent there; memoized in ``tables.class_minima``.
+
+    Two actions of a player are equivalent when they have the same running
+    cost and the same child weights against every joint action of the
+    others (Kuhn's reduced normal form): swapping one for the other at a
+    node changes no player's cost, best response or equilibrium status.
+    """
+    memo = tables.class_minima
+    if row in memo:
+        return memo[row]
+    kern, tied, out = tables.kern[row], False, []
+    for own, stride, size in zip(tables.cost[row], tables.strides, tables.sizes):
+        least = range(size)
+        if len(set(own)) < size:  # only actions of equal cost can be equivalent
+            span, first = stride * size, {}
+            for a in least:
+                weights = tuple(kern[j : j + stride] for j in range(a * stride, len(kern), span))
+                first.setdefault((own[a], weights), a)
+            if len(first) < size:
+                least, tied = tuple(first.values()), True
+        out.append(least)
+    memo[row] = entry = tuple(out) if tied else None
+    return entry
 
 
 _NO_POLICY = Policy(actions={}, policy_class=PATH_CLASS)

@@ -32,7 +32,7 @@ from gameval import (
 )
 from gameval.dpp import random_game, verify_dpp
 from gameval.equilibria import set_value_bruteforce, set_value_dpp
-from gameval.model import PATH_CLASS, STATE_CLASS
+from gameval.model import PATH_CLASS, STATE_CLASS, tables_of
 from gameval.planner import (
     Scalarization,
     dictatorship_value,
@@ -139,6 +139,29 @@ def test_memoized_recursions_leave_no_reference_cycle(solve):
         solve(spec, tree)
         del tree
         assert alive() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["positive", "zero-kernels"])
+def test_brute_force_leaves_no_cycle_that_keeps_the_tables(zero):
+    """A multi-unit enumeration, one segment or several, keeps nothing alive:
+    the tree and its tables, with their memos, die with the tree's last
+    reference, with no collector run."""
+    rng = random.Random(3)
+    while True:
+        spec = random_game(rng, max_periods=3, allow_zero=zero)
+        if spec.horizon == 3 and len(spec.states[1]) == 2 and spec.q_positive != zero:
+            break
+    gc.disable()
+    try:
+        tree = build_path_tree(spec)
+        root = tree.levels[0][0]
+        alive = weakref.ref(tree), weakref.ref(tables_of(spec, tree))
+        assert set_value_bruteforce(spec, tree, root)
+        assert tables_of(spec, tree).value_index
+        del tree
+        assert [ref() for ref in alive] == [None, None]
     finally:
         gc.enable()
 
