@@ -25,17 +25,10 @@ from .errors import EnumerationCapExceeded, GameValidationError, NumericInstabil
 from .model import (
     PATH_CLASS,
     STATE_CLASS,
-    SYMMETRIC_CLASS,
     GameSpec,
     StoppingTime,
     build_path_tree,
 )
-
-VARIANT_CLASSES = {
-    "full": PATH_CLASS,
-    "state": STATE_CLASS,
-    "symmetric": SYMMETRIC_CLASS,
-}
 
 BATTERY = {
     "path": dict(example="path", stop=2, variant="full", selection="path"),
@@ -80,7 +73,7 @@ def cmd_setvalue(args) -> int:
     variant = args.variant
 
     # The brute-force set value and the witnesses read one memoized enumeration.
-    cls = VARIANT_CLASSES.get(variant, PATH_CLASS)
+    cls = dpp_mod.VARIANT_POLICY_CLASS.get(variant, PATH_CLASS)
     brute = None
     if variant in ("pareto", "strong-pareto") or args.engine in ("brute", "both"):
         brute = eq.set_value_bruteforce(spec, tree, start, eps=epsilon, cls=cls, cap=args.cap)
@@ -369,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--variant",
         default="full",
-        choices=["full", "state", "symmetric", "pareto", "strong-pareto"],
+        choices=[*dpp_mod.VARIANT_POLICY_CLASS, "strong-pareto"],
     )
     p.add_argument("--eps", default="0", help="equilibrium slack, rational")
     p.add_argument("--engine", default="brute", choices=["brute", "dpp", "both"])
@@ -378,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-dpp", help="compare a set value with its recursion")
     common(p)
-    p.add_argument("--variant", choices=["full", "state", "symmetric", "pareto"])
+    p.add_argument("--variant", choices=list(dpp_mod.VARIANT_POLICY_CLASS))
     p.add_argument("--selection-class", choices=["path", "state"])
     p.add_argument("--stop-time", type=int, help="stop at a fixed time")
     p.add_argument("--stop-at-state", help="stop when a state label is first hit")

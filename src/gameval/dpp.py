@@ -23,11 +23,11 @@ from .equilibria import (
     DEFAULT_POLICY_CAP,
     DEFAULT_SELECTION_CAP,
     ValueSet,
-    _one_step_table,
+    _nash_flags,
+    _one_step_costs,
     _row_set,
     _Scope,
     iter_equilibria,
-    nash_profiles,
     pareto_filter,
     set_value_bruteforce,
 )
@@ -45,10 +45,9 @@ from .model import (
 )
 from .presets import build_pareto_spec, pareto_tables
 
-VARIANTS = ("full", "state", "symmetric", "pareto")
 SELECTION_CLASSES = (PATH_CLASS, STATE_CLASS)
 
-_VARIANT_POLICY_CLASS = {
+VARIANT_POLICY_CLASS = {
     "full": PATH_CLASS,
     "state": STATE_CLASS,
     "symmetric": SYMMETRIC_CLASS,
@@ -91,7 +90,7 @@ def compare_sets(lhs: ValueSet, rhs: ValueSet, context: dict | None = None) -> D
 def _variant_set(
     spec: GameSpec, tree: PathTree, nid: int, variant: str, cap: int
 ) -> ValueSet:
-    vs = set_value_bruteforce(spec, tree, nid, cls=_VARIANT_POLICY_CLASS[variant], cap=cap)
+    vs = set_value_bruteforce(spec, tree, nid, cls=VARIANT_POLICY_CLASS[variant], cap=cap)
     return pareto_filter(vs) if variant == "pareto" else vs
 
 
@@ -104,7 +103,7 @@ def _truncated_values(
     cap: int,
 ) -> ValueSet:
     """Equilibrium values of the truncated game for one terminal selection."""
-    cls = _VARIANT_POLICY_CLASS[variant]
+    cls = VARIANT_POLICY_CLASS[variant]
     scope = _Scope(spec, tree, start, frontier=frontier)
     found = iter_equilibria(spec, tree, start, cls=cls, cap=cap, scope=scope, with_policies=False)
     vs = ValueSet.of(rec.value for rec in found)
@@ -129,7 +128,7 @@ def verify_dpp(
     selections to state-dependent ones), builds the truncated game, and
     collects its variant equilibrium values.
     """
-    if variant not in VARIANTS:
+    if variant not in VARIANT_POLICY_CLASS:
         raise GameValidationError(f"unknown variant {variant!r}")
     if selection_class not in SELECTION_CLASSES:
         raise GameValidationError(f"selection class must be one of {SELECTION_CLASSES}")
@@ -186,11 +185,12 @@ def check_pareto_eps(eps: Fraction) -> GameSpec:
     """Validate the perturbation by re-deriving the one-step game structure.
 
     For every selection of continuation values at the four branches, the
-    perturbed first-period game must have exactly the Nash profiles of its
-    unperturbed limit. This re-derivation, not a hardcoded bound, decides
-    whether ``eps`` is admissible. The branch sets are the recursion's rows
-    (the spec has q > 0); Nash profiles do not depend on the scale, so the
-    limit games stay at the branches' scale.
+    perturbed first-period game (:func:`_one_step_costs`) must have exactly
+    the Nash profiles (:func:`_nash_flags`) of its unperturbed limit. This
+    re-derivation, not a hardcoded bound, decides whether ``eps`` is
+    admissible. The branch sets are the recursion's rows (the spec has
+    q > 0); Nash profiles do not depend on the scale, so the limit games
+    stay at the branches' scale.
     """
     spec = build_pareto_spec(eps)
     tables = tables_of(spec, build_path_tree(spec))
@@ -204,10 +204,11 @@ def check_pareto_eps(eps: Fraction) -> GameSpec:
         tuple(map(int, key.split(","))): branches.index(s)
         for key, s in pareto_tables()["kernel_target"].items()
     }
+    joints, strides, sizes = spec.joint_actions, tables.strides, tables.sizes
     for chosen in itertools.product(*branch_sets):
-        perturbed = _one_step_table(spec, tables, root, chosen)
-        limit = {joint: chosen[target[joint]] for joint in spec.joint_actions}
-        if set(nash_profiles(spec, perturbed)) != set(nash_profiles(spec, limit)):
+        perturbed = _one_step_costs(tables, root, chosen, joints)
+        limit = [[chosen[target[joint]][i] for joint in joints] for i in range(spec.n_players)]
+        if _nash_flags(perturbed, strides, sizes) != _nash_flags(limit, strides, sizes):
             raise GameValidationError(
                 f"eps={eps} changes the equilibrium structure of a first-period game"
             )

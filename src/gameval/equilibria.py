@@ -597,7 +597,7 @@ def _one_step_allowed(spec: GameSpec, scope: _Scope, reach: _Reach, local) -> li
     A scope of one unit is not tested: there each of the others' actions
     costs one pass of walks over the start alone, about what the test costs.
     """
-    joints, kids, ends = spec.joint_actions, scope.kids, scope.ends
+    joints, kids, ends, tables = spec.joint_actions, scope.kids, scope.ends, scope.tables
     fixed: dict[int, tuple[int, ...]] = {}  # forced members' integer values
     allowed: list = [None] * len(local)
     if len(local) == 1:
@@ -610,7 +610,8 @@ def _one_step_allowed(spec: GameSpec, scope: _Scope, reach: _Reach, local) -> li
             child = [ends.get(c) or fixed.get(c) for c in range(*kids[u])]
             if None in child:
                 break
-            totals, nash = _one_step_nash(scope.tables, scope.rows[u], child, joints)
+            totals = _one_step_costs(tables, scope.rows[u], child, joints)
+            nash = _nash_flags(totals, tables.strides, tables.sizes)
             passing = [j for j in passing if nash[j]]
             found.append((u, totals))
         else:
@@ -623,15 +624,24 @@ def _one_step_allowed(spec: GameSpec, scope: _Scope, reach: _Reach, local) -> li
     return allowed
 
 
-def _one_step_nash(tables, row: int, child, joints):
-    """Each player's integer one-step cost of every joint action at a row,
-    against the children's values ``child``, and whether each joint is Nash:
-    no player's cost exceeds the least over its own actions."""
+def _one_step_costs(tables, row: int, child, joints) -> list[list[int]]:
+    """Each player's integer one-step cost of every joint action at a row, in
+    joint-index order: the own running cost plus the kernel-weighted values
+    of the children, one integer vector per child in ``child``."""
     kern = tables.kern[row]
-    totals, nash = [], [True] * len(kern)
-    for i, (own, stride, size) in enumerate(zip(tables.cost[row], tables.strides, tables.sizes)):
+    totals = []
+    for i, own in enumerate(tables.cost[row]):
         col = [v[i] for v in child]
-        tot = [own[joint[i]] + sum(map(mul, w, col)) for joint, w in zip(joints, kern)]
+        totals.append([own[joint[i]] + sum(map(mul, w, col)) for joint, w in zip(joints, kern)])
+    return totals
+
+
+def _nash_flags(totals, strides, sizes) -> list[bool]:
+    """Per joint action, whether it is Nash in the static game where player
+    i's costs are ``totals[i]`` in joint-index order: no player's cost exceeds
+    the least over its own actions, which lie ``strides[i]`` joints apart."""
+    nash = [True] * len(totals[0])
+    for tot, stride, size in zip(totals, strides, sizes):
         span = stride * size
         for top in range(0, len(tot), span):
             for base in range(top, top + stride):
@@ -639,8 +649,7 @@ def _one_step_nash(tables, row: int, child, joints):
                 for j in range(base, base + span, stride):
                     if tot[j] != best:
                         nash[j] = False
-        totals.append(tot)
-    return totals, nash
+    return nash
 
 
 def _opponent_assignments(sizes, allowed, choices):
@@ -784,23 +793,6 @@ def one_step_equilibria(
     return list(iter_equilibria(spec, tree, nid, scope=_Scope(spec, tree, nid, frontier=frontier)))
 
 
-def nash_profiles(spec: GameSpec, table: dict[JointAction, Vector]) -> list[JointAction]:
-    """Pure Nash profiles of a static cost game, in the order of ``table``.
-
-    ``table`` maps every joint action to its cost vector. A profile is Nash
-    when no player lowers its own cost by changing its own action alone.
-    """
-    return [
-        joint
-        for joint, value in table.items()
-        if all(
-            table[_merge(joint, i, ai)][i] >= value[i]
-            for i in range(spec.n_players)
-            for ai in range(len(spec.actions[i]))
-        )
-    ]
-
-
 def set_value_dpp(
     spec: GameSpec,
     tree: PathTree,
@@ -836,9 +828,10 @@ def _row_set(spec: GameSpec, tables, row: int, cap: int, nash: bool):
     """A row's set of integer points and the largest selection count met at
     or below it, memoized; the cap is checked on every call.
 
-    Each selection of one point per child gives a one-step cost table. With
-    ``nash`` a row keeps its tables' Nash values (``tables.dpp_sets``), else
-    the minimal values of all their joint actions (``tables.frontiers``):
+    Each selection of one point per child gives a one-step game
+    (:func:`_one_step_costs`). With ``nash`` a row keeps its games' Nash
+    values (:func:`_nash_flags`, memo ``tables.dpp_sets``), else the minimal
+    values of all their joint actions (``tables.frontiers``):
     the path class's minimal achievable set, as subpolicies below different
     children are independent and the weights are nonnegative.
     """
@@ -857,23 +850,16 @@ def _row_set(spec: GameSpec, tables, row: int, cap: int, nash: bool):
     if n_selections > cap:
         raise EnumerationCapExceeded("continuation selection enumeration", n_selections, cap)
     found: set[tuple[int, ...]] = set()
+    joints, strides, sizes = spec.joint_actions, tables.strides, tables.sizes
     for chosen in itertools.product(*child_sets):
-        table = _one_step_table(spec, tables, row, chosen)
-        found.update(map(table.get, nash_profiles(spec, table)) if nash else table.values())
+        totals = _one_step_costs(tables, row, chosen, joints)
+        values = zip(*totals)
+        if nash:
+            values = itertools.compress(values, _nash_flags(totals, strides, sizes))
+        found.update(values)
     points = tuple(found) if nash else tuple(y for y in found if not _dominated(y, found))
     memo[row] = entry = points, max(n_selections, *counts)
     return entry
-
-
-def _one_step_table(spec: GameSpec, tables, row: int, chosen) -> dict[JointAction, tuple]:
-    """Each joint action's integer cost vector at a row, one child point per
-    child chosen: the own running costs plus the kernel-weighted child points."""
-    cols = tuple(zip(*chosen))
-    cost = tables.cost[row]
-    return {
-        joint: tuple(c[a] + sum(map(mul, w, col)) for c, a, col in zip(cost, joint, cols))
-        for joint, w in zip(spec.joint_actions, tables.kern[row])
-    }
 
 
 # -- order filters -------------------------------------------------------------

@@ -57,23 +57,50 @@ def _encode_key(t: int, key, action_part: str) -> str:
     return KEY_SEP.join((str(t), where, action_part))
 
 
+def _split_key(key_text: str, kind: str, state_dependent: bool) -> tuple[int, Any, str]:
+    """A ``t|where|action`` key's time, location and action part."""
+    parts = key_text.split(KEY_SEP)
+    if len(parts) != 3 or not _digits(parts[0]):
+        raise GameValidationError(f"bad {kind} key {key_text!r}")
+    t, where, action_part = parts
+    return int(t), where if state_dependent else _prefix_from_str(where), action_part
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` when it is a JSON object (dict) or array (list), as ``kind`` asks."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "an array"
+        raise GameValidationError(f"{what} must be {name}, got {type(value).__name__}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    """An integer given as a JSON number or a string of digits."""
+    if isinstance(value, int) or isinstance(value, str) and _digits(value):
+        return int(value)
+    raise GameValidationError(f"{what} must be an integer, got {value!r}")
+
+
 def load_game(source: str | Path | dict) -> GameSpec:
     """Parse a game spec from a JSON file path or an already-loaded dict."""
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise GameValidationError(f"spec file {str(source)!r} is not JSON: {exc}") from exc
     else:
         raw = source
     try:
-        horizon = int(raw["horizon"])
-        players = int(raw["players"])
+        horizon = _integer(raw["horizon"], "horizon")
+        players = _integer(raw["players"], "players")
         states = [list(level) for level in raw["states"]]
         actions = [list(acts) for acts in raw["actions"]]
-        flags = raw.get("flags", {})
+        flags = _typed(raw.get("flags", {}), dict, "flags")
         state_dependent = bool(flags.get("state_dependent", False))
-        raw_trans = raw["transitions"]
-        raw_running = raw["running_costs"]
-        raw_terminal = raw["terminal_costs"]
+        raw_trans = _typed(raw["transitions"], dict, "transitions")
+        raw_running = _typed(raw["running_costs"], list, "running_costs")
+        raw_terminal = _typed(raw["terminal_costs"], list, "terminal_costs")
     except (KeyError, TypeError) as exc:
         raise GameValidationError(f"malformed game document: missing {exc}") from exc
     if players != len(actions):
@@ -87,12 +114,8 @@ def load_game(source: str | Path | dict) -> GameSpec:
 
     transitions: dict = {}
     for key_text, vec in raw_trans.items():
-        parts = key_text.split(KEY_SEP)
-        if len(parts) != 3:
-            raise GameValidationError(f"bad transition key {key_text!r}")
-        t = int(parts[0])
-        where: Any = parts[1] if state_dependent else _prefix_from_str(parts[1])
-        labels = parts[2].split(",")
+        t, where, action_part = _split_key(key_text, "transition", state_dependent)
+        labels = action_part.split(",")
         if len(labels) != players:
             raise GameValidationError(
                 f"transition key {key_text!r} must list one action per player"
@@ -101,6 +124,8 @@ def load_game(source: str | Path | dict) -> GameSpec:
         if t + 1 > horizon:
             raise GameValidationError(f"transition key {key_text!r} beyond horizon")
         level = states[t + 1]
+        if not isinstance(vec, dict):
+            raise GameValidationError(f"transition {key_text!r} must be an object of probabilities")
         probs = [frac_from_str(vec.get(s, "0")) for s in level]
         for s in vec:
             if s not in level:
@@ -110,24 +135,20 @@ def load_game(source: str | Path | dict) -> GameSpec:
     running: list[dict] = []
     for i, table in enumerate(raw_running):
         entry: dict = {}
-        for key_text, cost in table.items():
-            parts = key_text.split(KEY_SEP)
-            if len(parts) != 3:
-                raise GameValidationError(f"bad running-cost key {key_text!r}")
-            if "," in parts[2]:
+        for key_text, cost in _typed(table, dict, f"running costs of player {i}").items():
+            t, where, label = _split_key(key_text, "running-cost", state_dependent)
+            if "," in label:
                 raise GameValidationError(
                     f"running cost {key_text!r} keys a joint action; costs take only "
                     "the player's own action"
                 )
-            t = int(parts[0])
-            where = parts[1] if state_dependent else _prefix_from_str(parts[1])
-            entry[(t, where, find_action(i, parts[2]))] = frac_from_str(cost)
+            entry[(t, where, find_action(i, label))] = frac_from_str(cost)
         running.append(entry)
 
     terminal: list[dict] = []
-    for table in raw_terminal:
+    for i, table in enumerate(raw_terminal):
         entry = {}
-        for key_text, cost in table.items():
+        for key_text, cost in _typed(table, dict, f"terminal costs of player {i}").items():
             where = key_text if state_dependent else _prefix_from_str(key_text)
             entry[where] = frac_from_str(cost)
         terminal.append(entry)

@@ -623,16 +623,14 @@ class _Scope:
 
         Holds for Markov data when each (time, state) group of the scope is
         either wholly made of end nodes sharing one terminal vector, or wholly
-        made of decision nodes.
+        made of decision nodes (whose ``ends`` entry is None).
         """
         if not self.spec.state_dependent:
             return False
         if self.frontier is None:
             return True
-        nodes = self.tree.nodes
-        groups: dict[tuple[int, str], tuple[int, ...]] = {}
-        for u, term in self.ends.items():
-            node = nodes[self.nodes[u]]
-            if groups.setdefault((node.t, node.state), term) != term:
-                return False
-        return not any((nodes[nid].t, nodes[nid].state) in groups for nid in self.decision_nodes)
+        ends, local = self.ends, self.local
+        return all(
+            len({ends.get(local[nid]) for nid in members}) == 1
+            for members in self.tree.group_by_time_state(self.nodes).values()
+        )

@@ -2,7 +2,8 @@
 
 Each one is direct and slow: the truncated game is rebuilt as a path-keyed
 spec prefix by prefix, the path measure by recursion over the tree, the
-values of every path-class policy by enumerating them all, and the PDE
+values of every path-class policy by enumerating them all, the Nash
+profiles of a static game by trying every unilateral deviation, and the PDE
 bracket by a scan of every (action, z) pair at one point. The package
 computes none of these itself, so they live here, next to the tests that use
 them.
@@ -175,6 +176,24 @@ def all_policy_values(
     assignments = itertools.product(range(len(units.options)), repeat=len(units.members))
     joints = (map(units.options.__getitem__, a) for a in assignments)
     return ValueSet.of(scope.value(units.policy(js, PATH_CLASS).action) for js in joints)
+
+
+def nash_profiles(sizes, table: dict) -> list:
+    """Pure Nash profiles of a static cost game, in the order of ``table``.
+
+    ``table`` maps every joint action (player i has ``sizes[i]`` actions) to
+    its cost vector. A profile is Nash when no player lowers its own cost by
+    changing its own action alone.
+    """
+    return [
+        joint
+        for joint, value in table.items()
+        if all(
+            table[joint[:i] + (ai,) + joint[i + 1 :]][i] >= value[i]
+            for i, size in enumerate(sizes)
+            for ai in range(size)
+        )
+    ]
 
 
 # -- the PDE bracket -------------------------------------------------------------

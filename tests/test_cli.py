@@ -168,6 +168,43 @@ def test_exit_code_validation(capsys, tmp_path):
     assert code == 2 and "malformed" in err
 
 
+def malformed_table1(kind: str) -> str:
+    doc = dump_game(load_example("table1"))
+    if kind == "transition-key":
+        doc["transitions"]["x|s0|0,0"] = doc["transitions"].pop("0|s0|0,0")
+    elif kind == "negative-time":
+        doc["transitions"]["-5|s0|0,0"] = doc["transitions"]["0|s0|0,0"]
+    elif kind == "running-cost-key":
+        doc["running_costs"][0]["y|s0|0"] = doc["running_costs"][0].pop("0|s0|0")
+    elif kind == "horizon":
+        doc["horizon"] = "two"
+    elif kind == "vector-list":
+        doc["transitions"]["0|s0|0,0"] = list(doc["transitions"]["0|s0|0,0"].values())
+    text = json.dumps(doc)
+    return text[: len(text) // 2] if kind == "truncated" else text
+
+
+# Each malformed document, and what its error message names.
+MALFORMED = {
+    "transition-key": "x|s0|0,0",
+    "negative-time": "-5|s0|0,0",
+    "running-cost-key": "y|s0|0",
+    "horizon": "horizon",
+    "vector-list": "0|s0|0,0",
+    "truncated": "not JSON",
+}
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+def test_malformed_spec_files_exit_2(capsys, tmp_path, kind):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(malformed_table1(kind))
+    code, out, err = run(capsys, "setvalue", "--spec", str(path))
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "GameValidationError" and MALFORMED[kind] in error["message"]
+
+
 def test_exit_code_cap(capsys):
     code, _, err = run(capsys, "setvalue", "--example", "path", "--cap", "3")
     assert code == 3 and "cap" in err

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -33,6 +34,7 @@ from gameval.dpp import random_game
 from gameval.equilibria import (
     _iter_argmin,
     _iter_general,
+    _nash_flags,
     _Reach,
     _row_recursion,
     _Scope,
@@ -47,7 +49,7 @@ from gameval.model import (
 )
 from gameval.presets import build_pareto_spec, load_example
 
-from oracles import all_policy_values, enumerate_equilibria, truncate_game
+from oracles import all_policy_values, enumerate_equilibria, nash_profiles, truncate_game
 
 from test_core import clone_action, indifferent, tied_game
 
@@ -394,6 +396,23 @@ def test_one_step_perturbed_first_period_games():
     )
     assert len(records) == 1
     assert records[0].value == (3 + 10 * eps, 3 + 10 * eps)
+
+
+@pytest.mark.parametrize("sizes", [(3,), (2, 3), (3, 2), (2, 3, 2)])
+def test_nash_flags_agree_with_the_deviation_oracle(sizes):
+    """The stride test finds the profiles no unilateral deviation improves."""
+    rng = random.Random(len(sizes) * 10 + sizes[0])
+    joints = list(itertools.product(*map(range, sizes)))
+    strides = tuple(math.prod(sizes[i + 1 :]) for i in range(len(sizes)))
+    found = 0
+    for _ in range(300):
+        # Costs in {0, 1, 2} leave many tied columns, and whole tied games.
+        table = {joint: tuple(rng.randint(0, 2) for _ in sizes) for joint in joints}
+        totals = [[table[joint][i] for joint in joints] for i in range(len(sizes))]
+        nash = set(nash_profiles(sizes, table))
+        assert _nash_flags(totals, strides, sizes) == [joint in nash for joint in joints]
+        found += bool(nash)
+    assert 0 < found
 
 
 # -- order filters ------------------------------------------------------------------
