@@ -202,7 +202,8 @@ def test_malformed_spec_files_exit_2(capsys, tmp_path, kind):
     code, out, err = run(capsys, "setvalue", "--spec", str(path))
     assert code == 2 and out == ""
     error = json.loads(err)
-    assert error["error"] == "GameValidationError" and MALFORMED[kind] in error["message"]
+    assert error["error"] == "GameValidationError"
+    assert MALFORMED[kind] in error["message"]
 
 
 def test_exit_code_cap(capsys):
