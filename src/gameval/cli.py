@@ -13,7 +13,6 @@ import dataclasses
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +35,12 @@ BATTERY = {
     "state": dict(example="state", stop=1, variant="state", selection="state"),
 }
 
+# The solve-pde flags that override a GridConfig field of the same name.
+GRID_FLAGS = {
+    "nx": int, "ny": int, "nz": int, "z_max": float, "t_final": float,
+    "cfl_safety": float, "ht": float, "delta_scale": float,
+}
+
 
 def _load_spec(args) -> GameSpec:
     if getattr(args, "spec", None):
@@ -44,7 +49,7 @@ def _load_spec(args) -> GameSpec:
     if not name:
         raise GameValidationError("provide --spec FILE or --example NAME")
     if name == "pareto":
-        return presets.build_pareto_spec(Fraction(args.pareto_eps))
+        return presets.build_pareto_spec(io.frac_from_str(args.pareto_eps))
     if name == "openloop":
         raise GameValidationError("the open-loop example has no discrete spec file")
     return presets.load_example(name)
@@ -66,10 +71,10 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def cmd_setvalue(args) -> int:
+    epsilon = io.frac_from_str(args.eps)
     spec = _load_spec(args)
     tree = build_path_tree(spec)
     start = _start_node(tree, args)
-    epsilon = Fraction(args.eps)
     variant = args.variant
 
     # The brute-force set value and the witnesses read one memoized enumeration.
@@ -141,7 +146,9 @@ def cmd_verify_dpp(args) -> int:
 
     if args.example == "pareto":
         rep = dpp_mod.pareto_dpp_counterexample(
-            Fraction(args.pareto_eps), policy_cap=args.cap, selection_cap=args.selection_cap
+            io.frac_from_str(args.pareto_eps),
+            policy_cap=args.cap,
+            selection_cap=args.selection_cap,
         )
         payload = {"command": "verify-dpp", "example": "pareto", **io.report_to_json(rep)}
         print(f"relation: {rep.relation}")
@@ -194,73 +201,58 @@ def cmd_planner(args) -> int:
         lam = planner.Scalarization.uniform(spec.n_players)
     if args.probe:
         rep = planner.time_inconsistency_probe(spec, tree, start, lam, cap=args.cap)
-        payload = {
-            "command": "planner",
-            "weights": [io.frac_to_str(w) for w in lam.weights],
-            "has_equilibrium": rep.optimum.has_equilibrium,
-            "value": None if rep.optimum.value is None else io.frac_to_str(rep.optimum.value),
-            "argmin": [io.vector_to_json(p) for p in rep.optimum.argmin],
-            "dictatorship_value": io.frac_to_str(rep.dictatorship_value),
-            "consistent": rep.consistent,
-            "rows": [
-                {
-                    "t": row.t,
-                    "prefix": "/".join(row.prefix),
-                    "planner_value": None
-                    if row.planner_value is None
-                    else io.frac_to_str(row.planner_value),
-                    "continuation_score": io.frac_to_str(row.continuation_score),
-                    "continuation_value": io.vector_to_json(row.continuation_value),
-                    "consistent": row.consistent,
-                }
-                for row in rep.rows
-            ],
-        }
+        opt, dictatorship = rep.optimum, rep.dictatorship_value
     else:
         vs = eq.set_value_bruteforce(spec, tree, start, cap=args.cap)
         opt = planner.planner_optimum(vs, lam)
-        payload = {
-            "command": "planner",
-            "weights": [io.frac_to_str(w) for w in lam.weights],
-            "has_equilibrium": opt.has_equilibrium,
-            "value": None if opt.value is None else io.frac_to_str(opt.value),
-            "argmin": [io.vector_to_json(p) for p in opt.argmin],
-            "dictatorship_value": io.frac_to_str(
-                planner.dictatorship_value(spec, tree, start, lam)
-            ),
-        }
+        dictatorship = planner.dictatorship_value(spec, tree, start, lam)
+    payload = {
+        "command": "planner",
+        "weights": [io.frac_to_str(w) for w in lam.weights],
+        "has_equilibrium": opt.has_equilibrium,
+        "value": None if opt.value is None else io.frac_to_str(opt.value),
+        "argmin": [io.vector_to_json(p) for p in opt.argmin],
+        "dictatorship_value": io.frac_to_str(dictatorship),
+    }
+    if args.probe:
+        payload["consistent"] = rep.consistent
+        payload["rows"] = [
+            {
+                "t": row.t,
+                "prefix": "/".join(row.prefix),
+                "planner_value": None
+                if row.planner_value is None
+                else io.frac_to_str(row.planner_value),
+                "continuation_score": io.frac_to_str(row.continuation_score),
+                "continuation_value": io.vector_to_json(row.continuation_value),
+                "consistent": row.consistent,
+            }
+            for row in rep.rows
+        ]
     _emit(payload, args.out)
     return 0
 
 
-def _grid_with_overrides(grid: hjb.GridConfig, args) -> hjb.GridConfig:
-    fields = {
-        "nx": args.nx,
-        "ny": args.ny,
-        "nz": args.nz,
-        "z_max": args.z_max,
-        "t_final": args.t_final,
-        "cfl_safety": args.cfl_safety,
-        "ht": args.ht,
-        "delta_scale": args.delta_scale,
-    }
-    return dataclasses.replace(grid, **{k: v for k, v in fields.items() if v is not None})
+def _replace_grid(grid: hjb.GridConfig, fields) -> hjb.GridConfig:
+    """``grid`` with ``fields`` replaced; a field it lacks is a validation error."""
+    try:
+        return dataclasses.replace(grid, **fields)
+    except TypeError as exc:
+        raise GameValidationError(f"bad grid settings: {exc}") from exc
 
 
 def cmd_solve_pde(args) -> int:
     name = args.preset
     grid_doc = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = io.read_json(args.config, "config file")
         name = doc.get("preset", name)
         grid_doc = doc.get("grid", {})
     if not name:
         raise GameValidationError("provide --preset NAME or --config FILE naming one")
     spec, grid = hjb.pde_preset(name)
-    if grid_doc:
-        grid = dataclasses.replace(grid, **grid_doc)
-    grid = _grid_with_overrides(grid, args)
+    flags = {k: getattr(args, k) for k in GRID_FLAGS if getattr(args, k) is not None}
+    grid = _replace_grid(_replace_grid(grid, grid_doc), flags)
 
     field = hjb.solve_w(spec, grid)
     x0 = args.x0 if args.x0 is not None else float(grid.x_values[grid.nx // 2])
@@ -323,13 +315,9 @@ def cmd_examples(args) -> int:
             print(f"{name} (pde)")
         return 0
     if args.action == "dump":
-        if not args.name:
+        if not args.example:
             raise GameValidationError("examples dump needs a preset name")
-        if args.name == "pareto":
-            spec = presets.build_pareto_spec(Fraction(args.pareto_eps))
-        else:
-            spec = presets.load_example(args.name)
-        _emit(io.dump_game(spec), args.out)
+        _emit(io.dump_game(_load_spec(args)), args.out)
         return 0
     raise GameValidationError(f"unknown examples action {args.action!r}")
 
@@ -387,18 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-pde", help="solve the auxiliary PDE and extract level sets")
     p.add_argument("--preset", choices=list(presets.PDE_PRESETS))
     p.add_argument("--config", help="JSON config with preset name and grid overrides")
-    for flag, typ in [
-        ("--nx", int), ("--ny", int), ("--nz", int), ("--z-max", float),
-        ("--t-final", float), ("--cfl-safety", float), ("--ht", float),
-        ("--delta-scale", float), ("--x0", float), ("--delta", float),
-    ]:
-        p.add_argument(flag, type=typ, default=None)
+    for name, typ in {**GRID_FLAGS, "x0": float, "delta": float}.items():
+        p.add_argument("--" + name.replace("_", "-"), type=typ)
     p.add_argument("--out-prefix", help="write <prefix>_field.npz and <prefix>_nodal.json")
     p.set_defaults(func=cmd_solve_pde)
 
     p = sub.add_parser("examples", help="list or dump named presets")
     p.add_argument("action", choices=["list", "dump"])
-    p.add_argument("name", nargs="?")
+    p.add_argument("example", nargs="?", metavar="name")
     p.add_argument("--pareto-eps", default="1/100")
     p.add_argument("--out")
     p.set_defaults(func=cmd_examples)
@@ -416,8 +400,8 @@ def main(argv: list[str] | None = None) -> int:
     except (GameValidationError, EnumerationCapExceeded, NumericInstabilityError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": "FileNotFoundError", "message": str(exc)}), file=sys.stderr)
+    except OSError as exc:  # a file that is missing, a directory or unreadable
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -123,9 +124,21 @@ class CoupledCost:
         return self.coupled(i, t, x, a, z_i) - self.own_min(i, t, x, a, z_i)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class GridConfig:
-    """Rectangular grid and scheme knobs for the W solver."""
+    """Rectangular grid and scheme knobs for the W solver.
+
+    Counts are integers and every other number a finite real (``bool`` is
+    neither); anything outside a field's domain is a validation error.
+    """
 
     x_lo: float = -2.0
     x_hi: float = 2.0
@@ -143,6 +156,21 @@ class GridConfig:
     store_times: tuple = ()
 
     def __post_init__(self):
+        for name in ("nx", "ny", "nz"):
+            value = getattr(self, name)
+            if not _is_count(value):
+                raise GameValidationError(f"{name} must be an integer, got {value!r}")
+        for name in ("x_lo", "x_hi", "y_lo", "y_hi", "t_final", "z_max", "cfl_safety",
+                     "delta_scale", "ht"):
+            value = getattr(self, name)
+            if not (_is_finite(value) or name == "ht" and value is None):
+                raise GameValidationError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.monotone, bool):
+            raise GameValidationError(f"monotone must be true or false, got {self.monotone!r}")
+        if not all(map(_is_finite, self.store_times)):
+            raise GameValidationError("store_times must be finite numbers")
+        if not (self.x_lo < self.x_hi and self.y_lo < self.y_hi):
+            raise GameValidationError("need x_lo < x_hi and y_lo < y_hi")
         if self.nx < 5 or self.ny < 5:
             raise GameValidationError("need at least 5 nodes per spatial axis")
         if self.nz < 1 or self.nz % 2 == 0:
@@ -151,6 +179,10 @@ class GridConfig:
             raise GameValidationError("z_max and t_final must be positive")
         if not 0 < self.cfl_safety:
             raise GameValidationError("cfl_safety must be positive")
+        if self.ht is not None and not 0 < self.ht:
+            raise GameValidationError("ht must be positive")
+        if not 0 < self.delta_scale:
+            raise GameValidationError("delta_scale must be positive")
 
     @property
     def hx(self) -> float:
@@ -630,11 +662,15 @@ def nodal_set(field: PdeField, t: float, x: float, delta: float | None = None) -
     """Near-zero y-nodes of W(t, x, .) with connected clusters and centroids."""
     grid = field.grid
     layer = field.layer(t)
+    if not _is_finite(x):
+        raise GameValidationError(f"x={x} is not a grid node")
     xi = int(round((x - grid.x_lo) / grid.hx))
     if not 0 <= xi < grid.nx or abs(grid.x_values[xi] - x) > 1e-9 + 1e-12 * abs(x):
         raise GameValidationError(f"x={x} is not a grid node")
     if delta is None:
         delta = default_delta(grid, field.ht)
+    elif not (_is_finite(delta) and delta >= 0):
+        raise GameValidationError(f"delta must be finite and >= 0, got {delta!r}")
     sect = layer[xi]
     ys = grid.y_values
     n = field.spec.n_players

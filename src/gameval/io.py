@@ -81,27 +81,43 @@ def _integer(value, what: str) -> int:
     raise GameValidationError(f"{what} must be an integer, got {value!r}")
 
 
+def _label_lists(value, what: str) -> list[list]:
+    """A JSON array of label arrays (states per time, actions per player)."""
+    labels = _typed(value, list, what)
+    return [list(_typed(level, list, f"{what}[{k}]")) for k, level in enumerate(labels)]
+
+
+def read_json(path: str | Path, what: str) -> dict:
+    """The JSON object in the file at ``path``; ``what`` names the file in errors."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise GameValidationError(f"{what} {str(path)!r} is not JSON: {exc}") from exc
+    return _typed(doc, dict, f"{what} {str(path)!r}")
+
+
 def load_game(source: str | Path | dict) -> GameSpec:
     """Parse a game spec from a JSON file path or an already-loaded dict."""
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise GameValidationError(f"spec file {str(source)!r} is not JSON: {exc}") from exc
+        raw = read_json(source, "spec file")
     else:
-        raw = source
+        raw = _typed(source, dict, "game document")
     try:
         horizon = _integer(raw["horizon"], "horizon")
         players = _integer(raw["players"], "players")
-        states = [list(level) for level in raw["states"]]
-        actions = [list(acts) for acts in raw["actions"]]
+        states = _label_lists(raw["states"], "states")
+        actions = _label_lists(raw["actions"], "actions")
         flags = _typed(raw.get("flags", {}), dict, "flags")
-        state_dependent = bool(flags.get("state_dependent", False))
+        state_dependent = flags.get("state_dependent", False)
+        if not isinstance(state_dependent, bool):
+            raise GameValidationError(
+                f"state_dependent must be true or false, got {state_dependent!r}"
+            )
         raw_trans = _typed(raw["transitions"], dict, "transitions")
         raw_running = _typed(raw["running_costs"], list, "running_costs")
         raw_terminal = _typed(raw["terminal_costs"], list, "terminal_costs")
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise GameValidationError(f"malformed game document: missing {exc}") from exc
     if players != len(actions):
         raise GameValidationError("players count disagrees with actions table")

@@ -139,8 +139,10 @@ class GameSpec:
         # is checked once; path-keyed data once per prefix.
         positive = True
         joints = self.joint_actions
+        n_keys = 0
         for t in range(self.horizon):
             for key in self._data_keys(t):
+                n_keys += 1
                 for joint in joints:
                     try:
                         vec = self.transitions[(t, key, joint)]
@@ -178,7 +180,9 @@ class GameSpec:
                             ) from exc
                         if not isinstance(c, Fraction):
                             raise GameValidationError("running costs must be Fraction")
+        n_final = 0
         for key in self._data_keys(self.horizon):
+            n_final += 1
             try:
                 g = tuple(table[key] for table in self.terminal_costs)
             except KeyError as exc:
@@ -187,7 +191,36 @@ class GameSpec:
                 ) from exc
             if any(not isinstance(v, Fraction) for v in g):
                 raise GameValidationError("terminal costs must be Fraction")
+        # The loops read each key of a table at most once, so a table with more
+        # keys than they read holds data the game never uses.
+        if len(self.transitions) != n_keys * len(joints):
+            self._unread("transition", self.transitions, joints)
+        for i, table in enumerate(self.running_costs):
+            if len(table) != n_keys * len(self.actions[i]):
+                self._unread(f"running cost of player {i}", table, range(len(self.actions[i])))
+        for i, table in enumerate(self.terminal_costs):
+            if len(table) != n_final:
+                self._unread(f"terminal cost of player {i}", table, None)
         self.q_positive = positive
+
+    def _unread(self, what: str, table: dict, actions) -> None:
+        """Raise naming the first key of ``table`` that ``_validate`` does not read.
+
+        ``actions`` are the read keys' last members (joint or own actions), or
+        None for terminal costs, which are keyed by the final state or path.
+        """
+        if actions is None:
+            read = set(self._data_keys(self.horizon))
+        else:
+            read = {
+                (t, key, a)
+                for t in range(self.horizon)
+                for key in self._data_keys(t)
+                for a in actions
+            }
+        unread = next(k for k in table if k not in read)
+        t, where = (self.horizon, unread) if actions is None else unread[:2]
+        raise GameValidationError(f"{what} at t={t}, {self._where(where)} is never read")
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,18 @@ def malformed_table1(kind: str) -> str:
         doc["horizon"] = "two"
     elif kind == "vector-list":
         doc["transitions"]["0|s0|0,0"] = list(doc["transitions"]["0|s0|0,0"].values())
+    elif kind == "states-number":
+        doc["states"] = 5
+    elif kind == "flag-string":
+        doc["flags"]["state_dependent"] = "false"
+    elif kind == "late-running-cost":
+        doc["running_costs"][0]["7|s0|0"] = "0"
+    elif kind == "unknown-running-cost":
+        doc["running_costs"][0]["0|nowhere|0"] = "0"
+    elif kind == "unknown-transition":
+        doc["transitions"]["0|nowhere|0,0"] = doc["transitions"]["0|s0|0,0"]
+    elif kind == "unknown-terminal":
+        doc["terminal_costs"][1]["nowhere"] = "0"
     text = json.dumps(doc)
     return text[: len(text) // 2] if kind == "truncated" else text
 
@@ -192,6 +204,12 @@ MALFORMED = {
     "horizon": "horizon",
     "vector-list": "0|s0|0,0",
     "truncated": "not JSON",
+    "states-number": "states must be an array, got int",
+    "flag-string": "state_dependent must be true or false, got 'false'",
+    "late-running-cost": "running cost of player 0 at t=7, state='s0' is never read",
+    "unknown-running-cost": "running cost of player 0 at t=0, state='nowhere' is never read",
+    "unknown-transition": "transition at t=0, state='nowhere' is never read",
+    "unknown-terminal": "terminal cost of player 1 at t=1, state='nowhere' is never read",
 }
 
 
@@ -204,6 +222,51 @@ def test_malformed_spec_files_exit_2(capsys, tmp_path, kind):
     error = json.loads(err)
     assert error["error"] == "GameValidationError"
     assert MALFORMED[kind] in error["message"]
+
+
+STATIC = ["solve-pde", "--preset", "static"]
+# Each bad flag, or (under a "config-" name) a solve-pde --config document.
+BAD_INPUTS = {
+    "eps-abc": ["setvalue", "--example", "table1", "--eps", "abc"],
+    "eps-1/0": ["setvalue", "--example", "table1", "--eps", "1/0"],
+    "pareto-eps-x": ["verify-dpp", "--example", "pareto", "--pareto-eps", "x"],
+    "pareto-eps-1/0": ["verify-dpp", "--example", "pareto", "--pareto-eps", "1/0"],
+    "dump-pareto-eps-x": ["examples", "dump", "pareto", "--pareto-eps", "x"],
+    "ht-negative": [*STATIC, "--ht", "-1"],
+    "ht-negative-zero-sum": ["solve-pde", "--preset", "zero-sum", "--ht", "-1"],
+    "ht-zero": [*STATIC, "--ht", "0"],
+    "t-final-inf": [*STATIC, "--t-final", "inf"],
+    "z-max-nan": [*STATIC, "--z-max", "nan"],
+    "cfl-safety-inf": [*STATIC, "--cfl-safety", "inf"],
+    "delta-negative": [*STATIC, "--delta", "-1"],
+    "delta-scale-negative": [*STATIC, "--delta-scale", "-1"],
+    "x0-nan": [*STATIC, "--x0", "nan"],
+    "config-monotone-no": {"preset": "static", "grid": {"monotone": "no"}},
+    "config-nx-float": {"preset": "static", "grid": {"nx": 7.0}},
+    "config-x-bounds-swapped": {"preset": "static", "grid": {"x_lo": 1.0, "x_hi": -1.0}},
+    "config-unknown-field": {"preset": "static", "grid": {"dx": 0.1}},
+    "config-grid-array": {"preset": "static", "grid": [21]},
+    "config-array": ["static"],
+    "config-not-json": "{preset: static",
+}
+
+
+@pytest.mark.parametrize("kind", BAD_INPUTS)
+def test_bad_flags_and_config_values_exit_2(capsys, tmp_path, kind):
+    argv = BAD_INPUTS[kind]
+    if kind.startswith("config-"):
+        path = tmp_path / "config.json"
+        path.write_text(argv if isinstance(argv, str) else json.dumps(argv))
+        argv = ["solve-pde", "--config", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "GameValidationError"
+
+
+def test_a_config_that_is_a_directory_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "solve-pde", "--config", str(tmp_path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "IsADirectoryError"
 
 
 def test_exit_code_cap(capsys):

@@ -6,7 +6,9 @@ below before the enumerator skipped payoff-equivalent actions. The witnesses
 are the first enumerated record of each value, so these outputs pin that rule
 as well as the set values. The ``verify-dpp`` file was written before the
 one-step games of the recursion and of the ``eps`` check shared one builder;
-it pins both. To rewrite one after a deliberate payload change, run its
+it pins both. The planner file without ``--probe`` and the pareto dump were
+written before the CLI built one planner payload and read its rationals and
+example names through ``io``. To rewrite one after a deliberate payload change, run its
 command with ``--out`` set to the file.
 """
 
@@ -32,6 +34,8 @@ COMMANDS = {
     ],
     "planner-state-probe": ["planner", *STATE, "--weights", "1/2,1/2", "--probe"],
     "verify-dpp-pareto": ["verify-dpp", "--example", "pareto"],
+    "planner-path-weights": ["planner", "--example", "path", "--weights", "1/3,2/3"],
+    "examples-dump-pareto": ["examples", "dump", "pareto", "--pareto-eps", "1/7"],
 }
 
 

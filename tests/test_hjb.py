@@ -595,6 +595,54 @@ def test_grid_validation():
         nodal_set(field, 0.013, 0.0)
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("nx", 7.0, "nx must be an integer"),
+        ("ny", "41", "ny must be an integer"),
+        ("nz", True, "nz must be an integer"),
+        ("z_max", math.nan, "z_max must be a finite number"),
+        ("t_final", math.inf, "t_final must be a finite number"),
+        ("cfl_safety", math.inf, "cfl_safety must be a finite number"),
+        ("x_lo", "-2", "x_lo must be a finite number"),
+        ("delta_scale", False, "delta_scale must be a finite number"),
+        ("ht", -1.0, "ht must be positive"),
+        ("ht", 0.0, "ht must be positive"),
+        ("ht", math.nan, "ht must be a finite number"),
+        ("delta_scale", -1.0, "delta_scale must be positive"),
+        ("delta_scale", 0.0, "delta_scale must be positive"),
+        ("monotone", "no", "monotone must be true or false"),
+        ("monotone", 1, "monotone must be true or false"),
+        ("store_times", (math.nan,), "store_times must be finite"),
+        ("x_lo", 3.0, "x_lo < x_hi"),
+        ("y_hi", -1.2, "y_lo < y_hi"),
+    ],
+)
+def test_grid_fields_outside_their_domain_are_rejected(field, value, message):
+    with pytest.raises(GameValidationError, match=message):
+        replace(GridConfig(), **{field: value})
+
+
+def test_grid_fields_take_numpy_scalars_and_keep_documented_bounds():
+    grid = GridConfig(
+        nx=np.int64(21), ny=np.int32(21), nz=np.int64(5), x_lo=np.float64(-1.0),
+        x_hi=np.float32(1.0), z_max=np.float64(1.0), t_final=np.float64(0.1),
+        ht=np.float64(1e-3), delta_scale=np.float64(0.5), store_times=(np.float64(0.05),),
+    )
+    assert grid.nx == 21 and grid.ht == 1e-3
+    # cfl_safety above 1 stays allowed (the README documents it); None is the default ht.
+    assert replace(grid, cfl_safety=4.0, ht=None).cfl_safety == 4.0
+
+
+@pytest.mark.parametrize("delta", [-1.0, math.inf, math.nan])
+def test_nodal_set_rejects_a_negative_or_non_finite_delta(delta):
+    spec, grid = pde_preset("static")
+    field = solve_w(spec, small_grid(grid, nx=11, ny=11, t_final=0.02))
+    with pytest.raises(GameValidationError, match="delta must be finite and >= 0"):
+        nodal_set(field, 0.0, 0.0, delta=delta)
+    assert nodal_set(field, 0.0, 0.0, delta=0.0).delta == 0.0
+
+
 def test_declared_bounds_are_enforced():
     bad = DiffusionGameSpec(
         n_players=1,
