@@ -25,14 +25,15 @@ from .model import (
     PATH_CLASS,
     STATE_CLASS,
     GameSpec,
+    PathTree,
     StoppingTime,
     build_path_tree,
 )
 
 BATTERY = {
-    "path": dict(example="path", stop=2, variant="full", selection="path"),
-    "psistate": dict(example="psistate", stop=2, variant="full", selection="state"),
-    "state": dict(example="state", stop=1, variant="state", selection="state"),
+    "path": dict(stop=2, variant="full", selection="path"),
+    "psistate": dict(stop=2, variant="full", selection="state"),
+    "state": dict(stop=1, variant="state", selection="state"),
 }
 
 # The solve-pde flags that override a GridConfig field of the same name.
@@ -55,11 +56,12 @@ def _load_spec(args) -> GameSpec:
     return presets.load_example(name)
 
 
-def _start_node(tree, args) -> int:
-    prefix = getattr(args, "prefix", None)
-    if prefix:
-        return tree.id_of(tuple(prefix.split("/")))
-    return tree.levels[0][0]
+def _game(args) -> tuple[GameSpec, PathTree, int]:
+    """The named spec, its path tree, and the ``--prefix`` node (default: first root)."""
+    spec = _load_spec(args)
+    tree = build_path_tree(spec)
+    start = tree.id_of(tuple(args.prefix.split("/"))) if args.prefix else tree.levels[0][0]
+    return spec, tree, start
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -72,40 +74,33 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def cmd_setvalue(args) -> int:
     epsilon = io.frac_from_str(args.eps)
-    spec = _load_spec(args)
-    tree = build_path_tree(spec)
-    start = _start_node(tree, args)
-    variant = args.variant
+    if args.engine != "brute" and args.variant != "full":
+        raise GameValidationError("the recursive engine computes the full variant only")
+    if args.engine != "brute" and epsilon != 0:
+        raise GameValidationError("the recursive engine is exact (eps must be 0)")
+    spec, tree, start = _game(args)
 
     # The brute-force set value and the witnesses read one memoized enumeration.
-    cls = dpp_mod.VARIANT_POLICY_CLASS.get(variant, PATH_CLASS)
-    brute = None
-    if variant in ("pareto", "strong-pareto") or args.engine in ("brute", "both"):
-        brute = eq.set_value_bruteforce(spec, tree, start, eps=epsilon, cls=cls, cap=args.cap)
-        if variant == "pareto":
-            brute = eq.pareto_filter(brute)
-        elif variant == "strong-pareto":
+    cls = dpp_mod.VARIANT_POLICY_CLASS.get(args.variant, PATH_CLASS)
+    if args.engine != "dpp":
+        result = eq.set_value_bruteforce(spec, tree, start, eps=epsilon, cls=cls, cap=args.cap)
+        if args.variant == "pareto":
+            result = eq.pareto_filter(result)
+        elif args.variant == "strong-pareto":
             index = eq.value_index(spec, tree, start, eps=epsilon, cls=cls, cap=args.cap)
-            brute = eq.strong_pareto_filter(spec, tree, start, list(index.values()), cap=args.cap)
-
-    recursive = None
-    if args.engine in ("dpp", "both"):
-        if variant != "full":
-            raise GameValidationError("the recursive engine computes the full variant only")
-        if epsilon != 0:
-            raise GameValidationError("the recursive engine is exact (eps must be 0)")
+            result = eq.strong_pareto_filter(spec, tree, start, list(index.values()), cap=args.cap)
+    if args.engine != "brute":
         recursive = eq.set_value_dpp(spec, tree, start, selection_cap=args.selection_cap)
-
-    if args.engine == "both" and brute.points != recursive.points:
-        raise GameValidationError("engines disagree; this is a bug worth reporting")
-    result = recursive if args.engine == "dpp" else brute
+        if args.engine == "both" and result.points != recursive.points:
+            raise GameValidationError("engines disagree; this is a bug worth reporting")
+        result = recursive
 
     node = tree.node(start)
     payload = {
         "command": "setvalue",
         "t": node.t,
         "prefix": "/".join(node.prefix),
-        "variant": variant,
+        "variant": args.variant,
         "epsilon": io.frac_to_str(epsilon),
         "points": [io.vector_to_json(p) for p in result.points],
     }
@@ -128,19 +123,10 @@ def cmd_verify_dpp(args) -> int:
         payload = {
             "command": "verify-dpp",
             "example": "openloop",
-            "sigma": rep.sigma,
-            "whole_game_value": list(rep.whole_game_value),
-            "composed_value": list(rep.composed_value),
-            "stage0_whole": list(rep.stage0_whole),
-            "stage0_composed": list(rep.stage0_composed),
-            "foc_residual_whole": rep.foc_residual_whole,
-            "foc_residual_composed": rep.foc_residual_composed,
+            **dataclasses.asdict(rep),
             "value_gap": rep.gap,
         }
-        print(
-            f"whole-game value {tuple(rep.whole_game_value)} vs composed "
-            f"{tuple(rep.composed_value)}"
-        )
+        print(f"whole-game value {rep.whole_game_value} vs composed {rep.composed_value}")
         _emit(payload, args.out)
         return 0
 
@@ -155,18 +141,12 @@ def cmd_verify_dpp(args) -> int:
         _emit(payload, args.out)
         return 0
 
-    stop_time, variant, selection = args.stop_time, args.variant, args.selection_class
-    if args.example in BATTERY:
-        preset = BATTERY[args.example]
-        stop_time = preset["stop"] if stop_time is None else stop_time
-        variant = preset["variant"] if variant is None else variant
-        selection = preset["selection"] if selection is None else selection
-    variant = variant or "full"
-    selection = selection or "path"
+    preset = BATTERY.get(args.example, dict(stop=None, variant="full", selection="path"))
+    stop_time = preset["stop"] if args.stop_time is None else args.stop_time
+    variant = args.variant or preset["variant"]
+    selection = args.selection_class or preset["selection"]
 
-    spec = _load_spec(args)
-    tree = build_path_tree(spec)
-    start = _start_node(tree, args)
+    spec, tree, start = _game(args)
     if args.stop_at_state:
         stopping = StoppingTime.hitting_state(tree, args.stop_at_state)
     else:
@@ -192,9 +172,7 @@ def cmd_verify_dpp(args) -> int:
 
 
 def cmd_planner(args) -> int:
-    spec = _load_spec(args)
-    tree = build_path_tree(spec)
-    start = _start_node(tree, args)
+    spec, tree, start = _game(args)
     if args.weights:
         lam = planner.Scalarization.parse(args.weights)
     else:
@@ -203,9 +181,10 @@ def cmd_planner(args) -> int:
         rep = planner.time_inconsistency_probe(spec, tree, start, lam, cap=args.cap)
         opt, dictatorship = rep.optimum, rep.dictatorship_value
     else:
+        # The weights' length is checked here, before the enumeration.
+        dictatorship = planner.dictatorship_value(spec, tree, start, lam)
         vs = eq.set_value_bruteforce(spec, tree, start, cap=args.cap)
         opt = planner.planner_optimum(vs, lam)
-        dictatorship = planner.dictatorship_value(spec, tree, start, lam)
     payload = {
         "command": "planner",
         "weights": [io.frac_to_str(w) for w in lam.weights],
@@ -397,12 +376,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (GameValidationError, EnumerationCapExceeded, NumericInstabilityError) as exc:
+    # An OSError is a file that is missing, a directory or unreadable: exit 2.
+    except (GameValidationError, EnumerationCapExceeded, NumericInstabilityError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:  # a file that is missing, a directory or unreadable
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

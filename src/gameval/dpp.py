@@ -31,7 +31,7 @@ from .equilibria import (
     pareto_filter,
     set_value_bruteforce,
 )
-from .errors import EnumerationCapExceeded, GameValidationError
+from .errors import EnumerationCapExceeded, GameValidationError, NumericInstabilityError
 from .model import (
     PATH_CLASS,
     STATE_CLASS,
@@ -290,6 +290,8 @@ def open_loop_lq_demo(sigma: float = 0.0) -> OpenLoopReport:
     stage-1 controls parameterized as s1_i = p_i + r_i*xi_1.
     """
     sigma = float(sigma)
+    if not math.isfinite(sigma):
+        raise GameValidationError(f"sigma must be finite, got {sigma}")
     if sigma < 0:
         raise GameValidationError("sigma must be nonnegative")
 
@@ -341,7 +343,7 @@ def open_loop_lq_demo(sigma: float = 0.0) -> OpenLoopReport:
         for ui in u
     )
 
-    return OpenLoopReport(
+    rep = OpenLoopReport(
         sigma=sigma,
         whole_game_value=whole_value,
         composed_value=composed_value,
@@ -350,6 +352,10 @@ def open_loop_lq_demo(sigma: float = 0.0) -> OpenLoopReport:
         foc_residual_whole=res_whole,
         foc_residual_composed=res_comp,
     )
+    floats = (*whole_value, *composed_value, u1, u2, *u, res_whole, res_comp, rep.gap)
+    if not all(map(math.isfinite, floats)):
+        raise NumericInstabilityError(f"the open-loop values overflow at sigma={sigma}")
+    return rep
 
 
 # -- randomized spec generator --------------------------------------------------

@@ -25,6 +25,6 @@ class EnumerationCapExceeded(RuntimeError):
 
 
 class NumericInstabilityError(RuntimeError):
-    """The PDE time stepper produced non-finite values."""
+    """A float solver (the PDE time stepper, the open-loop demo) produced non-finite values."""
 
     exit_code = 4

@@ -35,7 +35,11 @@ import numpy as np
 from .equilibria import ValueSet
 from .errors import GameValidationError, NumericInstabilityError
 
-_BOUND_TOL = 1e-9
+_BOUND_TOL = 1e-9  # every bound test is written `not (v <= bound)`, so that NaN fails it
+# The most explicit time steps one solve may take. The presets take at most 142,
+# their refined grids 484 and the tests 2,024; a tiny ht or a long t_final would
+# otherwise step for hours.
+MAX_TIME_STEPS = 10_000
 _NEG_TOL = 1e-10  # the monotone scheme aborts when W falls below -_NEG_TOL
 
 
@@ -80,26 +84,26 @@ class DiffusionGameSpec:
             for a in self.joint_actions:
                 for x in x_values:
                     drift = self.drift(t, float(x), a)
-                    if abs(drift) > self.drift_bound + _BOUND_TOL:
+                    if not abs(drift) <= self.drift_bound + _BOUND_TOL:
                         raise GameValidationError(
                             f"drift exceeds declared bound at t={t}, x={x}, a={a}"
                         )
                     values.append(drift)
                     for i in range(self.n_players):
                         cost = self.running[i](t, float(x), a[i])
-                        if abs(cost) > self.cost_bound + _BOUND_TOL:
+                        if not abs(cost) <= self.cost_bound + _BOUND_TOL:
                             raise GameValidationError("running cost exceeds declared bound")
                         values.append(cost)
             samples.append(values)
         for t, values in zip((0.5 * self.horizon, self.horizon), samples[1:]):
-            if any(abs(u - v) > _BOUND_TOL for u, v in zip(samples[0], values)):
+            if not all(abs(u - v) <= _BOUND_TOL for u, v in zip(samples[0], values)):
                 raise GameValidationError(
                     f"drift or running cost changes between t=0 and t={t}; "
                     "the grid solver needs time-invariant data"
                 )
         for i in range(self.n_players):
             for x in x_values:
-                if abs(self.terminal[i](float(x))) > self.cost_bound + _BOUND_TOL:
+                if not abs(self.terminal[i](float(x))) <= self.cost_bound + _BOUND_TOL:
                     raise GameValidationError("terminal cost exceeds declared bound")
 
 
@@ -270,7 +274,10 @@ class GridConfig:
             ht = self.ht
         else:
             ht = bound
-        nt = max(1, math.ceil(self.t_final / ht))
+        steps = self.t_final / ht
+        if not steps <= MAX_TIME_STEPS:
+            raise GameValidationError(f"{steps:.4g} time steps exceed the cap of {MAX_TIME_STEPS}")
+        nt = max(1, math.ceil(steps))
         return self.t_final / nt, nt
 
     def refined(self) -> GridConfig:

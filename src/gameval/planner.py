@@ -118,6 +118,10 @@ def dictatorship_value(
     the rows of the compiled tables, so Markov specs are solved once per
     (time, state), with the weights over their common denominator.
     """
+    if len(lam.weights) != spec.n_players:
+        raise GameValidationError(
+            f"{len(lam.weights)} weights for a game of {spec.n_players} players"
+        )
     tables = tables_of(spec, tree)
     weights, den = lam.over_common_denominator()
     val, menus = [0] * tables.offset[-1], [None] * tables.offset[-1]
@@ -160,6 +164,8 @@ def time_inconsistency_probe(
     """
     if not spec.q_positive:
         raise GameValidationError("the probe needs q > 0 so every prefix is reachable")
+    # First, so that a weight vector of the wrong length fails before the enumeration.
+    dictatorship = dictatorship_value(spec, tree, start, lam)
 
     index = value_index(spec, tree, start, cap=cap)
     optimum = planner_optimum(ValueSet.of(index), lam)
@@ -207,5 +213,5 @@ def time_inconsistency_probe(
         chosen_value=chosen_value,
         rows=tuple(rows),
         first_inconsistency=first_bad,
-        dictatorship_value=dictatorship_value(spec, tree, start, lam),
+        dictatorship_value=dictatorship,
     )

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +226,12 @@ def test_malformed_spec_files_exit_2(capsys, tmp_path, kind):
 
 
 STATIC = ["solve-pde", "--preset", "static"]
+DATA = Path(__file__).parent / "data"
+# A horizon-30 Markov spec: a request that enumerates before it validates hits the cap (exit 3).
+H30 = ["--spec", str(DATA / "markov_h30.json")]
+# dump_game(random_game(random.Random(300), max_periods=1, n_actions=2)): two players
+# and no equilibrium, so the weights are never scored against a set value.
+NO_EQ = ["planner", "--spec", str(DATA / "no_equilibrium.json")]
 # Each bad flag, or (under a "config-" name) a solve-pde --config document.
 BAD_INPUTS = {
     "eps-abc": ["setvalue", "--example", "table1", "--eps", "abc"],
@@ -241,6 +248,16 @@ BAD_INPUTS = {
     "delta-negative": [*STATIC, "--delta", "-1"],
     "delta-scale-negative": [*STATIC, "--delta-scale", "-1"],
     "x0-nan": [*STATIC, "--x0", "nan"],
+    "ht-above-step-cap": [*STATIC, "--ht", "1e-9"],
+    "t-final-above-step-cap": [*STATIC, "--t-final", "1e6"],
+    "h30-dpp-pareto": ["setvalue", *H30, "--engine", "dpp", "--variant", "pareto"],
+    "h30-both-eps": ["setvalue", *H30, "--engine", "both", "--eps", "1/10"],
+    "h30-planner-weights-3": ["planner", *H30, "--weights", "1/3,1/3,1/3"],
+    "weights-1": [*NO_EQ, "--weights", "1"],
+    "weights-3": [*NO_EQ, "--weights", "1/2,1/4,1/4"],
+    "weights-1-probe": [*NO_EQ, "--weights", "1", "--probe"],
+    "sigma-nan": ["verify-dpp", "--example", "openloop", "--sigma", "nan"],
+    "sigma-inf": ["verify-dpp", "--example", "openloop", "--sigma", "inf"],
     "config-monotone-no": {"preset": "static", "grid": {"monotone": "no"}},
     "config-nx-float": {"preset": "static", "grid": {"nx": 7.0}},
     "config-x-bounds-swapped": {"preset": "static", "grid": {"x_lo": 1.0, "x_hi": -1.0}},
@@ -285,6 +302,12 @@ def test_exit_code_instability(capsys):
         "--cfl-safety", "4.0", "--t-final", "6.0",
     )
     assert code == 4 and "non-finite" in err
+
+
+def test_openloop_overflow_exits_4(capsys):
+    code, out, err = run(capsys, "verify-dpp", "--example", "openloop", "--sigma", "1e200")
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "NumericInstabilityError"
 
 
 def test_threads_flag_accepted_and_validated(capsys):

@@ -36,6 +36,12 @@ COMMANDS = {
     "verify-dpp-pareto": ["verify-dpp", "--example", "pareto"],
     "planner-path-weights": ["planner", "--example", "path", "--weights", "1/3,2/3"],
     "examples-dump-pareto": ["examples", "dump", "pareto", "--pareto-eps", "1/7"],
+    # Written before the CLI loaded each game through one helper and built the
+    # open-loop payload from its report type.
+    "setvalue-state-dpp": ["setvalue", *STATE, "--engine", "dpp"],
+    "verify-dpp-openloop-sigma-1": ["verify-dpp", "--example", "openloop", "--sigma", "1"],
+    "verify-dpp-psistate": ["verify-dpp", "--example", "psistate"],
+    "verify-dpp-table1": ["verify-dpp", "--example", "table1"],
 }
 
 

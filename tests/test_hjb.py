@@ -643,6 +643,21 @@ def test_nodal_set_rejects_a_negative_or_non_finite_delta(delta):
     assert nodal_set(field, 0.0, 0.0, delta=0.0).delta == 0.0
 
 
+@pytest.mark.parametrize(
+    "nan_data, message",
+    [
+        ({"drift": lambda t, x, a: math.nan}, "drift exceeds"),
+        ({"running": (lambda t, x, a: math.nan,) * 2}, "running cost exceeds"),
+        ({"terminal": (lambda x: math.nan,) * 2}, "terminal cost exceeds"),
+    ],
+    ids=["drift", "running", "terminal"],
+)
+def test_nan_data_fail_the_declared_bounds(nan_data, message):
+    spec, grid = pde_preset("static")
+    with pytest.raises(GameValidationError, match=message):
+        solve_w(replace(spec, **nan_data), grid)
+
+
 def test_declared_bounds_are_enforced():
     bad = DiffusionGameSpec(
         n_players=1,
