@@ -20,7 +20,7 @@ PATH_SEP = "/"
 
 
 def frac_from_str(text: str) -> Fraction:
-    if isinstance(text, int):
+    if _is_int(text):
         return Fraction(text)
     if not isinstance(text, str):
         raise GameValidationError(f"expected rational string, got {text!r}")
@@ -32,6 +32,11 @@ def frac_from_str(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise GameValidationError(f"bad rational {text!r}") from exc
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; a JSON boolean, which Python reads as an int, is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _digits(text: str) -> bool:
@@ -76,7 +81,7 @@ def _typed(value, kind: type, what: str):
 
 def _integer(value, what: str) -> int:
     """An integer given as a JSON number or a string of digits."""
-    if isinstance(value, int) or isinstance(value, str) and _digits(value):
+    if _is_int(value) or isinstance(value, str) and _digits(value):
         return int(value)
     raise GameValidationError(f"{what} must be an integer, got {value!r}")
 
@@ -128,25 +133,50 @@ def load_game(source: str | Path | dict) -> GameSpec:
         except ValueError as exc:
             raise GameValidationError(f"unknown action {label!r} for player {i}") from exc
 
+    # A spec repeats few distinct rationals, probability vectors and action
+    # parts, so this load parses each once; equal data share one object. A
+    # miss takes the unmemoized path, so a bad datum raises at its first key.
+    fracs: dict[str, Fraction] = {}
+    vectors: dict[tuple[str, ...], tuple[Fraction, ...]] = {}
+    joints: dict[str, tuple[int, ...]] = {}
+
+    def frac(value) -> Fraction:
+        if type(value) is not str:  # a number, a boolean or worse: no memo
+            return frac_from_str(value)
+        out = fracs.get(value)
+        if out is None:
+            out = fracs[value] = frac_from_str(value)
+        return out
+
     transitions: dict = {}
     for key_text, vec in raw_trans.items():
         t, where, action_part = _split_key(key_text, "transition", state_dependent)
-        labels = action_part.split(",")
-        if len(labels) != players:
-            raise GameValidationError(
-                f"transition key {key_text!r} must list one action per player"
+        joint = joints.get(action_part)
+        if joint is None:
+            labels = action_part.split(",")
+            if len(labels) != players:
+                raise GameValidationError(
+                    f"transition key {key_text!r} must list one action per player"
+                )
+            joint = joints[action_part] = tuple(
+                find_action(i, lab) for i, lab in enumerate(labels)
             )
-        joint = tuple(find_action(i, lab) for i, lab in enumerate(labels))
         if t + 1 > horizon:
             raise GameValidationError(f"transition key {key_text!r} beyond horizon")
         level = states[t + 1]
         if not isinstance(vec, dict):
             raise GameValidationError(f"transition {key_text!r} must be an object of probabilities")
-        probs = [frac_from_str(vec.get(s, "0")) for s in level]
+        raw = tuple(vec.get(s, "0") for s in level)
+        if all(type(p) is str for p in raw):  # hashable, and True never meets 1
+            probs = vectors.get(raw)
+            if probs is None:
+                probs = vectors[raw] = tuple(map(frac, raw))
+        else:
+            probs = tuple(map(frac, raw))
         for s in vec:
             if s not in level:
                 raise GameValidationError(f"unknown successor state {s!r} in {key_text!r}")
-        transitions[(t, where, joint)] = tuple(probs)
+        transitions[(t, where, joint)] = probs
 
     running: list[dict] = []
     for i, table in enumerate(raw_running):
@@ -158,7 +188,7 @@ def load_game(source: str | Path | dict) -> GameSpec:
                     f"running cost {key_text!r} keys a joint action; costs take only "
                     "the player's own action"
                 )
-            entry[(t, where, find_action(i, label))] = frac_from_str(cost)
+            entry[(t, where, find_action(i, label))] = frac(cost)
         running.append(entry)
 
     terminal: list[dict] = []
@@ -166,7 +196,7 @@ def load_game(source: str | Path | dict) -> GameSpec:
         entry = {}
         for key_text, cost in _typed(table, dict, f"terminal costs of player {i}").items():
             where = key_text if state_dependent else _prefix_from_str(key_text)
-            entry[where] = frac_from_str(cost)
+            entry[where] = frac(cost)
         terminal.append(entry)
 
     return GameSpec(

@@ -136,10 +136,13 @@ class GameSpec:
             raise GameValidationError("cost tables must have one entry per player")
 
         # Markov data are keyed by the current state, so each (t, state) entry
-        # is checked once; path-keyed data once per prefix.
+        # is checked once; path-keyed data once per prefix. A vector object met
+        # before passed its content checks there (the transitions hold every
+        # vector, so no id is reused): only its length is checked again.
         positive = True
         joints = self.joint_actions
         n_keys = 0
+        checked: set[int] = set()
         for t in range(self.horizon):
             for key in self._data_keys(t):
                 n_keys += 1
@@ -155,6 +158,8 @@ class GameSpec:
                             f"transition vector at t={t}, {self._where(key)}, {joint} "
                             "has wrong length"
                         )
+                    if id(vec) in checked:
+                        continue
                     for p in vec:
                         if not isinstance(p, Fraction):
                             raise GameValidationError("transition probabilities must be Fraction")
@@ -169,6 +174,7 @@ class GameSpec:
                             f"transition at t={t}, {self._where(key)}, {joint} sums to "
                             f"{sum(vec, ZERO)}, not 1"
                         )
+                    checked.add(id(vec))
                 for i in range(self.n_players):
                     for ai in range(len(self.actions[i])):
                         try:
@@ -481,10 +487,11 @@ class Tables:
         scale = [math.lcm(*_denominators([end]))] * (horizon + 1)
         for t in reversed(range(horizon)):
             level = slice(self.offset[t], self.offset[t + 1])
-            step = math.lcm(*_denominators(kern[level]))
+            distinct = {id(vec): vec for row in kern[level] for vec in row}.values()
+            step = math.lcm(*(x.denominator for vec in distinct for x in vec))
             scale[t] = math.lcm(step * scale[t + 1], *_denominators(cost[level]))
         self.scale = scale = [s * factor for s in scale]
-        self.kern = [_scaled(k, scale[t] // scale[t + 1]) for (t, _), k in zip(data, kern)]
+        self.kern = _scaled_kernels(data, kern, scale)
         self.cost = [_scaled(c, scale[t]) for (t, _), c in zip(data, cost)]
         self.end = [None] * len(data) + list(_scaled(end, scale[horizon]))
         self.kids = []
@@ -517,6 +524,29 @@ def _denominators(rows):
 def _scaled(rows, scale: int) -> tuple[tuple[int, ...], ...]:
     """Rows of fractions as integers over ``scale``, a multiple of their denominators."""
     return tuple(tuple(x.numerator * (scale // x.denominator) for x in vec) for vec in rows)
+
+
+def _scaled_kernels(data, kern, scale) -> list[tuple[tuple[int, ...], ...]]:
+    """Each row's kernel vectors over its level's ratio scale[t] / scale[t+1].
+
+    Rows share vector objects (joint actions that move the same states, and
+    the loader's shared tuples), so each distinct object is scaled once per
+    ratio and its integers are shared too; the spec holds every vector while
+    this runs, so no id is reused.
+    """
+    done: dict[tuple[int, int], tuple[int, ...]] = {}
+    out = []
+    for (t, _), row in zip(data, kern):
+        ratio = scale[t] // scale[t + 1]
+        ints = []
+        for vec in row:
+            key = (id(vec), ratio)
+            scaled = done.get(key)
+            if scaled is None:
+                scaled = done[key] = tuple(x.numerator * (ratio // x.denominator) for x in vec)
+            ints.append(scaled)
+        out.append(tuple(ints))
+    return out
 
 
 def tables_of(spec: GameSpec, tree: PathTree, factor: int = 1) -> Tables:

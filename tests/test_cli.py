@@ -193,6 +193,12 @@ def malformed_table1(kind: str) -> str:
         doc["transitions"]["0|nowhere|0,0"] = doc["transitions"]["0|s0|0,0"]
     elif kind == "unknown-terminal":
         doc["terminal_costs"][1]["nowhere"] = "0"
+    elif kind == "horizon-bool":
+        doc["horizon"] = True
+    elif kind == "probability-bool":
+        doc["transitions"]["0|s0|0,0"] = {"down": True, "up": False}
+    elif kind == "cost-bool":
+        doc["running_costs"][0]["0|s0|0"] = True
     text = json.dumps(doc)
     return text[: len(text) // 2] if kind == "truncated" else text
 
@@ -211,6 +217,9 @@ MALFORMED = {
     "unknown-running-cost": "running cost of player 0 at t=0, state='nowhere' is never read",
     "unknown-transition": "transition at t=0, state='nowhere' is never read",
     "unknown-terminal": "terminal cost of player 1 at t=1, state='nowhere' is never read",
+    "horizon-bool": "horizon must be an integer, got True",
+    "probability-bool": "expected rational string, got False",
+    "cost-bool": "expected rational string, got True",
 }
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +20,8 @@ from gameval import (
 )
 from gameval.dpp import random_game
 from gameval.io import frac_from_str
-from gameval.model import Node
+from gameval.model import Node, Tables
+from gameval.presets import SPEC_FILES, load_example
 
 from oracles import path_measure, stop_node_along, truncate_game
 
@@ -447,6 +449,138 @@ def test_running_cost_keyed_by_joint_action_rejected(table1):
     doc = dump_game(spec)
     doc["running_costs"][0]["0|s0|0,1"] = "1"
     with pytest.raises(GameValidationError, match="own action"):
+        load_game(doc)
+
+
+# -- shared data in ingestion --------------------------------------------------
+
+
+def unshared(spec):
+    """``spec`` rebuilt from fresh Fractions: no two vectors or numbers share an object."""
+
+    def fresh(x):
+        return F(str(x))
+
+    return GameSpec(
+        horizon=spec.horizon,
+        states=spec.states,
+        actions=spec.actions,
+        transitions={k: tuple(map(fresh, vec)) for k, vec in spec.transitions.items()},
+        running_costs=[{k: fresh(c) for k, c in table.items()} for table in spec.running_costs],
+        terminal_costs=[{k: fresh(c) for k, c in table.items()} for table in spec.terminal_costs],
+        state_dependent=spec.state_dependent,
+    )
+
+
+def loaded_specs():
+    """Specs as ``load_game`` builds them: shared strings, vectors and Fractions."""
+    specs = [load_example(name) for name in SPEC_FILES]
+    specs.append(load_game(Path(__file__).parent / "data" / "markov_h30.json"))
+    rng = random.Random(59)
+    for markov in (False, True):
+        for allow_zero in (False, True):
+            for _ in range(3):
+                game = random_game(rng, state_dependent=markov, allow_zero=allow_zero)
+                specs.append(load_game(dump_game(game)))
+    return specs
+
+
+@pytest.mark.parametrize("spec", loaded_specs())
+def test_ingestion_does_not_depend_on_shared_objects(spec):
+    fresh = unshared(spec)
+    assert fresh.transitions == spec.transitions
+    assert fresh.running_costs == spec.running_costs
+    assert fresh.terminal_costs == spec.terminal_costs
+    assert fresh.q_positive == spec.q_positive
+    a, b = Tables(spec), Tables(fresh)
+    for name in ("scale", "kern", "cost", "end", "kids"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
+def test_loaded_specs_share_vectors_and_cover_zero_kernels():
+    specs = loaded_specs()
+    h30 = specs[len(SPEC_FILES)]
+    assert len({id(vec) for vec in h30.transitions.values()}) < len(h30.transitions)
+    assert {spec.q_positive for spec in specs} == {False, True}
+    assert {spec.state_dependent for spec in specs} == {False, True}
+
+
+def half_kernel_spec():
+    """Markov spec, one player: one vector object summing to 1/2 at three keys.
+
+    The transitions are given in reverse validation order, so the first bad
+    key in the dict is not the first that validation reads.
+    """
+    good, bad = (F(1, 2), F(1, 2)), (F(1, 4), F(1, 4))
+    keys = [(t, key, (a,)) for t, level in ((0, "a"), (1, "bc")) for key in level for a in (0, 1)]
+    transitions = {k: good for k in keys}
+    for k in ((1, "c", (0,)), (1, "b", (1,)), (0, "a", (1,))):
+        transitions[k] = bad
+    return dict(
+        horizon=2,
+        states=[["a"], ["b", "c"], ["b", "c"]],
+        actions=[["0", "1"]],
+        transitions=dict(reversed(transitions.items())),
+        running_costs=[{k[:2] + k[2]: F(0) for k in keys}],
+        terminal_costs=[{"b": F(0), "c": F(0)}],
+        state_dependent=True,
+    )
+
+
+def test_a_shared_bad_vector_is_named_at_its_first_key_in_validation_order():
+    with pytest.raises(GameValidationError) as err:
+        GameSpec(**half_kernel_spec())
+    assert str(err.value) == "transition at t=0, state='a', (1,) sums to 1/2, not 1"
+
+
+def test_a_shared_vector_is_length_checked_at_every_key():
+    args = half_kernel_spec()
+    vec = (F(1, 2), F(1, 2))
+    args["states"][2] = ["b", "c", "d"]
+    args["terminal_costs"] = [{"b": F(0), "c": F(0), "d": F(0)}]
+    args["transitions"] = {k: vec for k in args["transitions"]}
+    with pytest.raises(GameValidationError, match=r"at t=1, state='b', \(0,\) has wrong length"):
+        GameSpec(**args)
+
+
+def test_a_shared_vector_with_a_zero_keeps_q_positive_false():
+    args = half_kernel_spec()
+    zero, good = (F(0), F(1)), (F(1, 2), F(1, 2))
+    args["transitions"] = {k: zero if k[0] == 1 else good for k in args["transitions"]}
+    assert not GameSpec(**args).q_positive
+    args["transitions"] = {k: good for k in args["transitions"]}
+    assert GameSpec(**args).q_positive
+
+
+def test_a_repeated_bad_rational_raises_at_its_first_key(table1):
+    spec, _, _ = table1
+    doc = dump_game(spec)
+    trans = doc["transitions"]
+    first, second, third, _ = trans
+    trans[first] = {"up": "x", "down": "1"}
+    trans[second] = {"up": "0", "down": "1", "nowhere": "0"}  # would raise if reached
+    trans[third] = {"up": "x", "down": "1"}
+    with pytest.raises(GameValidationError, match="^bad rational 'x'$"):
+        load_game(doc)
+    doc = dump_game(spec)
+    doc["running_costs"][1] = {"0|s0|0": "y", "0|s0|1": "y"}
+    doc["terminal_costs"][0]["up"] = "y"
+    with pytest.raises(GameValidationError, match="^bad rational 'y'$"):
+        load_game(doc)
+
+
+def test_a_boolean_never_reuses_a_number_seen_before(table1):
+    spec, _, _ = table1
+    doc = dump_game(spec)
+    trans = doc["transitions"]
+    first, second, *_ = trans
+    trans[first] = {"up": 1, "down": 0}
+    trans[second] = {"up": True, "down": False}
+    with pytest.raises(GameValidationError, match="^expected rational string, got True$"):
+        load_game(doc)
+    doc = dump_game(spec)
+    doc["running_costs"][0] = {"0|s0|0": 1, "0|s0|1": True}
+    with pytest.raises(GameValidationError, match="^expected rational string, got True$"):
         load_game(doc)
 
 
