@@ -491,7 +491,17 @@ class Tables:
             step = math.lcm(*(x.denominator for vec in distinct for x in vec))
             scale[t] = math.lcm(step * scale[t + 1], *_denominators(cost[level]))
         self.scale = scale = [s * factor for s in scale]
-        self.kern = _scaled_kernels(data, kern, scale)
+        # Rows share kernel vector objects (joint actions that move the same
+        # states, the loader's shared tuples), so each is scaled once per ratio;
+        # the spec holds every vector while this runs, so no id is reused.
+        done: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.kern = []
+        for (t, _), row in zip(data, kern):
+            ratio = scale[t] // scale[t + 1]
+            for vec in row:
+                if (id(vec), ratio) not in done:
+                    done[id(vec), ratio] = _scaled([vec], ratio)[0]
+            self.kern.append(tuple(done[id(vec), ratio] for vec in row))
         self.cost = [_scaled(c, scale[t]) for (t, _), c in zip(data, cost)]
         self.end = [None] * len(data) + list(_scaled(end, scale[horizon]))
         self.kids = []
@@ -524,29 +534,6 @@ def _denominators(rows):
 def _scaled(rows, scale: int) -> tuple[tuple[int, ...], ...]:
     """Rows of fractions as integers over ``scale``, a multiple of their denominators."""
     return tuple(tuple(x.numerator * (scale // x.denominator) for x in vec) for vec in rows)
-
-
-def _scaled_kernels(data, kern, scale) -> list[tuple[tuple[int, ...], ...]]:
-    """Each row's kernel vectors over its level's ratio scale[t] / scale[t+1].
-
-    Rows share vector objects (joint actions that move the same states, and
-    the loader's shared tuples), so each distinct object is scaled once per
-    ratio and its integers are shared too; the spec holds every vector while
-    this runs, so no id is reused.
-    """
-    done: dict[tuple[int, int], tuple[int, ...]] = {}
-    out = []
-    for (t, _), row in zip(data, kern):
-        ratio = scale[t] // scale[t + 1]
-        ints = []
-        for vec in row:
-            key = (id(vec), ratio)
-            scaled = done.get(key)
-            if scaled is None:
-                scaled = done[key] = tuple(x.numerator * (ratio // x.denominator) for x in vec)
-            ints.append(scaled)
-        out.append(tuple(ints))
-    return out
 
 
 def tables_of(spec: GameSpec, tree: PathTree, factor: int = 1) -> Tables:
