@@ -498,10 +498,14 @@ class Tables:
         self.kern = []
         for (t, _), row in zip(data, kern):
             ratio = scale[t] // scale[t + 1]
+            ints = []
             for vec in row:
-                if (id(vec), ratio) not in done:
-                    done[id(vec), ratio] = _scaled([vec], ratio)[0]
-            self.kern.append(tuple(done[id(vec), ratio] for vec in row))
+                key = (id(vec), ratio)
+                scaled = done.get(key)
+                if scaled is None:
+                    scaled = done[key] = tuple(x.numerator * (ratio // x.denominator) for x in vec)
+                ints.append(scaled)
+            self.kern.append(tuple(ints))
         self.cost = [_scaled(c, scale[t]) for (t, _), c in zip(data, cost)]
         self.end = [None] * len(data) + list(_scaled(end, scale[horizon]))
         self.kids = []
