@@ -81,14 +81,8 @@ def cmd_setvalue(args) -> int:
     spec, tree, start = _game(args)
 
     # The brute-force set value and the witnesses read one memoized enumeration.
-    cls = dpp_mod.VARIANT_POLICY_CLASS.get(args.variant, PATH_CLASS)
     if args.engine != "dpp":
-        result = eq.set_value_bruteforce(spec, tree, start, eps=epsilon, cls=cls, cap=args.cap)
-        if args.variant == "pareto":
-            result = eq.pareto_filter(result)
-        elif args.variant == "strong-pareto":
-            index = eq.value_index(spec, tree, start, eps=epsilon, cls=cls, cap=args.cap)
-            result = eq.strong_pareto_filter(spec, tree, start, list(index.values()), cap=args.cap)
+        result = eq.variant_set(spec, tree, start, args.variant, eps=epsilon, cap=args.cap)
     if args.engine != "brute":
         recursive = eq.set_value_dpp(spec, tree, start, selection_cap=args.selection_cap)
         if args.engine == "both" and result.points != recursive.points:
@@ -109,6 +103,7 @@ def cmd_setvalue(args) -> int:
         # from the variant's policy class; the Pareto variants keep only
         # witnesses whose value survived the filter.
         wanted = set(result.points)
+        cls = eq.VARIANT_POLICY_CLASS[args.variant]
         index = eq.value_index(spec, tree, start, eps=epsilon, cls=cls, cap=args.cap)
         payload["witnesses"] = [
             io.record_to_json(spec, tree, rec) for value, rec in index.items() if value in wanted
@@ -309,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("GAMEVAL_THREADS", "1")),
-        help="worker hint; evaluation is deterministic regardless",
+        help="worker hint (default: GAMEVAL_THREADS or 1); evaluation is deterministic",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -326,11 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("setvalue", help="compute a set value")
     common(p)
-    p.add_argument(
-        "--variant",
-        default="full",
-        choices=[*dpp_mod.VARIANT_POLICY_CLASS, "strong-pareto"],
-    )
+    p.add_argument("--variant", default="full", choices=list(eq.VARIANT_POLICY_CLASS))
     p.add_argument("--eps", default="0", help="equilibrium slack, rational")
     p.add_argument("--engine", default="brute", choices=["brute", "dpp", "both"])
     p.add_argument("--witnesses", action="store_true", help="include witness policies")
@@ -338,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-dpp", help="compare a set value with its recursion")
     common(p)
-    p.add_argument("--variant", choices=list(dpp_mod.VARIANT_POLICY_CLASS))
+    p.add_argument(
+        "--variant", choices=[v for v in eq.VARIANT_POLICY_CLASS if v != "strong-pareto"]
+    )
     p.add_argument("--selection-class", choices=["path", "state"])
     p.add_argument("--stop-time", type=int, help="stop at a fixed time")
     p.add_argument("--stop-at-state", help="stop when a state label is first hit")
@@ -368,13 +360,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args) -> None:
+    """Reject a worker count or an enumeration cap below 1 before any work."""
+    threads = args.threads
+    if threads is None:
+        text = os.environ.get("GAMEVAL_THREADS", "1")
+        try:
+            threads = int(text)
+        except ValueError:
+            raise GameValidationError(f"GAMEVAL_THREADS must be an integer, got {text!r}") from None
+    if threads < 1:
+        raise GameValidationError("--threads must be at least 1")
+    for flag in ("cap", "selection_cap"):
+        if getattr(args, flag, 1) < 1:
+            raise GameValidationError(f"--{flag.replace('_', '-')} must be at least 1")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     # An OSError is a file that is missing, a directory or unreadable: exit 2.
     except (GameValidationError, EnumerationCapExceeded, NumericInstabilityError, OSError) as exc:

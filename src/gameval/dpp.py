@@ -26,16 +26,12 @@ from .equilibria import (
     _nash_flags,
     _one_step_costs,
     _row_set,
-    _Scope,
-    iter_equilibria,
-    pareto_filter,
-    set_value_bruteforce,
+    variant_set,
 )
 from .errors import EnumerationCapExceeded, GameValidationError, NumericInstabilityError
 from .model import (
     PATH_CLASS,
     STATE_CLASS,
-    SYMMETRIC_CLASS,
     GameSpec,
     PathTree,
     StoppingTime,
@@ -46,13 +42,6 @@ from .model import (
 from .presets import build_pareto_spec, pareto_tables
 
 SELECTION_CLASSES = (PATH_CLASS, STATE_CLASS)
-
-VARIANT_POLICY_CLASS = {
-    "full": PATH_CLASS,
-    "state": STATE_CLASS,
-    "symmetric": SYMMETRIC_CLASS,
-    "pareto": PATH_CLASS,
-}
 
 
 @dataclass(frozen=True)
@@ -87,29 +76,6 @@ def compare_sets(lhs: ValueSet, rhs: ValueSet, context: dict | None = None) -> D
     )
 
 
-def _variant_set(
-    spec: GameSpec, tree: PathTree, nid: int, variant: str, cap: int
-) -> ValueSet:
-    vs = set_value_bruteforce(spec, tree, nid, cls=VARIANT_POLICY_CLASS[variant], cap=cap)
-    return pareto_filter(vs) if variant == "pareto" else vs
-
-
-def _truncated_values(
-    spec: GameSpec,
-    tree: PathTree,
-    start: int,
-    frontier: dict[int, Vector],
-    variant: str,
-    cap: int,
-) -> ValueSet:
-    """Equilibrium values of the truncated game for one terminal selection."""
-    cls = VARIANT_POLICY_CLASS[variant]
-    scope = _Scope(spec, tree, start, frontier=frontier)
-    found = iter_equilibria(spec, tree, start, cls=cls, cap=cap, scope=scope, with_policies=False)
-    vs = ValueSet.of(rec.value for rec in found)
-    return pareto_filter(vs) if variant == "pareto" else vs
-
-
 def verify_dpp(
     spec: GameSpec,
     tree: PathTree,
@@ -121,40 +87,33 @@ def verify_dpp(
     policy_cap: int = DEFAULT_POLICY_CAP,
     selection_cap: int = DEFAULT_SELECTION_CAP,
 ) -> DppReport:
-    """Compare the set value against its truncated-game reconstruction.
+    """Compare V(start) with the union over selections psi of V^psi(start).
 
-    The rhs enumerates every selection of one continuation value per stopped
-    prefix (grouped by (time, state) when ``selection_class`` restricts
-    selections to state-dependent ones), builds the truncated game, and
-    collects its variant equilibrium values.
+    Both are :func:`variant_set` sets. A selection psi picks one value of V
+    at each stopped prefix, one per (time, state) under ``STATE_CLASS``
+    selections; V^psi is the set of the game stopped there with values psi.
     """
-    if variant not in VARIANT_POLICY_CLASS:
-        raise GameValidationError(f"unknown variant {variant!r}")
+    lhs = variant_set(spec, tree, start, variant, cap=policy_cap)
     if selection_class not in SELECTION_CLASSES:
         raise GameValidationError(f"selection class must be one of {SELECTION_CLASSES}")
 
-    lhs = _variant_set(spec, tree, start, variant, policy_cap)
-
     frontier_nodes = stopping.frontier(tree, start)
     node_sets = {
-        nid: _variant_set(spec, tree, nid, variant, policy_cap) for nid in frontier_nodes
+        nid: variant_set(spec, tree, nid, variant, cap=policy_cap).points
+        for nid in frontier_nodes
     }
-
     if selection_class == STATE_CLASS:
         groups = tree.group_by_time_state(frontier_nodes)
-        choice_sets = []
-        for key, members in groups.items():
-            base = node_sets[members[0]]
-            if any(node_sets[other].points != base.points for other in members[1:]):
-                raise GameValidationError(
-                    "state-dependent selections need equal value sets at prefixes "
-                    f"sharing (time, state) {key}; the model is not state dependent there"
-                )
-            choice_sets.append(base.points)
-        unit_members = list(groups.values())
     else:
-        choice_sets = [node_sets[nid].points for nid in frontier_nodes]
-        unit_members = [[nid] for nid in frontier_nodes]
+        groups = {nid: (nid,) for nid in frontier_nodes}
+    choice_sets = []
+    for key, (first, *others) in groups.items():
+        if any(node_sets[other] != node_sets[first] for other in others):
+            raise GameValidationError(
+                "state-dependent selections need equal value sets at prefixes "
+                f"sharing (time, state) {key}; the model is not state dependent there"
+            )
+        choice_sets.append(node_sets[first])
 
     n_selections = math.prod(map(len, choice_sets))
     if n_selections > selection_cap:
@@ -164,9 +123,8 @@ def verify_dpp(
 
     rhs_points: set[Vector] = set()
     for chosen in itertools.product(*choice_sets):
-        frontier = {nid: value for members, value in zip(unit_members, chosen) for nid in members}
-        vs = _truncated_values(spec, tree, start, frontier, variant, policy_cap)
-        rhs_points.update(vs.points)
+        psi = {nid: value for members, value in zip(groups.values(), chosen) for nid in members}
+        rhs_points.update(variant_set(spec, tree, start, variant, cap=policy_cap, frontier=psi))
     rhs = ValueSet.of(rhs_points)
 
     context = {
@@ -245,10 +203,11 @@ def pareto_dpp_counterexample(
     branch_info = {}
     for s in pareto_tables()["branches"]:
         nid = tree.id_of(("s0", s))
-        full = _variant_set(spec, tree, nid, "full", policy_cap)
+        full = variant_set(spec, tree, nid, cap=policy_cap)
+        pareto = variant_set(spec, tree, nid, "pareto", cap=policy_cap)
         branch_info[s] = {
             "values": [[str(x) for x in p] for p in full.points],
-            "pareto": [[str(x) for x in p] for p in pareto_filter(full).points],
+            "pareto": [[str(x) for x in p] for p in pareto.points],
         }
     context = {**report.context, "eps": str(eps), "branch_values": branch_info}
     return replace(report, context=context)
@@ -327,10 +286,9 @@ def open_loop_lq_demo(sigma: float = 0.0) -> OpenLoopReport:
     whole_value = (whole_cost(0), whole_cost(1))
 
     # Second period at state x: cost_i = 0.5*c_i^2 - (c1 + c2)*x. Stationarity
-    # gives c_i = k_i * x with the coefficients solving an identity system.
-    k = np.linalg.solve(np.eye(2), np.ones(2))
-    # terminal value of either player as a multiple of x^2
-    kappa = float(0.5 * k[0] * k[0] - (k[0] + k[1]))
+    # gives c_i = x, so the terminal value of either player is kappa * x^2
+    # with kappa = 0.5*1^2 - (1 + 1).
+    kappa = -1.5
 
     # First period against that terminal: J_i = 4u_i^2 + 2u_i + kappa*((u1+u2)^2 + sigma^2)
     a1 = np.array([[8.0 + 2.0 * kappa, 2.0 * kappa], [2.0 * kappa, 8.0 + 2.0 * kappa]])

@@ -49,6 +49,15 @@ from .model import (
 DEFAULT_POLICY_CAP = 10_000_000
 DEFAULT_SELECTION_CAP = 100_000
 
+# Each set-value variant's policy class; :func:`variant_set` applies its filter.
+VARIANT_POLICY_CLASS = {
+    "full": PATH_CLASS,
+    "state": STATE_CLASS,
+    "symmetric": SYMMETRIC_CLASS,
+    "pareto": PATH_CLASS,
+    "strong-pareto": PATH_CLASS,
+}
+
 
 @dataclass(frozen=True)
 class ValueSet:
@@ -892,3 +901,31 @@ def strong_pareto_filter(
     """
     achievable = _row_recursion(spec, tree, start, cap, nash=False).points
     return ValueSet.of([rec.value for rec in records if not _dominated(rec.value, achievable)])
+
+
+def variant_set(
+    spec: GameSpec, tree: PathTree, start: int, variant: str = "full", *, eps: Fraction = ZERO,
+    cap: int = DEFAULT_POLICY_CAP, frontier: dict[int, Vector] | None = None,
+) -> ValueSet:
+    """The variant's set value at the start node: the equilibrium values of
+    its policy class in the whole game, or in the game stopped at ``frontier``
+    with those terminal values, then its filter. Strong Pareto compares with
+    every control of the whole game, so it takes no frontier.
+    """
+    cls = VARIANT_POLICY_CLASS.get(variant)
+    if cls is None:
+        raise GameValidationError(f"unknown variant {variant!r}")
+    if variant == "strong-pareto":
+        if frontier is not None:
+            raise GameValidationError("the strong Pareto variant has no truncated-game set")
+        records = value_index(spec, tree, start, eps=eps, cls=cls, cap=cap).values()
+        return strong_pareto_filter(spec, tree, start, list(records), cap=cap)
+    if frontier is None:
+        vs = set_value_bruteforce(spec, tree, start, eps=eps, cls=cls, cap=cap)
+    else:
+        scope = _Scope(spec, tree, start, frontier=frontier)
+        found = iter_equilibria(
+            spec, tree, start, eps=eps, cls=cls, cap=cap, scope=scope, with_policies=False
+        )
+        vs = ValueSet.of((rec.value for rec in found), epsilon=eps)
+    return pareto_filter(vs) if variant == "pareto" else vs

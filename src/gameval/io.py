@@ -135,18 +135,23 @@ def load_game(source: str | Path | dict) -> GameSpec:
 
     # A spec repeats few distinct rationals, probability vectors and action
     # parts, so this load parses each once; equal data share one object. A
-    # miss takes the unmemoized path, so a bad datum raises at its first key.
+    # miss takes the unmemoized path, so a bad datum raises at its first key,
+    # and only then is that key formatted into the message.
     fracs: dict[str, Fraction] = {}
     vectors: dict[tuple[str, ...], tuple[Fraction, ...]] = {}
     joints: dict[str, tuple[int, ...]] = {}
 
-    def frac(value) -> Fraction:
-        if type(value) is not str:  # a number, a boolean or worse: no memo
-            return frac_from_str(value)
-        out = fracs.get(value)
-        if out is None:
-            out = fracs[value] = frac_from_str(value)
-        return out
+    def frac(value, table: str, key_text: str, player: int | None = None) -> Fraction:
+        try:
+            if type(value) is not str:  # a number, a boolean or worse: no memo
+                return frac_from_str(value)
+            out = fracs.get(value)
+            if out is None:
+                out = fracs[value] = frac_from_str(value)
+            return out
+        except GameValidationError as exc:
+            whose = "" if player is None else f" of player {player}"
+            raise GameValidationError(f"{table} {key_text!r}{whose}: {exc}") from exc
 
     transitions: dict = {}
     for key_text, vec in raw_trans.items():
@@ -170,9 +175,9 @@ def load_game(source: str | Path | dict) -> GameSpec:
         if all(type(p) is str for p in raw):  # hashable, and True never meets 1
             probs = vectors.get(raw)
             if probs is None:
-                probs = vectors[raw] = tuple(map(frac, raw))
+                probs = vectors[raw] = tuple([frac(p, "transition", key_text) for p in raw])
         else:
-            probs = tuple(map(frac, raw))
+            probs = tuple([frac(p, "transition", key_text) for p in raw])
         for s in vec:
             if s not in level:
                 raise GameValidationError(f"unknown successor state {s!r} in {key_text!r}")
@@ -188,7 +193,7 @@ def load_game(source: str | Path | dict) -> GameSpec:
                     f"running cost {key_text!r} keys a joint action; costs take only "
                     "the player's own action"
                 )
-            entry[(t, where, find_action(i, label))] = frac(cost)
+            entry[(t, where, find_action(i, label))] = frac(cost, "running cost", key_text, i)
         running.append(entry)
 
     terminal: list[dict] = []
@@ -196,7 +201,7 @@ def load_game(source: str | Path | dict) -> GameSpec:
         entry = {}
         for key_text, cost in _typed(table, dict, f"terminal costs of player {i}").items():
             where = key_text if state_dependent else _prefix_from_str(key_text)
-            entry[where] = frac(cost)
+            entry[where] = frac(cost, "terminal cost", key_text, i)
         terminal.append(entry)
 
     return GameSpec(

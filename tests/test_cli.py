@@ -267,6 +267,13 @@ BAD_INPUTS = {
     "weights-1-probe": [*NO_EQ, "--weights", "1", "--probe"],
     "sigma-nan": ["verify-dpp", "--example", "openloop", "--sigma", "nan"],
     "sigma-inf": ["verify-dpp", "--example", "openloop", "--sigma", "inf"],
+    "cap-negative": ["setvalue", "--example", "table1", "--cap", "-1"],
+    "selection-cap-zero-dpp": [
+        "setvalue", "--example", "table1", "--engine", "dpp", "--selection-cap", "0",
+    ],
+    "h30-cap-zero": ["setvalue", *H30, "--cap", "0"],
+    "h30-verify-selection-cap-zero": ["verify-dpp", *H30, "--selection-cap", "0"],
+    "h30-planner-cap-zero": ["planner", *H30, "--cap", "0"],
     "config-monotone-no": {"preset": "static", "grid": {"monotone": "no"}},
     "config-nx-float": {"preset": "static", "grid": {"nx": 7.0}},
     "config-x-bounds-swapped": {"preset": "static", "grid": {"x_lo": 1.0, "x_hi": -1.0}},
@@ -324,6 +331,31 @@ def test_threads_flag_accepted_and_validated(capsys):
     assert code == 0
     code, _, _ = run(capsys, "--threads", "0", "setvalue", "--example", "table1")
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_a_bad_threads_variable_exits_2_like_a_bad_flag(capsys, monkeypatch, value):
+    monkeypatch.setenv("GAMEVAL_THREADS", value)
+    code, out, err = run(capsys, "examples", "list")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "GameValidationError"
+    assert run(capsys, "--threads", "2", "examples", "list")[0] == 0
+
+
+def test_threads_variable_and_flag_below_1_give_one_json_error(capsys, monkeypatch):
+    code, _, flag_err = run(capsys, "--threads", "0", "examples", "list")
+    monkeypatch.setenv("GAMEVAL_THREADS", "0")
+    assert (code, flag_err) == (2, run(capsys, "examples", "list")[2])
+    assert json.loads(flag_err) == {
+        "error": "GameValidationError", "message": "--threads must be at least 1",
+    }
+    monkeypatch.setenv("GAMEVAL_THREADS", "3")
+    assert run(capsys, "examples", "list")[0] == 0
+
+
+def test_a_cap_of_1_still_exits_3(capsys):
+    code, _, err = run(capsys, "setvalue", "--example", "table1", "--cap", "1")
+    assert code == 3 and json.loads(err)["message"].endswith("needs 4 > cap 1")
 
 
 @pytest.mark.parametrize(

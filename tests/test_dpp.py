@@ -122,6 +122,17 @@ def test_stop_time_must_be_in_the_future(path_game):
         verify_dpp(spec, tree, root, StoppingTime.at_time(tree, 0))
 
 
+def test_a_bad_variant_is_reported_before_a_bad_selection_class(path_game):
+    spec, tree, root = path_game
+    stopping = StoppingTime.at_time(tree, 1)
+    with pytest.raises(GameValidationError, match="^unknown variant 'weak'$"):
+        verify_dpp(spec, tree, root, stopping, variant="weak", selection_class="nowhere")
+    with pytest.raises(GameValidationError, match="strong Pareto variant has no truncated-game"):
+        verify_dpp(spec, tree, root, stopping, variant="strong-pareto")
+    with pytest.raises(GameValidationError, match="^selection class must be one of"):
+        verify_dpp(spec, tree, root, stopping, selection_class="nowhere")
+
+
 # -- the Pareto counterexample -------------------------------------------------
 
 

@@ -32,6 +32,7 @@ from gameval import (
 from gameval.cli import main
 from gameval.dpp import random_game
 from gameval.equilibria import (
+    VARIANT_POLICY_CLASS,
     _iter_argmin,
     _iter_general,
     _nash_flags,
@@ -39,6 +40,7 @@ from gameval.equilibria import (
     _row_recursion,
     _Scope,
     _units_for,
+    variant_set,
 )
 from gameval.model import (
     PATH_CLASS,
@@ -685,3 +687,75 @@ def test_symmetric_values_are_contained_in_the_full_set():
         symmetric = set_value_bruteforce(spec, tree, root, cls=SYMMETRIC_CLASS)
         full = set_value_bruteforce(spec, tree, root)
         assert pts(symmetric) <= pts(full)
+
+
+# -- variant sets ----------------------------------------------------------------
+
+
+def reference_variant_set(spec, tree, start, variant, frontier):
+    """The compositions ``variant_set`` replaced, on their own tree."""
+    cls = VARIANT_POLICY_CLASS[variant]
+    if frontier is None:
+        vs = set_value_bruteforce(spec, tree, start, cls=cls)
+        if variant == "strong-pareto":
+            records = list(value_index(spec, tree, start, cls=cls).values())
+            return strong_pareto_filter(spec, tree, start, records)
+    else:
+        scope = _Scope(spec, tree, start, frontier=frontier)
+        found = iter_equilibria(spec, tree, start, cls=cls, scope=scope, with_policies=False)
+        vs = ValueSet.of(rec.value for rec in found)
+    return pareto_filter(vs) if variant == "pareto" else vs
+
+
+VARIANT_EXAMPLES = ("table1", "table2_left", "table2_right", "path", "psistate", "state")
+# Seeded random games: (players, zero kernel entries allowed, Markov data).
+VARIANT_RANDOM = list(itertools.product((2, 3), (False, True), (False, True)))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*VARIANT_EXAMPLES, *VARIANT_RANDOM],
+    ids=[*VARIANT_EXAMPLES, *(f"random-{n}p-zero{z:d}-markov{m:d}" for n, z, m in VARIANT_RANDOM)],
+)
+def test_variant_set_equals_the_compositions_it_replaced(case):
+    if isinstance(case, str):
+        spec = load_example(case)
+    else:
+        n_players, allow_zero, state_dependent = case
+        draws = random.Random(61)
+        spec = None
+        while spec is None or spec.horizon < 2:  # the first two-period draw
+            spec = random_game(
+                draws,
+                max_periods=2,
+                n_players=n_players,
+                allow_zero=allow_zero,
+                state_dependent=state_dependent,
+            )
+    rng = random.Random(str(case))
+    tree, ref_tree = build_path_tree(spec), build_path_tree(spec)
+    root = tree.levels[0][0]
+    for variant in VARIANT_POLICY_CLASS:
+        want = reference_variant_set(spec, ref_tree, root, variant, None)
+        assert variant_set(spec, tree, root, variant) == want
+        if variant == "strong-pareto":
+            continue
+        for stop in (1, 2):
+            if stop > spec.horizon:
+                continue
+            frontier = {
+                nid: tuple(F(rng.randint(-4, 4), 2) for _ in range(spec.n_players))
+                for nid in StoppingTime.at_time(tree, stop).frontier(tree, root)
+            }
+            want = reference_variant_set(spec, ref_tree, root, variant, frontier)
+            assert variant_set(spec, tree, root, variant, frontier=frontier) == want
+
+
+def test_variant_set_rejects_an_unknown_variant_and_a_truncated_strong_pareto(path_game):
+    spec, tree, root = path_game
+    with pytest.raises(GameValidationError, match="^unknown variant 'weak'$"):
+        variant_set(spec, tree, root, "weak")
+    frontier = {nid: (F(0), F(0)) for nid in tree.node(root).children}
+    with pytest.raises(GameValidationError, match="strong Pareto variant has no truncated-game"):
+        variant_set(spec, tree, root, "strong-pareto", frontier=frontier)
+    assert variant_set(spec, tree, root, "full", frontier=frontier).points == ((F(0), F(0)),)

@@ -42,6 +42,20 @@ COMMANDS = {
     "verify-dpp-openloop-sigma-1": ["verify-dpp", "--example", "openloop", "--sigma", "1"],
     "verify-dpp-psistate": ["verify-dpp", "--example", "psistate"],
     "verify-dpp-table1": ["verify-dpp", "--example", "table1"],
+    # Written before every variant's set came from one engine function.
+    "setvalue-path-pareto-witnesses": [
+        "setvalue", "--example", "path", "--variant", "pareto", "--witnesses",
+    ],
+    "setvalue-table2-left-symmetric": [
+        "setvalue", "--example", "table2_left", "--variant", "symmetric",
+    ],
+    "verify-dpp-state": ["verify-dpp", *STATE],
+    "verify-dpp-path-symmetric-stop-1": [
+        "verify-dpp", "--example", "path", "--variant", "symmetric", "--stop-time", "1",
+    ],
+    "verify-dpp-path-pareto-stop-1": [
+        "verify-dpp", "--example", "path", "--variant", "pareto", "--stop-time", "1",
+    ],
 }
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -560,12 +561,18 @@ def test_a_repeated_bad_rational_raises_at_its_first_key(table1):
     trans[first] = {"up": "x", "down": "1"}
     trans[second] = {"up": "0", "down": "1", "nowhere": "0"}  # would raise if reached
     trans[third] = {"up": "x", "down": "1"}
-    with pytest.raises(GameValidationError, match="^bad rational 'x'$"):
+    message = rf"^transition '{re.escape(first)}': bad rational 'x'$"
+    with pytest.raises(GameValidationError, match=message):
         load_game(doc)
     doc = dump_game(spec)
     doc["running_costs"][1] = {"0|s0|0": "y", "0|s0|1": "y"}
     doc["terminal_costs"][0]["up"] = "y"
-    with pytest.raises(GameValidationError, match="^bad rational 'y'$"):
+    message = r"^running cost '0\|s0\|0' of player 1: bad rational 'y'$"
+    with pytest.raises(GameValidationError, match=message):
+        load_game(doc)
+    doc["running_costs"][1] = {"0|s0|0": "1", "0|s0|1": "1"}
+    message = "^terminal cost 'up' of player 0: bad rational 'y'$"
+    with pytest.raises(GameValidationError, match=message):
         load_game(doc)
 
 
@@ -576,11 +583,13 @@ def test_a_boolean_never_reuses_a_number_seen_before(table1):
     first, second, *_ = trans
     trans[first] = {"up": 1, "down": 0}
     trans[second] = {"up": True, "down": False}
-    with pytest.raises(GameValidationError, match="^expected rational string, got True$"):
+    message = rf"^transition '{re.escape(second)}': expected rational string, got True$"
+    with pytest.raises(GameValidationError, match=message):
         load_game(doc)
     doc = dump_game(spec)
     doc["running_costs"][0] = {"0|s0|0": 1, "0|s0|1": True}
-    with pytest.raises(GameValidationError, match="^expected rational string, got True$"):
+    message = r"^running cost '0\|s0\|1' of player 0: expected rational string, got True$"
+    with pytest.raises(GameValidationError, match=message):
         load_game(doc)
 
 
