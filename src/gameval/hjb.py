@@ -420,6 +420,20 @@ def _coefficients(spec: DiffusionGameSpec, xs: np.ndarray, zs) -> tuple[list, di
     return drifts, groups
 
 
+def _operand(col: np.ndarray, ndim: int):
+    """A coefficient column over x as an operand of ``ndim``-dimensional sweep arrays.
+
+    When every entry has the same bits (0.0 and -0.0 differ) the operand is
+    that float: numpy applies it to each element with the same result as the
+    broadcast column, without the column's strided reads. Otherwise it is the
+    column, shaped (nx, 1, ...).
+    """
+    bits = col.view(np.int64)
+    if (bits == bits[0]).all():
+        return float(col[0])
+    return col.reshape((col.size,) + (1,) * (ndim - 1))
+
+
 def solve_w(spec: DiffusionGameSpec, grid: GridConfig) -> PdeField:
     """Explicit backward sweep of the auxiliary HJB equation.
 
@@ -428,7 +442,9 @@ def solve_w(spec: DiffusionGameSpec, grid: GridConfig) -> PdeField:
     same z and the same own-min column for every player differ only in the
     summed excess power, which does not depend on W, so each such group keeps
     the pointwise minimum of that sum: adding a common float term preserves
-    order, so the minimum over the group is exact.
+    order, so the minimum over the group is exact. Every excess and drift
+    column enters the sweep through ``_operand``: a float where the column is
+    constant in x, as on every preset, and the (nx, 1) column otherwise.
     """
     ht, nt = grid.resolve_ht(spec)
     xs = grid.x_values
@@ -440,7 +456,7 @@ def solve_w(spec: DiffusionGameSpec, grid: GridConfig) -> PdeField:
         stencils = dict.fromkeys(itertools.product(grid.z_values.tolist(), repeat=n))
     drifts, groups = _coefficients(spec, xs, stencils)
     groups = {
-        z: {ids: ex[:, None] for ids, ex in by_ids.items()} for z, by_ids in groups.items()
+        z: {ids: _operand(ex, 2) for ids, ex in by_ids.items()} for z, by_ids in groups.items()
     }
 
     w = _terminal_layer(spec, grid)
@@ -469,8 +485,7 @@ class _CentralTerms:
             [np.empty_like(w) for _ in self.y_axes] for _ in range(3)
         )
         self.w_y1y2 = np.empty_like(w)
-        col_shape = (w.shape[0],) + (1,) * len(self.y_axes)
-        self.drifts = [(i, mu.reshape(col_shape)) for i, mu in drifts]
+        self.drifts = [(i, _operand(mu, w.ndim)) for i, mu in drifts]
         self.drift_terms = [np.empty_like(w) for _ in drifts]
         self.drift_views = [d.reshape(self.shape) for d in self.drift_terms]
         self.w_shape = w.shape
@@ -513,23 +528,28 @@ class _LatticeTerms:
 
     Each step copies W into one padded array, read flat. In x, the edge rows
     are replicated J deep, with one spare row beyond them at each end; every
-    y axis is padded by P = max|m| with +inf, so an axis holds R = ny + 2P
-    nodes. A direction (j, m) is then one flat offset
-    o = j*R^n + sum_k m_k*R^(n-1-k), and its stencil reads three contiguous
-    slices, flat[c+o], flat[c] and flat[c-o], over the core: the nx x rows
-    with their y pads. The sweep works on core arrays of shape (nx, R^n) and
-    keeps only their interior. Every weight is nonnegative at every node. A
-    direction whose stencil leaves the y grid meets the +inf pad and is not
-    offered at that node, and z = 0, the pure x direction, is offered
-    everywhere. The upwinded y differences are zero across the edge (a
-    replicated ghost). Stencils cross into a neighbouring x row, or into a
-    spare row, only from pad nodes, whose values are never kept.
+    y axis is padded on both sides by D = ceil(P/2) nodes of +inf, with
+    P = max|m|, so an axis holds R = ny + 2D nodes. A direction (j, m) is
+    then one flat offset o = j*R^n + sum_k m_k*R^(n-1-k), and its stencil
+    reads three contiguous slices, flat[c+o], flat[c] and flat[c-o], over the
+    core: the nx x rows with their y pads. The sweep works on core arrays of
+    shape (nx, R^n) and keeps only their interior. Every weight is
+    nonnegative at every node. A direction whose stencil leaves the y grid
+    meets +inf and is not offered at that node: from an interior node it
+    overshoots its row by at most P - D <= D nodes, so it lands either in its
+    own row's pad or in the facing pad of the next row along that axis. z = 0,
+    the pure x direction, is offered everywhere. The upwinded y differences
+    are zero across the edge (a replicated ghost). Drift factors are sweep
+    operands from ``_operand``. Stencils from pad nodes may read neighbouring
+    or spare x rows; pad values are never kept.
     """
 
     def __init__(self, grid, w, drifts, stencils):
         n, nx, ny = w.ndim - 1, grid.nx, grid.ny
         big_j = max(j for j, _ in stencils.values())
-        pad = max(abs(mi) for _, m in stencils.values() for mi in m)
+        # ceil(P/2) catches every overshoot (see above); a P = 0 lattice still
+        # needs one pad plane for the zero y difference beyond the edge
+        pad = max((max(abs(mi) for _, m in stencils.values() for mi in m) + 1) // 2, 1)
         r = ny + 2 * pad
         plane = r**n
         self.hy = grid.hy
@@ -551,7 +571,7 @@ class _LatticeTerms:
         self.centre = core(0)
         self.z_term, self.tmp = np.empty(self.shape), np.empty(self.shape)
         # per y axis with stride s, (W[c] - W[c-s]) / hy over the core and one
-        # more x row, zero on the planes y = P and y = P + ny: the backward
+        # more x row, zero on the planes y = D and y = D + ny: the backward
         # difference at a node is diff[c] and the forward one diff[c+s]
         self.diffs, splits = [], []
         for k in range(n):
@@ -562,7 +582,7 @@ class _LatticeTerms:
             self.diffs.append((core(0, nx + 1), core(-s, nx + 1), diff, edges))
             splits.append((diff.reshape(-1)[s:s + size].reshape(self.shape), diff[:nx]))
         self.upwind = [
-            (np.maximum(mu, 0.0)[:, None], np.minimum(mu, 0.0)[:, None]) + splits[i]
+            (_operand(np.maximum(mu, 0.0), 2), _operand(np.minimum(mu, 0.0), 2)) + splits[i]
             for i, mu in drifts
         ]
         self.drift_terms = [np.empty(self.shape) for _ in drifts]

@@ -87,9 +87,14 @@ def _integer(value, what: str) -> int:
 
 
 def _label_lists(value, what: str) -> list[list]:
-    """A JSON array of label arrays (states per time, actions per player)."""
+    """A JSON array of string-label arrays (states per time, actions per player)."""
     labels = _typed(value, list, what)
-    return [list(_typed(level, list, f"{what}[{k}]")) for k, level in enumerate(labels)]
+    out = [list(_typed(level, list, f"{what}[{k}]")) for k, level in enumerate(labels)]
+    for k, level in enumerate(out):
+        for label in level:
+            if type(label) is not str:
+                raise GameValidationError(f"{what}[{k}] labels must be strings, got {label!r}")
+    return out
 
 
 def read_json(path: str | Path, what: str) -> dict:
@@ -126,6 +131,11 @@ def load_game(source: str | Path | dict) -> GameSpec:
         raise GameValidationError(f"malformed game document: missing {exc}") from exc
     if players != len(actions):
         raise GameValidationError("players count disagrees with actions table")
+    if len(raw_running) != players or len(raw_terminal) != players:
+        raise GameValidationError(
+            f"need one running-cost and one terminal-cost table per player: {players} players, "
+            f"{len(raw_running)} running-cost and {len(raw_terminal)} terminal-cost tables"
+        )
 
     def find_action(i: int, label: str) -> int:
         try:

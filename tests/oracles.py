@@ -6,7 +6,9 @@ values of every path-class policy by enumerating them all, the Nash
 profiles of a static game by trying every unilateral deviation, and the PDE
 bracket by a scan of every (action, z) pair at one point. The package
 computes none of these itself, so they live here, next to the tests that use
-them.
+them. One is a former layout instead: the monotone sweep with full-depth y
+pads and every coefficient as an (nx, 1) column, which the current sweep
+must match bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,17 @@ from gameval.equilibria import (
     iter_equilibria,
 )
 from gameval.errors import EnumerationCapExceeded, GameValidationError
-from gameval.hjb import CoupledCost, DiffusionGameSpec
+import numpy as np
+
+from gameval.hjb import (
+    CoupledCost,
+    DiffusionGameSpec,
+    GridConfig,
+    PdeField,
+    _coefficients,
+    _sweep,
+    _terminal_layer,
+)
 from gameval.model import (
     ONE,
     PATH_CLASS,
@@ -238,3 +250,104 @@ def hamiltonian(
     if return_argmin:
         return best, best_arg
     return best
+
+
+# -- the monotone sweep in its former layout ---------------------------------------
+
+
+class PaddedLatticeTerms:
+    """The monotone scheme's terms with y pads of P = max|m| and column operands.
+
+    Each step copies W into one padded array, read flat. In x, the edge rows
+    are replicated J deep, with one spare row beyond them at each end; every
+    y axis is padded by P with +inf, so an axis holds R = ny + 2P nodes and a
+    stencil that leaves the y grid stays inside its own row's pad. Every
+    drift factor is an (nx, 1) column, broadcast over the y plane.
+    """
+
+    def __init__(self, grid, w, drifts, stencils):
+        n, nx, ny = w.ndim - 1, grid.nx, grid.ny
+        big_j = max(j for j, _ in stencils.values())
+        pad = max(abs(mi) for _, m in stencils.values() for mi in m)
+        r = ny + 2 * pad
+        plane = r**n
+        self.hy = grid.hy
+        self.shape = (nx, plane)
+        padded = np.full((nx + 2 * big_j + 2,) + (r,) * n, np.inf)
+        flat = padded.reshape(-1)
+        y_in = (slice(pad, pad + ny),) * n
+        self.cube_shape, self.y_in = (nx,) + (r,) * n, y_in
+        self.w_in = padded[(slice(big_j + 1, big_j + 1 + nx),) + y_in]
+        self.ghosts = (
+            padded[(slice(1, big_j + 1),) + y_in],
+            padded[(slice(big_j + 1 + nx, 2 * big_j + 1 + nx),) + y_in],
+        )
+        c, size = (big_j + 1) * plane, nx * plane
+
+        def core(offset, rows=nx):
+            return flat[c + offset:c + offset + rows * plane].reshape(rows, plane)
+
+        self.centre = core(0)
+        self.z_term, self.tmp = np.empty(self.shape), np.empty(self.shape)
+        self.diffs, splits = [], []
+        for k in range(n):
+            s = r ** (n - 1 - k)
+            diff = np.empty((nx + 1, plane))
+            cube = diff.reshape((nx + 1,) + (r,) * n)
+            edges = [cube[(slice(None),) * (k + 1) + (e,)] for e in (pad, pad + ny)]
+            self.diffs.append((core(0, nx + 1), core(-s, nx + 1), diff, edges))
+            splits.append((diff.reshape(-1)[s:s + size].reshape(self.shape), diff[:nx]))
+        self.upwind = [
+            (np.maximum(mu, 0.0)[:, None], np.minimum(mu, 0.0)[:, None]) + splits[i]
+            for i, mu in drifts
+        ]
+        self.drift_terms = [np.empty(self.shape) for _ in drifts]
+        self.plans = {}
+        for z, (j, m) in stencils.items():
+            o = j * plane + sum(mk * r ** (n - 1 - k) for k, mk in enumerate(m))
+            self.plans[z] = 0.5 / (j * grid.hx) ** 2, core(o), core(-o)
+
+    def interior(self, arr):
+        return arr.reshape(self.cube_shape)[(slice(None),) + self.y_in]
+
+    def update(self, w):
+        self.w_in[...] = w
+        self.ghosts[0][...] = w[0]
+        self.ghosts[1][...] = w[-1]
+        for upper, lower, diff, edges in self.diffs:
+            np.subtract(upper, lower, out=diff)
+            np.divide(diff, self.hy, out=diff)
+            for edge in edges:
+                edge[...] = 0.0
+        for (mu_pos, mu_neg, forward, backward), out in zip(self.upwind, self.drift_terms):
+            np.multiply(mu_pos, forward, out=out)
+            np.multiply(mu_neg, backward, out=self.tmp)
+            np.add(out, self.tmp, out=out)
+        return self.drift_terms
+
+    def second_order(self, z):
+        coef, plus, minus = self.plans[z]
+        out, centre = self.z_term, self.centre
+        np.subtract(plus, centre, out=out)
+        np.add(out, minus, out=out)
+        np.subtract(out, centre, out=out)
+        np.multiply(out, coef, out=out)
+        return out
+
+
+def padded_solve_w(spec: DiffusionGameSpec, grid: GridConfig) -> PdeField:
+    """``solve_w`` of a monotone grid, swept with ``PaddedLatticeTerms`` and column excesses."""
+    ht, nt = grid.resolve_ht(spec)
+    xs = grid.x_values
+    spec.check_bounds(xs)
+    stencils = grid.lattice_stencils(spec.n_players)
+    drifts, groups = _coefficients(spec, xs, stencils)
+    groups = {
+        z: {ids: ex[:, None] for ids, ex in by_ids.items()} for z, by_ids in groups.items()
+    }
+    w = _terminal_layer(spec, grid)
+    layers = {grid.t_final: w.copy()}
+    want_times = set(grid.store_times) | {0.0, grid.t_final}
+    terms = PaddedLatticeTerms(grid, w, drifts, stencils)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _sweep(spec, grid, w, layers, want_times, ht, nt, terms, groups)

@@ -199,6 +199,12 @@ def malformed_table1(kind: str) -> str:
         doc["transitions"]["0|s0|0,0"] = {"down": True, "up": False}
     elif kind == "cost-bool":
         doc["running_costs"][0]["0|s0|0"] = True
+    elif kind == "extra-running-cost":
+        doc["running_costs"].append(doc["running_costs"][0])
+    elif kind == "state-object":
+        doc["states"][1][1] = {"a": 1}
+    elif kind == "action-number":
+        doc["actions"][0][0] = 0
     text = json.dumps(doc)
     return text[: len(text) // 2] if kind == "truncated" else text
 
@@ -220,6 +226,9 @@ MALFORMED = {
     "horizon-bool": "horizon must be an integer, got True",
     "probability-bool": "expected rational string, got False",
     "cost-bool": "expected rational string, got True",
+    "extra-running-cost": "2 players, 3 running-cost and 2 terminal-cost tables",
+    "state-object": "states[1] labels must be strings, got {'a': 1}",
+    "action-number": "actions[0] labels must be strings, got 0",
 }
 
 

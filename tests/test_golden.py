@@ -9,7 +9,8 @@ one-step games of the recursion and of the ``eps`` check shared one builder;
 it pins both. The planner file without ``--probe`` and the pareto dump were
 written before the CLI built one planner payload and read its rationals and
 example names through ``io``. To rewrite one after a deliberate payload change, run its
-command with ``--out`` set to the file.
+command with ``--out`` set to the file; a ``solve-pde`` file is the ``<prefix>_nodal.json``
+its command writes with ``--out-prefix``.
 """
 
 from __future__ import annotations
@@ -56,12 +57,22 @@ COMMANDS = {
     "verify-dpp-path-pareto-stop-1": [
         "verify-dpp", "--example", "path", "--variant", "pareto", "--stop-time", "1",
     ],
+    # Written before the monotone sweep took x-constant coefficients as floats
+    # and padded y by ceil(P/2) instead of P. The payload carries min_w and each
+    # cluster's w_min, so it pins W itself as well as the level set.
+    "solve-pde-single-player": ["solve-pde", "--preset", "single-player"],
+    "solve-pde-zero-sum": ["solve-pde", "--preset", "zero-sum"],
+    "solve-pde-static": ["solve-pde", "--preset", "static"],
 }
 
 
 @pytest.mark.parametrize("name", COMMANDS)
 def test_cli_output_equals_its_golden_file(name, tmp_path, capsys):
-    out = tmp_path / f"{name}.json"
-    assert main([*COMMANDS[name], "--out", str(out)]) == 0
+    if COMMANDS[name][0] == "solve-pde":
+        out = tmp_path / f"{name}_nodal.json"
+        assert main([*COMMANDS[name], "--out-prefix", str(tmp_path / name)]) == 0
+    else:
+        out = tmp_path / f"{name}.json"
+        assert main([*COMMANDS[name], "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

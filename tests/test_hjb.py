@@ -12,6 +12,7 @@ from gameval import GameValidationError, NumericInstabilityError
 from gameval.hjb import (
     CoupledCost,
     _coefficients,
+    _operand,
     DiffusionGameSpec,
     GridConfig,
     default_delta,
@@ -23,7 +24,7 @@ from gameval.hjb import (
     solve_w,
 )
 
-from oracles import hamiltonian
+from oracles import hamiltonian, padded_solve_w
 
 
 def small_grid(grid, **overrides):
@@ -249,18 +250,14 @@ def sign_flipping_spec():
     )
 
 
-def test_grouped_monotone_step_matches_per_combination_loop():
+def grouped_step_cases():
+    """(spec, grid, J) on the small grids where the sweep meets the per-combination loop."""
     spec = sign_flipping_spec()
     grid = GridConfig(
         x_lo=-1.0, x_hi=1.0, nx=9, y_lo=-1.0, y_hi=1.0, ny=9, t_final=0.1, z_max=1.0, nz=3
     )
-    costs = CoupledCost(spec)
-    for i in range(2):
-        # the upwind direction flips across x for both players
-        ends = [costs.own_min(i, 0.0, x, (0.0, 1.0), 0.0) for x in (grid.x_lo, grid.x_hi)]
-        assert ends[0] * ends[1] < 0
     single, _ = pde_preset("single-player")
-    cases = [
+    return [
         # hx = hy, z_max = 1: nz = 3 needs slopes 0 and +-1 (J = 1); nz = 5 adds
         # +-1/2 (J = 2)
         (spec, grid, 1),
@@ -270,10 +267,95 @@ def test_grouped_monotone_step_matches_per_combination_loop():
         (single, replace(grid, nx=7, ny=11, nz=5), 2),
         (spec, replace(grid, nx=9, ny=13, nz=7), 2),
     ]
-    for s, g, big_j in cases:
+
+
+def test_grouped_monotone_step_matches_per_combination_loop():
+    spec, grid, _ = grouped_step_cases()[0]
+    costs = CoupledCost(spec)
+    for i in range(2):
+        # the upwind direction flips across x for both players
+        ends = [costs.own_min(i, 0.0, x, (0.0, 1.0), 0.0) for x in (grid.x_lo, grid.x_hi)]
+        assert ends[0] * ends[1] < 0
+    for s, g, big_j in grouped_step_cases():
         assert max(j for j, _ in g.lattice_stencils(s.n_players).values()) == big_j
         w0, w1, ht = last_step(s, g, 20)
         assert float(np.max(np.abs(w1 - per_combination_step(s, g, w0, ht, big_j)))) <= 1e-12
+
+
+def test_a_lattice_of_the_x_direction_alone_matches_the_per_combination_loop():
+    """z_max below hy/hx leaves slope 0 only: max|m| = 0, yet y keeps one pad plane."""
+    spec, grid = pde_preset("single-player")
+    grid = small_grid(grid, nx=9, ny=9, nz=1, z_max=0.1)
+    assert list(grid.lattice_stencils(1).values()) == [(1, (0,))]
+    w0, w1, ht = last_step(spec, grid, 20)
+    assert float(np.max(np.abs(w1 - per_combination_step(spec, grid, w0, ht, 1)))) <= 1e-12
+
+
+def mixed_column_spec():
+    """Two players whose coefficient columns are constant in x for some (a, z), not others.
+
+    Player 0's own-min column is constant in x; player 1's varies with x and
+    changes sign, and the excess columns are constant for some groups only.
+    """
+    return DiffusionGameSpec(
+        n_players=2,
+        drift=lambda t, x, a: 0.5 * a[0] - 0.2 * a[1],
+        running=(lambda t, x, a: 0.3 * a, lambda t, x, a: 0.4 * x + 0.2 * a + 0.3 * x * a * a),
+        terminal=(lambda x: 0.4 * x, lambda x: 0.1 - 0.3 * x),
+        action_grids=((-1.0, 1.0), (-1.0, 0.0, 1.0)),
+        horizon=0.1,
+        drift_bound=1.0,
+        cost_bound=1.0,
+    )
+
+
+def byte_identity_case(name):
+    if name in ("single-player", "zero-sum", "static"):
+        spec, grid = pde_preset(name)
+        return spec, replace(grid, store_times=(0.5 * grid.t_final,))
+    if name.startswith("grouped-"):
+        spec, grid, _ = grouped_step_cases()[int(name[-1])]
+        return spec, grid
+    if name == "mixed-columns":
+        spec = mixed_column_spec()
+        return spec, GridConfig(
+            x_lo=-1.0, x_hi=1.0, nx=9, y_lo=-1.0, y_hi=1.0, ny=9, t_final=0.1, z_max=1.0, nz=5
+        )
+    spec, grid = pde_preset("single-player")  # nz = 1: the z grid is {0}, max|m| = 2
+    return spec, replace(grid, nz=1)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["single-player", "zero-sum", "static", "grouped-0", "grouped-1", "grouped-2", "grouped-3",
+     "mixed-columns", "nz-1"],
+)
+def test_lattice_sweep_is_byte_identical_to_the_full_pad_column_layout(name):
+    spec, grid = byte_identity_case(name)
+    if name == "mixed-columns":
+        stencils = grid.lattice_stencils(2)
+        drifts, groups = _coefficients(spec, grid.x_values, stencils)
+        kinds = {type(_operand(col, 2)) for col in [mu for _, mu in drifts] + [
+            ex for by_ids in groups.values() for ex in by_ids.values()
+        ]}
+        assert kinds == {float, np.ndarray}
+    field, want = solve_w(spec, grid), padded_solve_w(spec, grid)
+    assert field.min_w == want.min_w
+    assert list(field.layers) == list(want.layers) and len(want.layers) >= 2
+    for t, layer in want.layers.items():
+        assert field.layers[t].tobytes() == layer.tobytes()
+
+
+def test_operand_is_a_float_only_when_every_entry_has_the_same_bits():
+    for value in (0.25, 0.0, -0.0, math.inf):
+        operand = _operand(np.full(5, value), 3)
+        assert type(operand) is float
+        assert np.array([operand]).tobytes() == np.array([value]).tobytes()
+    signed = np.array([0.0, -0.0, 0.0])  # equal under ==, but x + 0.0 and x + -0.0 differ
+    operand = _operand(signed, 2)
+    assert isinstance(operand, np.ndarray) and operand.shape == (3, 1)
+    assert operand.tobytes() == signed.tobytes()
+    assert _operand(np.array([1.0, 2.0]), 3).shape == (2, 1, 1)
 
 
 def per_x_coefficients(spec, xs, zs):
