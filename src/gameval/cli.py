@@ -380,8 +380,18 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_counts(args)
-        return args.func(args)
-    # An OSError is a file that is missing, a directory or unreadable: exit 2.
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    # The reader of stdout went away (`| head`): not a bad input. Point the
+    # descriptor at devnull so that flushing what is still buffered at exit
+    # cannot raise again.
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    # Any other OSError is a file that is missing, a directory or unreadable: exit 2.
     except (GameValidationError, EnumerationCapExceeded, NumericInstabilityError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return getattr(exc, "exit_code", 2)

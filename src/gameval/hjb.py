@@ -29,6 +29,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -460,74 +461,70 @@ def solve_w(spec: DiffusionGameSpec, grid: GridConfig) -> PdeField:
     }
 
     w = _terminal_layer(spec, grid)
-    layers = {grid.t_final: w.copy()}
-    want_times = set(grid.store_times) | {0.0, grid.t_final}
     if grid.monotone:
         terms = _LatticeTerms(grid, w, drifts, stencils)
     else:
         terms = _CentralTerms(grid, w, drifts)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _sweep(spec, grid, w, layers, want_times, ht, nt, terms, groups)
+        return _sweep(spec, grid, ht, nt, terms, groups)
 
 
 class _CentralTerms:
     """Central differences for every derivative: the ``monotone=False`` scheme.
 
-    The sweep sees its arrays as (nx, ny^n) matrices.
+    W is the terminal array itself, updated in place. The sweep sees its
+    arrays as (nx, ny^n) matrices.
     """
 
     def __init__(self, grid, w, drifts):
-        self.grid = grid
-        self.y_axes = range(1, w.ndim)
+        self.w = w
         self.shape = (w.shape[0], w[0].size)
+        y_axes = range(1, w.ndim)
         self.base, self.z_term, self.tmp, self.val = (np.empty_like(w) for _ in range(4))
-        self.w_yy, self.w_y, self.w_yx = (
-            [np.empty_like(w) for _ in self.y_axes] for _ in range(3)
-        )
+        self.w_yy, self.w_y, self.w_yx = ([np.empty_like(w) for _ in y_axes] for _ in range(3))
         self.w_y1y2 = np.empty_like(w)
-        self.drifts = [(i, _operand(mu, w.ndim)) for i, mu in drifts]
-        self.drift_terms = [np.empty_like(w) for _ in drifts]
-        self.drift_views = [d.reshape(self.shape) for d in self.drift_terms]
-        self.w_shape = w.shape
+        self.derivatives = [
+            partial(second_diff, w, grid.hx, 0, out=self.base),
+            partial(np.multiply, self.base, 0.5, self.base),
+        ]
+        for i, ax in enumerate(y_axes):
+            self.derivatives += [
+                partial(second_diff, w, grid.hy, ax, out=self.w_yy[i]),
+                partial(first_diff, w, grid.hy, ax, out=self.w_y[i]),
+                partial(first_diff, self.w_y[i], grid.hx, 0, out=self.w_yx[i]),
+            ]
+        if len(y_axes) == 2:
+            self.derivatives.append(partial(first_diff, self.w_y[0], grid.hy, 2, out=self.w_y1y2))
+        self.drifts = [[(_operand(mu, 2), self.w_y[i].reshape(self.shape))] for i, mu in drifts]
 
     def interior(self, arr):
         """The nodes of W inside an (nx, ny^n) sweep array."""
-        return arr.reshape(self.w_shape)
+        return arr.reshape(self.w.shape)
 
-    def update(self, w):
-        """Derivatives of this step's W; returns mu_i*W_yi per drift column."""
-        grid = self.grid
-        second_diff(w, grid.hx, axis=0, out=self.base)
-        np.multiply(self.base, 0.5, out=self.base)
-        for i, ax in enumerate(self.y_axes):
-            second_diff(w, grid.hy, axis=ax, out=self.w_yy[i])
-            first_diff(w, grid.hy, axis=ax, mode="central", out=self.w_y[i])
-            first_diff(self.w_y[i], grid.hx, axis=0, mode="central", out=self.w_yx[i])
-        if len(self.y_axes) == 2:
-            first_diff(self.w_y[0], grid.hy, axis=2, mode="central", out=self.w_y1y2)
-        for (i, mu), out in zip(self.drifts, self.drift_terms):
-            np.multiply(mu, self.w_y[i], out=out)
-        return self.drift_views
-
-    def second_order(self, z):
-        """0.5*W_xx + 0.5*z'W_yy z + z.W_yx."""
+    def z_calls(self, z):
+        """Calls writing 0.5*W_xx + 0.5*z'W_yy z + z.W_yx, and the array they write."""
         tmp, val, z_term = self.tmp, self.val, self.z_term
+        calls = []
         for i in range(len(z)):
-            np.multiply(self.w_yy[i], 0.5 * z[i] * z[i], out=tmp)
-            np.multiply(self.w_yx[i], z[i], out=val)
-            np.add(tmp, val, out=tmp)
-            np.add(self.base if i == 0 else z_term, tmp, out=z_term)
+            calls += [
+                partial(np.multiply, self.w_yy[i], 0.5 * z[i] * z[i], tmp),
+                partial(np.multiply, self.w_yx[i], z[i], val),
+                partial(np.add, tmp, val, tmp),
+                partial(np.add, self.base if i == 0 else z_term, tmp, z_term),
+            ]
         if len(z) == 2:
-            np.multiply(self.w_y1y2, z[0] * z[1], out=tmp)
-            np.add(z_term, tmp, out=z_term)
-        return z_term.reshape(self.shape)
+            calls += [
+                partial(np.multiply, self.w_y1y2, z[0] * z[1], tmp),
+                partial(np.add, z_term, tmp, z_term),
+            ]
+        return calls, z_term.reshape(self.shape)
 
 
 class _LatticeTerms:
     """Lattice-direction stencils and upwinded y drift: the monotone scheme.
 
-    Each step copies W into one padded array, read flat. In x, the edge rows
-    are replicated J deep, with one spare row beyond them at each end; every
+    W lives in one padded array, read flat. In x, the edge rows are
+    replicated J deep, with one spare row beyond them at each end; every
     y axis is padded on both sides by D = ceil(P/2) nodes of +inf, with
     P = max|m|, so an axis holds R = ny + 2D nodes. A direction (j, m) is
     then one flat offset o = j*R^n + sum_k m_k*R^(n-1-k), and its stencil
@@ -552,40 +549,49 @@ class _LatticeTerms:
         pad = max((max(abs(mi) for _, m in stencils.values() for mi in m) + 1) // 2, 1)
         r = ny + 2 * pad
         plane = r**n
-        self.hy = grid.hy
         self.shape = (nx, plane)
         padded = np.full((nx + 2 * big_j + 2,) + (r,) * n, np.inf)
         flat = padded.reshape(-1)
         y_in = (slice(pad, pad + ny),) * n
         self.cube_shape, self.y_in = (nx,) + (r,) * n, y_in
-        self.w_in = padded[(slice(big_j + 1, big_j + 1 + nx),) + y_in]
-        self.ghosts = (
+        self.w = padded[(slice(big_j + 1, big_j + 1 + nx),) + y_in]
+        self.w[...] = w
+        ghosts = (
             padded[(slice(1, big_j + 1),) + y_in],
             padded[(slice(big_j + 1 + nx, 2 * big_j + 1 + nx),) + y_in],
         )
+        self.derivatives = [
+            partial(np.copyto, ghosts[0], self.w[0]),
+            partial(np.copyto, ghosts[1], self.w[-1]),
+        ]
         c, size = (big_j + 1) * plane, nx * plane
 
         def core(offset, rows=nx):
             return flat[c + offset:c + offset + rows * plane].reshape(rows, plane)
 
         self.centre = core(0)
-        self.z_term, self.tmp = np.empty(self.shape), np.empty(self.shape)
+        self.z_term = np.empty(self.shape)
         # per y axis with stride s, (W[c] - W[c-s]) / hy over the core and one
         # more x row, zero on the planes y = D and y = D + ny: the backward
         # difference at a node is diff[c] and the forward one diff[c+s]
-        self.diffs, splits = [], []
+        splits = []
         for k in range(n):
             s = r ** (n - 1 - k)
             diff = np.empty((nx + 1, plane))
             cube = diff.reshape((nx + 1,) + (r,) * n)
-            edges = [cube[(slice(None),) * (k + 1) + (e,)] for e in (pad, pad + ny)]
-            self.diffs.append((core(0, nx + 1), core(-s, nx + 1), diff, edges))
+            self.derivatives += [
+                partial(np.subtract, core(0, nx + 1), core(-s, nx + 1), diff),
+                partial(np.divide, diff, grid.hy, diff),
+            ]
+            self.derivatives += [
+                partial(cube[(slice(None),) * (k + 1) + (e,)].fill, 0.0) for e in (pad, pad + ny)
+            ]
             splits.append((diff.reshape(-1)[s:s + size].reshape(self.shape), diff[:nx]))
-        self.upwind = [
-            (_operand(np.maximum(mu, 0.0), 2), _operand(np.minimum(mu, 0.0), 2)) + splits[i]
+        self.drifts = [
+            [(_operand(np.maximum(mu, 0.0), 2), splits[i][0]),
+             (_operand(np.minimum(mu, 0.0), 2), splits[i][1])]
             for i, mu in drifts
         ]
-        self.drift_terms = [np.empty(self.shape) for _ in drifts]
         self.plans = {}
         for z, (j, m) in stencils.items():
             o = j * plane + sum(mk * r ** (n - 1 - k) for k, mk in enumerate(m))
@@ -595,49 +601,90 @@ class _LatticeTerms:
         """The nodes of W inside an (nx, R^n) core array."""
         return arr.reshape(self.cube_shape)[(slice(None),) + self.y_in]
 
-    def update(self, w):
-        """Pad this step's W; returns the upwinded mu_i*W_yi per drift column."""
-        self.w_in[...] = w
-        self.ghosts[0][...] = w[0]
-        self.ghosts[1][...] = w[-1]
-        for upper, lower, diff, edges in self.diffs:
-            np.subtract(upper, lower, out=diff)
-            np.divide(diff, self.hy, out=diff)
-            for edge in edges:
-                edge[...] = 0.0
-        for (mu_pos, mu_neg, forward, backward), out in zip(self.upwind, self.drift_terms):
-            np.multiply(mu_pos, forward, out=out)
-            np.multiply(mu_neg, backward, out=self.tmp)
-            np.add(out, self.tmp, out=out)
-        return self.drift_terms
-
-    def second_order(self, z):
-        """0.5*[W(x+j*hx, y+m*hy) - 2W + W(x-j*hx, y-m*hy)] / (j*hx)^2."""
+    def z_calls(self, z):
+        """Calls writing 0.5*[W(x+j*hx, y+m*hy) - 2W + W(x-j*hx, y-m*hy)] / (j*hx)^2."""
         coef, plus, minus = self.plans[z]
         out, centre = self.z_term, self.centre
-        np.subtract(plus, centre, out=out)
-        np.add(out, minus, out=out)
-        np.subtract(out, centre, out=out)
-        np.multiply(out, coef, out=out)
-        return out
+        calls = [
+            partial(np.subtract, plus, centre, out),
+            partial(np.add, out, minus, out),
+            partial(np.subtract, out, centre, out),
+            partial(np.multiply, out, coef, out),
+        ]
+        return calls, out
 
 
-def _sweep(spec, grid, w, layers, want_times, ht, nt, terms, groups):
+def _is_zero(operand) -> bool:
+    """A float operand of 0.0 or -0.0; a column is never folded."""
+    return isinstance(operand, float) and operand == 0.0
+
+
+def _step(terms, groups):
+    """The numpy calls of one time step, listed once per solve, and the array of H.
+
+    ``terms`` gives W's array ``w``, the sweep shape, the ``derivatives``
+    calls that refresh W's differences, the ``drifts`` (per drift column,
+    the (operand, difference) products that sum to mu_i*W_yi) and
+    ``z_calls(z)``. Each group's candidate is the z term plus its excess
+    plus its drift terms, in that order; H is their running minimum, the
+    first candidate written straight into it.
+
+    A zero float operand is folded out: a drift product with a zero factor
+    is not computed, a drift column whose products are all zero drops from
+    every group, and a zero excess is not added. A dropped addend can change
+    only the sign of a zero candidate, and so of a zero H. W is never -0.0:
+    it starts as squares, and an exact-zero sum rounds to +0.0. So
+    W + ht*H keeps its bits. A product 0*inf, which the dropped term would
+    have made, can arise only at pad nodes, whose values are discarded.
+    """
+    val, h_min = np.empty(terms.shape), np.empty(terms.shape)
+    calls = list(terms.derivatives)
+    drift_terms = []
+    for products in terms.drifts:
+        live = [(mu, diff) for mu, diff in products if not _is_zero(mu)]
+        out = np.empty(terms.shape) if live else None
+        for k, (mu, diff) in enumerate(live):
+            if k == 0:
+                calls.append(partial(np.multiply, mu, diff, out))
+            else:
+                calls += [
+                    partial(np.multiply, mu, diff, val),
+                    partial(np.add, out, val, out),
+                ]
+        drift_terms.append(out)
+    first = True
+    for z, by_ids in groups.items():
+        z_calls, z_term = terms.z_calls(z)
+        calls += z_calls
+        for ids, excess in by_ids.items():
+            addends = [
+                a for a in (excess, *(drift_terms[k] for k in ids))
+                if a is not None and not _is_zero(a)
+            ]
+            candidate = h_min if first else val
+            if addends:
+                calls.append(partial(np.add, z_term, addends[0], candidate))
+                calls += [partial(np.add, candidate, a, candidate) for a in addends[1:]]
+            elif first:
+                calls.append(partial(np.copyto, h_min, z_term))
+            else:
+                candidate = z_term
+            if not first:
+                calls.append(partial(np.minimum, h_min, candidate, out=h_min))
+            first = False
+    return calls, h_min
+
+
+def _sweep(spec, grid, ht, nt, terms, groups):
+    calls, h_min = _step(terms, groups)
+    w, h_in = terms.w, terms.interior(h_min)
+    layers = {grid.t_final: w.copy()}
+    want_times = set(grid.store_times) | {0.0, grid.t_final}
     min_w = float(w.min())
     floor = -_NEG_TOL if grid.monotone else -math.inf
-    val, h_min = np.empty(terms.shape), np.empty(terms.shape)
-    h_in = terms.interior(h_min)
     for step in range(1, nt + 1):
-        drift_terms = terms.update(w)
-        h_min.fill(np.inf)
-        for z, by_ids in groups.items():
-            z_term = terms.second_order(z)
-            for ids, excess in by_ids.items():
-                np.add(z_term, excess, out=val)
-                for k in ids:
-                    np.add(val, drift_terms[k], out=val)
-                np.minimum(h_min, val, out=h_min)
-
+        for call in calls:
+            call()
         np.multiply(h_in, ht, out=h_in)
         np.add(w, h_in, out=w)
         mn = float(w.min())

@@ -7,8 +7,8 @@ profiles of a static game by trying every unilateral deviation, and the PDE
 bracket by a scan of every (action, z) pair at one point. The package
 computes none of these itself, so they live here, next to the tests that use
 them. One is a former layout instead: the monotone sweep with full-depth y
-pads and every coefficient as an (nx, 1) column, which the current sweep
-must match bit for bit.
+pads, every coefficient as an (nx, 1) column and a loop that walks the
+groups every step, which the current sweep must match bit for bit.
 """
 
 from __future__ import annotations
@@ -24,16 +24,16 @@ from gameval.equilibria import (
     _units_for,
     iter_equilibria,
 )
-from gameval.errors import EnumerationCapExceeded, GameValidationError
+from gameval.errors import EnumerationCapExceeded, GameValidationError, NumericInstabilityError
 import numpy as np
 
 from gameval.hjb import (
+    _NEG_TOL,
     CoupledCost,
     DiffusionGameSpec,
     GridConfig,
     PdeField,
     _coefficients,
-    _sweep,
     _terminal_layer,
 )
 from gameval.model import (
@@ -350,4 +350,39 @@ def padded_solve_w(spec: DiffusionGameSpec, grid: GridConfig) -> PdeField:
     want_times = set(grid.store_times) | {0.0, grid.t_final}
     terms = PaddedLatticeTerms(grid, w, drifts, stencils)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _sweep(spec, grid, w, layers, want_times, ht, nt, terms, groups)
+        return padded_sweep(spec, grid, w, layers, want_times, ht, nt, terms, groups)
+
+
+def padded_sweep(spec, grid, w, layers, want_times, ht, nt, terms, groups):
+    """The time loop that walks every group, adds every operand and copies W each step."""
+    min_w = float(w.min())
+    floor = -_NEG_TOL if grid.monotone else -math.inf
+    val, h_min = np.empty(terms.shape), np.empty(terms.shape)
+    h_in = terms.interior(h_min)
+    for step in range(1, nt + 1):
+        drift_terms = terms.update(w)
+        h_min.fill(np.inf)
+        for z, by_ids in groups.items():
+            z_term = terms.second_order(z)
+            for ids, excess in by_ids.items():
+                np.add(z_term, excess, out=val)
+                for k in ids:
+                    np.add(val, drift_terms[k], out=val)
+                np.minimum(h_min, val, out=h_min)
+
+        np.multiply(h_in, ht, out=h_in)
+        np.add(w, h_in, out=w)
+        mn = float(w.min())
+        if not (math.isfinite(mn) and mn >= floor and math.isfinite(float(w.max()))):
+            what = "non-finite or negative" if grid.monotone else "non-finite"
+            raise NumericInstabilityError(
+                f"{what} W at step {step}/{nt} (t={grid.t_final - step * ht:.5f}, "
+                f"min W={mn:.3e}); refine the grid or lower cfl_safety"
+            )
+        min_w = min(min_w, mn)
+        t_now = grid.t_final - step * ht
+        for wanted in want_times:
+            if abs(t_now - wanted) <= 0.5 * ht and wanted not in layers:
+                layers[wanted] = w.copy()
+    layers[0.0] = w.copy()
+    return PdeField(spec=spec, grid=grid, layers=layers, ht=ht, nt=nt, min_w=min_w)

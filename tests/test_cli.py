@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -333,6 +335,38 @@ def test_openloop_overflow_exits_4(capsys):
     code, out, err = run(capsys, "verify-dpp", "--example", "openloop", "--sigma", "1e200")
     assert code == 4 and out == ""
     assert json.loads(err)["error"] == "NumericInstabilityError"
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: ``write`` or, for buffered text, ``flush`` raises."""
+
+    def __init__(self, fd, raise_on):
+        self.fd, self.raise_on = fd, raise_on
+
+    def write(self, text):
+        if self.raise_on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.raise_on == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("raise_on", ["write", "flush"])
+@pytest.mark.parametrize("argv", [["examples", "list"], ["solve-pde", "--preset", "static"]])
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr(
+    capsys, monkeypatch, tmp_path, argv, raise_on
+):
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(target.fileno(), raise_on))
+        code = main(argv)
+        # the descriptor now points at devnull, so the exit-time flush cannot fail
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+    assert code == 1 and capsys.readouterr().err == ""
 
 
 def test_threads_flag_accepted_and_validated(capsys):

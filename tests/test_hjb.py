@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,9 @@ from gameval import GameValidationError, NumericInstabilityError
 from gameval.hjb import (
     CoupledCost,
     _coefficients,
+    _LatticeTerms,
     _operand,
+    _step,
     DiffusionGameSpec,
     GridConfig,
     default_delta,
@@ -346,6 +351,53 @@ def test_lattice_sweep_is_byte_identical_to_the_full_pad_column_layout(name):
         assert field.layers[t].tobytes() == layer.tobytes()
 
 
+CENTRAL_GOLDEN = Path(__file__).parent / "data" / "golden" / "central-sweep-sha256.json"
+
+
+@pytest.mark.parametrize("name", ["single-player", "zero-sum", "static"])
+def test_central_sweep_is_byte_identical_to_its_golden_digests(name):
+    """SHA-256 of every stored layer and repr(min_w), written before the sweep's
+    step was built once per solve with zero operands folded out."""
+    spec, grid = pde_preset(name)
+    field = solve_w(spec, replace(grid, monotone=False, store_times=(0.5 * grid.t_final,)))
+    want = json.loads(CENTRAL_GOLDEN.read_text())[name]
+    got = [[repr(t), hashlib.sha256(layer.tobytes()).hexdigest()] for t, layer in field.layers.items()]
+    assert got == want["layers"] and repr(field.min_w) == want["min_w"]
+
+
+def built_step(name):
+    """A preset's monotone step: its calls after the derivatives, its groups and
+    whether each drift column's products are all zero."""
+    spec, grid = pde_preset(name)
+    stencils = grid.lattice_stencils(spec.n_players)
+    drifts, groups = _coefficients(spec, grid.x_values, stencils)
+    groups = {z: {ids: _operand(ex, 2) for ids, ex in b.items()} for z, b in groups.items()}
+    w = np.zeros((grid.nx,) + (grid.ny,) * spec.n_players)
+    terms = _LatticeTerms(grid, w, drifts, stencils)
+    calls, _ = _step(terms, groups)
+    dead = [all(type(mu) is float and mu == 0.0 for mu, _ in p) for p in terms.drifts]
+    return [c.func for c in calls[len(terms.derivatives):]], groups, dead
+
+
+def test_the_built_step_folds_zero_operands_out():
+    # static: every drift column and every excess is 0.0, so a candidate is its
+    # z term alone; the first is copied into H, the others meet H once each
+    funcs, groups, dead = built_step("static")
+    excesses = [ex for b in groups.values() for ex in b.values()]
+    assert all(dead) and excesses == [0.0] * len(excesses)
+    assert funcs.count(np.multiply) == funcs.count(np.add) == len(groups)
+    assert funcs.count(np.copyto) == 1 and funcs.count(np.minimum) == len(excesses) - 1
+    # single-player: every excess is 0.0 and each upwind pair has a zero half,
+    # so a live column costs one multiply and a candidate one add per live id
+    funcs, groups, dead = built_step("single-player")
+    ids = [k for b in groups.values() for (k,) in b]
+    assert all(ex == 0.0 for b in groups.values() for ex in b.values())
+    assert 0 < dead.count(True) < len(dead)
+    assert funcs.count(np.multiply) == len(groups) + dead.count(False)
+    assert funcs.count(np.add) == len(groups) + sum(not dead[k] for k in ids)
+    assert funcs.count(np.minimum) == len(ids) - 1
+
+
 def test_operand_is_a_float_only_when_every_entry_has_the_same_bits():
     for value in (0.25, 0.0, -0.0, math.inf):
         operand = _operand(np.full(5, value), 3)
@@ -487,6 +539,26 @@ def test_zero_sum_centroids_are_antisymmetric_and_swap_stable():
     assert len(mirrored) == len(original)
     for a, b in zip(original, mirrored):
         assert a == pytest.approx(b, abs=1e-9)
+
+
+@pytest.mark.parametrize("x", [-1.0, 0.0, 1.0])
+def test_zero_sum_level_set_follows_the_closed_form_value(x):
+    """The drifts cancel at equilibrium, so the value at (0, x) is (0.4x, -0.4x).
+
+    On the shipped 21x21 grid the one cluster's centroid lies within 0.05 of it
+    (0.037 at x = +-1, 0.027 per coordinate at 0) and W at that node is at most
+    0.005 (0.0043 and 0.0040: the floor of an nz = 5 z grid).
+    """
+    spec, grid = pde_preset("zero-sum")
+    field = solve_w(spec, grid)
+    res = nodal_set(field, 0.0, x)
+    assert len(res.clusters) == 1
+    target = (0.4 * x, -0.4 * x)
+    assert all(abs(c - v) <= 0.05 for c, v in zip(res.clusters[0].centroid, target))
+    xi = int(round((x - grid.x_lo) / grid.hx))
+    yi = [int(round((v - grid.y_lo) / grid.hy)) for v in target]
+    assert np.allclose(grid.y_values[yi], target, atol=1e-12)
+    assert field.layer(0.0)[xi, yi[0], yi[1]] <= 0.005
 
 
 def test_uniform_terminal_shift_moves_the_level_set():
