@@ -306,10 +306,13 @@ def iter_equilibria(
     value. Before it walks, that search drops the other players' actions
     that no equilibrium plays, from one-step Nash tests at the units whose
     continuation is fixed (:func:`_one_step_allowed`); the records and their
-    order do not change. Every other call (``eps > 0``, the symmetric class,
-    the state class elsewhere) checks each profile of the class
-    (:func:`_iter_general`). The cap bounds the size of the class in every
-    case; without a given scope it is checked before the scope is built.
+    order do not change. A scope whose only decision node is its start needs
+    no walk: the start is sure, so its equilibria are the Nash joints of its
+    one-step table, yielded in the same order (:func:`_iter_one_step`).
+    Every other call (``eps > 0``, the symmetric class, the state class
+    elsewhere) checks each profile of the class (:func:`_iter_general`). The
+    cap bounds the size of the class in every case; without a given scope it
+    is checked before the scope is built.
     """
     if eps < 0:
         raise GameValidationError("eps must be nonnegative")
@@ -320,7 +323,8 @@ def iter_equilibria(
     if units.count > cap:
         raise EnumerationCapExceeded("joint policy enumeration", units.count, cap)
     if eps == 0 and (cls == PATH_CLASS or (cls == STATE_CLASS and scope.is_markov())):
-        yield from _iter_argmin(spec, scope, units, with_policies)
+        search = _iter_one_step if len(scope.inner) == 1 else _iter_argmin
+        yield from search(spec, scope, units, with_policies)
     else:
         yield from _iter_general(spec, tree, scope, units, eps, cls)
 
@@ -347,6 +351,47 @@ def _iter_general(spec, tree, scope, units: _Units, eps, cls):
                 break
         if ok:
             yield EquilibriumRecord(policy=policy, value=value, slack=tuple(slacks))
+
+
+def _iter_one_step(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bool):
+    """Exact Nash enumeration on a scope whose only decision node is its start.
+
+    Every child of the start is an end, so the scope's game is the static
+    one-step game of the start's row against the ends' values
+    (:func:`_one_step_costs`), and its equilibria are that game's Nash joint
+    actions (:func:`_nash_flags`). The start is sure, so an argmin of a walk
+    at it is a plain argmin, and the records are exactly those of
+    :func:`_iter_argmin`, in its order: the other players' actions in
+    lexicographic order (:func:`_opponent_assignments`), then player 0's,
+    each kept to the least of its payoff-equivalence classes without
+    policies. A record's value is its joint's totals, and the first record
+    of each value carries its policy.
+    """
+    tables = scope.tables
+    child = [scope.ends[c] for c in range(*scope.kids[0])]
+    totals = _one_step_costs(tables, scope.rows[0], child, spec.joint_actions)
+    nash = _nash_flags(totals, tables.strides, tables.sizes)
+    choices = None if with_policies else _class_choices(scope, [(0,)])
+    own = range(tables.sizes[0]) if choices is None else choices[0][0]
+    stride, strides = tables.strides[0], tables.strides[1:]
+    seen: dict[tuple[int, ...], Vector] = {}  # integer values -> their Fractions
+    slack = (ZERO,) * spec.n_players
+    for others in _opponent_assignments(tables.sizes, [None], choices):
+        rest = tuple(col[0] for col in others)
+        base = sum(map(mul, strides, rest))
+        for a in own:
+            j = base + a * stride
+            if not nash[j]:
+                continue
+            key = tuple(tot[j] for tot in totals)
+            value = seen.get(key)
+            fresh = value is None
+            if fresh:
+                value = seen[key] = tuple(map(scope.fraction, key))
+            policy = _NO_POLICY
+            if fresh or with_policies:
+                policy = units.policy([(a, *rest)], units.kind)
+            yield EquilibriumRecord(policy=policy, value=value, slack=slack)
 
 
 def _pool(argmins, nodes) -> tuple[int, ...]:
@@ -440,6 +485,10 @@ def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bo
     whose place in the lexicographic order of (others' columns, own column)
     is not later than σ's, so it is σ. A scope whose rows have no ties runs
     the loop unchanged, and with policies every tied profile still comes.
+
+    :func:`iter_equilibria` sends here only scopes with two or more decision
+    nodes; a scope with one yields the same records from its Nash table
+    (:func:`_iter_one_step`).
     """
     n = spec.n_players
     members = units.members
@@ -601,16 +650,13 @@ def _one_step_allowed(spec: GameSpec, scope: _Scope, reach: _Reach, local) -> li
     values are its own values; by induction from the ends, its joint at a
     tested unit passes. An untested unit gets None, a tested one the sorted
     others' parts of its passing joints. A unit that passes none gets (),
-    the walk stops there, and no record exists.
-
-    A scope of one unit is not tested: there each of the others' actions
-    costs one pass of walks over the start alone, about what the test costs.
+    the walk stops there, and no record exists. A scope of one unit never
+    comes here: its records are read off its Nash table
+    (:func:`_iter_one_step`).
     """
     joints, kids, ends, tables = spec.joint_actions, scope.kids, scope.ends, scope.tables
     fixed: dict[int, tuple[int, ...]] = {}  # forced members' integer values
     allowed: list = [None] * len(local)
-    if len(local) == 1:
-        return allowed
     for k in reversed(range(len(local))):
         if reach.links[k]:
             continue

@@ -537,8 +537,10 @@ class _LatticeTerms:
     own row's pad or in the facing pad of the next row along that axis. z = 0,
     the pure x direction, is offered everywhere. The upwinded y differences
     are zero across the edge (a replicated ghost). Drift factors are sweep
-    operands from ``_operand``. Stencils from pad nodes may read neighbouring
-    or spare x rows; pad values are never kept.
+    operands from ``_operand``; an axis's differences are computed only when
+    a factor that reads them is not a zero float, which ``_step`` folds out.
+    Stencils from pad nodes may read neighbouring or spare x rows; pad values
+    are never kept.
     """
 
     def __init__(self, grid, w, drifts, stencils):
@@ -571,6 +573,12 @@ class _LatticeTerms:
 
         self.centre = core(0)
         self.z_term = np.empty(self.shape)
+        halves = [
+            (i, _operand(np.maximum(mu, 0.0), 2), _operand(np.minimum(mu, 0.0), 2))
+            for i, mu in drifts
+        ]
+        # the axes a drift product reads once ``_step`` folds out zero factors
+        read = {i for i, up, down in halves if not (_is_zero(up) and _is_zero(down))}
         # per y axis with stride s, (W[c] - W[c-s]) / hy over the core and one
         # more x row, zero on the planes y = D and y = D + ny: the backward
         # difference at a node is diff[c] and the forward one diff[c+s]
@@ -579,18 +587,18 @@ class _LatticeTerms:
             s = r ** (n - 1 - k)
             diff = np.empty((nx + 1, plane))
             cube = diff.reshape((nx + 1,) + (r,) * n)
-            self.derivatives += [
-                partial(np.subtract, core(0, nx + 1), core(-s, nx + 1), diff),
-                partial(np.divide, diff, grid.hy, diff),
-            ]
-            self.derivatives += [
-                partial(cube[(slice(None),) * (k + 1) + (e,)].fill, 0.0) for e in (pad, pad + ny)
-            ]
+            if k in read:
+                self.derivatives += [
+                    partial(np.subtract, core(0, nx + 1), core(-s, nx + 1), diff),
+                    partial(np.divide, diff, grid.hy, diff),
+                ]
+                self.derivatives += [
+                    partial(cube[(slice(None),) * (k + 1) + (e,)].fill, 0.0)
+                    for e in (pad, pad + ny)
+                ]
             splits.append((diff.reshape(-1)[s:s + size].reshape(self.shape), diff[:nx]))
         self.drifts = [
-            [(_operand(np.maximum(mu, 0.0), 2), splits[i][0]),
-             (_operand(np.minimum(mu, 0.0), 2), splits[i][1])]
-            for i, mu in drifts
+            [(up, splits[i][0]), (down, splits[i][1])] for i, up, down in halves
         ]
         self.plans = {}
         for z, (j, m) in stencils.items():

@@ -63,6 +63,14 @@ COMMANDS = {
     "solve-pde-single-player": ["solve-pde", "--preset", "single-player"],
     "solve-pde-zero-sum": ["solve-pde", "--preset", "zero-sum"],
     "solve-pde-static": ["solve-pde", "--preset", "static"],
+    # Written on 2026-10-19, before a scope whose only decision node is its
+    # start was enumerated from its one-step Nash table. These examples have
+    # horizon 1, so the witnesses and the probe's argmin come from that table.
+    "setvalue-table1-witnesses-brute": [
+        "setvalue", "--example", "table1", "--witnesses", "--engine", "brute",
+    ],
+    "setvalue-table2-right-witnesses": ["setvalue", "--example", "table2_right", "--witnesses"],
+    "planner-table1-probe": ["planner", "--example", "table1", "--weights", "1/3,2/3", "--probe"],
 }
 
 

@@ -365,15 +365,20 @@ def test_central_sweep_is_byte_identical_to_its_golden_digests(name):
     assert got == want["layers"] and repr(field.min_w) == want["min_w"]
 
 
-def built_step(name):
-    """A preset's monotone step: its calls after the derivatives, its groups and
-    whether each drift column's products are all zero."""
+def lattice_terms(name):
+    """A preset's monotone terms over a zero W and its excess groups."""
     spec, grid = pde_preset(name)
     stencils = grid.lattice_stencils(spec.n_players)
     drifts, groups = _coefficients(spec, grid.x_values, stencils)
     groups = {z: {ids: _operand(ex, 2) for ids, ex in b.items()} for z, b in groups.items()}
     w = np.zeros((grid.nx,) + (grid.ny,) * spec.n_players)
-    terms = _LatticeTerms(grid, w, drifts, stencils)
+    return _LatticeTerms(grid, w, drifts, stencils), groups
+
+
+def built_step(name):
+    """A preset's monotone step: its calls after the derivatives, its groups and
+    whether each drift column's products are all zero."""
+    terms, groups = lattice_terms(name)
     calls, _ = _step(terms, groups)
     dead = [all(type(mu) is float and mu == 0.0 for mu, _ in p) for p in terms.drifts]
     return [c.func for c in calls[len(terms.derivatives):]], groups, dead
@@ -396,6 +401,18 @@ def test_the_built_step_folds_zero_operands_out():
     assert funcs.count(np.multiply) == len(groups) + dead.count(False)
     assert funcs.count(np.add) == len(groups) + sum(not dead[k] for k in ids)
     assert funcs.count(np.minimum) == len(ids) - 1
+
+
+@pytest.mark.parametrize(
+    "name, read", [("static", 0), ("single-player", 1), ("zero-sum", 2)]
+)
+def test_y_differences_are_computed_only_on_axes_a_live_drift_reads(name, read):
+    # static folds out every drift column, so its step refreshes the two x
+    # ghosts only; elsewhere each y axis costs a subtract, a divide by hy and
+    # two edge fills
+    terms, _ = lattice_terms(name)
+    funcs = [getattr(call.func, "__name__", None) for call in terms.derivatives]
+    assert funcs == ["copyto"] * 2 + ["subtract", "divide", "fill", "fill"] * read
 
 
 def test_operand_is_a_float_only_when_every_entry_has_the_same_bits():

@@ -5,7 +5,9 @@ units whose continuation is fixed to those of one-step Nash joint actions.
 With it replaced by ``untested``, which tests no unit, every best-response
 walk runs again; the records, in order and with their policies and slacks,
 must come out the same. Counting ``_Responder.update`` calls shows the walks
-the filter saves.
+the filter saves. A scope whose only decision node is its start runs no walk
+at all: its records, read off its one-step Nash table, must equal those of
+the unfiltered walk search.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from gameval import (
     StoppingTime,
     build_path_tree,
     iter_equilibria,
+    load_example,
     set_value_bruteforce,
     set_value_dpp,
 )
@@ -51,11 +54,11 @@ def record_sequences(spec, tree, scope, cls):
     ]
 
 
-def frontier_scopes(spec, tree, rng):
-    """Truncated root scopes as ``verify_dpp`` builds them at stop time 2: one
+def frontier_scopes(spec, tree, rng, time=2):
+    """Truncated root scopes as ``verify_dpp`` builds them at a stop time: one
     continuation value per frontier node, from that node's set value."""
     root = tree.levels[0][0]
-    frontier = StoppingTime.at_time(tree, 2).frontier(tree, root)
+    frontier = StoppingTime.at_time(tree, time).frontier(tree, root)
     sets = [set_value_bruteforce(spec, tree, nid).points for nid in frontier]
     selections = list(itertools.product(*sets))
     for chosen in rng.sample(selections, min(3, len(selections))):
@@ -67,7 +70,19 @@ def cases(kind: str, rng: random.Random):
     made = 0
     while made < 24:
         markov = kind == "markov" or made % 2 == 1
-        if kind == "tied":
+        if kind == "one-step":
+            shape = dict(
+                max_periods=2,
+                allow_zero=made % 3 == 0,
+                state_dependent=markov,
+                n_players=3 if made % 5 == 1 else 2,
+                n_actions=3 if made % 5 == 2 else 2,
+            )
+            if made % 3 == 2:
+                spec = tied_game(rng, zero_first=made % 6 == 2, **shape)
+            else:
+                spec = random_game(rng, **shape)
+        elif kind == "tied":
             spec = tied_game(
                 rng,
                 zero_first=made % 4 < 2,
@@ -91,6 +106,11 @@ def cases(kind: str, rng: random.Random):
             if spec.horizon < 3:
                 continue
             scopes = list(frontier_scopes(spec, tree, rng))
+        elif kind == "one-step":
+            # decision nodes at T - 1, and the root stopped at time 1
+            scopes = [_Scope(spec, tree, nid) for nid in tree.levels[spec.horizon - 1][:2]]
+            if spec.horizon > 1:
+                scopes += frontier_scopes(spec, tree, rng, time=1)
         else:
             scopes = [_Scope(spec, tree, start) for start in tree.decision_nodes(root)[:2]]
         classes = (PATH_CLASS, STATE_CLASS) if markov else (PATH_CLASS,)
@@ -120,6 +140,55 @@ def test_pruning_leaves_every_record_in_its_place(kind, monkeypatch):
             assert record_sequences(spec, tree, scope, cls) == filtered
         records += len(filtered[0])
     assert pruned >= 5 and records >= 24
+
+
+def walks_only(patch):
+    """Send one-step scopes back through the walk search, unfiltered."""
+    patch.setattr(equilibria, "_iter_one_step", equilibria._iter_argmin)
+    patch.setattr(equilibria, "_one_step_allowed", untested)
+
+
+def shipped_one_step_scopes(rng):
+    """(spec, tree, scope, class) for the one-step scopes of the shipped
+    examples: every decision node at T - 1 and the root stopped at time 1.
+    Unlike the random specs, many of them have two equilibrium values."""
+    for name in ("table1", "table2_left", "path", "state"):
+        spec = load_example(name)
+        tree = build_path_tree(spec)
+        scopes = [_Scope(spec, tree, nid) for nid in tree.levels[spec.horizon - 1]]
+        if spec.horizon > 1:
+            scopes += frontier_scopes(spec, tree, rng, time=1)
+        for scope, cls in itertools.product(scopes, (PATH_CLASS, STATE_CLASS)):
+            if cls == PATH_CLASS or scope.is_markov():
+                yield spec, tree, scope, cls
+
+
+def test_one_step_scopes_yield_the_walk_search_records_without_a_walk(monkeypatch):
+    """A scope whose only decision node is its start is read off its Nash
+    table: the same records in the same order as the unfiltered walk search,
+    with no ``_Responder.update`` call."""
+    rng = random.Random(sum(map(ord, "one-step")))
+    kinds, records, shapes = set(), 0, set()
+    for spec, tree, scope, cls in itertools.chain(
+        shipped_one_step_scopes(rng), cases("one-step", rng)
+    ):
+        assert scope.inner == [0]
+        kinds.add((cls, spec.n_players, len(spec.actions[0]), scope.frontier is None))
+        with monkeypatch.context() as patch:
+            updates = count_updates(patch)
+            table = record_sequences(spec, tree, scope, cls)
+            assert updates == []
+            walks_only(patch)
+            assert record_sequences(spec, tree, scope, cls) == table
+            assert updates
+        records += len(table[0])
+        shapes.add((len({value for _, value, _ in table[0]}) > 1, len(table[1]) < len(table[0])))
+    assert {cls for cls, *_ in kinds} == {PATH_CLASS, STATE_CLASS}
+    assert 3 in {n for _, n, _, _ in kinds} and 3 in {m for _, _, m, _ in kinds}
+    assert {root for *_, root in kinds} == {True, False}
+    # several values, and tied repeats skipped without policies
+    assert any(many for many, _ in shapes) and any(skipped for _, skipped in shapes)
+    assert records >= 48
 
 
 def count_updates(monkeypatch) -> list[int]:
