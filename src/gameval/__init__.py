@@ -12,7 +12,6 @@ from .dpp import (
     OpenLoopReport,
     open_loop_lq_demo,
     pareto_dpp_counterexample,
-    random_game,
     verify_dpp,
 )
 from .equilibria import (

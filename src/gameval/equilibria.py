@@ -364,8 +364,7 @@ def _iter_one_step(spec: GameSpec, scope: _Scope, units: _Units, with_policies: 
     :func:`_iter_argmin`, in its order: the other players' actions in
     lexicographic order (:func:`_opponent_assignments`), then player 0's,
     each kept to the least of its payoff-equivalence classes without
-    policies. A record's value is its joint's totals, and the first record
-    of each value carries its policy.
+    policies. A record's value is its joint's totals (:func:`_emit`).
     """
     tables = scope.tables
     child = [scope.ends[c] for c in range(*scope.kids[0])]
@@ -374,24 +373,15 @@ def _iter_one_step(spec: GameSpec, scope: _Scope, units: _Units, with_policies: 
     choices = None if with_policies else _class_choices(scope, [(0,)])
     own = range(tables.sizes[0]) if choices is None else choices[0][0]
     stride, strides = tables.strides[0], tables.strides[1:]
-    seen: dict[tuple[int, ...], Vector] = {}  # integer values -> their Fractions
-    slack = (ZERO,) * spec.n_players
+    seen: dict[tuple[int, ...], Vector] = {}
     for others in _opponent_assignments(tables.sizes, [None], choices):
         rest = tuple(col[0] for col in others)
         base = sum(map(mul, strides, rest))
         for a in own:
             j = base + a * stride
-            if not nash[j]:
-                continue
-            key = tuple(tot[j] for tot in totals)
-            value = seen.get(key)
-            fresh = value is None
-            if fresh:
-                value = seen[key] = tuple(map(scope.fraction, key))
-            policy = _NO_POLICY
-            if fresh or with_policies:
-                policy = units.policy([(a, *rest)], units.kind)
-            yield EquilibriumRecord(policy=policy, value=value, slack=slack)
+            if nash[j]:
+                ints = tuple(tot[j] for tot in totals)
+                yield _emit(seen, ints, scope, units, [(a, *rest)], with_policies)
 
 
 def _pool(argmins, nodes) -> tuple[int, ...]:
@@ -403,11 +393,10 @@ def _pool(argmins, nodes) -> tuple[int, ...]:
 
 
 class _Responder:
-    """One player's best response over a scope, kept current as the others
-    change their actions unit by unit: ``val`` and ``argmins`` at every local
-    node. An update recomputes the members of the changed units and all their
-    ancestors, whatever the kernel: with a zero entry a parent that skips a
-    child under one profile may need it under the next.
+    """One player's best response over a scope to the others' unit actions:
+    ``val`` and ``argmins`` at every local node. An update refreshes every
+    member's menu and recomputes every node, so what it holds depends only on
+    the last actions given, whatever the kernel.
     """
 
     def __init__(self, scope: _Scope, player: int, members):
@@ -420,16 +409,7 @@ class _Responder:
         self.weights = tables.strides[:player] + tables.strides[player + 1 :]
         self.val = scope.column(player)
         self.argmins, self.menus = [None] * len(scope.nodes), [None] * len(scope.nodes)
-        self.last: tuple | None = None
-        self.closure = []  # per unit: its members and their ancestors, deepest first
-        for mem in members:
-            up: set[int] = set()
-            for u in mem:
-                while u is not None and u not in up:
-                    up.add(u)
-                    u = scope.parent[u]
-            self.closure.append(sorted(up, reverse=True))
-        self.everything = scope.inner[::-1]
+        self.order = scope.inner[::-1]
 
     def update(self, cols: tuple[tuple[int, ...], ...]) -> None:
         """Respond to every player's column of unit actions; its own is ignored."""
@@ -437,23 +417,13 @@ class _Responder:
         key = (0,) * len(self.members)
         for w, col in zip(self.weights, cols[: self.player] + cols[self.player + 1 :]):
             key = tuple(map(add, key, map(w.__mul__, col)))
-        last, self.last = self.last, key
-        if last is None:
-            changed, order = range(len(self.members)), self.everything
-        else:
-            changed = [k for k, (a, b) in enumerate(zip(key, last)) if a != b]
-            if len(changed) == 1:
-                order = self.closure[changed[0]]
-            else:
-                order = sorted(set().union(*(self.closure[k] for k in changed)), reverse=True)
         menus, rows, cost, kern = self.menus, self.rows, self.cost, self.kern
         player, stride, span = self.player, self.stride, self.span
-        for k in changed:
-            base = key[k]
-            for u in self.members[k]:
+        for base, mem in zip(key, self.members):
+            for u in mem:
                 row = rows[u]
                 menus[u] = cost[row][player], kern[row][base : base + span : stride]
-        induct(order, self.kids, menus, self.val, self.argmins)
+        induct(self.order, self.kids, menus, self.val, self.argmins)
 
 
 def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bool):
@@ -473,9 +443,8 @@ def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bo
     when it plays an argmin at every reached node of its walk against the
     others, memoized on their actions. An equilibrium's value is the vector
     of these walks' root values, so no per-profile cost walk runs. Every
-    walk is a :class:`_Responder`, and values stay integers until a record
-    is yielded; each distinct value is converted once, and its first record
-    carries a policy even when ``with_policies`` is false.
+    walk is a :class:`_Responder`, and values stay integers until
+    :func:`_emit` makes the record.
 
     Without policies every player ranges, at each unit, over the least
     action of each payoff-equivalence class at the unit's row only
@@ -501,8 +470,7 @@ def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bo
     choices = None if with_policies else _class_choices(scope, local)
     walks = [_Responder(scope, i, local) for i in range(n)]
     memo: list[dict] = [{} for _ in range(n)]
-    seen: dict[tuple[int, ...], Vector] = {}  # integer values -> their Fractions
-    slack = (ZERO,) * n
+    seen: dict[tuple[int, ...], Vector] = {}
     first, idle = walks[0], (0,) * n_units
     for others in _opponent_assignments(scope.tables.sizes, allowed, choices):
         first.update((idle,) + others)
@@ -523,15 +491,21 @@ def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bo
                     break
                 values.append(vj)
             else:
-                key = tuple(values)
-                value = seen.get(key)
-                fresh = value is None
-                if fresh:
-                    value = seen[key] = tuple(map(scope.fraction, values))
-                policy = _NO_POLICY
-                if fresh or with_policies:
-                    policy = units.policy(zip(*cols), units.kind)
-                yield EquilibriumRecord(policy=policy, value=value, slack=slack)
+                yield _emit(seen, tuple(values), scope, units, zip(*cols), with_policies)
+
+
+def _emit(seen, ints, scope: _Scope, units: _Units, joints, with_policies: bool):
+    """The record of an exact equilibrium whose units play ``joints`` and
+    whose integer value is ``ints``. Each distinct value is converted to
+    Fractions once, into ``seen``, and its first record carries its policy;
+    a later one carries ``_NO_POLICY`` unless ``with_policies``, which
+    :func:`value_index` reads as a repeat."""
+    value = seen.get(ints)
+    fresh = value is None
+    if fresh:
+        value = seen[ints] = tuple(map(scope.fraction, ints))
+    policy = units.policy(joints, units.kind) if fresh or with_policies else _NO_POLICY
+    return EquilibriumRecord(policy=policy, value=value, slack=(ZERO,) * len(ints))
 
 
 class _Reach(NamedTuple):
@@ -749,16 +723,13 @@ def _class_choices(scope: _Scope, local):
 def _class_minima(tables, row: int):
     """Per player, the least action of each payoff-equivalence class at a
     table row, in index order, or None when no two actions of a player are
-    equivalent there; memoized in ``tables.class_minima``.
+    equivalent there.
 
     Two actions of a player are equivalent when they have the same running
     cost and the same child weights against every joint action of the
     others (Kuhn's reduced normal form): swapping one for the other at a
     node changes no player's cost, best response or equilibrium status.
     """
-    memo = tables.class_minima
-    if row in memo:
-        return memo[row]
     kern, tied, out = tables.kern[row], False, []
     for own, stride, size in zip(tables.cost[row], tables.strides, tables.sizes):
         least = range(size)
@@ -770,8 +741,7 @@ def _class_minima(tables, row: int):
             if len(first) < size:
                 least, tied = tuple(first.values()), True
         out.append(least)
-    memo[row] = entry = tuple(out) if tied else None
-    return entry
+    return tuple(out) if tied else None
 
 
 _NO_POLICY = Policy(actions={}, policy_class=PATH_CLASS)

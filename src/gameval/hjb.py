@@ -176,8 +176,12 @@ class GridConfig:
             raise GameValidationError("store_times must be finite numbers")
         if not (self.x_lo < self.x_hi and self.y_lo < self.y_hi):
             raise GameValidationError("need x_lo < x_hi and y_lo < y_hi")
+        if not (math.isfinite(self.x_hi - self.x_lo) and math.isfinite(self.y_hi - self.y_lo)):
+            raise GameValidationError("x_hi - x_lo and y_hi - y_lo must be finite")
         if self.nx < 5 or self.ny < 5:
             raise GameValidationError("need at least 5 nodes per spatial axis")
+        if not (self.hx * self.hx > 0 and self.hy * self.hy > 0):  # the step bound divides by them
+            raise GameValidationError("x or y spacing too small: its square underflows to 0")
         if self.nz < 1 or self.nz % 2 == 0:
             raise GameValidationError("nz must be odd so the z grid contains 0")
         if self.z_max <= 0 or self.t_final <= 0:
@@ -275,7 +279,7 @@ class GridConfig:
             ht = self.ht
         else:
             ht = bound
-        steps = self.t_final / ht
+        steps = self.t_final / ht if ht > 0 else math.inf  # a bound that underflows to 0
         if not steps <= MAX_TIME_STEPS:
             raise GameValidationError(f"{steps:.4g} time steps exceed the cap of {MAX_TIME_STEPS}")
         nt = max(1, math.ceil(steps))

@@ -129,6 +129,8 @@ def load_game(source: str | Path | dict) -> GameSpec:
         raw_terminal = _typed(raw["terminal_costs"], list, "terminal_costs")
     except KeyError as exc:
         raise GameValidationError(f"malformed game document: missing {exc}") from exc
+    if len(states) != horizon + 1:  # checked before a transition reads states[t + 1]
+        raise GameValidationError(f"need {horizon + 1} state levels, got {len(states)}")
     if players != len(actions):
         raise GameValidationError("players count disagrees with actions table")
     if len(raw_running) != players or len(raw_terminal) != players:

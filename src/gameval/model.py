@@ -460,9 +460,7 @@ class Tables:
     records that hold node ids and numbers only; ``dpp_sets`` (Nash values)
     and ``frontiers`` (minimal achievable values) are the memos of
     ``equilibria._row_set``: each solved row's pair of its set of integer
-    points and the largest selection count met at or below it;
-    ``class_minima`` is the memo of ``equilibria._class_minima``: each row's
-    least actions of every player's payoff-equivalence classes, or None.
+    points and the largest selection count met at or below it.
     """
 
     def __init__(self, spec: GameSpec, factor: int = 1):
@@ -516,7 +514,6 @@ class Tables:
         self.value_index: dict = {}
         self.dpp_sets: dict = {}
         self.frontiers: dict = {}
-        self.class_minima: dict = {}
 
     def row(self, node: Node) -> int:
         if self.markov:

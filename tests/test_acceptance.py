@@ -31,9 +31,10 @@ from gameval import (
     set_value_dpp,
     verify_dpp,
 )
-from gameval.dpp import random_game
 from gameval.hjb import nodal_set, pde_preset, single_player_hjb, solve_w
 from gameval.model import STATE_CLASS
+
+from specgen import random_game
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

@@ -12,10 +12,11 @@ import pytest
 
 from gameval import build_path_tree, dump_game, iter_equilibria, load_example
 from gameval.cli import main
-from gameval.dpp import random_game
 from gameval.io import record_to_json, write_json
 from gameval.model import PATH_CLASS, STATE_CLASS
 from gameval.presets import build_pareto_spec
+
+from specgen import random_game
 
 
 def run(capsys, *argv):
@@ -207,6 +208,8 @@ def malformed_table1(kind: str) -> str:
         doc["states"][1][1] = {"a": 1}
     elif kind == "action-number":
         doc["actions"][0][0] = 0
+    elif kind == "short-states":
+        del doc["states"][1]
     text = json.dumps(doc)
     return text[: len(text) // 2] if kind == "truncated" else text
 
@@ -231,6 +234,7 @@ MALFORMED = {
     "extra-running-cost": "2 players, 3 running-cost and 2 terminal-cost tables",
     "state-object": "states[1] labels must be strings, got {'a': 1}",
     "action-number": "actions[0] labels must be strings, got 0",
+    "short-states": "need 2 state levels, got 1",
 }
 
 
@@ -270,6 +274,7 @@ BAD_INPUTS = {
     "x0-nan": [*STATIC, "--x0", "nan"],
     "ht-above-step-cap": [*STATIC, "--ht", "1e-9"],
     "t-final-above-step-cap": [*STATIC, "--t-final", "1e6"],
+    "z-max-1e308": [*STATIC, "--z-max", "1e308"],
     "h30-dpp-pareto": ["setvalue", *H30, "--engine", "dpp", "--variant", "pareto"],
     "h30-both-eps": ["setvalue", *H30, "--engine", "both", "--eps", "1/10"],
     "h30-planner-weights-3": ["planner", *H30, "--weights", "1/3,1/3,1/3"],
@@ -288,6 +293,8 @@ BAD_INPUTS = {
     "config-monotone-no": {"preset": "static", "grid": {"monotone": "no"}},
     "config-nx-float": {"preset": "static", "grid": {"nx": 7.0}},
     "config-x-bounds-swapped": {"preset": "static", "grid": {"x_lo": 1.0, "x_hi": -1.0}},
+    "config-x-span-inf": {"preset": "static", "grid": {"x_lo": -1e308, "x_hi": 1e308}},
+    "config-x-span-tiny": {"preset": "static", "grid": {"x_lo": 0.0, "x_hi": 1e-200}},
     "config-unknown-field": {"preset": "static", "grid": {"dx": 0.1}},
     "config-grid-array": {"preset": "static", "grid": [21]},
     "config-array": ["static"],

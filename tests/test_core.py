@@ -15,9 +15,10 @@ import random
 from fractions import Fraction as F
 
 from gameval import GameSpec, Policy, best_response, build_path_tree, cost_J, iter_equilibria
-from gameval.dpp import random_game
 from gameval.equilibria import _iter_general, _Responder, _Scope, _units_for
 from gameval.model import PATH_CLASS, STATE_CLASS, StoppingTime
+
+from specgen import random_game
 
 
 def clone_action(spec: GameSpec, player: int, action: int = 0) -> GameSpec:
@@ -188,8 +189,8 @@ def test_tie_heavy_specs_match_the_fraction_reference_and_the_general_enumerator
     assert max(sizes[PATH_CLASS]) > 1 and max(sizes[STATE_CLASS]) > 1
 
 
-def test_incremental_walks_equal_fresh_walks_on_every_assignment():
-    """Zero kernels: after any change of the others' actions, an updated walk
+def test_reused_walks_equal_fresh_walks_and_the_reference_on_every_assignment():
+    """Zero kernels: after any change of the others' actions, a reused walk
     equals a walk built for those actions alone, and the Fraction reference."""
     rng = random.Random(89)
     checked = 0

@@ -15,9 +15,11 @@ from gameval import (
     pareto_dpp_counterexample,
     verify_dpp,
 )
-from gameval.dpp import check_pareto_eps, random_game
+from gameval.dpp import check_pareto_eps
 from gameval.model import STATE_CLASS
 from gameval.presets import build_pareto_spec
+
+from specgen import random_game
 
 
 def test_path_selections_reproduce_the_set_value(path_game):

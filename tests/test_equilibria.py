@@ -30,7 +30,6 @@ from gameval import (
     value_index,
 )
 from gameval.cli import main
-from gameval.dpp import random_game
 from gameval.equilibria import (
     VARIANT_POLICY_CLASS,
     _iter_argmin,
@@ -52,6 +51,7 @@ from gameval.model import (
 from gameval.presets import build_pareto_spec, load_example
 
 from oracles import all_policy_values, enumerate_equilibria, nash_profiles, truncate_game
+from specgen import random_game
 
 from test_core import clone_action, indifferent, tied_game
 

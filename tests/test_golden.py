@@ -11,15 +11,28 @@ written before the CLI built one planner payload and read its rationals and
 example names through ``io``. To rewrite one after a deliberate payload change, run its
 command with ``--out`` set to the file; a ``solve-pde`` file is the ``<prefix>_nodal.json``
 its command writes with ``--out-prefix``.
+
+``record-sequences-sha256.json`` pins, below the CLI, the ordered records of
+``iter_equilibria`` (policy, value, slack) with and without policies.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
+import random
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from gameval import build_pareto_spec, build_path_tree, iter_equilibria, load_example
 from gameval.cli import main
+from gameval.model import PATH_CLASS, STATE_CLASS
+from gameval.presets import SPEC_FILES
+from specgen import random_game
+from test_core import tied_game
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -84,3 +97,75 @@ def test_cli_output_equals_its_golden_file(name, tmp_path, capsys):
         assert main([*COMMANDS[name], "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+# -- ordered equilibrium records ---------------------------------------------------
+
+RECORDS_GOLDEN = GOLDEN / "record-sequences-sha256.json"
+
+
+def record_cases():
+    """Name -> (spec, tree, start, class) for every pinned enumeration: each
+    shipped example and a few seeded specs (zero kernels, three players, tied
+    actions), at the root and every time-1 node, in the path class and, on
+    Markov data, the state class."""
+    games = {name: load_example(name) for name in SPEC_FILES if name != "psistate"}
+    games["pareto"] = build_pareto_spec(F(1, 100))
+    rng = random.Random(24)
+    for k in range(3):
+        games[f"zero-{k}"] = drawn(random_game, rng, 3, allow_zero=True, state_dependent=k == 1)
+    for k in range(2):
+        games[f"three-{k}"] = drawn(random_game, rng, 2, n_players=3, allow_zero=k == 1)
+    for k in range(2):
+        games[f"tied-{k}"] = drawn(tied_game, rng, 2, zero_first=k == 0, state_dependent=k == 1)
+    cases = {}
+    for name, spec in games.items():
+        tree = build_path_tree(spec)
+        starts = [nid for level in tree.levels[: min(2, tree.horizon)] for nid in level]
+        classes = (PATH_CLASS, STATE_CLASS) if spec.state_dependent else (PATH_CLASS,)
+        for start, cls in itertools.product(starts, classes):
+            cases[f"{name}/{start}/{cls}"] = spec, tree, start, cls
+    return cases
+
+
+def drawn(make, rng, periods: int, *, allow_zero=False, **kwargs):
+    """The first spec ``make`` draws with ``periods`` periods, and with a zero
+    kernel entry exactly when ``allow_zero``."""
+    while True:
+        spec = make(rng, max_periods=periods, allow_zero=allow_zero, **kwargs)
+        if spec.horizon == periods and spec.q_positive != allow_zero:
+            return spec
+
+
+def record_digest(records) -> str:
+    """SHA-256 of a record sequence: per record, its policy's class and sorted
+    actions, its value and its slack."""
+    digest = hashlib.sha256()
+    for rec in records:
+        value, slack = list(map(str, rec.value)), list(map(str, rec.slack))
+        line = f"{rec.policy.policy_class} {sorted(rec.policy.actions.items())} {value} {slack}\n"
+        digest.update(line.encode())
+    return digest.hexdigest()
+
+
+def record_digests() -> dict:
+    """Every case's digest with and without policies. With policies, ``state``
+    at its root in the path class is left out: its 262,144 records take
+    seconds."""
+    out = {}
+    for name, (spec, tree, start, cls) in record_cases().items():
+        for with_policies in (True, False):
+            if with_policies and name == f"state/0/{PATH_CLASS}":
+                continue
+            records = iter_equilibria(spec, tree, start, cls=cls, with_policies=with_policies)
+            out[f"{name}/{'policies' if with_policies else 'values'}"] = record_digest(records)
+    return out
+
+
+def test_record_sequences_equal_their_golden_digests():
+    """Every record the exact enumerators yield, in order, with and without
+    policies, as written before the walks were recomputed in full and the
+    record rule moved into one helper. To rewrite after a deliberate change:
+    ``PYTHONPATH=src:tests python -c "import json, test_golden;
+    print(json.dumps(test_golden.record_digests(), indent=2))"``."""
+    assert record_digests() == json.loads(RECORDS_GOLDEN.read_text())

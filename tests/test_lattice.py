@@ -30,7 +30,7 @@ from gameval import (
     load_example,
     load_game,
 )
-from gameval.dpp import random_game, verify_dpp
+from gameval.dpp import verify_dpp
 from gameval.equilibria import set_value_bruteforce, set_value_dpp
 from gameval.model import PATH_CLASS, STATE_CLASS, tables_of
 from gameval.planner import (
@@ -42,6 +42,7 @@ from gameval.planner import (
 from gameval.presets import SPEC_FILES
 
 from oracles import all_policy_values, truncate_game
+from specgen import random_game
 
 WEIGHTS = (Scalarization.uniform(2), Scalarization.parse("1/3,2/3"))
 # The probe enumerates the equilibria of its start node once, and reads its

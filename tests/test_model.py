@@ -19,12 +19,12 @@ from gameval import (
     dump_game,
     load_game,
 )
-from gameval.dpp import random_game
 from gameval.io import frac_from_str
 from gameval.model import Node, Tables
 from gameval.presets import SPEC_FILES, load_example
 
 from oracles import path_measure, stop_node_along, truncate_game
+from specgen import random_game
 
 
 def all_zero_policy(tree, start):

@@ -17,8 +17,9 @@ from gameval import (
     set_value_bruteforce,
     time_inconsistency_probe,
 )
-from gameval.dpp import random_game
 from gameval.presets import build_pareto_spec
+
+from specgen import random_game
 
 
 def test_scalarization_validation():

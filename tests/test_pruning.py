@@ -28,10 +28,10 @@ from gameval import (
     set_value_dpp,
 )
 from gameval import equilibria
-from gameval.dpp import random_game
 from gameval.equilibria import _Reach, _Scope, _units_for
 from gameval.model import PATH_CLASS, STATE_CLASS
 
+from specgen import random_game
 from test_core import tied_game
 
 MAX_CLASS = 4**6

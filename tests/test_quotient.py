@@ -18,10 +18,10 @@ import pytest
 
 from gameval import build_path_tree, iter_equilibria, load_example, value_index
 from gameval import equilibria
-from gameval.dpp import random_game
 from gameval.equilibria import _Scope, _class_choices, _units_for
 from gameval.model import PATH_CLASS, STATE_CLASS, tables_of
 
+from specgen import random_game
 from test_core import clone_action, indifferent, tied_game
 from test_pruning import frontier_scopes
 

@@ -28,11 +28,11 @@ from gameval import (
     value_index,
 )
 from gameval.cli import main
-from gameval.dpp import random_game
 from gameval.equilibria import _check_class_size, _Scope, _units_for
 from gameval.model import PATH_CLASS, POLICY_CLASSES, STATE_CLASS
 from gameval.presets import build_pareto_spec
 
+from specgen import random_game
 from test_core import clone_action, indifferent, tied_game
 
 
