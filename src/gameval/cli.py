@@ -131,33 +131,29 @@ def cmd_verify_dpp(args) -> int:
             policy_cap=args.cap,
             selection_cap=args.selection_cap,
         )
-        payload = {"command": "verify-dpp", "example": "pareto", **io.report_to_json(rep)}
-        print(f"relation: {rep.relation}")
-        _emit(payload, args.out)
-        return 0
-
-    preset = BATTERY.get(args.example, dict(stop=None, variant="full", selection="path"))
-    stop_time = preset["stop"] if args.stop_time is None else args.stop_time
-    variant = args.variant or preset["variant"]
-    selection = args.selection_class or preset["selection"]
-
-    spec, tree, start = _game(args)
-    if args.stop_at_state:
-        stopping = StoppingTime.hitting_state(tree, args.stop_at_state)
     else:
-        t0 = stop_time if stop_time is not None else tree.node(start).t + 1
-        stopping = StoppingTime.at_time(tree, t0)
-    selection_cls = STATE_CLASS if selection == "state" else PATH_CLASS
-    rep = dpp_mod.verify_dpp(
-        spec,
-        tree,
-        start,
-        stopping,
-        variant=variant,
-        selection_class=selection_cls,
-        policy_cap=args.cap,
-        selection_cap=args.selection_cap,
-    )
+        preset = BATTERY.get(args.example, dict(stop=None, variant="full", selection="path"))
+        stop_time = preset["stop"] if args.stop_time is None else args.stop_time
+        variant = args.variant or preset["variant"]
+        selection = args.selection_class or preset["selection"]
+
+        spec, tree, start = _game(args)
+        if args.stop_at_state:
+            stopping = StoppingTime.hitting_state(tree, args.stop_at_state)
+        else:
+            t0 = stop_time if stop_time is not None else tree.node(start).t + 1
+            stopping = StoppingTime.at_time(tree, t0)
+        selection_cls = STATE_CLASS if selection == "state" else PATH_CLASS
+        rep = dpp_mod.verify_dpp(
+            spec,
+            tree,
+            start,
+            stopping,
+            variant=variant,
+            selection_class=selection_cls,
+            policy_cap=args.cap,
+            selection_cap=args.selection_cap,
+        )
     payload = {"command": "verify-dpp", **io.report_to_json(rep)}
     if args.example:
         payload["example"] = args.example

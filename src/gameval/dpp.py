@@ -156,9 +156,8 @@ def check_pareto_eps(eps: Fraction) -> GameSpec:
         _row_set(spec, tables, row, DEFAULT_SELECTION_CAP, nash=True)[0]
         for row in range(*tables.kids[root])
     ]
-    branches = pareto_tables()["branches"]
     target = {  # each joint action's designated branch, by index
-        tuple(map(int, key.split(","))): branches.index(s)
+        tuple(map(int, key.split(","))): spec.states[1].index(s)
         for key, s in pareto_tables()["kernel_target"].items()
     }
     joints, strides, sizes = spec.joint_actions, tables.strides, tables.sizes
@@ -200,7 +199,7 @@ def pareto_dpp_counterexample(
     )
 
     branch_info = {}
-    for s in pareto_tables()["branches"]:
+    for s in spec.states[1]:
         nid = tree.id_of(("s0", s))
         full = variant_set(spec, tree, nid, cap=policy_cap)
         pareto = variant_set(spec, tree, nid, "pareto", cap=policy_cap)

@@ -73,9 +73,6 @@ class GameSpec:
         self.horizon = int(horizon)
         self.states = tuple(tuple(level) for level in states)
         self.actions = tuple(tuple(acts) for acts in actions)
-        self.joint_actions: tuple[JointAction, ...] = tuple(
-            itertools.product(*(range(len(acts)) for acts in self.actions))
-        )
         self.transitions = dict(transitions)
         self.running_costs = tuple(dict(d) for d in running_costs)
         self.terminal_costs = tuple(dict(d) for d in terminal_costs)
@@ -134,6 +131,17 @@ class GameSpec:
                 raise GameValidationError(f"empty action set for player {i}")
         if len(self.running_costs) != self.n_players or len(self.terminal_costs) != self.n_players:
             raise GameValidationError("cost tables must have one entry per player")
+        # Each time-0 key needs a transition per joint action. Counted before
+        # the joint actions are built: 26 two-action players have 67 million.
+        n_joints = math.prod(map(len, self.actions))
+        if len(self.transitions) < n_joints:
+            raise GameValidationError(
+                f"missing transitions: each of the {n_joints} joint actions needs one "
+                f"at t=0, got {len(self.transitions)} in all"
+            )
+        self.joint_actions: tuple[JointAction, ...] = tuple(
+            itertools.product(*(range(len(acts)) for acts in self.actions))
+        )
 
         # Markov data are keyed by the current state, so each (t, state) entry
         # is checked once; path-keyed data once per prefix. A vector object met

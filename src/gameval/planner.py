@@ -5,8 +5,9 @@ equilibrium minimizing the weighted cost at the root, and then re-solves the
 same problem at every later prefix to see whether the chosen equilibrium's
 continuation value would still be selected. The root's set value comes from
 its enumeration (``equilibria.value_index``); the later prefixes' set values
-come from the backward recursion's per-row memo, which equals enumeration at
-every node when the kernel is strictly positive, as the probe requires.
+are the backward recursion's rows (``equilibria._row_set``), which equal
+enumeration at every node when the kernel is strictly positive, as the probe
+requires.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from operator import getitem, mul
 from .equilibria import (
     DEFAULT_POLICY_CAP,
     ValueSet,
-    set_value_dpp,
+    _row_set,
     value_index,
 )
 from .errors import GameValidationError
@@ -154,13 +155,13 @@ def time_inconsistency_probe(
     :func:`~gameval.equilibria.value_index`, the enumeration the root's set
     value shares; the witness is the first equilibrium of least score.
 
-    A later prefix's set value is its table row's set in the memo of
-    :func:`~gameval.equilibria.set_value_dpp`, called at the start with
-    ``cap`` as its selection cap: under q > 0 the recursion equals brute force
-    at every node (the dynamic programming principle), and a row's selection
-    count is at most the start's class size, already checked. Scores are
-    compared in integers; the witness's continuation costs at every prefix
-    come from one walk of the start's subtree per player.
+    A later prefix's set value is its table row's recursion set
+    (:func:`~gameval.equilibria._row_set`, memoized with the tables), read
+    with ``cap`` as its selection cap: under q > 0 the recursion equals brute
+    force at every node (the dynamic programming principle), and a row's
+    selection count is at most the start's class size, already checked.
+    Scores are compared in integers; the witness's continuation costs at
+    every prefix come from one walk of the start's subtree per player.
     """
     if not spec.q_positive:
         raise GameValidationError("the probe needs q > 0 so every prefix is reachable")
@@ -175,43 +176,31 @@ def time_inconsistency_probe(
     )
     chosen_value: Vector | None = None
     rows: list[ProbeRow] = []
-    first_bad: ProbeRow | None = None
     if witness is not None:
-        set_value_dpp(spec, tree, start, selection_cap=cap)
         scope = _Scope(spec, tree, start)
         tables = scope.tables
         weights, den = lam.over_common_denominator()
         costs = [scope.costs(witness.action, i) for i in range(spec.n_players)]
         chosen_value = tuple(scope.fraction(col[0]) for col in costs)
-        local_optima: dict[int, int | None] = {}  # table row -> least integer score
         for u in scope.inner[1:]:
             node = tree.node(scope.nodes[u])
-            key = scope.rows[u]
-            if key in local_optima:
-                local = local_optima[key]
-            else:
-                points, _ = tables.dpp_sets[key]
-                local = local_optima[key] = min(
-                    (sum(map(mul, weights, p)) for p in points), default=None
-                )
+            points, _ = _row_set(spec, tables, scope.rows[u], cap, True)
+            local = min((sum(map(mul, weights, p)) for p in points), default=None)
             scale = tables.scale[node.t]
             cont_score = sum(map(mul, weights, (col[u] for col in costs)))
-            consistent = cont_score == local
             row = ProbeRow(
                 t=node.t,
                 prefix=node.prefix,
                 planner_value=None if local is None else Fraction(local, scale * den),
                 continuation_score=Fraction(cont_score, scale * den),
                 continuation_value=tuple(Fraction(col[u], scale) for col in costs),
-                consistent=consistent,
+                consistent=cont_score == local,
             )
             rows.append(row)
-            if not consistent and first_bad is None:
-                first_bad = row
     return ProbeReport(
         optimum=optimum,
         chosen_value=chosen_value,
         rows=tuple(rows),
-        first_inconsistency=first_bad,
+        first_inconsistency=next((row for row in rows if not row.consistent), None),
         dictatorship_value=dictatorship,
     )

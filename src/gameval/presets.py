@@ -25,16 +25,7 @@ SPEC_FILES = {
     "state": "state_game.json",
 }
 
-EXAMPLE_NAMES = (
-    "table1",
-    "table2_left",
-    "table2_right",
-    "path",
-    "psistate",
-    "state",
-    "pareto",
-    "openloop",
-)
+EXAMPLE_NAMES = (*SPEC_FILES, "pareto", "openloop")
 
 PDE_PRESETS = ("single-player", "static", "zero-sum")
 

@@ -210,6 +210,31 @@ def malformed_table1(kind: str) -> str:
         doc["actions"][0][0] = 0
     elif kind == "short-states":
         del doc["states"][1]
+    elif kind == "negative-probability":
+        doc["transitions"]["0|s0|0,0"] = {"down": "5/4", "up": "-1/4"}
+    elif kind == "missing-running-cost":
+        del doc["running_costs"][0]["0|s0|1"]
+    elif kind == "missing-terminal-cost":
+        del doc["terminal_costs"][1]["up"]
+    elif kind == "players-count":
+        doc["players"] = 3
+    elif kind == "unknown-action":
+        doc["transitions"]["0|s0|0,x"] = doc["transitions"].pop("0|s0|0,0")
+    elif kind == "one-action-key":
+        doc["transitions"]["0|s0|0"] = doc["transitions"].pop("0|s0|0,0")
+    elif kind == "key-beyond-horizon":
+        doc["transitions"]["1|up|0,0"] = doc["transitions"]["0|s0|0,0"]
+    elif kind == "unknown-successor":
+        doc["transitions"]["0|s0|0,0"]["sideways"] = "0"
+    elif kind == "many-players":  # 2^26 joint actions and one transition
+        n = 26
+        doc.update(
+            players=n,
+            actions=[["0", "1"]] * n,
+            transitions={"0|s0|" + ",".join("0" * n): doc["transitions"]["0|s0|0,0"]},
+            running_costs=doc["running_costs"][:1] * n,
+            terminal_costs=doc["terminal_costs"][:1] * n,
+        )
     text = json.dumps(doc)
     return text[: len(text) // 2] if kind == "truncated" else text
 
@@ -235,6 +260,15 @@ MALFORMED = {
     "state-object": "states[1] labels must be strings, got {'a': 1}",
     "action-number": "actions[0] labels must be strings, got 0",
     "short-states": "need 2 state levels, got 1",
+    "negative-probability": "negative transition probability",
+    "missing-running-cost": "missing running cost for player 0 at t=0, state='s0'",
+    "missing-terminal-cost": "missing terminal cost at t=1, state='up'",
+    "players-count": "players count disagrees with actions table",
+    "unknown-action": "unknown action 'x' for player 1",
+    "one-action-key": "transition key '0|s0|0' must list one action per player",
+    "key-beyond-horizon": "transition key '1|up|0,0' beyond horizon",
+    "unknown-successor": "unknown successor state 'sideways' in '0|s0|0,0'",
+    "many-players": "each of the 67108864 joint actions needs one at t=0, got 1 in all",
 }
 
 
@@ -323,6 +357,12 @@ def test_a_config_that_is_a_directory_exits_2(capsys, tmp_path):
 def test_exit_code_cap(capsys):
     code, _, err = run(capsys, "setvalue", "--example", "path", "--cap", "3")
     assert code == 3 and "cap" in err
+
+
+def test_verify_dpp_exits_3_past_the_selection_cap(capsys):
+    code, out, err = run(capsys, "verify-dpp", "--example", "path", "--selection-cap", "1")
+    assert code == 3 and out == ""
+    assert "terminal selection enumeration: needs 4 > cap 1" in json.loads(err)["message"]
 
 
 def test_exit_code_cfl(capsys):

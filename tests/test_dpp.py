@@ -135,6 +135,15 @@ def test_a_bad_variant_is_reported_before_a_bad_selection_class(path_game):
         verify_dpp(spec, tree, root, stopping, selection_class="nowhere")
 
 
+def test_state_selections_need_equal_sets_at_a_shared_time_and_state():
+    spec = random_game(random.Random(0), max_periods=2)
+    assert not spec.state_dependent
+    tree = build_path_tree(spec)
+    stopping = StoppingTime.at_time(tree, 2)
+    with pytest.raises(GameValidationError, match="need equal value sets at prefixes sharing"):
+        verify_dpp(spec, tree, tree.levels[0][0], stopping, selection_class=STATE_CLASS)
+
+
 # -- the Pareto counterexample -------------------------------------------------
 
 
