@@ -113,6 +113,13 @@ def cmd_setvalue(args) -> int:
 
 
 def cmd_verify_dpp(args) -> int:
+    # The Pareto and open-loop reports have a fixed game, start and stopping time.
+    for flag in ("spec", "prefix", "stop_time", "stop_at_state", "variant", "selection_class"):
+        if args.example in ("pareto", "openloop") and getattr(args, flag) is not None:
+            name = flag.replace("_", "-")
+            raise GameValidationError(f"--example {args.example} takes no --{name}")
+    if args.stop_time is not None and args.stop_at_state is not None:
+        raise GameValidationError("give --stop-time or --stop-at-state, not both")
     if args.example == "openloop":
         rep = dpp_mod.open_loop_lq_demo(args.sigma)
         payload = {
@@ -138,7 +145,7 @@ def cmd_verify_dpp(args) -> int:
         selection = args.selection_class or preset["selection"]
 
         spec, tree, start = _game(args)
-        if args.stop_at_state:
+        if args.stop_at_state is not None:
             stopping = StoppingTime.hitting_state(tree, args.stop_at_state)
         else:
             t0 = stop_time if stop_time is not None else tree.node(start).t + 1
@@ -284,12 +291,10 @@ def cmd_examples(args) -> int:
         for name in presets.PDE_PRESETS:
             print(f"{name} (pde)")
         return 0
-    if args.action == "dump":
-        if not args.example:
-            raise GameValidationError("examples dump needs a preset name")
-        _emit(io.dump_game(_load_spec(args)), args.out)
-        return 0
-    raise GameValidationError(f"unknown examples action {args.action!r}")
+    if not args.example:
+        raise GameValidationError("examples dump needs a preset name")
+    _emit(io.dump_game(_load_spec(args)), args.out)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

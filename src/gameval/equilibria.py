@@ -306,13 +306,12 @@ def iter_equilibria(
     value. Before it walks, that search drops the other players' actions
     that no equilibrium plays, from one-step Nash tests at the units whose
     continuation is fixed (:func:`_one_step_allowed`); the records and their
-    order do not change. A scope whose only decision node is its start needs
-    no walk: the start is sure, so its equilibria are the Nash joints of its
-    one-step table, yielded in the same order (:func:`_iter_one_step`).
-    Every other call (``eps > 0``, the symmetric class, the state class
-    elsewhere) checks each profile of the class (:func:`_iter_general`). The
-    cap bounds the size of the class in every case; without a given scope it
-    is checked before the scope is built.
+    order do not change. When those tests reach the start, every other unit
+    is forced and no walk runs: the records are the start's one-step Nash
+    joints, in the same order. Every other call (``eps > 0``, the symmetric
+    class, the state class elsewhere) checks each profile of the class
+    (:func:`_iter_general`). The cap bounds the size of the class in every
+    case; without a given scope it is checked before the scope is built.
     """
     if eps < 0:
         raise GameValidationError("eps must be nonnegative")
@@ -323,8 +322,7 @@ def iter_equilibria(
     if units.count > cap:
         raise EnumerationCapExceeded("joint policy enumeration", units.count, cap)
     if eps == 0 and (cls == PATH_CLASS or (cls == STATE_CLASS and scope.is_markov())):
-        search = _iter_one_step if len(scope.inner) == 1 else _iter_argmin
-        yield from search(spec, scope, units, with_policies)
+        yield from _iter_argmin(spec, scope, units, with_policies)
     else:
         yield from _iter_general(spec, tree, scope, units, eps, cls)
 
@@ -351,37 +349,6 @@ def _iter_general(spec, tree, scope, units: _Units, eps, cls):
                 break
         if ok:
             yield EquilibriumRecord(policy=policy, value=value, slack=tuple(slacks))
-
-
-def _iter_one_step(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bool):
-    """Exact Nash enumeration on a scope whose only decision node is its start.
-
-    Every child of the start is an end, so the scope's game is the static
-    one-step game of the start's row against the ends' values
-    (:func:`_one_step_costs`), and its equilibria are that game's Nash joint
-    actions (:func:`_nash_flags`). The start is sure, so an argmin of a walk
-    at it is a plain argmin, and the records are exactly those of
-    :func:`_iter_argmin`, in its order: the other players' actions in
-    lexicographic order (:func:`_opponent_assignments`), then player 0's,
-    each kept to the least of its payoff-equivalence classes without
-    policies. A record's value is its joint's totals (:func:`_emit`).
-    """
-    tables = scope.tables
-    child = [scope.ends[c] for c in range(*scope.kids[0])]
-    totals = _one_step_costs(tables, scope.rows[0], child, spec.joint_actions)
-    nash = _nash_flags(totals, tables.strides, tables.sizes)
-    choices = None if with_policies else _class_choices(scope, [(0,)])
-    own = range(tables.sizes[0]) if choices is None else choices[0][0]
-    stride, strides = tables.strides[0], tables.strides[1:]
-    seen: dict[tuple[int, ...], Vector] = {}
-    for others in _opponent_assignments(tables.sizes, [None], choices):
-        rest = tuple(col[0] for col in others)
-        base = sum(map(mul, strides, rest))
-        for a in own:
-            j = base + a * stride
-            if nash[j]:
-                ints = tuple(tot[j] for tot in totals)
-                yield _emit(seen, ints, scope, units, [(a, *rest)], with_policies)
 
 
 def _pool(argmins, nodes) -> tuple[int, ...]:
@@ -434,11 +401,12 @@ def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bo
     over the assignments :func:`_one_step_allowed` leaves: at a unit whose
     members are sure and whose continuation is fixed, only the others' parts
     of one-step Nash joint actions, and none at all when a unit has no such
-    joint. The filter is necessary, not sufficient, so every record is still
-    certified by the walks below. For every remaining assignment, player 0's
-    best-response walk gives its argmin sets; player 0 then ranges over the
-    assignments that play, at each unit, an action that is an argmin at all
-    of its reached members, and any action at a unit with none
+    joint. The filter is necessary, not sufficient, so unless it tests the
+    start (see the end), every record is certified by the walks below. For
+    every remaining assignment, player 0's best-response walk gives its
+    argmin sets; player 0 then ranges over the assignments that play, at
+    each unit, an action that is an argmin at all of its reached members,
+    and any action at a unit with none
     (:func:`_reached_argmin_profiles`). Each remaining player j passes
     when it plays an argmin at every reached node of its walk against the
     others, memoized on their actions. An equilibrium's value is the vector
@@ -455,23 +423,39 @@ def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bo
     is not later than σ's, so it is σ. A scope whose rows have no ties runs
     the loop unchanged, and with policies every tied profile still comes.
 
-    :func:`iter_equilibria` sends here only scopes with two or more decision
-    nodes; a scope with one yields the same records from its Nash table
-    (:func:`_iter_one_step`).
+    When the filter tests the start, no walk runs. Every child of the start
+    then has a fixed value, so by induction every decision node is sure and
+    every other unit is forced. At sure nodes a profile is an equilibrium
+    exactly when every player plays an argmin everywhere, that is, a
+    one-step Nash joint against its own continuation values, which from the
+    ends up are the forced joints' values. The records are therefore the
+    start's passing joints with every other unit on its forced joint, valued
+    by the start's one-step totals, in the walk search's order (the others'
+    parts lexicographic, then player 0's action) and, without policies, kept
+    to the least actions of the start row's classes (:func:`_class_minima`).
+    A scope whose only decision node is its start is always such a scope.
     """
     n = spec.n_players
-    members = units.members
-    n_units = len(members)
-    local = [tuple(map(scope.local.__getitem__, mem)) for mem in members]
-    reach = _Reach.of(scope, members)
-    allowed = _one_step_allowed(spec, scope, reach, local)
+    local = [tuple(map(scope.local.__getitem__, mem)) for mem in units.members]
+    reach = _Reach.of(scope, local)
+    allowed, forced, start = _one_step_allowed(spec, scope, reach, local)
     if () in allowed:
+        return
+    seen: dict[tuple[int, ...], Vector] = {}
+    if start is not None:
+        totals, passing = start
+        least = None if with_policies else _class_minima(scope.tables, scope.rows[0])
+        stride = scope.tables.strides[0]
+        for j in sorted(passing, key=lambda j: (j % stride, j)):
+            joint = spec.joint_actions[j]
+            if least is None or all(a in m for a, m in zip(joint, least)):
+                ints = tuple(tot[j] for tot in totals)
+                yield _emit(seen, ints, scope, units, (joint, *forced[1:]), with_policies)
         return
     choices = None if with_policies else _class_choices(scope, local)
     walks = [_Responder(scope, i, local) for i in range(n)]
     memo: list[dict] = [{} for _ in range(n)]
-    seen: dict[tuple[int, ...], Vector] = {}
-    first, idle = walks[0], (0,) * n_units
+    first, idle = walks[0], (0,) * len(local)
     for others in _opponent_assignments(scope.tables.sizes, allowed, choices):
         first.update((idle,) + others)
         v0 = first.val[0]
@@ -511,11 +495,11 @@ def _emit(seen, ints, scope: _Scope, units: _Units, joints, with_policies: bool)
 class _Reach(NamedTuple):
     """Which nodes of a scope's units a profile reaches with positive probability.
 
-    Nodes are local indices of the scope. A node is *sure* when every profile
-    reaches it: the start node, and any node whose parent is sure and whose
-    child weight is positive under every joint action. The other members are
-    *contingent*: reached when the parent is and the weight under the
-    parent's joint action is nonzero. ``sure[k]`` are unit k's sure members;
+    Nodes, in the units :meth:`of` takes too, are local indices of the scope.
+    A node is *sure* when every profile reaches it: the start node, and any
+    node whose parent is sure and whose child weight is positive under every
+    joint action. The other members are *contingent*: reached when the
+    parent is and the weight under the parent's joint action is nonzero. ``sure[k]`` are unit k's sure members;
     ``links[k]`` hold ``(node, parent, parent's unit, index among the
     parent's children, the parent's child weights per joint action)`` for its
     contingent members. ``cuts`` split the units, which are in time order,
@@ -530,13 +514,12 @@ class _Reach(NamedTuple):
     cuts: tuple[int, ...]
 
     @classmethod
-    def of(cls, scope: _Scope, members) -> "_Reach":
-        members = [tuple(map(scope.local.__getitem__, mem)) for mem in members]
+    def of(cls, scope: _Scope, local) -> "_Reach":
         kern = scope.tables.kern
-        unit_of = {u: k for k, mem in enumerate(members) for u in mem}
+        unit_of = {u: k for k, mem in enumerate(local) for u in mem}
         sure_nodes = {0}
         sure, links, cuts = [], [], [0]
-        for k, mem in enumerate(members):
+        for k, mem in enumerate(local):
             ours, theirs = [], []
             for u in mem:
                 if u in sure_nodes:
@@ -554,7 +537,7 @@ class _Reach(NamedTuple):
                 cuts.append(k)
             sure.append(tuple(ours))
             links.append(tuple(theirs))
-        cuts.append(len(members))
+        cuts.append(len(local))
         return cls(tuple(sure), tuple(links), tuple(cuts))
 
 
@@ -613,8 +596,8 @@ def _deeper(pools, cuts, own, hits, seg: int, combos):
         yield from _descend(pools, cuts, own, hits, seg + 1)
 
 
-def _one_step_allowed(spec: GameSpec, scope: _Scope, reach: _Reach, local) -> list:
-    """Per unit, the others' parts of the joint actions a record can play there.
+def _one_step_allowed(spec: GameSpec, scope: _Scope, reach: _Reach, local) -> tuple:
+    """What one-step Nash tests leave a record to play at each unit.
 
     Units are tested deepest first. A unit is tested when all its members are
     sure and every child of every member has a fixed value: an end, or a
@@ -622,15 +605,21 @@ def _one_step_allowed(spec: GameSpec, scope: _Scope, reach: _Reach, local) -> li
     when it is one-step Nash at every member against those values. A record
     plays an argmin of every walk at every sure node, so there its walks'
     values are its own values; by induction from the ends, its joint at a
-    tested unit passes. An untested unit gets None, a tested one the sorted
-    others' parts of its passing joints. A unit that passes none gets (),
-    the walk stops there, and no record exists. A scope of one unit never
-    comes here: its records are read off its Nash table
-    (:func:`_iter_one_step`).
+    tested unit passes.
+
+    Returns ``(allowed, forced, start)``. ``allowed[k]`` is None for an
+    untested unit and, for a tested one, the sorted others' parts of its
+    passing joints; a unit that passes none gets (), the tests stop there,
+    and no record exists. ``forced[k]`` is a forced unit's joint, else None.
+    ``start`` is, when the start's unit (unit 0, the start alone) is tested
+    and passes a joint, its integer one-step totals per player in
+    joint-index order and its passing joint indices, else None.
     """
     joints, kids, ends, tables = spec.joint_actions, scope.kids, scope.ends, scope.tables
     fixed: dict[int, tuple[int, ...]] = {}  # forced members' integer values
     allowed: list = [None] * len(local)
+    forced: list = [None] * len(local)
+    start = None
     for k in reversed(range(len(local))):
         if reach.links[k]:
             continue
@@ -648,9 +637,12 @@ def _one_step_allowed(spec: GameSpec, scope: _Scope, reach: _Reach, local) -> li
             if not passing:
                 break
             if len(passing) == 1:
+                forced[k] = joints[passing[0]]
                 for u, totals in found:
                     fixed[u] = tuple(tot[passing[0]] for tot in totals)
-    return allowed
+            if k == 0:  # the start's unit: the start alone
+                start = found[0][1], passing
+    return allowed, forced, start
 
 
 def _one_step_costs(tables, row: int, child, joints) -> list[list[int]]:

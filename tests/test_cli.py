@@ -324,6 +324,26 @@ BAD_INPUTS = {
     "h30-cap-zero": ["setvalue", *H30, "--cap", "0"],
     "h30-verify-selection-cap-zero": ["verify-dpp", *H30, "--selection-cap", "0"],
     "h30-planner-cap-zero": ["planner", *H30, "--cap", "0"],
+    "setvalue-no-game": ["setvalue"],
+    "setvalue-openloop": ["setvalue", "--example", "openloop"],
+    "solve-pde-no-preset": ["solve-pde"],
+    "dump-no-name": ["examples", "dump"],
+    "cfl-safety-zero": [*STATIC, "--cfl-safety", "0"],
+    "t-final-zero": [*STATIC, "--t-final", "0"],
+    "z-max-zero": [*STATIC, "--z-max", "0"],
+    "stop-at-state-nosuch": ["verify-dpp", "--example", "path", "--stop-at-state", "nosuch"],
+    "stop-time-and-stop-at-state": [
+        "verify-dpp", "--example", "path", "--stop-time", "1", "--stop-at-state", "s10",
+    ],
+    # The Pareto and open-loop reports fix their game, start and stopping time.
+    **{
+        f"{example}-{flag}": ["verify-dpp", "--example", example, f"--{flag}", value]
+        for example in ("pareto", "openloop")
+        for flag, value in {
+            "spec": "nonexist.json", "prefix": "s0", "stop-time": "1", "stop-at-state": "s10",
+            "variant": "full", "selection-class": "path",
+        }.items()
+    },
     "config-monotone-no": {"preset": "static", "grid": {"monotone": "no"}},
     "config-nx-float": {"preset": "static", "grid": {"nx": 7.0}},
     "config-x-bounds-swapped": {"preset": "static", "grid": {"x_lo": 1.0, "x_hi": -1.0}},

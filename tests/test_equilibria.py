@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,7 @@ from gameval import (
     time_inconsistency_probe,
     value_index,
 )
+from gameval import equilibria
 from gameval.cli import main
 from gameval.equilibria import (
     VARIANT_POLICY_CLASS,
@@ -215,8 +217,9 @@ def test_reach_on_positive_kernels_is_one_segment_of_sure_nodes():
             scope = _Scope(spec, tree, start)
             for cls in (PATH_CLASS, STATE_CLASS):
                 members = _units_for(spec, tree, scope, cls).members
-                reach = _Reach.of(scope, members)
-                assert reach.sure == tuple(tuple(map(scope.local.__getitem__, m)) for m in members)
+                local = tuple(tuple(map(scope.local.__getitem__, m)) for m in members)
+                reach = _Reach.of(scope, local)
+                assert reach.sure == local
                 assert reach.links == ((),) * len(members)
                 assert reach.cuts == (0, len(members))
 
@@ -759,3 +762,70 @@ def test_variant_set_rejects_an_unknown_variant_and_a_truncated_strong_pareto(pa
     with pytest.raises(GameValidationError, match="strong Pareto variant has no truncated-game"):
         variant_set(spec, tree, root, "strong-pareto", frontier=frontier)
     assert variant_set(spec, tree, root, "full", frontier=frontier).points == ((F(0), F(0)),)
+
+
+# -- argument guards ---------------------------------------------------------------
+
+
+def test_a_negative_eps_is_rejected(table1):
+    spec, tree, root = table1
+    policy = Policy(actions={root: (0, 1)})
+    with pytest.raises(GameValidationError, match="^eps must be nonnegative$"):
+        list(iter_equilibria(spec, tree, root, eps=F(-1, 100)))
+    with pytest.raises(GameValidationError, match="^eps must be nonnegative$"):
+        is_equilibrium(spec, tree, root, policy, eps=F(-1, 100))
+
+
+def test_an_unknown_policy_class_is_rejected(table1):
+    spec, tree, root = table1
+    policy = Policy(actions={root: (0, 1)})
+    scope = _Scope(spec, tree, root)
+    calls = [
+        lambda cls: list(iter_equilibria(spec, tree, root, cls=cls)),
+        lambda cls: list(iter_equilibria(spec, tree, root, cls=cls, scope=scope)),
+        lambda cls: best_response(spec, tree, root, policy, 0, cls=cls),
+        lambda cls: is_equilibrium(spec, tree, root, policy, cls=cls),
+    ]
+    for call in calls:
+        with pytest.raises(GameValidationError, match="^unknown policy class 'open_loop'$"):
+            call("open_loop")
+
+
+def test_an_asymmetric_policy_is_not_in_the_symmetric_class(table1):
+    spec, tree, root = table1
+    policy = Policy(actions={root: (0, 1)}, policy_class=SYMMETRIC_CLASS)
+    with pytest.raises(GameValidationError, match="^policy is not symmetric$"):
+        is_equilibrium(spec, tree, root, policy, cls=SYMMETRIC_CLASS)
+
+
+def test_the_cap_bounds_the_class_on_a_given_scope(table1):
+    spec, tree, root = table1
+    scope = _Scope(spec, tree, root)
+    needs = "^joint policy enumeration: needs 4 > cap 1$"
+    with pytest.raises(EnumerationCapExceeded, match=needs):
+        list(iter_equilibria(spec, tree, root, scope=scope, cap=1))
+
+
+def test_a_class_too_large_to_write_out_is_reported_as_a_power(monkeypatch):
+    """4 joint actions at each of the (3^30 - 1) / 2 decision nodes of a
+    horizon-30 Markov spec. The size is checked before any scope is built;
+    building one would list every decision node, so it fails here at once."""
+    spec = load_game(Path(__file__).parent / "data" / "markov_h30.json")
+    tree = build_path_tree(spec)
+
+    def no_scope(*args, **kwargs):
+        raise AssertionError("a scope was built before the class size was checked")
+
+    monkeypatch.setattr(equilibria, "_Scope", no_scope)
+    power = f"4\\*\\*{(3**30 - 1) // 2}"
+    with pytest.raises(EnumerationCapExceeded, match=f"^joint policy enumeration: needs {power} "):
+        set_value_bruteforce(spec, tree, tree.levels[0][0])
+
+
+def test_a_one_step_game_needs_a_decision_node_and_every_child_value(table1):
+    spec, tree, root = table1
+    leaf = tree.node(root).children[0]
+    with pytest.raises(GameValidationError, match="^one-step game needs a non-terminal node$"):
+        one_step_equilibria(spec, tree, leaf, {})
+    with pytest.raises(GameValidationError, match="^continuation value missing for a child"):
+        one_step_equilibria(spec, tree, root, {leaf: (F(0), F(0))})

@@ -84,6 +84,11 @@ COMMANDS = {
     ],
     "setvalue-table2-right-witnesses": ["setvalue", "--example", "table2_right", "--witnesses"],
     "planner-table1-probe": ["planner", "--example", "table1", "--weights", "1/3,2/3", "--probe"],
+    # Written before verify-dpp rejected the flags a report would ignore. Play
+    # on the path example stops where it first hits state s10.
+    "verify-dpp-path-stop-at-state-s10": [
+        "verify-dpp", "--example", "path", "--stop-at-state", "s10",
+    ],
 }
 
 

@@ -5,9 +5,9 @@ units whose continuation is fixed to those of one-step Nash joint actions.
 With it replaced by ``untested``, which tests no unit, every best-response
 walk runs again; the records, in order and with their policies and slacks,
 must come out the same. Counting ``_Responder.update`` calls shows the walks
-the filter saves. A scope whose only decision node is its start runs no walk
-at all: its records, read off its one-step Nash table, must equal those of
-the unfiltered walk search.
+the filter saves. A scope whose start the filter tests runs no walk at all:
+its records, read off the start's one-step Nash table with every other unit
+on its forced joint, must equal those of the unfiltered walk search.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ MAX_CLASS = 4**6
 
 
 def untested(spec, scope, reach, local):
-    return [None] * len(local)
+    return [None] * len(local), [None] * len(local), None
 
 
 def record_sequences(spec, tree, scope, cls):
@@ -123,6 +123,13 @@ def cases(kind: str, rng: random.Random):
             yield spec, tree, scope, cls
 
 
+def one_step_tests(spec, tree, scope, cls):
+    """What ``_one_step_allowed`` finds on the scope's units of the class."""
+    members = _units_for(spec, tree, scope, cls).members
+    local = [tuple(map(scope.local.__getitem__, mem)) for mem in members]
+    return equilibria._one_step_allowed(spec, scope, _Reach.of(scope, local), local)
+
+
 @pytest.mark.parametrize(
     "kind", ["zero", "markov", "three-players", "three-actions", "tied", "frontier"]
 )
@@ -130,10 +137,7 @@ def test_pruning_leaves_every_record_in_its_place(kind, monkeypatch):
     rng = random.Random(sum(map(ord, kind)))
     pruned = records = 0
     for spec, tree, scope, cls in cases(kind, rng):
-        units = _units_for(spec, tree, scope, cls)
-        local = [tuple(map(scope.local.__getitem__, mem)) for mem in units.members]
-        reach = _Reach.of(scope, units.members)
-        pruned += any(equilibria._one_step_allowed(spec, scope, reach, local))
+        pruned += any(one_step_tests(spec, tree, scope, cls)[0])
         filtered = record_sequences(spec, tree, scope, cls)
         with monkeypatch.context() as patch:
             patch.setattr(equilibria, "_one_step_allowed", untested)
@@ -142,53 +146,89 @@ def test_pruning_leaves_every_record_in_its_place(kind, monkeypatch):
     assert pruned >= 5 and records >= 24
 
 
-def walks_only(patch):
-    """Send one-step scopes back through the walk search, unfiltered."""
-    patch.setattr(equilibria, "_iter_one_step", equilibria._iter_argmin)
-    patch.setattr(equilibria, "_one_step_allowed", untested)
-
-
-def shipped_one_step_scopes(rng):
-    """(spec, tree, scope, class) for the one-step scopes of the shipped
-    examples: every decision node at T - 1 and the root stopped at time 1.
+def shipped_scopes(rng):
+    """(spec, tree, scope, class) for the scope of every decision node of the
+    shipped examples, and their root stopped at every time before the horizon.
     Unlike the random specs, many of them have two equilibrium values."""
-    for name in ("table1", "table2_left", "path", "state"):
+    for name in ("table1", "table2_left", "table2_right", "path", "state"):
         spec = load_example(name)
         tree = build_path_tree(spec)
-        scopes = [_Scope(spec, tree, nid) for nid in tree.levels[spec.horizon - 1]]
-        if spec.horizon > 1:
-            scopes += frontier_scopes(spec, tree, rng, time=1)
+        root = tree.levels[0][0]
+        scopes = [_Scope(spec, tree, nid) for nid in tree.decision_nodes(root)]
+        for time in range(1, spec.horizon):
+            scopes += frontier_scopes(spec, tree, rng, time)
         for scope, cls in itertools.product(scopes, (PATH_CLASS, STATE_CLASS)):
             if cls == PATH_CLASS or scope.is_markov():
                 yield spec, tree, scope, cls
 
 
-def test_one_step_scopes_yield_the_walk_search_records_without_a_walk(monkeypatch):
-    """A scope whose only decision node is its start is read off its Nash
-    table: the same records in the same order as the unfiltered walk search,
-    with no ``_Responder.update`` call."""
-    rng = random.Random(sum(map(ord, "one-step")))
-    kinds, records, shapes = set(), 0, set()
-    for spec, tree, scope, cls in itertools.chain(
-        shipped_one_step_scopes(rng), cases("one-step", rng)
-    ):
-        assert scope.inner == [0]
-        kinds.add((cls, spec.n_players, len(spec.actions[0]), scope.frontier is None))
+def anti_coordination_above_forced_units() -> GameSpec:
+    """Root r0, then A or B, then X or Y. At r0, differing actions lead to A
+    with probability 3/4 and matching ones to B; at A and B each player's
+    action 0 costs 1 less than action 1, and the kernel to X and Y is even, so
+    both units are forced to (0, 0) and B costs each player 1 more than A.
+    The root's Nash joints are (0, 1) and (1, 0), with different values, as
+    player 0 pays 1/8 for action 1 and player 1 for action 0."""
+    joints = list(itertools.product(range(2), repeat=2))
+    match, differ = (F(1, 4), F(3, 4)), (F(3, 4), F(1, 4))
+    transitions = {(0, "r0", joint): match if joint[0] == joint[1] else differ for joint in joints}
+    transitions |= {(1, key, joint): (F(1, 2), F(1, 2)) for key in "AB" for joint in joints}
+    running = [
+        {(0, "r0", a): F(a, 8) if player == 0 else F(1 - a, 8) for a in range(2)}
+        | {(1, key, a): F(a + (key == "B")) for key in "AB" for a in range(2)}
+        for player in range(2)
+    ]
+    return GameSpec(
+        horizon=2,
+        states=[["r0"], ["A", "B"], ["X", "Y"]],
+        actions=[["h", "t"], ["h", "t"]],
+        transitions=transitions,
+        running_costs=running,
+        terminal_costs=[{"X": F(0), "Y": F(1)}, {"X": F(1), "Y": F(0)}],
+        state_dependent=True,
+    )
+
+
+def test_a_start_the_filter_tests_yields_the_walk_search_records_without_a_walk(monkeypatch):
+    """When the filter tests the start, every other unit is forced, and the
+    records are the start's passing joints with the others on their forced
+    joints: the same records in the same order as the unfiltered walk search,
+    with no ``_Responder.update`` call. Every such scope of the shipped
+    examples, of every kind of random spec and of a built game whose root has
+    two values above forced units is checked."""
+    spec = anti_coordination_above_forced_units()
+    tree = build_path_tree(spec)
+    built = [(spec, tree, _Scope(spec, tree, 0), cls) for cls in (PATH_CLASS, STATE_CLASS)]
+    kinds = ["zero", "markov", "three-players", "three-actions", "tied", "frontier", "one-step"]
+    drawn = [cases(kind, random.Random(sum(map(ord, kind)))) for kind in kinds]
+    rng = random.Random(sum(map(ord, "shipped")))
+    shapes, records = set(), 0
+    for spec, tree, scope, cls in itertools.chain(built, shipped_scopes(rng), *drawn):
+        if one_step_tests(spec, tree, scope, cls)[0][0] is None:  # the start is untested
+            continue
         with monkeypatch.context() as patch:
             updates = count_updates(patch)
             table = record_sequences(spec, tree, scope, cls)
             assert updates == []
-            walks_only(patch)
+            patch.setattr(equilibria, "_one_step_allowed", untested)
             assert record_sequences(spec, tree, scope, cls) == table
             assert updates
         records += len(table[0])
-        shapes.add((len({value for _, value, _ in table[0]}) > 1, len(table[1]) < len(table[0])))
-    assert {cls for cls, *_ in kinds} == {PATH_CLASS, STATE_CLASS}
-    assert 3 in {n for _, n, _, _ in kinds} and 3 in {m for _, _, m, _ in kinds}
-    assert {root for *_, root in kinds} == {True, False}
-    # several values, and tied repeats skipped without policies
-    assert any(many for many, _ in shapes) and any(skipped for _, skipped in shapes)
-    assert records >= 48
+        many = len({value for _, value, _ in table[0]}) > 1
+        skipped = len(table[1]) < len(table[0])
+        sizes = spec.n_players, len(spec.actions[0])
+        shapes.add((len(scope.inner) > 1, cls, *sizes, scope.frontier is None, many, skipped))
+    # starts alone and above other units, each in both classes, with three
+    # players, three actions, frontiers and several values among them
+    for deep in (False, True):
+        seen = [shape[1:] for shape in shapes if shape[0] == deep]
+        assert {cls for cls, *_ in seen} == {PATH_CLASS, STATE_CLASS}
+        assert 3 in {n for _, n, *_ in seen} and 3 in {m for _, _, m, *_ in seen}
+        assert {root for *_, root, _, _ in seen} == {True, False}
+        assert any(many for *_, many, _ in seen)
+    # tied repeats skipped without policies at a start alone
+    assert any(skipped for deep, *_, skipped in shapes if not deep)
+    assert records >= 300
 
 
 def count_updates(monkeypatch) -> list[int]:
@@ -236,9 +276,10 @@ def test_a_unit_without_a_one_step_nash_joint_ends_the_enumeration(cls, monkeypa
     assert set_value_dpp(spec, tree, root).is_empty
 
 
-def test_a_generic_game_with_one_equilibrium_walks_one_opponent_assignment(monkeypatch):
+def test_a_generic_game_with_one_equilibrium_runs_no_walk(monkeypatch):
     """A strictly positive (1, 2, 2, 2) spec: every one of its 7 units is
-    forced, so player 0's walk runs once, not once per 2^7 assignments."""
+    forced, so the filter tests the start and no walk runs; without the
+    filter player 0's walk runs once per 2^7 assignments."""
     rng = random.Random(0)
     for _ in range(200):
         spec = random_game(rng, max_periods=3)
@@ -249,7 +290,7 @@ def test_a_generic_game_with_one_equilibrium_walks_one_opponent_assignment(monke
         pytest.fail("no (1, 2, 2, 2) spec with a single equilibrium value")
     updates = count_updates(monkeypatch)
     found = list(iter_equilibria(spec, tree, 0))
-    assert len(found) == 1 and updates.count(0) == 1
+    assert len(found) == 1 and updates == []
     assert set_value_bruteforce(spec, tree, 0) == set_value_dpp(spec, tree, 0)
     updates.clear()
     monkeypatch.setattr(equilibria, "_one_step_allowed", untested)
