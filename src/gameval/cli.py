@@ -50,10 +50,15 @@ def _load_spec(args) -> GameSpec:
     if not name:
         raise GameValidationError("provide --spec FILE or --example NAME")
     if name == "pareto":
-        return presets.build_pareto_spec(io.frac_from_str(args.pareto_eps))
+        return presets.build_pareto_spec(_pareto_eps(args))
     if name == "openloop":
         raise GameValidationError("the open-loop example has no discrete spec file")
     return presets.load_example(name)
+
+
+def _pareto_eps(args):
+    """``--pareto-eps`` as a rational, 1/100 when it is not given."""
+    return io.frac_from_str("1/100" if args.pareto_eps is None else args.pareto_eps)
 
 
 def _game(args) -> tuple[GameSpec, PathTree, int]:
@@ -114,14 +119,14 @@ def cmd_setvalue(args) -> int:
 
 def cmd_verify_dpp(args) -> int:
     # The Pareto and open-loop reports have a fixed game, start and stopping time.
-    for flag in ("spec", "prefix", "stop_time", "stop_at_state", "variant", "selection_class"):
+    for flag in ("prefix", "stop_time", "stop_at_state", "variant", "selection_class"):
         if args.example in ("pareto", "openloop") and getattr(args, flag) is not None:
             name = flag.replace("_", "-")
             raise GameValidationError(f"--example {args.example} takes no --{name}")
     if args.stop_time is not None and args.stop_at_state is not None:
         raise GameValidationError("give --stop-time or --stop-at-state, not both")
     if args.example == "openloop":
-        rep = dpp_mod.open_loop_lq_demo(args.sigma)
+        rep = dpp_mod.open_loop_lq_demo(0.0 if args.sigma is None else args.sigma)
         payload = {
             "command": "verify-dpp",
             "example": "openloop",
@@ -134,7 +139,7 @@ def cmd_verify_dpp(args) -> int:
 
     if args.example == "pareto":
         rep = dpp_mod.pareto_dpp_counterexample(
-            io.frac_from_str(args.pareto_eps),
+            _pareto_eps(args),
             policy_cap=args.cap,
             selection_cap=args.selection_cap,
         )
@@ -316,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--prefix", help="evaluation prefix like s0/s10 (default: first root)")
         p.add_argument("--cap", type=int, default=eq.DEFAULT_POLICY_CAP)
         p.add_argument("--selection-cap", type=int, default=eq.DEFAULT_SELECTION_CAP)
-        p.add_argument("--pareto-eps", default="1/100")
+        p.add_argument("--pareto-eps", help="kernel perturbation (pareto; default 1/100)")
         p.add_argument("--out", help="output JSON path (default: stdout)")
 
     p = sub.add_parser("setvalue", help="compute a set value")
@@ -335,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selection-class", choices=["path", "state"])
     p.add_argument("--stop-time", type=int, help="stop at a fixed time")
     p.add_argument("--stop-at-state", help="stop when a state label is first hit")
-    p.add_argument("--sigma", type=float, default=0.0, help="noise scale (openloop)")
+    p.add_argument("--sigma", type=float, help="noise scale (openloop; default 0)")
     p.set_defaults(func=cmd_verify_dpp)
 
     p = sub.add_parser("planner", help="scalarize the set value")
@@ -355,14 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("examples", help="list or dump named presets")
     p.add_argument("action", choices=["list", "dump"])
     p.add_argument("example", nargs="?", metavar="name")
-    p.add_argument("--pareto-eps", default="1/100")
+    p.add_argument("--pareto-eps", help="kernel perturbation (pareto; default 1/100)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_examples)
     return parser
 
 
-def _check_counts(args) -> None:
-    """Reject a worker count or an enumeration cap below 1 before any work."""
+def _check_flags(args) -> None:
+    """Reject, before any work, a worker count or an enumeration cap below 1,
+    ``--spec`` beside ``--example``, and a flag only another example reads."""
     threads = args.threads
     if threads is None:
         text = os.environ.get("GAMEVAL_THREADS", "1")
@@ -375,12 +381,19 @@ def _check_counts(args) -> None:
     for flag in ("cap", "selection_cap"):
         if getattr(args, flag, 1) < 1:
             raise GameValidationError(f"--{flag.replace('_', '-')} must be at least 1")
+    example = getattr(args, "example", None)
+    if example is not None and getattr(args, "spec", None) is not None:
+        raise GameValidationError("give --spec or --example, not both")
+    for flag, owner in (("sigma", "openloop"), ("pareto_eps", "pareto")):
+        if getattr(args, flag, None) is not None and example != owner:
+            name = flag.replace("_", "-")
+            raise GameValidationError(f"--{name} applies only to the {owner} example")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_counts(args)
+        _check_flags(args)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code

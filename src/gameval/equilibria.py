@@ -351,14 +351,6 @@ def _iter_general(spec, tree, scope, units: _Units, eps, cls):
             yield EquilibriumRecord(policy=policy, value=value, slack=tuple(slacks))
 
 
-def _pool(argmins, nodes) -> tuple[int, ...]:
-    """Actions that are an argmin at every one of ``nodes``, in index order."""
-    pool = argmins[nodes[0]]
-    for u in nodes[1:]:
-        pool = tuple(a for a in pool if a in argmins[u])
-    return pool
-
-
 class _Responder:
     """One player's best response over a scope to the others' unit actions:
     ``val`` and ``argmins`` at every local node. An update refreshes every
@@ -397,16 +389,18 @@ def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bo
     """Exact Nash enumeration from per-unit argmin pools, for any kernel.
 
     A unit is a node (path class) or a (time, state) group (state class on a
-    Markov scope). The other players' actions range, in lexicographic order,
-    over the assignments :func:`_one_step_allowed` leaves: at a unit whose
-    members are sure and whose continuation is fixed, only the others' parts
-    of one-step Nash joint actions, and none at all when a unit has no such
-    joint. The filter is necessary, not sufficient, so unless it tests the
-    start (see the end), every record is certified by the walks below. For
-    every remaining assignment, player 0's best-response walk gives its
-    argmin sets; player 0 then ranges over the assignments that play, at
-    each unit, an action that is an argmin at all of its reached members,
-    and any action at a unit with none
+    Markov scope). Every player plays at each unit from its menu there
+    (:func:`_menus`). The other players' assignments are the player-major
+    product of their menus, in lexicographic order: at a unit whose members
+    are sure and whose continuation is fixed, :func:`_one_step_allowed` has
+    kept each menu to its player's parts of the one-step Nash joint actions,
+    and with three or more players the parts must also form such a joint,
+    and no assignment exists when a unit has none. The filter is necessary,
+    not sufficient, so unless it tests the start (see the end), every record
+    is certified by the walks below. For every assignment, player 0's
+    best-response walk gives its argmin sets; player 0 then ranges over the
+    assignments that play, at each unit, an action of its menu that is an
+    argmin at all of its reached members
     (:func:`_reached_argmin_profiles`). Each remaining player j passes
     when it plays an argmin at every reached node of its walk against the
     others, memoized on their actions. An equilibrium's value is the vector
@@ -414,14 +408,14 @@ def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bo
     walk is a :class:`_Responder`, and values stay integers until
     :func:`_emit` makes the record.
 
-    Without policies every player ranges, at each unit, over the least
-    action of each payoff-equivalence class at the unit's row only
-    (:func:`_class_choices`), so tied repeats of a value are skipped. The
-    first record σ of a value comes out as before: replacing each of its
-    actions by its class's least gives an equilibrium with the same value
-    whose place in the lexicographic order of (others' columns, own column)
-    is not later than σ's, so it is σ. A scope whose rows have no ties runs
-    the loop unchanged, and with policies every tied profile still comes.
+    Without policies a menu holds only the least action of each
+    payoff-equivalence class at the unit's row, so tied repeats of a value
+    are skipped. The first record σ of a value comes out as before:
+    replacing each of its actions by its class's least gives an equilibrium
+    with the same value whose place in the lexicographic order of (others'
+    columns, own column) is not later than σ's, so it is σ. Where no row
+    ties, and with policies, a menu before the filter is every action, so
+    every tied profile still comes.
 
     When the filter tests the start, no walk runs. Every child of the start
     then has a fixed value, so by induction every decision node is sure and
@@ -452,14 +446,24 @@ def _iter_argmin(spec: GameSpec, scope: _Scope, units: _Units, with_policies: bo
                 ints = tuple(tot[j] for tot in totals)
                 yield _emit(seen, ints, scope, units, (joint, *forced[1:]), with_policies)
         return
-    choices = None if with_policies else _class_choices(scope, local)
+    menus = _menus(scope, local, allowed, with_policies)
+    assignments = itertools.product(
+        *(itertools.product(*(menu[p] for menu in menus)) for p in range(1, n))
+    )
+    if n > 2:
+        tested = [(k, frozenset(a)) for k, a in enumerate(allowed) if a is not None]
+        assignments = (
+            others
+            for others in assignments
+            if all(tuple(col[k] for col in others) in a for k, a in tested)
+        )
     walks = [_Responder(scope, i, local) for i in range(n)]
     memo: list[dict] = [{} for _ in range(n)]
     first, idle = walks[0], (0,) * len(local)
-    for others in _opponent_assignments(scope.tables.sizes, allowed, choices):
+    for others in assignments:
         first.update((idle,) + others)
         v0 = first.val[0]
-        profiles = _reached_argmin_profiles(scope.tables, reach, others, first.argmins, choices)
+        profiles = _reached_argmin_profiles(scope.tables, reach, others, first.argmins, menus)
         for own, hits in profiles:
             cols = (own,) + others
             values = [v0]
@@ -541,23 +545,22 @@ class _Reach(NamedTuple):
         return cls(tuple(sure), tuple(links), tuple(cuts))
 
 
-def _reached_argmin_profiles(tables, reach: _Reach, others, argmins0, choices):
+def _reached_argmin_profiles(tables, reach: _Reach, others, argmins0, menus):
     """Player 0's unit assignments that play an argmin wherever they reach.
 
     Depth first over the segments of ``reach``, and over the product of the
     units' pools within one segment, so assignments come out in lexicographic
     order of the pools. Entering a segment fixes which members of its units
-    are reached; a unit's pool is the actions that are an argmin at each of
-    its reached members, or every action when none is reached, kept to
-    ``choices[k][0]`` when ``choices`` are given. Each assignment is yielded
-    with ``hits``, the reached members of every unit under it.
+    are reached; a unit's pool is the actions of player 0's menu there
+    (``menus[k][0]``) that are an argmin at each of its reached members. Each
+    assignment is yielded with ``hits``, the reached members of every unit
+    under it.
     """
     sure, links, cuts = reach
     own = [0] * len(sure)
     hits = list(sure)
     reached: dict[int, bool] = {}  # contingent nodes entered so far; sure ones are absent
     strides = tables.strides
-    every = range(tables.sizes[0])
 
     def pools(seg: int) -> list:
         out = []
@@ -572,8 +575,10 @@ def _reached_argmin_profiles(tables, reach: _Reach, others, argmins0, choices):
                     if flag:
                         hit.append(u)
                 hits[k] = hit
-            pool = _pool(argmins0, hit) if hit else every
-            out.append(pool if choices is None else [a for a in pool if a in choices[k][0]])
+            pool = menus[k][0]
+            for u in hit:
+                pool = [a for a in pool if a in argmins0[u]]
+            out.append(pool)
         return out
 
     return _descend(pools, cuts, own, hits, 0)
@@ -673,43 +678,24 @@ def _nash_flags(totals, strides, sizes) -> list[bool]:
     return nash
 
 
-def _opponent_assignments(sizes, allowed, choices):
-    """The other players' unit columns that every tested unit allows, in
-    lexicographic order: player p ranges over its parts of each unit's
-    allowed joints, or every action at an untested unit, kept to
-    ``choices[k][p]`` when ``choices`` are given, and with three or more
-    players the parts must also form an allowed joint at every unit."""
-    spaces = []
-    for p, size in enumerate(sizes[1:], 1):
-        columns = []
-        for k, a in enumerate(allowed):
-            acts = range(size) if choices is None else choices[k][p]
-            if a is not None:
-                parts = {part[p - 1] for part in a}
-                acts = [x for x in acts if x in parts]
-            columns.append(acts)
-        spaces.append(itertools.product(*columns))
-    combos = itertools.product(*spaces)
-    if len(sizes) <= 2:
-        return combos
-    tested = [(k, frozenset(a)) for k, a in enumerate(allowed) if a is not None]
-    return (
-        others
-        for others in combos
-        if all(tuple(col[k] for col in others) in a for k, a in tested)
-    )
-
-
-def _class_choices(scope: _Scope, local):
-    """Per unit, each player's least actions of its payoff-equivalence
-    classes at the unit's row (:func:`_class_minima`), or None when no unit's
-    row has ties. A state-class unit on a Markov scope has one row."""
+def _menus(scope: _Scope, local, allowed, with_policies: bool) -> list[tuple]:
+    """Per unit k and player p, ``menus[k][p]``: the actions p may play at
+    unit k, in index order. Without policies these are the least actions of
+    the payoff-equivalence classes at the unit's row (:func:`_class_minima`;
+    a state-class unit on a Markov scope has one row), with policies, or
+    where no two actions tie, every action. At a unit the one-step filter
+    tested, each other player keeps only its parts of the allowed joints."""
     tables = scope.tables
-    minima = [_class_minima(tables, scope.rows[mem[0]]) for mem in local]
-    if not any(minima):
-        return None
     every = tuple(map(range, tables.sizes))
-    return [m or every for m in minima]
+    menus = []
+    for mem, joints in zip(local, allowed):
+        menu = None if with_policies else _class_minima(tables, scope.rows[mem[0]])
+        menu = menu or every
+        if joints is not None:
+            parts = [set(col) for col in zip(*joints)]
+            menu = (menu[0], *([a for a in acts if a in ps] for acts, ps in zip(menu[1:], parts)))
+        menus.append(menu)
+    return menus
 
 
 def _class_minima(tables, row: int):

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gameval
 from gameval import build_path_tree, dump_game, iter_equilibria, load_example
 from gameval.cli import main
 from gameval.io import record_to_json, write_json
@@ -290,6 +291,7 @@ H30 = ["--spec", str(DATA / "markov_h30.json")]
 # dump_game(random_game(random.Random(300), max_periods=1, n_actions=2)): two players
 # and no equilibrium, so the weights are never scored against a set value.
 NO_EQ = ["planner", "--spec", str(DATA / "no_equilibrium.json")]
+SHIPPED = Path(gameval.__file__).parent / "data"
 # Each bad flag, or (under a "config-" name) a solve-pde --config document.
 BAD_INPUTS = {
     "eps-abc": ["setvalue", "--example", "table1", "--eps", "abc"],
@@ -335,6 +337,23 @@ BAD_INPUTS = {
     "stop-time-and-stop-at-state": [
         "verify-dpp", "--example", "path", "--stop-time", "1", "--stop-at-state", "s10",
     ],
+    # One game at a time: a spec file does not silently win over an example.
+    "setvalue-spec-and-example": [
+        "setvalue", "--example", "table1", "--spec", str(SHIPPED / "path_game.json"),
+    ],
+    "verify-dpp-spec-and-example": [
+        "verify-dpp", "--example", "state", "--spec", str(SHIPPED / "path_game.json"),
+    ],
+    "planner-spec-and-example": [*NO_EQ, "--example", "path"],
+    # --sigma is read only by the open-loop report, --pareto-eps only by the Pareto example.
+    "sigma-with-path": ["verify-dpp", "--example", "path", "--sigma", "5"],
+    "sigma-with-spec": ["verify-dpp", "--spec", str(SHIPPED / "table1.json"), "--sigma", "0"],
+    "pareto-eps-setvalue-table1": ["setvalue", "--example", "table1", "--pareto-eps", "1/50"],
+    "pareto-eps-verify-dpp-openloop": [
+        "verify-dpp", "--example", "openloop", "--pareto-eps", "1/50",
+    ],
+    "pareto-eps-planner": [*NO_EQ, "--pareto-eps", "1/50"],
+    "pareto-eps-dump-path": ["examples", "dump", "path", "--pareto-eps", "1/50"],
     # The Pareto and open-loop reports fix their game, start and stopping time.
     **{
         f"{example}-{flag}": ["verify-dpp", "--example", example, f"--{flag}", value]

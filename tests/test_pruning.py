@@ -244,6 +244,71 @@ def count_updates(monkeypatch) -> list[int]:
     return players
 
 
+def unforced_units_below_the_root(n_players: int) -> GameSpec:
+    """Root r, then A or B, then X or Y. Every weight at r is positive, so A
+    and B are sure and have fixed continuations: the filter tests them, and
+    neither is forced. With two players, player 0's action at A and B sets
+    the odds of X, which only player 1 pays for, and player 1 pays its action
+    index, so each unit passes (0, 0) and (1, 0). With three, unanimous
+    joints go to X and all others to Y, and every player pays 1 at Y, so each
+    unit passes (0, 0, 0) and (1, 1, 1)."""
+    joints = list(itertools.product(range(2), repeat=n_players))
+    transitions = {
+        (0, "r", joint): (F(3, 4), F(1, 4)) if sum(joint) % 2 else (F(1, 3), F(2, 3))
+        for joint in joints
+    }
+    for joint in joints:
+        if n_players == 2:
+            x = F(3, 4) if joint[0] == 0 else F(1, 4)
+        else:
+            x = F(int(len(set(joint)) == 1))
+        transitions |= {(1, key, joint): (x, 1 - x) for key in "AB"}
+    running = [
+        {(0, "r", a): F(a * (i + 1), 8) for a in range(2)}
+        | {(1, key, a): F(a if n_players == 2 and i == 1 else 0) for key in "AB" for a in range(2)}
+        for i in range(n_players)
+    ]
+    terminal = [{"X": F(0), "Y": F(int(n_players > 2 or i == 1))} for i in range(n_players)]
+    return GameSpec(
+        horizon=2,
+        states=[["r"], ["A", "B"], ["X", "Y"]],
+        actions=[["h", "t"]] * n_players,
+        transitions=transitions,
+        running_costs=running,
+        terminal_costs=terminal,
+        state_dependent=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "n_players, parts, walks, unfiltered",
+    [(2, ((0,),), 2, 2**3), (3, ((0, 0), (1, 1)), 2**2 * 2 * 2, 2**2 * 4 * 4)],
+)
+def test_tested_units_that_are_not_forced_still_restrict_the_others(
+    n_players, parts, walks, unfiltered, monkeypatch
+):
+    """At A and B the filter passes two joints, so neither unit is forced and
+    the root stays untested, yet the others play only their parts of those
+    joints: player 1 action 0 alone with two players, and with three, players
+    1 and 2 each either action but only together as (0, 0) or (1, 1). Player
+    0's walk runs once per remaining assignment of the others, with and
+    without policies, and the records equal the unfiltered walk search's."""
+    spec = unforced_units_below_the_root(n_players)
+    tree = build_path_tree(spec)
+    for cls in (PATH_CLASS, STATE_CLASS):
+        scope = _Scope(spec, tree, 0)
+        assert one_step_tests(spec, tree, scope, cls) == ([None, parts, parts], [None] * 3, None)
+        with monkeypatch.context() as patch:
+            updates = count_updates(patch)
+            table = record_sequences(spec, tree, scope, cls)
+            assert updates.count(0) == 2 * walks  # with and without policies
+            updates.clear()
+            patch.setattr(equilibria, "_one_step_allowed", untested)
+            assert record_sequences(spec, tree, scope, cls) == table
+            assert updates.count(0) == 2 * unfiltered
+        assert len(table[0]) == 4  # one per pair of passing joints at A and B
+
+
 def pennies_below_the_root() -> GameSpec:
     """Root r0, one state m, then A or B. At m, matching actions lead to A
     with probability 3/4 and differing ones to B: player 0 pays 1 at B and
