@@ -56,6 +56,14 @@ def _load_spec(args) -> GameSpec:
     return presets.load_example(name)
 
 
+def _caps(args) -> tuple[int, int]:
+    """``--cap`` and ``--selection-cap``, each its default when it is not given."""
+    return (
+        eq.DEFAULT_POLICY_CAP if args.cap is None else args.cap,
+        eq.DEFAULT_SELECTION_CAP if args.selection_cap is None else args.selection_cap,
+    )
+
+
 def _pareto_eps(args):
     """``--pareto-eps`` as a rational, 1/100 when it is not given."""
     return io.frac_from_str("1/100" if args.pareto_eps is None else args.pareto_eps)
@@ -83,13 +91,14 @@ def cmd_setvalue(args) -> int:
         raise GameValidationError("the recursive engine computes the full variant only")
     if args.engine != "brute" and epsilon != 0:
         raise GameValidationError("the recursive engine is exact (eps must be 0)")
+    cap, selection_cap = _caps(args)
     spec, tree, start = _game(args)
 
     # The brute-force set value and the witnesses read one memoized enumeration.
     if args.engine != "dpp":
-        result = eq.variant_set(spec, tree, start, args.variant, eps=epsilon, cap=args.cap)
+        result = eq.variant_set(spec, tree, start, args.variant, eps=epsilon, cap=cap)
     if args.engine != "brute":
-        recursive = eq.set_value_dpp(spec, tree, start, selection_cap=args.selection_cap)
+        recursive = eq.set_value_dpp(spec, tree, start, selection_cap=selection_cap)
         if args.engine == "both" and result.points != recursive.points:
             raise GameValidationError("engines disagree; this is a bug worth reporting")
         result = recursive
@@ -109,7 +118,7 @@ def cmd_setvalue(args) -> int:
         # witnesses whose value survived the filter.
         wanted = set(result.points)
         cls = eq.VARIANT_POLICY_CLASS[args.variant]
-        index = eq.value_index(spec, tree, start, eps=epsilon, cls=cls, cap=args.cap)
+        index = eq.value_index(spec, tree, start, eps=epsilon, cls=cls, cap=cap)
         payload["witnesses"] = [
             io.record_to_json(spec, tree, rec) for value, rec in index.items() if value in wanted
         ]
@@ -118,8 +127,12 @@ def cmd_setvalue(args) -> int:
 
 
 def cmd_verify_dpp(args) -> int:
-    # The Pareto and open-loop reports have a fixed game, start and stopping time.
-    for flag in ("prefix", "stop_time", "stop_at_state", "variant", "selection_class"):
+    # The Pareto and open-loop reports have a fixed game, start and stopping
+    # time, and the open-loop one enumerates nothing.
+    fixed = ("prefix", "stop_time", "stop_at_state", "variant", "selection_class")
+    if args.example == "openloop":
+        fixed += ("cap", "selection_cap")
+    for flag in fixed:
         if args.example in ("pareto", "openloop") and getattr(args, flag) is not None:
             name = flag.replace("_", "-")
             raise GameValidationError(f"--example {args.example} takes no --{name}")
@@ -137,11 +150,12 @@ def cmd_verify_dpp(args) -> int:
         _emit(payload, args.out)
         return 0
 
+    cap, selection_cap = _caps(args)
     if args.example == "pareto":
         rep = dpp_mod.pareto_dpp_counterexample(
             _pareto_eps(args),
-            policy_cap=args.cap,
-            selection_cap=args.selection_cap,
+            policy_cap=cap,
+            selection_cap=selection_cap,
         )
     else:
         preset = BATTERY.get(args.example, dict(stop=None, variant="full", selection="path"))
@@ -163,8 +177,8 @@ def cmd_verify_dpp(args) -> int:
             stopping,
             variant=variant,
             selection_class=selection_cls,
-            policy_cap=args.cap,
-            selection_cap=args.selection_cap,
+            policy_cap=cap,
+            selection_cap=selection_cap,
         )
     payload = {"command": "verify-dpp", **io.report_to_json(rep)}
     if args.example:
@@ -180,13 +194,14 @@ def cmd_planner(args) -> int:
         lam = planner.Scalarization.parse(args.weights)
     else:
         lam = planner.Scalarization.uniform(spec.n_players)
+    cap = _caps(args)[0]
     if args.probe:
-        rep = planner.time_inconsistency_probe(spec, tree, start, lam, cap=args.cap)
+        rep = planner.time_inconsistency_probe(spec, tree, start, lam, cap=cap)
         opt, dictatorship = rep.optimum, rep.dictatorship_value
     else:
         # The weights' length is checked here, before the enumeration.
         dictatorship = planner.dictatorship_value(spec, tree, start, lam)
-        vs = eq.set_value_bruteforce(spec, tree, start, cap=args.cap)
+        vs = eq.set_value_bruteforce(spec, tree, start, cap=cap)
         opt = planner.planner_optimum(vs, lam)
     payload = {
         "command": "planner",
@@ -319,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
         if with_example:
             p.add_argument("--example", help="named preset")
         p.add_argument("--prefix", help="evaluation prefix like s0/s10 (default: first root)")
-        p.add_argument("--cap", type=int, default=eq.DEFAULT_POLICY_CAP)
-        p.add_argument("--selection-cap", type=int, default=eq.DEFAULT_SELECTION_CAP)
+        p.add_argument("--cap", type=int)
+        p.add_argument("--selection-cap", type=int)
         p.add_argument("--pareto-eps", help="kernel perturbation (pareto; default 1/100)")
         p.add_argument("--out", help="output JSON path (default: stdout)")
 
@@ -379,7 +394,8 @@ def _check_flags(args) -> None:
     if threads < 1:
         raise GameValidationError("--threads must be at least 1")
     for flag in ("cap", "selection_cap"):
-        if getattr(args, flag, 1) < 1:
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
             raise GameValidationError(f"--{flag.replace('_', '-')} must be at least 1")
     example = getattr(args, "example", None)
     if example is not None and getattr(args, "spec", None) is not None:

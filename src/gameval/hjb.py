@@ -37,10 +37,16 @@ from .equilibria import ValueSet
 from .errors import GameValidationError, NumericInstabilityError
 
 _BOUND_TOL = 1e-9  # every bound test is written `not (v <= bound)`, so that NaN fails it
-# The most explicit time steps one solve may take. The presets take at most 142,
-# their refined grids 484 and the tests 2,024; a tiny ht or a long t_final would
+# The most explicit time steps one solve may take. The presets take at most 40,
+# their refined grids 135 and the tests 2,024; a tiny ht or a long t_final would
 # otherwise step for hours.
 MAX_TIME_STEPS = 10_000
+# The share of its step bound a scheme takes when cfl_safety is None. The
+# monotone bound is exact, and the margin below 1 covers data up to _BOUND_TOL
+# past their declared bounds and a ceil that rounds ht onto the bound. The
+# central bounds are per term, not a positivity limit.
+MONOTONE_CFL_SAFETY = 0.9
+CENTRAL_CFL_SAFETY = 0.25
 _NEG_TOL = 1e-10  # the monotone scheme aborts when W falls below -_NEG_TOL
 
 
@@ -143,6 +149,8 @@ class GridConfig:
 
     Counts are integers and every other number a finite real (``bool`` is
     neither); anything outside a field's domain is a validation error.
+    ``ht`` None takes the step bound itself, and ``cfl_safety`` None the
+    scheme's share of it: ``MONOTONE_CFL_SAFETY`` or ``CENTRAL_CFL_SAFETY``.
     """
 
     x_lo: float = -2.0
@@ -154,7 +162,7 @@ class GridConfig:
     t_final: float = 0.25
     z_max: float = 1.5
     nz: int = 13
-    cfl_safety: float = 0.25
+    cfl_safety: float | None = None
     ht: float | None = None
     delta_scale: float = 1.0
     monotone: bool = True
@@ -168,7 +176,7 @@ class GridConfig:
         for name in ("x_lo", "x_hi", "y_lo", "y_hi", "t_final", "z_max", "cfl_safety",
                      "delta_scale", "ht"):
             value = getattr(self, name)
-            if not (_is_finite(value) or name == "ht" and value is None):
+            if not (_is_finite(value) or name in ("cfl_safety", "ht") and value is None):
                 raise GameValidationError(f"{name} must be a finite number, got {value!r}")
         if not isinstance(self.monotone, bool):
             raise GameValidationError(f"monotone must be true or false, got {self.monotone!r}")
@@ -186,7 +194,7 @@ class GridConfig:
             raise GameValidationError("nz must be odd so the z grid contains 0")
         if self.z_max <= 0 or self.t_final <= 0:
             raise GameValidationError("z_max and t_final must be positive")
-        if not 0 < self.cfl_safety:
+        if self.cfl_safety is not None and not 0 < self.cfl_safety:
             raise GameValidationError("cfl_safety must be positive")
         if self.ht is not None and not 0 < self.ht:
             raise GameValidationError("ht must be positive")
@@ -257,13 +265,18 @@ class GridConfig:
         node by 1 - ht*(1/(j*hx)^2 + sum_i |own_min_i|/hy), which is
         nonnegative for every stencil exactly when ht*(1/hx^2 + n*upwind/hy)
         <= 1. The central scheme takes the smallest of its per-term bounds:
-        diffusion in x, in y (with z up to z_max) and the y drift.
+        diffusion in x, in y (with z up to z_max) and the y drift. Either
+        bound is scaled by ``cfl_safety``, or by the scheme's default share
+        when it is None.
         """
+        safety = self.cfl_safety
+        if safety is None:
+            safety = MONOTONE_CFL_SAFETY if self.monotone else CENTRAL_CFL_SAFETY
         upwind = spec.cost_bound + spec.drift_bound * self.z_max
         if self.monotone:
             rate = 1.0 / (self.hx * self.hx) + spec.n_players * upwind / self.hy
-            return self.cfl_safety / rate
-        return self.cfl_safety * min(
+            return safety / rate
+        return safety * min(
             self.hx * self.hx,
             self.hy * self.hy / (1.0 + self.z_max * self.z_max),
             self.hy / upwind if upwind > 0 else math.inf,

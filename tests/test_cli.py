@@ -164,6 +164,14 @@ def test_solve_pde_config_file(capsys, tmp_path):
     assert code == 0
 
 
+def test_a_null_cfl_safety_in_a_config_file_is_the_default(capsys, tmp_path):
+    config = tmp_path / "null.json"
+    config.write_text(json.dumps({"preset": "zero-sum", "grid": {"cfl_safety": None}}))
+    code, out, _ = run(capsys, "solve-pde", "--config", str(config))
+    assert code == 0 and out.startswith("preset zero-sum: nt=13 ")
+    assert (code, out) == run(capsys, "solve-pde", "--preset", "zero-sum")[:2]
+
+
 def test_exit_code_validation(capsys, tmp_path):
     code, _, err = run(capsys, "setvalue", "--spec", str(tmp_path / "missing.json"))
     assert code == 2
@@ -363,6 +371,9 @@ BAD_INPUTS = {
             "variant": "full", "selection-class": "path",
         }.items()
     },
+    # The open-loop report enumerates nothing, so it reads neither cap.
+    "openloop-cap": ["verify-dpp", "--example", "openloop", "--cap", "5"],
+    "openloop-selection-cap": ["verify-dpp", "--example", "openloop", "--selection-cap", "7"],
     "config-monotone-no": {"preset": "static", "grid": {"monotone": "no"}},
     "config-nx-float": {"preset": "static", "grid": {"nx": 7.0}},
     "config-x-bounds-swapped": {"preset": "static", "grid": {"x_lo": 1.0, "x_hi": -1.0}},

@@ -71,11 +71,17 @@ COMMANDS = {
         "verify-dpp", "--example", "path", "--variant", "pareto", "--stop-time", "1",
     ],
     # Written before the monotone sweep took x-constant coefficients as floats
-    # and padded y by ceil(P/2) instead of P. The payload carries min_w and each
-    # cluster's w_min, so it pins W itself as well as the level set.
-    "solve-pde-single-player": ["solve-pde", "--preset", "single-player"],
-    "solve-pde-zero-sum": ["solve-pde", "--preset", "zero-sum"],
-    "solve-pde-static": ["solve-pde", "--preset", "static"],
+    # and padded y by ceil(P/2) instead of P, at the step the monotone scheme
+    # then took by default. The payload carries min_w and each cluster's w_min,
+    # so it pins W itself as well as the level set.
+    "solve-pde-single-player": ["solve-pde", "--preset", "single-player", "--cfl-safety", "0.25"],
+    "solve-pde-zero-sum": ["solve-pde", "--preset", "zero-sum", "--cfl-safety", "0.25"],
+    "solve-pde-static": ["solve-pde", "--preset", "static", "--cfl-safety", "0.25"],
+    # Written with --cfl-safety 0.9 before that became the monotone scheme's
+    # default, so the default step is pinned against outputs made before it.
+    "solve-pde-single-player-default": ["solve-pde", "--preset", "single-player"],
+    "solve-pde-zero-sum-default": ["solve-pde", "--preset", "zero-sum"],
+    "solve-pde-static-default": ["solve-pde", "--preset", "static"],
     # Written on 2026-10-19, before a scope whose only decision node is its
     # start was enumerated from its one-step Nash table. These examples have
     # horizon 1, so the witnesses and the probe's argmin come from that table.

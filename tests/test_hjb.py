@@ -13,6 +13,8 @@ import pytest
 
 from gameval import GameValidationError, NumericInstabilityError
 from gameval.hjb import (
+    CENTRAL_CFL_SAFETY,
+    MONOTONE_CFL_SAFETY,
     CoupledCost,
     _coefficients,
     _LatticeTerms,
@@ -624,10 +626,10 @@ def test_level_set_meeting_y_hi_keeps_w_nonnegative(k):
     assert len(nodal_set(field, 0.0, 0.0).clusters) == 1
 
 
-def parabolic_argmin(field):
-    """Vertex of the parabola through the least node of W(0, 0, .) and its neighbours."""
+def parabolic_argmin(field, x=0.0):
+    """Vertex of the parabola through the least node of W(0, x, .) and its neighbours."""
     grid = field.grid
-    sect = field.layer(0.0)[grid.nx // 2]
+    sect = field.layer(0.0)[int(round((x - grid.x_lo) / grid.hx))]
     k = int(np.argmin(sect))
     lo, mid, hi = sect[k - 1], sect[k], sect[k + 1]
     return float(grid.y_values[k]) + 0.5 * grid.hy * (lo - hi) / (lo - 2 * mid + hi)
@@ -642,6 +644,25 @@ def test_lattice_scheme_converges_to_the_oracle():
     )
     errors = [abs(parabolic_argmin(solve_w(spec, g)) - oracle) for g in (grid, grid.refined())]
     assert errors[1] < errors[0] < grid.hy
+
+
+@pytest.mark.parametrize("refine", [False, True], ids=["41x41", "81x81"])
+def test_the_default_step_reads_the_value_no_worse_than_a_quarter_step(refine):
+    """The vertex of W(0, x, .) against the scalar HJB value, at x = -1, 0, 1.
+
+    Errors at cfl_safety 0.25 and at the default: 0.0072 / 0.0076 / 0.0078 and
+    0.0068 / 0.0065 / 0.0069 on 41x41; 0.0037 / 0.0022 / 0.0041 and
+    0.0036 / 0.0018 / 0.0038 on 81x81.
+    """
+    spec, grid = pde_preset("single-player")
+    grid = grid.refined() if refine else grid
+    v = single_player_hjb(spec.terminal[0], spec.action_grids[0], grid.x_lo, grid.x_hi,
+                          641, grid.t_final)
+    fields = [solve_w(spec, grid), solve_w(spec, replace(grid, cfl_safety=0.25))]
+    for x in (-1.0, 0.0, 1.0):
+        oracle = float(v[int(round((x - grid.x_lo) / (grid.x_hi - grid.x_lo) * 640))])
+        default, quarter = (abs(parabolic_argmin(f, x) - oracle) for f in fields)
+        assert default <= quarter
 
 
 def test_lattice_stencils_resolve_the_z_grid():
@@ -703,7 +724,7 @@ def test_upwind_term_bounds_the_time_step(drift_scale, nt):
     """A fast drift dominates the monotone bound; W must stay nonnegative."""
     spec, grid = pde_preset("single-player")
     spec = replace(spec, drift=lambda t, x, a: drift_scale * a[0], drift_bound=drift_scale)
-    grid = small_grid(grid, t_final=0.05)
+    grid = small_grid(grid, t_final=0.05, cfl_safety=0.25)
     upwind = (spec.cost_bound + drift_scale * grid.z_max) / grid.hy
     bound = grid.cfl_safety / (1.0 / (grid.hx * grid.hx) + upwind)
     assert grid.ht_bound(spec) == bound
@@ -714,14 +735,47 @@ def test_upwind_term_bounds_the_time_step(drift_scale, nt):
         solve_w(spec, small_grid(grid, ht=1.01 * bound))
 
 
-def test_upwind_term_binds_on_no_preset():
-    """Step counts of the presets and the 81x81 grid under the monotone bound."""
+@pytest.mark.parametrize("drift_scale, nt", [(200.0, 285), (400.0, 563)])
+def test_the_default_step_keeps_w_nonnegative_under_a_fast_drift(drift_scale, nt):
+    """The monotone default takes 0.9 of the exact positivity bound."""
+    spec, grid = pde_preset("single-player")
+    spec = replace(spec, drift=lambda t, x, a: drift_scale * a[0], drift_bound=drift_scale)
+    grid = small_grid(grid, t_final=0.05)
+    upwind = (spec.cost_bound + drift_scale * grid.z_max) / grid.hy
+    assert grid.ht_bound(spec) == MONOTONE_CFL_SAFETY / (1.0 / (grid.hx * grid.hx) + upwind)
+    field = solve_w(spec, grid)
+    assert field.nt == nt
+    assert field.min_w >= -1e-10
+
+
+def preset_steps(**overrides):
+    """Step counts of the three presets and the 81x81 single-player grid."""
     steps = []
     for name, refine in [("single-player", False), ("zero-sum", False), ("static", False),
                          ("single-player", True)]:
         spec, grid = pde_preset(name)
-        steps.append((grid.refined() if refine else grid).resolve_ht(spec)[1])
-    assert steps == [142, 45, 57, 484]
+        grid = replace(grid.refined() if refine else grid, **overrides)
+        steps.append(grid.resolve_ht(spec)[1])
+    return steps
+
+
+def test_upwind_term_binds_on_no_preset():
+    """Step counts of the presets and the 81x81 grid at a quarter of the monotone bound."""
+    assert preset_steps(cfl_safety=0.25) == [142, 45, 57, 484]
+
+
+def test_the_default_step_is_near_the_monotone_bound():
+    assert preset_steps() == [40, 13, 16, 135]
+
+
+def test_the_central_scheme_keeps_a_quarter_of_its_bound():
+    """cfl_safety None is CENTRAL_CFL_SAFETY = 0.25 on the central scheme."""
+    assert CENTRAL_CFL_SAFETY == 0.25
+    for name in ("single-player", "zero-sum", "static"):
+        spec, grid = pde_preset(name)
+        central = replace(grid, monotone=False)
+        assert central.cfl_safety is None
+        assert central.ht_bound(spec) == replace(central, cfl_safety=0.25).ht_bound(spec)
 
 
 @pytest.mark.parametrize(
@@ -759,7 +813,9 @@ def test_grid_validation():
     with pytest.raises(GameValidationError):
         GridConfig(nx=2)
     spec, grid = pde_preset("single-player")
-    field = solve_w(spec, small_grid(grid, nx=11, ny=11, t_final=0.02))
+    # At the default step this grid takes one step, and t = 0.013 would read the
+    # t = 0.02 layer.
+    field = solve_w(spec, small_grid(grid, nx=11, ny=11, t_final=0.02, cfl_safety=0.25))
     with pytest.raises(GameValidationError, match="not a grid node"):
         nodal_set(field, 0.0, 0.123456)
     with pytest.raises(GameValidationError, match="no stored layer"):
@@ -801,8 +857,10 @@ def test_grid_fields_take_numpy_scalars_and_keep_documented_bounds():
         ht=np.float64(1e-3), delta_scale=np.float64(0.5), store_times=(np.float64(0.05),),
     )
     assert grid.nx == 21 and grid.ht == 1e-3
-    # cfl_safety above 1 stays allowed (the README documents it); None is the default ht.
+    # cfl_safety above 1 stays allowed (the README documents it); None is the
+    # default ht and the scheme's default cfl_safety.
     assert replace(grid, cfl_safety=4.0, ht=None).cfl_safety == 4.0
+    assert replace(grid, cfl_safety=None).cfl_safety is None
 
 
 @pytest.mark.parametrize("delta", [-1.0, math.inf, math.nan])
