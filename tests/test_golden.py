@@ -34,7 +34,8 @@ from gameval.presets import SPEC_FILES
 from specgen import random_game
 from test_core import tied_game
 
-GOLDEN = Path(__file__).parent / "data" / "golden"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
 
 STATE = ["--example", "state"]
 COMMANDS = {
@@ -94,6 +95,21 @@ COMMANDS = {
     # on the path example stops where it first hits state s10.
     "verify-dpp-path-stop-at-state-s10": [
         "verify-dpp", "--example", "path", "--stop-at-state", "s10",
+    ],
+    # Written before verify-dpp's full variant with path selections came from
+    # the recursion with off-path punishments instead of enumerations. The
+    # two zero-kernel specs (seeded ``random_game(allow_zero=True)`` draws,
+    # one path-keyed, one Markov) lose a value to the selections: rhs_subset.
+    "verify-dpp-zero-kernel-path-stop-2": [
+        "verify-dpp", "--spec", str(DATA / "zero_kernel_path.json"), "--stop-time", "2",
+    ],
+    "verify-dpp-zero-kernel-markov": [
+        "verify-dpp", "--spec", str(DATA / "zero_kernel_markov.json"),
+    ],
+    "verify-dpp-path-stop-1": ["verify-dpp", "--example", "path", "--stop-time", "1"],
+    "verify-dpp-path-stop-2": ["verify-dpp", "--example", "path", "--stop-time", "2"],
+    "verify-dpp-path-prefix-s0-s10-stop-2": [
+        "verify-dpp", "--example", "path", "--prefix", "s0/s10", "--stop-time", "2",
     ],
 }
 
