@@ -2,7 +2,9 @@
 
 ``verify_dpp`` compares the set value at a node (lhs) against the set built
 from truncated games whose terminal data are selected pointwise from later
-set values (rhs), for the full, state, symmetric, and Pareto variants. The
+set values (rhs), for the full, state, symmetric, and Pareto variants: the
+full variant with path selections by the recursion with off-path
+punishments, every other check by enumeration. The
 module also houses the two analytic demonstrations: the perturbed two-period
 game where the Pareto recursion fails in both directions, and the two-period
 linear-quadratic game with open-loop controls where composing stagewise
@@ -11,6 +13,7 @@ equilibria does not reproduce the whole-game equilibrium value.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -22,9 +25,12 @@ from .equilibria import (
     DEFAULT_POLICY_CAP,
     DEFAULT_SELECTION_CAP,
     ValueSet,
+    _check_class_size,
     _nash_flags,
     _one_step_costs,
+    _Punishments,
     _row_set,
+    _variant_class,
     variant_set,
 )
 from .errors import EnumerationCapExceeded, GameValidationError, NumericInstabilityError
@@ -88,19 +94,36 @@ def verify_dpp(
 ) -> DppReport:
     """Compare V(start) with the union over selections psi of V^psi(start).
 
-    Both are :func:`variant_set` sets. A selection psi picks one value of V
-    at each stopped prefix, one per (time, state) under ``STATE_CLASS``
-    selections; V^psi is the set of the game stopped there with values psi.
+    A selection psi picks one value of V at each stopped prefix, one per
+    (time, state) under ``STATE_CLASS`` selections; V^psi is the set of the
+    game stopped there with values psi. The variant and the selection class
+    are checked before any work.
+
+    The full variant with path selections reads both sides from the
+    recursion with off-path punishments (:class:`_Punishments`), after the
+    class size is checked against ``policy_cap``: V is its E, and the union
+    over psi is the same recursion on the game cut at the stopping time,
+    each stopped prefix carrying its set V. Selections below different
+    children are independent, so the union over psi is the recursion over
+    sets. Every other case enumerates: both sides are :func:`variant_set`
+    sets, with one enumeration per selection. Either way the selections are
+    counted, and checked against ``selection_cap``, as the product of the
+    stopped prefixes' set sizes.
     """
-    lhs = variant_set(spec, tree, start, variant, cap=policy_cap)
+    _variant_class(variant)
     if selection_class not in SELECTION_CLASSES:
         raise GameValidationError(f"selection class must be one of {SELECTION_CLASSES}")
+    recursion = None
+    if variant == "full" and selection_class == PATH_CLASS:
+        _check_class_size(spec, tree, start, PATH_CLASS, policy_cap)
+        recursion = _Punishments(spec, tree, policy_cap)
+        value_set = recursion.value_set
+    else:
+        value_set = functools.partial(variant_set, spec, tree, variant=variant, cap=policy_cap)
+    lhs = value_set(start)
 
     frontier_nodes = stopping.frontier(tree, start)
-    node_sets = {
-        nid: variant_set(spec, tree, nid, variant, cap=policy_cap).points
-        for nid in frontier_nodes
-    }
+    node_sets = {nid: value_set(nid).points for nid in frontier_nodes}
     if selection_class == STATE_CLASS:
         groups = tree.group_by_time_state(frontier_nodes)
     else:
@@ -120,11 +143,14 @@ def verify_dpp(
             "terminal selection enumeration", n_selections, selection_cap
         )
 
-    rhs_points: set[Vector] = set()
-    for chosen in itertools.product(*choice_sets):
-        psi = {nid: value for members, value in zip(groups.values(), chosen) for nid in members}
-        rhs_points.update(variant_set(spec, tree, start, variant, cap=policy_cap, frontier=psi))
-    rhs = ValueSet.of(rhs_points)
+    if recursion is not None:
+        rhs = recursion.stopped(frontier_nodes).value_set(start)
+    else:
+        rhs_points: set[Vector] = set()
+        for chosen in itertools.product(*choice_sets):
+            psi = {nid: value for members, value in zip(groups.values(), chosen) for nid in members}
+            rhs_points.update(value_set(start, frontier=psi))
+        rhs = ValueSet.of(rhs_points)
 
     context = {
         "variant": variant,

@@ -17,16 +17,20 @@ Two independent routes compute the same object:
   profiles of the induced static game, of the resulting values.
 
 Their exact agreement on strictly positive kernels is the central invariant
-of the package and is what the verification layer stresses.
+of the package and is what the verification layer stresses. For every
+kernel, ``_Punishments`` extends the recursion with off-path punishment
+values; ``dpp.verify_dpp`` reads it for the full variant with path
+selections.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import add, and_, ge, le, mul
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -678,6 +682,20 @@ def _nash_flags(totals, strides, sizes) -> list[bool]:
     return nash
 
 
+def _best_replies(totals, strides, sizes) -> list[list[int]]:
+    """Per player i, and per joint action in joint-index order, the least of
+    ``totals[i]`` over the player's own actions against the others' parts
+    of that joint: the player's best one-step reply (see :func:`_nash_flags`)."""
+    replies = []
+    for tot, stride, size in zip(totals, strides, sizes):
+        span, best = stride * size, list(tot)
+        for top in range(0, len(tot), span):
+            for base in range(top, top + stride):
+                best[base : base + span : stride] = [min(tot[base : base + span : stride])] * size
+        replies.append(best)
+    return replies
+
+
 def _menus(scope: _Scope, local, allowed, with_policies: bool) -> list[tuple]:
     """Per unit k and player p, ``menus[k][p]``: the actions p may play at
     unit k, in index order. Without policies these are the least actions of
@@ -822,8 +840,12 @@ def _row_recursion(spec: GameSpec, tree: PathTree, start: int, cap: int, *, nash
     """The start row's recursion set (:func:`_row_set`) as a value set."""
     tables = tables_of(spec, tree)
     node = tree.node(start)
-    scale = tables.scale[node.t]
     points, _ = _row_set(spec, tables, tables.row(node), cap, nash)
+    return _value_set(tables.scale[node.t], points)
+
+
+def _value_set(scale: int, points) -> ValueSet:
+    """Integer points at a level's scale as a value set of fractions."""
     return ValueSet.of(tuple(Fraction(v, scale) for v in p) for p in points)
 
 
@@ -849,28 +871,163 @@ def _row_set(spec: GameSpec, tables, row: int, cap: int, nash: bool):
         return (end,), 0
     children = [_row_set(spec, tables, child, cap, nash) for child in range(*tables.kids[row])]
     child_sets, counts = zip(*children)
-    n_selections = math.prod(map(len, child_sets))
-    if n_selections > cap:
-        raise EnumerationCapExceeded("continuation selection enumeration", n_selections, cap)
-    found: set[tuple[int, ...]] = set()
-    joints, strides, sizes = spec.joint_actions, tables.strides, tables.sizes
-    for chosen in itertools.product(*child_sets):
-        totals = _one_step_costs(tables, row, chosen, joints)
-        values = zip(*totals)
-        if nash:
-            values = itertools.compress(values, _nash_flags(totals, strides, sizes))
-        found.update(values)
+    keep = _nash_points if nash else _joint_points
+    found, n_selections = _selections(spec.joint_actions, tables, row, child_sets, keep, cap)
     points = tuple(found) if nash else tuple(y for y in found if not _dominated(y, found))
     memo[row] = entry = points, max(n_selections, *counts)
     return entry
 
 
+def _selections(joints, tables, row: int, child_sets, keep, cap: int):
+    """The union, over the selections of one point of ``child_sets[k]`` at
+    each child k of a row, of the points ``keep(tables, totals)`` takes from
+    the selection's one-step game (:func:`_one_step_costs`), and the number
+    of selections, which may not exceed ``cap``. The one loop over
+    selections of both recursions: :func:`_row_set` and
+    :class:`_Punishments`."""
+    n_selections = math.prod(map(len, child_sets))
+    if n_selections > cap:
+        raise EnumerationCapExceeded("continuation selection enumeration", n_selections, cap)
+    found: set[tuple[int, ...]] = set()
+    for chosen in itertools.product(*child_sets):
+        found.update(keep(tables, _one_step_costs(tables, row, chosen, joints)))
+    return found, n_selections
+
+
+def _joint_points(tables, totals):
+    """Every joint action's value vector in a one-step game."""
+    return zip(*totals)
+
+
+def _nash_points(tables, totals, among=None):
+    """The value vectors of a one-step game's Nash joints
+    (:func:`_nash_flags`), of those marked in ``among`` when given."""
+    flags = _nash_flags(totals, tables.strides, tables.sizes)
+    if among is not None:
+        flags = map(and_, flags, among)
+    return itertools.compress(zip(*totals), flags)
+
+
+def _deviation_points(tables, totals):
+    """Per joint action, the vector of every player's best one-step reply to
+    the others' parts (:func:`_best_replies`): what each deviator gets."""
+    return zip(*_best_replies(totals, tables.strides, tables.sizes))
+
+
+class _Punishments:
+    """Exact path-class Nash values at eps 0 for every kernel: a set recursion
+    that carries punishment values (Abreu, Pearce & Stacchetti, Econometrica
+    1990), in integers on the compiled tables.
+
+    A Nash profile may deter a deviation by what it plays at a child it
+    reaches with probability 0. There the continuation need not be an
+    equilibrium; a deviator just best-responds to it. So for the subgame at
+    n, let P(n) be the set of the vectors (BR_i(σ))_i of every player's
+    best-response value against the profiles σ there, and E(n) the set of
+    its Nash values. With r_i a player's running cost and q the kernel at n:
+
+    * P(n) is the union, over joint actions a and selections v_c ∈ P(c) of
+      one point per child, of (min_b [r_i(b) + Σ_c q(c | b, a₋ᵢ)·v_c,i])_i.
+    * E(n) is the union, over joint actions a and selections with v_c ∈
+      E(c) where q(c | a) > 0 and v_c ∈ P(c) elsewhere, of a's one-step
+      value when a is one-step Nash against v. One selection serves a and
+      every deviation from it, as one subprofile plays at each child.
+    * A *carried* subgame (an end, or a node where play stops) offers a set
+      C as E and Max C as Max P; an end's C is its terminal vector.
+
+    This is exact: a profile is Nash at n exactly when it is Nash at the
+    children its joint action reaches and that joint action is one-step Nash
+    against those children's values and, elsewhere, the deviators' best
+    responses; path-class subprofiles below different children are
+    independent. Each P(n) component grows with the children's, and a
+    larger punishment only deters more, so P is kept to its Pareto-maximal
+    points Max P (:func:`_dominated` with ``ge``). Max P(c) is computed
+    only where some joint action at the parent does not reach c. A row
+    where every joint action reaches every child keeps the Nash values over
+    selections from E alone, which is :func:`_row_set`'s recursion.
+
+    ``stops`` is None for the whole game, whose keys are table rows, else a
+    map from the node ids where play stops to their carried integer sets,
+    and keys are node ids. Each one-step selection product is checked
+    against ``cap`` (the policy cap of the class whose size the caller
+    checked); a product is at most that size, as each point stands for a
+    profile of its child's subgame. The memos live as long as the object.
+    """
+
+    def __init__(self, spec: GameSpec, tree: PathTree, cap: int, stops=None):
+        self.spec, self.tree, self.cap, self.stops = spec, tree, cap, stops
+        self.tables = tables_of(spec, tree)
+        self.sets: dict = {}  # E by key
+        self.threats: dict = {}  # Max P by key
+
+    def _below(self, key):
+        """A decision key's table row and its children's keys."""
+        if self.stops is None:
+            return key, range(*self.tables.kids[key])
+        node = self.tree.nodes[key]
+        return self.tables.row(node), node.children
+
+    def _carried(self, key):
+        if self.stops is None:
+            end = self.tables.end[key]
+            return None if end is None else (end,)
+        return self.stops.get(key)
+
+    def values(self, key) -> tuple:
+        """E at a key, as integer points."""
+        out = self.sets.get(key)
+        if out is None:
+            out = self._carried(key)
+            if out is None:
+                row, kids = self._below(key)
+                reaches = [tuple(map(bool, w)) for w in self.tables.kern[row]]  # per joint
+                kinds = dict.fromkeys(reaches)
+                found = set()
+                for reached in kinds:  # the joints that reach these children, at once
+                    among = [r == reached for r in reaches] if len(kinds) > 1 else None
+                    sets = [
+                        self.values(c) if on else self.punishments(c) for c, on in zip(kids, reached)
+                    ]
+                    found |= self._union(row, sets, functools.partial(_nash_points, among=among))
+                out = tuple(found)
+            self.sets[key] = out
+        return out
+
+    def punishments(self, key) -> tuple:
+        """Max P at a key, as integer points."""
+        out = self.threats.get(key)
+        if out is None:
+            carried = self._carried(key)
+            if carried is None:
+                row, kids = self._below(key)
+                carried = self._union(row, [self.punishments(c) for c in kids], _deviation_points)
+            out = self.threats[key] = tuple(y for y in carried if not _dominated(y, carried, ge))
+        return out
+
+    def _union(self, row: int, child_sets, keep) -> set:
+        return _selections(self.spec.joint_actions, self.tables, row, child_sets, keep, self.cap)[0]
+
+    def value_set(self, nid: int) -> ValueSet:
+        """E at a node of the tree, as a value set."""
+        node = self.tree.nodes[nid]
+        key = nid if self.stops is not None else self.tables.row(node)
+        return _value_set(self.tables.scale[node.t], self.values(key))
+
+    def stopped(self, frontier) -> _Punishments:
+        """The recursion of the game whose play stops at the ``frontier``
+        nodes, each carrying this recursion's E there."""
+        carried = {nid: self.values(self.tables.row(self.tree.nodes[nid])) for nid in frontier}
+        return _Punishments(self.spec, self.tree, self.cap, carried)
+
+
 # -- order filters -------------------------------------------------------------
 
 
-def _dominated(y: Vector, points) -> bool:
-    """Whether some other point is <= y in every coordinate."""
-    return any(x != y and all(xi <= yi for xi, yi in zip(x, y)) for x in points)
+def _dominated(y: Vector, points, order=le) -> bool:
+    """Whether some other point x has ``order(x_k, y_k)`` in every
+    coordinate k: x <= y (the default) for minimal sets, ``ge`` for maximal
+    ones."""
+    return any(x != y and all(map(order, x, y)) for x in points)
 
 
 def pareto_filter(vs: ValueSet) -> ValueSet:
@@ -906,9 +1063,7 @@ def variant_set(
     with those terminal values, then its filter. Strong Pareto compares with
     every control of the whole game, so it takes no frontier.
     """
-    cls = VARIANT_POLICY_CLASS.get(variant)
-    if cls is None:
-        raise GameValidationError(f"unknown variant {variant!r}")
+    cls = _variant_class(variant)
     if variant == "strong-pareto":
         if frontier is not None:
             raise GameValidationError("the strong Pareto variant has no truncated-game set")
@@ -923,3 +1078,12 @@ def variant_set(
         )
         vs = ValueSet.of((rec.value for rec in found), epsilon=eps)
     return pareto_filter(vs) if variant == "pareto" else vs
+
+
+def _variant_class(variant: str) -> str:
+    """The variant's policy class (``VARIANT_POLICY_CLASS``); an unknown
+    variant is an error."""
+    cls = VARIANT_POLICY_CLASS.get(variant)
+    if cls is None:
+        raise GameValidationError(f"unknown variant {variant!r}")
+    return cls
