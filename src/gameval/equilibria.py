@@ -985,9 +985,8 @@ class _Punishments:
                 found = set()
                 for reached in kinds:  # the joints that reach these children, at once
                     among = [r == reached for r in reaches] if len(kinds) > 1 else None
-                    sets = [
-                        self.values(c) if on else self.punishments(c) for c, on in zip(kids, reached)
-                    ]
+                    sets = [self.values(c) if on else self.punishments(c)
+                            for c, on in zip(kids, reached)]
                     found |= self._union(row, sets, functools.partial(_nash_points, among=among))
                 out = tuple(found)
             self.sets[key] = out

@@ -88,7 +88,8 @@ class Game:
                     total[i] += prob * (costs[i] + end[i])
                 continue
             joint = profile[prefix]
-            paid = [c + self.running_cost(i, prefix, a) for i, (c, a) in enumerate(zip(costs, joint))]
+            paid = [c + self.running_cost(i, prefix, a)
+                    for i, (c, a) in enumerate(zip(costs, joint))]
             for s, p in self.next_states(prefix, joint):
                 paths.append((prefix + (s,), prob * p, paid))
         return tuple(total)

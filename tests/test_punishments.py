@@ -89,13 +89,13 @@ def same_report(got, want) -> bool:
     return (got, got.context) == (want, want.context)
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("an equilibrium enumeration ran")
+
+
 @pytest.fixture
 def no_enumeration(monkeypatch):
     """``iter_equilibria`` raises: any enumeration fails the test."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("an equilibrium enumeration ran")
-
     monkeypatch.setattr(equilibria, "iter_equilibria", refuse)
 
 
@@ -260,10 +260,6 @@ def test_full_path_verify_dpp_runs_no_enumeration(monkeypatch):
         tree = build_path_tree(spec)
         for stopping in (StoppingTime.at_time(tree, stop), *stopping_times(tree, 0)[-1:]):
             wanted.append((spec, tree, stopping, composed(spec, tree, 0, stopping)))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("an equilibrium enumeration ran")
-
     monkeypatch.setattr(equilibria, "iter_equilibria", refuse)
     for spec, tree, stopping, want in wanted:
         assert same_report(verify_dpp(spec, tree, 0, stopping), want)
@@ -278,7 +274,8 @@ def test_a_bad_selection_class_is_reported_before_any_enumeration(path_game, no_
 
 def test_full_path_verify_dpp_checks_the_class_size_first(path_game, no_enumeration):
     spec, tree, root = path_game
-    with pytest.raises(EnumerationCapExceeded, match="^joint policy enumeration: needs 1024 > cap 100$"):
+    message = "^joint policy enumeration: needs 1024 > cap 100$"
+    with pytest.raises(EnumerationCapExceeded, match=message):
         verify_dpp(spec, tree, root, StoppingTime.at_time(tree, 0), policy_cap=100)
 
 
