@@ -34,8 +34,8 @@ from gameval.presets import SPEC_FILES
 from specgen import random_game
 from test_core import tied_game
 
-DATA = Path(__file__).parent / "data"
-GOLDEN = DATA / "golden"
+GOLDEN = Path(__file__).parent / "data" / "golden"
+DATA = GOLDEN.parent
 
 STATE = ["--example", "state"]
 COMMANDS = {
