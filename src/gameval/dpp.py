@@ -28,8 +28,7 @@ from .equilibria import (
     _check_class_size,
     _nash_flags,
     _one_step_costs,
-    _Punishments,
-    _row_set,
+    _Recursion,
     _variant_class,
     variant_set,
 )
@@ -42,7 +41,6 @@ from .model import (
     StoppingTime,
     Vector,
     build_path_tree,
-    tables_of,
 )
 from .presets import build_pareto_spec, pareto_tables
 
@@ -100,7 +98,7 @@ def verify_dpp(
     are checked before any work.
 
     The full variant with path selections reads both sides from the
-    recursion with off-path punishments (:class:`_Punishments`), after the
+    recursion with off-path punishments (:class:`_Recursion`), after the
     class size is checked against ``policy_cap``: V is its E, and the union
     over psi is the same recursion on the game cut at the stopping time,
     each stopped prefix carrying its set V. Selections below different
@@ -108,15 +106,18 @@ def verify_dpp(
     sets. Every other case enumerates: both sides are :func:`variant_set`
     sets, with one enumeration per selection. Either way the selections are
     counted, and checked against ``selection_cap``, as the product of the
-    stopped prefixes' set sizes.
+    stopped prefixes' set sizes. Strong Pareto compares with every control
+    of the whole game, so it has no stopped-game set and is refused.
     """
     _variant_class(variant)
+    if variant == "strong-pareto":
+        raise GameValidationError("the strong Pareto variant has no truncated-game set")
     if selection_class not in SELECTION_CLASSES:
         raise GameValidationError(f"selection class must be one of {SELECTION_CLASSES}")
     recursion = None
     if variant == "full" and selection_class == PATH_CLASS:
         _check_class_size(spec, tree, start, PATH_CLASS, policy_cap)
-        recursion = _Punishments(spec, tree, policy_cap)
+        recursion = _Recursion(spec, tree, policy_cap)
         value_set = recursion.value_set
     else:
         value_set = functools.partial(variant_set, spec, tree, variant=variant, cap=policy_cap)
@@ -171,17 +172,13 @@ def check_pareto_eps(eps: Fraction) -> GameSpec:
     perturbed first-period game (:func:`_one_step_costs`) must have exactly
     the Nash profiles (:func:`_nash_flags`) of its unperturbed limit. This
     re-derivation, not a hardcoded bound, decides whether ``eps`` is
-    admissible. The branch sets are the recursion's rows (the spec has
-    q > 0); Nash profiles do not depend on the scale, so the limit games
-    stay at the branches' scale.
+    admissible. The branch sets are the recursion's rows; Nash profiles do
+    not depend on the scale, so the limit games stay at the branches' scale.
     """
     spec = build_pareto_spec(eps)
-    tables = tables_of(spec, build_path_tree(spec))
-    root = 0  # the row of s0
-    branch_sets = [
-        _row_set(spec, tables, row, DEFAULT_SELECTION_CAP, nash=True)[0]
-        for row in range(*tables.kids[root])
-    ]
+    recursion = _Recursion(spec, build_path_tree(spec), DEFAULT_SELECTION_CAP)
+    tables, root = recursion.tables, 0  # the row of s0
+    branch_sets = [recursion.values(row)[0] for row in range(*tables.kids[root])]
     target = {  # each joint action's designated branch, by index
         tuple(map(int, key.split(","))): spec.states[1].index(s)
         for key, s in pareto_tables()["kernel_target"].items()

@@ -11,16 +11,16 @@ Two independent routes compute the same object:
   per-player best responses (see ``iter_equilibria``). ``value_index``
   memoizes one such enumeration per (tree, start, eps, class), with a
   witness record per value, for every caller that needs it.
-* ``set_value_dpp`` runs the one-step backward recursion: terminal sets are
-  the terminal cost vectors, and each earlier set is the union, over all
-  selections of one continuation value per child and all one-step Nash
-  profiles of the induced static game, of the resulting values.
+* ``set_value_dpp`` runs the one-step backward recursion (:class:`_Recursion`):
+  terminal sets are the terminal cost vectors, and each earlier set is the
+  union, over all selections of one continuation value per child and all
+  one-step Nash profiles of the induced static game, of the resulting values.
 
 Their exact agreement on strictly positive kernels is the central invariant
-of the package and is what the verification layer stresses. For every
-kernel, ``_Punishments`` extends the recursion with off-path punishment
-values; ``dpp.verify_dpp`` reads it for the full variant with path
-selections.
+of the package and is what the verification layer stresses. The recursion
+also carries off-path punishment values, which make it exact for every
+kernel; ``dpp.verify_dpp`` reads it for the full variant with path
+selections, and strong Pareto reads its minimal achievable set.
 """
 
 from __future__ import annotations
@@ -821,11 +821,11 @@ def set_value_dpp(
     *,
     selection_cap: int = DEFAULT_SELECTION_CAP,
 ) -> ValueSet:
-    """Set value by the one-step backward recursion.
+    """Set value by the one-step backward recursion (:class:`_Recursion`).
 
-    Requires a strictly positive kernel; with zeros the recursion only yields
-    a subset and the caller should go through the verification layer instead.
-    Sets of integer points are memoized by table row with the compiled tables
+    Refusing a kernel with zeros is the contract: brute force
+    (:func:`set_value_bruteforce`) stays the engine for such specs. Sets of
+    integer points are memoized by table row with the compiled tables
     (``Tables.dpp_sets``), so Markov specs are solved once per (time, state)
     rather than once per prefix, and later calls anywhere in a solved subtree
     read them. The selection cap is checked on every call: an entry keeps the
@@ -833,65 +833,7 @@ def set_value_dpp(
     """
     if not spec.q_positive:
         raise GameValidationError("the backward recursion needs q > 0 everywhere")
-    return _row_recursion(spec, tree, start, selection_cap, nash=True)
-
-
-def _row_recursion(spec: GameSpec, tree: PathTree, start: int, cap: int, *, nash: bool):
-    """The start row's recursion set (:func:`_row_set`) as a value set."""
-    tables = tables_of(spec, tree)
-    node = tree.node(start)
-    points, _ = _row_set(spec, tables, tables.row(node), cap, nash)
-    return _value_set(tables.scale[node.t], points)
-
-
-def _value_set(scale: int, points) -> ValueSet:
-    """Integer points at a level's scale as a value set of fractions."""
-    return ValueSet.of(tuple(Fraction(v, scale) for v in p) for p in points)
-
-
-def _row_set(spec: GameSpec, tables, row: int, cap: int, nash: bool):
-    """A row's set of integer points and the largest selection count met at
-    or below it, memoized; the cap is checked on every call.
-
-    Each selection of one point per child gives a one-step game
-    (:func:`_one_step_costs`). With ``nash`` a row keeps its games' Nash
-    values (:func:`_nash_flags`, memo ``tables.dpp_sets``), else the minimal
-    values of all their joint actions (``tables.frontiers``):
-    the path class's minimal achievable set, as subpolicies below different
-    children are independent and the weights are nonnegative.
-    """
-    memo = tables.dpp_sets if nash else tables.frontiers
-    entry = memo.get(row)
-    if entry is not None:
-        if entry[1] > cap:
-            raise EnumerationCapExceeded("continuation selection enumeration", entry[1], cap)
-        return entry
-    end = tables.end[row]
-    if end is not None:
-        return (end,), 0
-    children = [_row_set(spec, tables, child, cap, nash) for child in range(*tables.kids[row])]
-    child_sets, counts = zip(*children)
-    keep = _nash_points if nash else _joint_points
-    found, n_selections = _selections(spec.joint_actions, tables, row, child_sets, keep, cap)
-    points = tuple(found) if nash else tuple(y for y in found if not _dominated(y, found))
-    memo[row] = entry = points, max(n_selections, *counts)
-    return entry
-
-
-def _selections(joints, tables, row: int, child_sets, keep, cap: int):
-    """The union, over the selections of one point of ``child_sets[k]`` at
-    each child k of a row, of the points ``keep(tables, totals)`` takes from
-    the selection's one-step game (:func:`_one_step_costs`), and the number
-    of selections, which may not exceed ``cap``. The one loop over
-    selections of both recursions: :func:`_row_set` and
-    :class:`_Punishments`."""
-    n_selections = math.prod(map(len, child_sets))
-    if n_selections > cap:
-        raise EnumerationCapExceeded("continuation selection enumeration", n_selections, cap)
-    found: set[tuple[int, ...]] = set()
-    for chosen in itertools.product(*child_sets):
-        found.update(keep(tables, _one_step_costs(tables, row, chosen, joints)))
-    return found, n_selections
+    return _Recursion(spec, tree, selection_cap).value_set(start)
 
 
 def _joint_points(tables, totals):
@@ -914,17 +856,17 @@ def _deviation_points(tables, totals):
     return zip(*_best_replies(totals, tables.strides, tables.sizes))
 
 
-class _Punishments:
-    """Exact path-class Nash values at eps 0 for every kernel: a set recursion
-    that carries punishment values (Abreu, Pearce & Stacchetti, Econometrica
-    1990), in integers on the compiled tables.
+class _Recursion:
+    """The package's one exact set recursion, in integers on the compiled
+    tables: path-class Nash values at eps 0 for every kernel, with off-path
+    punishment values (Abreu, Pearce & Stacchetti, Econometrica 1990).
 
     A Nash profile may deter a deviation by what it plays at a child it
-    reaches with probability 0. There the continuation need not be an
-    equilibrium; a deviator just best-responds to it. So for the subgame at
-    n, let P(n) be the set of the vectors (BR_i(σ))_i of every player's
-    best-response value against the profiles σ there, and E(n) the set of
-    its Nash values. With r_i a player's running cost and q the kernel at n:
+    reaches with probability 0, where a deviator just best-responds. So for
+    the subgame at n, let P(n) be the set of the vectors (BR_i(σ))_i of
+    every player's best-response value against its profiles σ, and E(n) the
+    set of its Nash values. With r_i a player's running cost and q the
+    kernel at n:
 
     * P(n) is the union, over joint actions a and selections v_c ∈ P(c) of
       one point per child, of (min_b [r_i(b) + Σ_c q(c | b, a₋ᵢ)·v_c,i])_i.
@@ -937,28 +879,31 @@ class _Punishments:
 
     This is exact: a profile is Nash at n exactly when it is Nash at the
     children its joint action reaches and that joint action is one-step Nash
-    against those children's values and, elsewhere, the deviators' best
-    responses; path-class subprofiles below different children are
-    independent. Each P(n) component grows with the children's, and a
+    against their values and, elsewhere, the deviators' best responses;
+    path-class subprofiles below different children are independent. A
     larger punishment only deters more, so P is kept to its Pareto-maximal
-    points Max P (:func:`_dominated` with ``ge``). Max P(c) is computed
-    only where some joint action at the parent does not reach c. A row
-    where every joint action reaches every child keeps the Nash values over
-    selections from E alone, which is :func:`_row_set`'s recursion.
+    points Max P, read only at children that some joint action at the
+    parent does not reach: under q > 0, E is the plain recursion over E.
+    The same walk with every joint action's value in place of the
+    deviators' replies, kept to its minimal points, is the path class's
+    minimal achievable set (:meth:`frontier`).
 
-    ``stops`` is None for the whole game, whose keys are table rows, else a
-    map from the node ids where play stops to their carried integer sets,
-    and keys are node ids. Each one-step selection product is checked
-    against ``cap`` (the policy cap of the class whose size the caller
-    checked); a product is at most that size, as each point stands for a
-    profile of its child's subgame. The memos live as long as the object.
+    ``stops`` is None for the whole game, keyed by table row, whose memos
+    are the tables' ``dpp_sets`` (E), ``threats`` (Max P) and ``frontiers``;
+    else it maps the node ids where play stops to their carried integer
+    sets, keys are node ids, and the memos live with the object. An entry
+    holds a set's points and the largest selection count met at its key or
+    below, checked against ``cap`` on every read, as every product is.
+    ``cap`` is a selection cap, or the policy cap of a class whose size the
+    caller checked: each point stands for a profile of its child's subgame,
+    so no product exceeds that size.
     """
 
     def __init__(self, spec: GameSpec, tree: PathTree, cap: int, stops=None):
         self.spec, self.tree, self.cap, self.stops = spec, tree, cap, stops
-        self.tables = tables_of(spec, tree)
-        self.sets: dict = {}  # E by key
-        self.threats: dict = {}  # Max P by key
+        self.tables = tables = tables_of(spec, tree)
+        shared = tables.dpp_sets, tables.threats, tables.frontiers
+        self.sets, self.threats, self.frontiers = shared if stops is None else ({}, {}, {})
 
     def _below(self, key):
         """A decision key's table row and its children's keys."""
@@ -967,56 +912,101 @@ class _Punishments:
         node = self.tree.nodes[key]
         return self.tables.row(node), node.children
 
-    def _carried(self, key):
+    def _carried(self, key, order=None):
+        """The entry of a carried key: its set C, or Max C under ``order``."""
         if self.stops is None:
             end = self.tables.end[key]
-            return None if end is None else (end,)
-        return self.stops.get(key)
+            return None if end is None else ((end,), 0)
+        found = self.stops.get(key)
+        if found is not None and order is not None:
+            found = tuple(y for y in found if not _dominated(y, found, order))
+        return None if found is None else (found, 0)
+
+    def _check(self, count: int) -> None:
+        if count > self.cap:
+            raise EnumerationCapExceeded("continuation selection enumeration", count, self.cap)
+
+    def _selections(self, row: int, children, keep):
+        """The union, over the selections of one point of each child's entry,
+        of the points ``keep(tables, totals)`` takes from the selection's
+        one-step game (:func:`_one_step_costs`), and the largest selection
+        count met at the row or below; the row's own count is checked."""
+        sets, counts = zip(*children)
+        n_selections = math.prod(map(len, sets))
+        self._check(n_selections)
+        tables, joints = self.tables, self.spec.joint_actions
+        found: set[tuple[int, ...]] = set()
+        for chosen in itertools.product(*sets):
+            found.update(keep(tables, _one_step_costs(tables, row, chosen, joints)))
+        return found, max(n_selections, *counts)
 
     def values(self, key) -> tuple:
-        """E at a key, as integer points."""
-        out = self.sets.get(key)
-        if out is None:
-            out = self._carried(key)
-            if out is None:
-                row, kids = self._below(key)
-                reaches = [tuple(map(bool, w)) for w in self.tables.kern[row]]  # per joint
-                kinds = dict.fromkeys(reaches)
-                found = set()
-                for reached in kinds:  # the joints that reach these children, at once
-                    among = [r == reached for r in reaches] if len(kinds) > 1 else None
-                    sets = [self.values(c) if on else self.punishments(c)
-                            for c, on in zip(kids, reached)]
-                    found |= self._union(row, sets, functools.partial(_nash_points, among=among))
-                out = tuple(found)
-            self.sets[key] = out
-        return out
+        """E at a key: its integer points and selection count."""
+        entry = self.sets.get(key)
+        if entry is not None:
+            self._check(entry[1])
+            return entry
+        entry = self._carried(key)
+        if entry is not None:
+            return entry
+        row, kids = self._below(key)
+        weights = self.tables.kern[row]
+        if all(map(all, weights)):  # every joint action reaches every child
+            found, count = self._selections(row, [self.values(c) for c in kids], _nash_points)
+        else:
+            reaches = [tuple(map(bool, w)) for w in weights]  # per joint
+            found, count = set(), 0
+            for reached in dict.fromkeys(reaches):  # the joints that reach these, at once
+                among = [r == reached for r in reaches]
+                sets = [self.values(c) if on else self.punishments(c)
+                        for c, on in zip(kids, reached)]
+                keep = functools.partial(_nash_points, among=among)
+                points, n = self._selections(row, sets, keep)
+                found |= points
+                count = max(count, n)
+        entry = self.sets[key] = tuple(found), count
+        return entry
 
     def punishments(self, key) -> tuple:
-        """Max P at a key, as integer points."""
-        out = self.threats.get(key)
-        if out is None:
-            carried = self._carried(key)
-            if carried is None:
-                row, kids = self._below(key)
-                carried = self._union(row, [self.punishments(c) for c in kids], _deviation_points)
-            out = self.threats[key] = tuple(y for y in carried if not _dominated(y, carried, ge))
-        return out
+        """Max P at a key: its integer points and selection count."""
+        return self._extreme(key, self.threats, _deviation_points, ge)
 
-    def _union(self, row: int, child_sets, keep) -> set:
-        return _selections(self.spec.joint_actions, self.tables, row, child_sets, keep, self.cap)[0]
+    def frontier(self, key) -> tuple:
+        """The minimal achievable values at a key: its integer points and
+        selection count."""
+        return self._extreme(key, self.frontiers, _joint_points, le)
 
-    def value_set(self, nid: int) -> ValueSet:
-        """E at a node of the tree, as a value set."""
+    def _extreme(self, key, memo, keep, order) -> tuple:
+        """The points ``keep`` takes over the selections from the children's
+        same sets, kept to those that no other point dominates under
+        ``order`` (:func:`_dominated`)."""
+        entry = memo.get(key)
+        if entry is not None:
+            self._check(entry[1])
+            return entry
+        entry = self._carried(key, order)
+        if entry is not None:
+            return entry
+        row, kids = self._below(key)
+        children = [self._extreme(c, memo, keep, order) for c in kids]
+        found, count = self._selections(row, children, keep)
+        entry = memo[key] = tuple(y for y in found if not _dominated(y, found, order)), count
+        return entry
+
+    def value_set(self, nid: int, sets=None) -> ValueSet:
+        """E at a node of the tree, or the set the method ``sets`` gives
+        there, as a value set."""
         node = self.tree.nodes[nid]
         key = nid if self.stops is not None else self.tables.row(node)
-        return _value_set(self.tables.scale[node.t], self.values(key))
+        scale = self.tables.scale[node.t]
+        points = (sets or self.values)(key)[0]
+        return ValueSet.of(tuple(Fraction(v, scale) for v in p) for p in points)
 
-    def stopped(self, frontier) -> _Punishments:
+    def stopped(self, frontier) -> _Recursion:
         """The recursion of the game whose play stops at the ``frontier``
         nodes, each carrying this recursion's E there."""
-        carried = {nid: self.values(self.tables.row(self.tree.nodes[nid])) for nid in frontier}
-        return _Punishments(self.spec, self.tree, self.cap, carried)
+        carried = {nid: self.values(self.tables.row(self.tree.nodes[nid]))[0] for nid in frontier}
+        return _Recursion(self.spec, self.tree, self.cap, carried)
 
 
 # -- order filters -------------------------------------------------------------
@@ -1046,10 +1036,11 @@ def strong_pareto_filter(
 
     A value dominated by an achievable one is dominated by a Pareto-minimal
     one, so the records are checked against the minimal achievable set of
-    the path class, from the row recursion (:func:`_row_set`) with ``cap`` on
-    each row's selections.
+    the path class (:meth:`_Recursion.frontier`), with ``cap`` on each row's
+    selections.
     """
-    achievable = _row_recursion(spec, tree, start, cap, nash=False).points
+    recursion = _Recursion(spec, tree, cap)
+    achievable = recursion.value_set(start, recursion.frontier).points
     return ValueSet.of([rec.value for rec in records if not _dominated(rec.value, achievable)])
 
 

@@ -465,9 +465,10 @@ class Tables:
     tree, so keeping them with the tree (:func:`tables_of`) pins neither.
     ``value_index`` is the memo of ``equilibria.value_index``: the
     equilibrium values of full scopes by (start, eps, class), with witness
-    records that hold node ids and numbers only; ``dpp_sets`` (Nash values)
-    and ``frontiers`` (minimal achievable values) are the memos of
-    ``equilibria._row_set``: each solved row's pair of its set of integer
+    records that hold node ids and numbers only; ``dpp_sets`` (Nash values
+    E), ``threats`` (the deviators' Pareto-maximal punishment values Max P)
+    and ``frontiers`` (minimal achievable values) are the whole-game memos of
+    ``equilibria._Recursion``: each solved row's pair of its set of integer
     points and the largest selection count met at or below it.
     """
 
@@ -521,6 +522,7 @@ class Tables:
             self.kids.append((first, first + width))
         self.value_index: dict = {}
         self.dpp_sets: dict = {}
+        self.threats: dict = {}
         self.frontiers: dict = {}
 
     def row(self, node: Node) -> int:

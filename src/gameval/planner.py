@@ -5,9 +5,8 @@ equilibrium minimizing the weighted cost at the root, and then re-solves the
 same problem at every later prefix to see whether the chosen equilibrium's
 continuation value would still be selected. The root's set value comes from
 its enumeration (``equilibria.value_index``); the later prefixes' set values
-are the backward recursion's rows (``equilibria._row_set``), which equal
-enumeration at every node when the kernel is strictly positive, as the probe
-requires.
+are the backward recursion's rows (``equilibria._Recursion``), which equal
+enumeration at every node.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from operator import getitem, mul
 from .equilibria import (
     DEFAULT_POLICY_CAP,
     ValueSet,
-    _row_set,
+    _Recursion,
     value_index,
 )
 from .errors import GameValidationError
@@ -156,10 +155,10 @@ def time_inconsistency_probe(
     value shares; the witness is the first equilibrium of least score.
 
     A later prefix's set value is its table row's recursion set
-    (:func:`~gameval.equilibria._row_set`, memoized with the tables), read
-    with ``cap`` as its selection cap: under q > 0 the recursion equals brute
-    force at every node (the dynamic programming principle), and a row's
-    selection count is at most the start's class size, already checked.
+    (:class:`~gameval.equilibria._Recursion`, memoized with the tables), read
+    with ``cap`` as its selection cap: the recursion equals brute force at
+    every node (the dynamic programming principle), and a row's selection
+    count is at most the start's class size, already checked.
     Scores are compared in integers; the witness's continuation costs at
     every prefix come from one walk of the start's subtree per player.
     """
@@ -178,13 +177,13 @@ def time_inconsistency_probe(
     rows: list[ProbeRow] = []
     if witness is not None:
         scope = _Scope(spec, tree, start)
-        tables = scope.tables
+        tables, recursion = scope.tables, _Recursion(spec, tree, cap)
         weights, den = lam.over_common_denominator()
         costs = [scope.costs(witness.action, i) for i in range(spec.n_players)]
         chosen_value = tuple(scope.fraction(col[0]) for col in costs)
         for u in scope.inner[1:]:
             node = tree.node(scope.nodes[u])
-            points, _ = _row_set(spec, tables, scope.rows[u], cap, True)
+            points, _ = recursion.values(scope.rows[u])
             local = min((sum(map(mul, weights, p)) for p in points), default=None)
             scale = tables.scale[node.t]
             cont_score = sum(map(mul, weights, (col[u] for col in costs)))

@@ -38,7 +38,7 @@ from gameval.equilibria import (
     _iter_general,
     _nash_flags,
     _Reach,
-    _row_recursion,
+    _Recursion,
     _Scope,
     _units_for,
     variant_set,
@@ -494,7 +494,8 @@ def test_frontier_is_the_minimal_set_of_every_policy_value():
     sizes = {}
     for spec, tree, start in cases:
         every = all_policy_values(spec, tree, start)
-        frontier = _row_recursion(spec, tree, start, 10**7, nash=False)
+        recursion = _Recursion(spec, tree, 10**7)
+        frontier = recursion.value_set(start, recursion.frontier)
         assert frontier == pareto_filter(every)
         root = start == tree.levels[0][0]
         sizes[root] = max(len(frontier), sizes.get(root, 0))

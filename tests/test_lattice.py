@@ -31,7 +31,7 @@ from gameval import (
     load_game,
 )
 from gameval.dpp import verify_dpp
-from gameval.equilibria import set_value_bruteforce, set_value_dpp
+from gameval.equilibria import set_value_bruteforce, set_value_dpp, strong_pareto_filter
 from gameval.model import PATH_CLASS, STATE_CLASS, tables_of
 from gameval.planner import (
     Scalarization,
@@ -126,8 +126,13 @@ def test_lattice_equals_tree_on_random_markov_specs():
         lambda spec, tree: dictatorship_value(spec, tree, tree.levels[0][0], WEIGHTS[0]),
         lambda spec, tree: set_value_bruteforce(spec, tree, tree.levels[2][0]),
         lambda spec, tree: time_inconsistency_probe(spec, tree, tree.levels[2][0], WEIGHTS[1]),
+        lambda spec, tree: verify_dpp(spec, tree, tree.levels[0][0], StoppingTime.at_time(tree, 1)),
+        lambda spec, tree: strong_pareto_filter(spec, tree, tree.levels[0][0], []),
     ],
-    ids=["set_value_dpp", "dictatorship_value", "set_value_bruteforce", "probe"],
+    ids=[
+        "set_value_dpp", "dictatorship_value", "set_value_bruteforce", "probe", "verify_dpp",
+        "strong_pareto_filter",
+    ],
 )
 def test_memoized_recursions_leave_no_reference_cycle(solve):
     """The tree, the memo and the compiled tables kept with the tree die with
@@ -140,6 +145,24 @@ def test_memoized_recursions_leave_no_reference_cycle(solve):
         solve(spec, tree)
         del tree
         assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_punishment_memos_leave_no_reference_cycle():
+    """On a zero kernel verify_dpp also fills the Max P memo, which the
+    state example never needs; the tree and its tables still die with the
+    tree's last reference, with no collector run."""
+    spec = load_game(Path(__file__).parent / "data" / "zero_kernel_markov.json")
+    gc.disable()
+    try:
+        tree = build_path_tree(spec)
+        tables = tables_of(spec, tree)
+        alive = weakref.ref(tree), weakref.ref(tables)
+        verify_dpp(spec, tree, tree.levels[0][0], StoppingTime.at_time(tree, 1))
+        assert tables.threats
+        del tree, tables
+        assert [ref() for ref in alive] == [None, None]
     finally:
         gc.enable()
 

@@ -1,4 +1,4 @@
-"""The recursion with off-path punishments (``equilibria._Punishments``) and
+"""The recursion with off-path punishments (``equilibria._Recursion``) and
 ``verify_dpp``'s full variant with path selections, which reads it.
 
 The recursion is held to brute force on every kernel, and both are held to
@@ -17,19 +17,19 @@ from pathlib import Path
 import pytest
 
 import definitions
-from gameval import StoppingTime, build_path_tree, io, load_example, verify_dpp
+from gameval import StoppingTime, build_path_tree, io, load_example, set_value_dpp, verify_dpp
 from gameval import equilibria
 from gameval.dpp import compare_sets
 from gameval.equilibria import (
     ValueSet,
     _best_replies,
     _nash_flags,
-    _Punishments,
+    _Recursion,
     set_value_bruteforce,
     variant_set,
 )
 from gameval.errors import EnumerationCapExceeded, GameValidationError
-from gameval.model import PATH_CLASS
+from gameval.model import PATH_CLASS, tables_of
 from specgen import random_game
 
 DATA = Path(__file__).parent / "data"
@@ -113,7 +113,7 @@ def test_the_recursion_equals_brute_force_on_every_kernel(seed):
               for k in range(4)]
     for spec in games:
         tree = build_path_tree(spec)
-        recursion = _Punishments(spec, tree, equilibria.DEFAULT_POLICY_CAP)
+        recursion = _Recursion(spec, tree, equilibria.DEFAULT_POLICY_CAP)
         for nid in starts(tree):
             assert recursion.value_set(nid) == set_value_bruteforce(spec, tree, nid)
 
@@ -279,6 +279,48 @@ def test_full_path_verify_dpp_checks_the_class_size_first(path_game, no_enumerat
         verify_dpp(spec, tree, root, StoppingTime.at_time(tree, 0), policy_cap=100)
 
 
+def test_strong_pareto_verify_dpp_is_refused_before_any_enumeration(state_game, no_enumeration):
+    spec, tree, root = state_game
+    stopping = StoppingTime.at_time(tree, 1)
+    message = "^the strong Pareto variant has no truncated-game set$"
+    with pytest.raises(GameValidationError, match=message):
+        verify_dpp(spec, tree, root, stopping, variant="strong-pareto")
+
+
+# -- the shared memos --------------------------------------------------------------
+
+
+def test_set_value_dpp_and_verify_dpp_share_the_whole_game_memo():
+    """Under q > 0 no row needs a punishment, and a row solved by one caller
+    is read, not solved again, by the other."""
+    spec = load_example("path")
+    assert spec.q_positive
+    tree = build_path_tree(spec)
+    tables, root = tables_of(spec, tree), tree.levels[0][0]
+    set_value_dpp(spec, tree, root)
+    solved = dict(tables.dpp_sets)
+    assert solved and not tables.threats
+    verify_dpp(spec, tree, root, StoppingTime.at_time(tree, 1))
+    assert tables.dpp_sets == solved and not tables.threats
+
+
+def test_a_memo_verify_dpp_fills_checks_the_selection_cap_on_every_read():
+    spec = io.load_game(DATA / "zero_kernel_path.json")
+    tree = build_path_tree(spec)
+    root = tree.levels[0][0]
+    verify_dpp(spec, tree, root, StoppingTime.at_time(tree, 1))
+    tables = tables_of(spec, tree)
+    assert tables.threats
+    count = tables.dpp_sets[tables.row(tree.node(root))][1]
+    for fresh in (False, True):
+        if fresh:
+            tree = build_path_tree(spec)
+        with pytest.raises(EnumerationCapExceeded) as err:
+            _Recursion(spec, tree, count - 1).value_set(root)
+        assert (err.value.required, err.value.cap) == (count, count - 1)
+    assert _Recursion(spec, tree, count).value_set(root) == set_value_bruteforce(spec, tree, root)
+
+
 # -- the definition ----------------------------------------------------------------
 
 
@@ -313,7 +355,7 @@ def test_the_recursion_and_the_enumerator_equal_the_definition():
     for doc in docs:
         spec = io.load_game(doc)
         tree = build_path_tree(spec)
-        recursion = _Punishments(spec, tree, equilibria.DEFAULT_POLICY_CAP)
+        recursion = _Recursion(spec, tree, equilibria.DEFAULT_POLICY_CAP)
         for nid in starts(tree):
             want = definitions.nash_values(doc, tree.node(nid).prefix)
             assert set(recursion.value_set(nid)) == want
