@@ -950,20 +950,16 @@ class _Recursion:
         if entry is not None:
             return entry
         row, kids = self._below(key)
-        weights = self.tables.kern[row]
-        if all(map(all, weights)):  # every joint action reaches every child
-            found, count = self._selections(row, [self.values(c) for c in kids], _nash_points)
-        else:
-            reaches = [tuple(map(bool, w)) for w in weights]  # per joint
-            found, count = set(), 0
-            for reached in dict.fromkeys(reaches):  # the joints that reach these, at once
-                among = [r == reached for r in reaches]
-                sets = [self.values(c) if on else self.punishments(c)
-                        for c, on in zip(kids, reached)]
-                keep = functools.partial(_nash_points, among=among)
-                points, n = self._selections(row, sets, keep)
-                found |= points
-                count = max(count, n)
+        reaches = [tuple(map(bool, w)) for w in self.tables.kern[row]]  # per joint
+        kinds = dict.fromkeys(reaches)
+        found, count = set(), 0
+        for reached in kinds:  # the joints that reach these children, at once
+            among = [r == reached for r in reaches] if len(kinds) > 1 else None
+            sets = [self.values(c) if on else self.punishments(c) for c, on in zip(kids, reached)]
+            keep = _nash_points if among is None else functools.partial(_nash_points, among=among)
+            points, n = self._selections(row, sets, keep)
+            found |= points
+            count = max(count, n)
         entry = self.sets[key] = tuple(found), count
         return entry
 
@@ -986,6 +982,8 @@ class _Recursion:
             return entry
         entry = self._carried(key, order)
         if entry is not None:
+            if self.stops is not None:  # Max C once per stop; the tables keep no stops
+                memo[key] = entry
             return entry
         row, kids = self._below(key)
         children = [self._extreme(c, memo, keep, order) for c in kids]

@@ -119,49 +119,44 @@ def test_lattice_equals_tree_on_random_markov_specs():
     assert any(capped)
 
 
+def verify_dpp_with_punishments(spec, tree):
+    """verify_dpp on a zero kernel, which also fills the Max P memo."""
+    verify_dpp(spec, tree, tree.levels[0][0], StoppingTime.at_time(tree, 1))
+    assert tables_of(spec, tree).threats
+
+
 @pytest.mark.parametrize(
-    "solve",
+    "spec_file, solve",
     [
-        lambda spec, tree: set_value_dpp(spec, tree, tree.levels[0][0]),
-        lambda spec, tree: dictatorship_value(spec, tree, tree.levels[0][0], WEIGHTS[0]),
-        lambda spec, tree: set_value_bruteforce(spec, tree, tree.levels[2][0]),
-        lambda spec, tree: time_inconsistency_probe(spec, tree, tree.levels[2][0], WEIGHTS[1]),
-        lambda spec, tree: verify_dpp(spec, tree, tree.levels[0][0], StoppingTime.at_time(tree, 1)),
-        lambda spec, tree: strong_pareto_filter(spec, tree, tree.levels[0][0], []),
+        (None, lambda spec, tree: set_value_dpp(spec, tree, tree.levels[0][0])),
+        (None, lambda spec, tree: dictatorship_value(spec, tree, tree.levels[0][0], WEIGHTS[0])),
+        (None, lambda spec, tree: set_value_bruteforce(spec, tree, tree.levels[2][0])),
+        (None, lambda spec, tree: time_inconsistency_probe(
+            spec, tree, tree.levels[2][0], WEIGHTS[1])),
+        (None, lambda spec, tree: verify_dpp(
+            spec, tree, tree.levels[0][0], StoppingTime.at_time(tree, 1))),
+        (None, lambda spec, tree: strong_pareto_filter(spec, tree, tree.levels[0][0], [])),
+        ("zero_kernel_markov.json", verify_dpp_with_punishments),
     ],
     ids=[
         "set_value_dpp", "dictatorship_value", "set_value_bruteforce", "probe", "verify_dpp",
-        "strong_pareto_filter",
+        "strong_pareto_filter", "verify_dpp-zero-kernel",
     ],
 )
-def test_memoized_recursions_leave_no_reference_cycle(solve):
-    """The tree, the memo and the compiled tables kept with the tree die with
-    the tree's last reference, with no collector run."""
-    spec = load_example("state")
+def test_memoized_recursions_leave_no_reference_cycle(spec_file, solve):
+    """The tree, the memos and the compiled tables kept with the tree die
+    with the tree's last reference, with no collector run. ``spec_file`` is
+    a file of ``tests/data``, or None for the state example."""
+    if spec_file is None:
+        spec = load_example("state")
+    else:
+        spec = load_game(Path(__file__).parent / "data" / spec_file)
     gc.disable()
     try:
         tree = build_path_tree(spec)
-        alive = weakref.ref(tree)
+        alive = weakref.ref(tree), weakref.ref(tables_of(spec, tree))
         solve(spec, tree)
         del tree
-        assert alive() is None
-    finally:
-        gc.enable()
-
-
-def test_punishment_memos_leave_no_reference_cycle():
-    """On a zero kernel verify_dpp also fills the Max P memo, which the
-    state example never needs; the tree and its tables still die with the
-    tree's last reference, with no collector run."""
-    spec = load_game(Path(__file__).parent / "data" / "zero_kernel_markov.json")
-    gc.disable()
-    try:
-        tree = build_path_tree(spec)
-        tables = tables_of(spec, tree)
-        alive = weakref.ref(tree), weakref.ref(tables)
-        verify_dpp(spec, tree, tree.levels[0][0], StoppingTime.at_time(tree, 1))
-        assert tables.threats
-        del tree, tables
         assert [ref() for ref in alive] == [None, None]
     finally:
         gc.enable()
