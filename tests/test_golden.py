@@ -106,6 +106,14 @@ COMMANDS = {
     "verify-dpp-zero-kernel-markov": [
         "verify-dpp", "--spec", str(DATA / "zero_kernel_markov.json"),
     ],
+    # Written by --engine brute before set_value_dpp accepted kernels with
+    # zeros; --engine both checks the recursion against brute force on them.
+    "setvalue-zero-kernel-path": [
+        "setvalue", "--spec", str(DATA / "zero_kernel_path.json"), "--engine", "both",
+    ],
+    "setvalue-zero-kernel-markov": [
+        "setvalue", "--spec", str(DATA / "zero_kernel_markov.json"), "--engine", "both",
+    ],
     "verify-dpp-path-stop-1": ["verify-dpp", "--example", "path", "--stop-time", "1"],
     "verify-dpp-path-stop-2": ["verify-dpp", "--example", "path", "--stop-time", "2"],
     "verify-dpp-path-prefix-s0-s10-stop-2": [
