@@ -16,10 +16,10 @@ Two independent routes compute the same object:
   union, over all selections of one continuation value per child and all
   one-step Nash profiles of the induced static game, of the resulting values.
 
-Their exact agreement on strictly positive kernels is the central invariant
-of the package and is what the verification layer stresses. The recursion
-also carries off-path punishment values, which make it exact for every
-kernel; ``dpp.verify_dpp`` reads it for the full variant with path
+The recursion carries off-path punishment values, which make it exact for
+every kernel. The two routes' exact agreement on every kernel is the central
+invariant of the package and is what the verification layer stresses;
+``dpp.verify_dpp`` reads the recursion for the full variant with path
 selections, and strong Pareto reads its minimal achievable set.
 """
 
@@ -821,18 +821,15 @@ def set_value_dpp(
     *,
     selection_cap: int = DEFAULT_SELECTION_CAP,
 ) -> ValueSet:
-    """Set value by the one-step backward recursion (:class:`_Recursion`).
+    """Set value by the one-step backward recursion (:class:`_Recursion`),
+    exact for every kernel.
 
-    Refusing a kernel with zeros is the contract: brute force
-    (:func:`set_value_bruteforce`) stays the engine for such specs. Sets of
-    integer points are memoized by table row with the compiled tables
+    Sets of integer points are memoized by table row with the compiled tables
     (``Tables.dpp_sets``), so Markov specs are solved once per (time, state)
     rather than once per prefix, and later calls anywhere in a solved subtree
     read them. The selection cap is checked on every call: an entry keeps the
     largest selection count met at its row or below.
     """
-    if not spec.q_positive:
-        raise GameValidationError("the backward recursion needs q > 0 everywhere")
     return _Recursion(spec, tree, selection_cap).value_set(start)
 
 

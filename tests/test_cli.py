@@ -44,16 +44,19 @@ def test_setvalue_degenerate_single_action(capsys, tmp_path):
 
 
 def test_setvalue_engines_byte_identical(capsys, tmp_path):
+    """A seeded positive kernel and the two zero-kernel spec files."""
     rng = random.Random(42)
     spec = random_game(rng)
-    path = tmp_path / "random_seed42.json"
-    write_json(dump_game(spec), path)
-    brute = tmp_path / "brute.json"
-    rec = tmp_path / "dpp.json"
-    assert run(capsys, "setvalue", "--spec", str(path), "--engine", "brute", "--out", str(brute))[0] == 0
-    assert run(capsys, "setvalue", "--spec", str(path), "--engine", "dpp", "--out", str(rec))[0] == 0
-    assert brute.read_bytes() == rec.read_bytes()
-    assert run(capsys, "setvalue", "--spec", str(path), "--engine", "both")[0] == 0
+    seeded = tmp_path / "random_seed42.json"
+    write_json(dump_game(spec), seeded)
+    for path in (seeded, DATA / "zero_kernel_path.json", DATA / "zero_kernel_markov.json"):
+        brute = tmp_path / "brute.json"
+        rec = tmp_path / "dpp.json"
+        argv = ["setvalue", "--spec", str(path), "--engine"]
+        assert run(capsys, *argv, "brute", "--out", str(brute))[0] == 0
+        assert run(capsys, *argv, "dpp", "--out", str(rec))[0] == 0
+        assert brute.read_bytes() == rec.read_bytes()
+        assert run(capsys, *argv, "both")[0] == 0
 
 
 def test_setvalue_witnesses(capsys):
@@ -322,6 +325,8 @@ BAD_INPUTS = {
     "h30-dpp-pareto": ["setvalue", *H30, "--engine", "dpp", "--variant", "pareto"],
     "h30-both-eps": ["setvalue", *H30, "--engine", "both", "--eps", "1/10"],
     "h30-planner-weights-3": ["planner", *H30, "--weights", "1/3,1/3,1/3"],
+    # The probe scores every prefix, so every prefix must be reachable.
+    "probe-zero-kernel": ["planner", "--probe", "--spec", str(DATA / "zero_kernel_path.json")],
     "weights-1": [*NO_EQ, "--weights", "1"],
     "weights-3": [*NO_EQ, "--weights", "1/2,1/4,1/4"],
     "weights-1-probe": [*NO_EQ, "--weights", "1", "--probe"],
@@ -384,6 +389,7 @@ BAD_INPUTS = {
     "config-array": ["static"],
     "config-not-json": "{preset: static",
 }
+BAD_INPUT_MESSAGES = {"probe-zero-kernel": "the probe needs q > 0"}
 
 
 @pytest.mark.parametrize("kind", BAD_INPUTS)
@@ -396,6 +402,7 @@ def test_bad_flags_and_config_values_exit_2(capsys, tmp_path, kind):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "GameValidationError"
+    assert BAD_INPUT_MESSAGES.get(kind, "") in json.loads(err)["message"]
 
 
 def test_a_config_that_is_a_directory_exits_2(capsys, tmp_path):

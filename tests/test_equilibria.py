@@ -525,16 +525,6 @@ def test_strong_pareto_checks_its_cap_on_every_call(state_game):
 # -- the recursion -----------------------------------------------------------------
 
 
-def test_dpp_requires_positive_kernel():
-    rng = random.Random(41)
-    spec = None
-    while spec is None or spec.q_positive:
-        spec = random_game(rng, allow_zero=True)
-    tree = build_path_tree(spec)
-    with pytest.raises(GameValidationError, match="q > 0"):
-        set_value_dpp(spec, tree, tree.id_of(("r0",)))
-
-
 def test_dpp_selection_cap(state_game):
     spec, tree, root = state_game
     with pytest.raises(EnumerationCapExceeded):

@@ -333,6 +333,49 @@ def test_deep_markov_brute_force_exits_3_before_building_a_scope():
     assert error["message"] == f"joint policy enumeration: needs 4**{units} > cap 10000000"
 
 
+def deep_zero_kernel_doc():
+    """The horizon-30 spec where joint action (1, 1) never reaches its first
+    successor: that entry becomes 0 and the rest are rescaled, at every time."""
+    doc = json.loads(DEEP_SPEC.read_text())
+    for key, vec in doc["transitions"].items():
+        if key.endswith("|1,1"):
+            first, *rest = vec
+            total = sum(F(vec[s]) for s in rest)
+            doc["transitions"][key] = {first: "0", **{s: str(F(vec[s]) / total) for s in rest}}
+    return doc
+
+
+DEEP_ZERO_KERNEL_CAP = "continuation selection enumeration: needs 6956936641024 > cap 100000"
+
+
+def solve_the_deep_zero_kernel_spec():
+    """From the root the selection cap stops the recursion; near the leaves,
+    one prefix per (time, state) at t = 28 and 29, it equals brute force."""
+    spec = load_game(deep_zero_kernel_doc())
+    tree = build_path_tree(spec)
+    assert not spec.q_positive
+    with pytest.raises(EnumerationCapExceeded, match=f"^{DEEP_ZERO_KERNEL_CAP}$"):
+        set_value_dpp(spec, tree, tree.levels[0][0])
+    for head in (("m0",) * 27, ("m0",) * 28):
+        for state in ("m0", "m1", "m2"):
+            nid = tree.id_of(("r0", *head, state))
+            assert set_value_dpp(spec, tree, nid) == set_value_bruteforce(spec, tree, nid)
+
+
+def test_a_deep_zero_kernel_spec_stops_at_the_selection_cap():
+    assert_passes_guarded(solve_the_deep_zero_kernel_spec)
+
+
+def test_a_deep_zero_kernel_spec_exits_3_from_the_command_line(tmp_path):
+    path = tmp_path / "deep_zero_kernel.json"
+    path.write_text(json.dumps(deep_zero_kernel_doc()))
+    result = run_cli_guarded("setvalue", "--spec", str(path), "--engine", "dpp")
+    assert result.returncode == 3, result.stderr
+    assert json.loads(result.stderr) == {
+        "error": "EnumerationCapExceeded", "message": DEEP_ZERO_KERNEL_CAP,
+    }
+
+
 def _markov_spec(**overrides):
     spec = random_game(random.Random(11), max_periods=3, max_states=3, state_dependent=True)
     fields = dict(

@@ -24,7 +24,6 @@ from gameval.equilibria import (
     ValueSet,
     _best_replies,
     _nash_flags,
-    _Recursion,
     set_value_bruteforce,
     variant_set,
 )
@@ -113,9 +112,8 @@ def test_the_recursion_equals_brute_force_on_every_kernel(seed):
               for k in range(4)]
     for spec in games:
         tree = build_path_tree(spec)
-        recursion = _Recursion(spec, tree, equilibria.DEFAULT_POLICY_CAP)
         for nid in starts(tree):
-            assert recursion.value_set(nid) == set_value_bruteforce(spec, tree, nid)
+            assert set_value_dpp(spec, tree, nid) == set_value_bruteforce(spec, tree, nid)
 
 
 def test_the_dispatched_verify_dpp_equals_the_enumerator_composition():
@@ -316,9 +314,11 @@ def test_a_memo_verify_dpp_fills_checks_the_selection_cap_on_every_read():
         if fresh:
             tree = build_path_tree(spec)
         with pytest.raises(EnumerationCapExceeded) as err:
-            _Recursion(spec, tree, count - 1).value_set(root)
+            set_value_dpp(spec, tree, root, selection_cap=count - 1)
         assert (err.value.required, err.value.cap) == (count, count - 1)
-    assert _Recursion(spec, tree, count).value_set(root) == set_value_bruteforce(spec, tree, root)
+    assert set_value_dpp(spec, tree, root, selection_cap=count) == set_value_bruteforce(
+        spec, tree, root
+    )
 
 
 # -- the definition ----------------------------------------------------------------
@@ -355,10 +355,9 @@ def test_the_recursion_and_the_enumerator_equal_the_definition():
     for doc in docs:
         spec = io.load_game(doc)
         tree = build_path_tree(spec)
-        recursion = _Recursion(spec, tree, equilibria.DEFAULT_POLICY_CAP)
         for nid in starts(tree):
             want = definitions.nash_values(doc, tree.node(nid).prefix)
-            assert set(recursion.value_set(nid)) == want
+            assert set(set_value_dpp(spec, tree, nid)) == want
             assert set(set_value_bruteforce(spec, tree, nid)) == want
 
 
