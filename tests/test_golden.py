@@ -114,6 +114,17 @@ COMMANDS = {
     "setvalue-zero-kernel-markov": [
         "setvalue", "--spec", str(DATA / "zero_kernel_markov.json"), "--engine", "both",
     ],
+    # Written by enumeration, one stopped game per state selection, before
+    # the full variant with state selections read the recursion on table rows.
+    "verify-dpp-zero-kernel-markov-state": [
+        "verify-dpp", "--spec", str(DATA / "zero_kernel_markov.json"), "--selection-class", "state",
+    ],
+    "verify-dpp-zero-kernel-path-state": [
+        "verify-dpp", "--spec", str(DATA / "zero_kernel_path.json"), "--selection-class", "state",
+    ],
+    "verify-dpp-path-state-stop-at-state-s10": [
+        "verify-dpp", "--example", "path", "--selection-class", "state", "--stop-at-state", "s10",
+    ],
     "verify-dpp-path-stop-1": ["verify-dpp", "--example", "path", "--stop-time", "1"],
     "verify-dpp-path-stop-2": ["verify-dpp", "--example", "path", "--stop-time", "2"],
     "verify-dpp-path-prefix-s0-s10-stop-2": [
