@@ -91,6 +91,11 @@ def cmd_setvalue(args) -> int:
         raise GameValidationError("the recursive engine computes the full variant only")
     if args.engine != "brute" and epsilon != 0:
         raise GameValidationError("the recursive engine is exact (eps must be 0)")
+    # A cap flag the chosen engine never reads is refused, not ignored.
+    if args.engine == "brute" and args.selection_cap is not None:
+        raise GameValidationError("--engine brute takes no --selection-cap")
+    if args.engine == "dpp" and args.cap is not None and not args.witnesses:
+        raise GameValidationError("--engine dpp takes no --cap without --witnesses")
     cap, selection_cap = _caps(args)
     spec, tree, start = _game(args)
 
@@ -189,6 +194,8 @@ def cmd_verify_dpp(args) -> int:
 
 
 def cmd_planner(args) -> int:
+    if args.selection_cap is not None:
+        raise GameValidationError("planner takes no --selection-cap")
     spec, tree, start = _game(args)
     if args.weights:
         lam = planner.Scalarization.parse(args.weights)

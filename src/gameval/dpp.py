@@ -3,9 +3,9 @@
 ``verify_dpp`` compares the set value at a node (lhs) against the set built
 from truncated games whose terminal data are selected pointwise from later
 set values (rhs), for the full, state, symmetric, and Pareto variants: the
-full variant with path selections by the recursion with off-path
-punishments, every other check by enumeration. The
-module also houses the two analytic demonstrations: the perturbed two-period
+full variant by the recursion with off-path punishments, under path and
+state selections alike, the other variants by enumeration. The module also
+houses the two analytic demonstrations: the perturbed two-period
 game where the Pareto recursion fails in both directions, and the two-period
 linear-quadratic game with open-loop controls where composing stagewise
 equilibria does not reproduce the whole-game equilibrium value.
@@ -94,36 +94,34 @@ def verify_dpp(
 
     A selection psi picks one value of V at each stopped prefix, one per
     (time, state) under ``STATE_CLASS`` selections; V^psi is the set of the
-    game stopped there with values psi. The variant and the selection class
-    are checked before any work.
+    game stopped there with values psi. The variant, the selection class,
+    the class size (against ``policy_cap``) and the stopping time are
+    checked before any work.
 
-    The full variant with path selections reads both sides from the
-    recursion with off-path punishments (:class:`_Recursion`), after the
-    class size is checked against ``policy_cap``: V is its E, and the union
-    over psi is the same recursion on the game cut at the stopping time,
-    each stopped prefix carrying its set V. Selections below different
-    children are independent, so the union over psi is the recursion over
-    sets. Every other case enumerates: both sides are :func:`variant_set`
-    sets, with one enumeration per selection. Either way the selections are
-    counted, and checked against ``selection_cap``, as the product of the
-    stopped prefixes' set sizes. Strong Pareto compares with every control
-    of the whole game, so it has no stopped-game set and is refused.
+    The full variant reads both sides from the recursion with off-path
+    punishments (:class:`_Recursion`) on table rows: V is its E, and V^psi
+    the same recursion on the game cut at the stopping time (which stops by
+    (time, state)), psi carried at the stopped prefixes. Path selections
+    below different children are independent, so one cut game carries the
+    sets V; state selections couple prefixes, so each gets its own cut game.
+    The other variants enumerate, one :func:`variant_set` per selection.
+    Either way the selections, the product of the choice sets' sizes, are
+    checked against ``selection_cap``. Strong Pareto compares with every
+    control of the whole game, so it has no stopped-game set and is refused.
     """
-    _variant_class(variant)
+    cls = _variant_class(variant)
     if variant == "strong-pareto":
         raise GameValidationError("the strong Pareto variant has no truncated-game set")
     if selection_class not in SELECTION_CLASSES:
         raise GameValidationError(f"selection class must be one of {SELECTION_CLASSES}")
-    recursion = None
-    if variant == "full" and selection_class == PATH_CLASS:
-        _check_class_size(spec, tree, start, PATH_CLASS, policy_cap)
+    _check_class_size(spec, tree, start, cls, policy_cap)
+    frontier_nodes = stopping.frontier(tree, start)
+    if variant == "full":
         recursion = _Recursion(spec, tree, policy_cap)
         value_set = recursion.value_set
     else:
         value_set = functools.partial(variant_set, spec, tree, variant=variant, cap=policy_cap)
     lhs = value_set(start)
-
-    frontier_nodes = stopping.frontier(tree, start)
     node_sets = {nid: value_set(nid).points for nid in frontier_nodes}
     if selection_class == STATE_CLASS:
         groups = tree.group_by_time_state(frontier_nodes)
@@ -144,14 +142,17 @@ def verify_dpp(
             "terminal selection enumeration", n_selections, selection_cap
         )
 
-    if recursion is not None:
-        rhs = recursion.stopped(frontier_nodes).value_set(start)
-    else:
-        rhs_points: set[Vector] = set()
-        for chosen in itertools.product(*choice_sets):
-            psi = {nid: value for members, value in zip(groups.values(), chosen) for nid in members}
-            rhs_points.update(value_set(start, frontier=psi))
-        rhs = ValueSet.of(rhs_points)
+    psis = (
+        {nid: value for members, value in zip(groups.values(), chosen) for nid in members}
+        for chosen in itertools.product(*choice_sets)
+    )
+    if variant != "full":
+        rhs = ValueSet.of(y for psi in psis for y in value_set(start, frontier=psi))
+    elif selection_class == STATE_CLASS:  # coupled prefixes: one cut game per selection
+        cuts = (recursion.stopped({nid: (y,) for nid, y in psi.items()}) for psi in psis)
+        rhs = ValueSet.of(y for cut in cuts for y in cut.value_set(start))
+    else:  # independent below different children: one cut game carries the sets
+        rhs = recursion.stopped(node_sets).value_set(start)
 
     context = {
         "variant": variant,

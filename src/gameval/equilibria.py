@@ -19,8 +19,8 @@ Two independent routes compute the same object:
 The recursion carries off-path punishment values, which make it exact for
 every kernel. The two routes' exact agreement on every kernel is the central
 invariant of the package and is what the verification layer stresses;
-``dpp.verify_dpp`` reads the recursion for the full variant with path
-selections, and strong Pareto reads its minimal achievable set.
+``dpp.verify_dpp`` reads the recursion for the full variant, and strong
+Pareto reads its minimal achievable set.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .model import (
     Policy,
     Vector,
     _Scope,
+    _scaled,
     induct,
     tables_of,
 )
@@ -885,11 +886,13 @@ class _Recursion:
     deviators' replies, kept to its minimal points, is the path class's
     minimal achievable set (:meth:`frontier`).
 
-    ``stops`` is None for the whole game, keyed by table row, whose memos
-    are the tables' ``dpp_sets`` (E), ``threats`` (Max P) and ``frontiers``;
-    else it maps the node ids where play stops to their carried integer
-    sets, keys are node ids, and the memos live with the object. An entry
-    holds a set's points and the largest selection count met at its key or
+    Every key is a table row (one per (time, state) on Markov specs, else
+    one per prefix), in the cut game too, as play stops by (time, state)
+    (:meth:`model.StoppingTime.frontier`). ``stops`` is None for the whole
+    game, whose memos are the tables' ``dpp_sets`` (E), ``threats`` (Max P)
+    and ``frontiers``; else it maps the rows where play stops to their
+    carried integer sets, and the memos live with the object. An entry
+    holds a set's points and the largest selection count met at its row or
     below, checked against ``cap`` on every read, as every product is.
     ``cap`` is a selection cap, or the policy cap of a class whose size the
     caller checked: each point stands for a profile of its child's subgame,
@@ -897,27 +900,20 @@ class _Recursion:
     """
 
     def __init__(self, spec: GameSpec, tree: PathTree, cap: int, stops=None):
-        self.spec, self.tree, self.cap, self.stops = spec, tree, cap, stops
+        self.spec, self.tree, self.cap, self.stops = spec, tree, cap, stops or {}
         self.tables = tables = tables_of(spec, tree)
         shared = tables.dpp_sets, tables.threats, tables.frontiers
         self.sets, self.threats, self.frontiers = shared if stops is None else ({}, {}, {})
 
-    def _below(self, key):
-        """A decision key's table row and its children's keys."""
-        if self.stops is None:
-            return key, range(*self.tables.kids[key])
-        node = self.tree.nodes[key]
-        return self.tables.row(node), node.children
-
-    def _carried(self, key, order=None):
-        """The entry of a carried key: its set C, or Max C under ``order``."""
-        if self.stops is None:
-            end = self.tables.end[key]
+    def _carried(self, row: int, order=None):
+        """The entry of a carried row: its set C, or Max C under ``order``."""
+        found = self.stops.get(row)
+        if found is None:
+            end = self.tables.end[row]
             return None if end is None else ((end,), 0)
-        found = self.stops.get(key)
-        if found is not None and order is not None:
+        if order is not None:
             found = tuple(y for y in found if not _dominated(y, found, order))
-        return None if found is None else (found, 0)
+        return found, 0
 
     def _check(self, count: int) -> None:
         if count > self.cap:
@@ -937,16 +933,16 @@ class _Recursion:
             found.update(keep(tables, _one_step_costs(tables, row, chosen, joints)))
         return found, max(n_selections, *counts)
 
-    def values(self, key) -> tuple:
-        """E at a key: its integer points and selection count."""
-        entry = self.sets.get(key)
+    def values(self, row: int) -> tuple:
+        """E at a row: its integer points and selection count."""
+        entry = self.sets.get(row)
         if entry is not None:
             self._check(entry[1])
             return entry
-        entry = self._carried(key)
+        entry = self._carried(row)
         if entry is not None:
             return entry
-        row, kids = self._below(key)
+        kids = range(*self.tables.kids[row])
         reaches = [tuple(map(bool, w)) for w in self.tables.kern[row]]  # per joint
         kinds = dict.fromkeys(reaches)
         found, count = set(), 0
@@ -957,51 +953,53 @@ class _Recursion:
             points, n = self._selections(row, sets, keep)
             found |= points
             count = max(count, n)
-        entry = self.sets[key] = tuple(found), count
+        entry = self.sets[row] = tuple(found), count
         return entry
 
-    def punishments(self, key) -> tuple:
-        """Max P at a key: its integer points and selection count."""
-        return self._extreme(key, self.threats, _deviation_points, ge)
+    def punishments(self, row: int) -> tuple:
+        """Max P at a row: its integer points and selection count."""
+        return self._extreme(row, self.threats, _deviation_points, ge)
 
-    def frontier(self, key) -> tuple:
-        """The minimal achievable values at a key: its integer points and
+    def frontier(self, row: int) -> tuple:
+        """The minimal achievable values at a row: its integer points and
         selection count."""
-        return self._extreme(key, self.frontiers, _joint_points, le)
+        return self._extreme(row, self.frontiers, _joint_points, le)
 
-    def _extreme(self, key, memo, keep, order) -> tuple:
+    def _extreme(self, row: int, memo, keep, order) -> tuple:
         """The points ``keep`` takes over the selections from the children's
         same sets, kept to those that no other point dominates under
         ``order`` (:func:`_dominated`)."""
-        entry = memo.get(key)
+        entry = memo.get(row)
         if entry is not None:
             self._check(entry[1])
             return entry
-        entry = self._carried(key, order)
+        entry = self._carried(row, order)
         if entry is not None:
-            if self.stops is not None:  # Max C once per stop; the tables keep no stops
-                memo[key] = entry
+            if row in self.stops:  # Max C once per stop; the tables keep no stops
+                memo[row] = entry
             return entry
-        row, kids = self._below(key)
-        children = [self._extreme(c, memo, keep, order) for c in kids]
+        children = [self._extreme(c, memo, keep, order) for c in range(*self.tables.kids[row])]
         found, count = self._selections(row, children, keep)
-        entry = memo[key] = tuple(y for y in found if not _dominated(y, found, order)), count
+        entry = memo[row] = tuple(y for y in found if not _dominated(y, found, order)), count
         return entry
 
     def value_set(self, nid: int, sets=None) -> ValueSet:
         """E at a node of the tree, or the set the method ``sets`` gives
         there, as a value set."""
         node = self.tree.nodes[nid]
-        key = nid if self.stops is not None else self.tables.row(node)
         scale = self.tables.scale[node.t]
-        points = (sets or self.values)(key)[0]
+        points = (sets or self.values)(self.tables.row(node))[0]
         return ValueSet.of(tuple(Fraction(v, scale) for v in p) for p in points)
 
-    def stopped(self, frontier) -> _Recursion:
-        """The recursion of the game whose play stops at the ``frontier``
-        nodes, each carrying this recursion's E there."""
-        carried = {nid: self.values(self.tables.row(self.tree.nodes[nid]))[0] for nid in frontier}
-        return _Recursion(self.spec, self.tree, self.cap, carried)
+    def stopped(self, carried) -> _Recursion:
+        """The recursion of the game whose play stops at the nodes of
+        ``carried``, each offering its value points there, keyed by row."""
+        tables, nodes = self.tables, self.tree.nodes
+        stops = {
+            tables.row(nodes[nid]): _scaled(points, tables.scale[nodes[nid].t])
+            for nid, points in carried.items()
+        }
+        return _Recursion(self.spec, self.tree, self.cap, stops)
 
 
 # -- order filters -------------------------------------------------------------

@@ -394,7 +394,8 @@ class StoppingTime:
     Non-anticipativity is automatic because membership is keyed by node.
     ``stopped[t]`` holds the stopped ids of level t as one ``range``: the
     whole level, a state's stride, or nothing. So no level of a deep tree is
-    materialized, and membership is arithmetic.
+    materialized, and membership is arithmetic. Play stops by (time, state):
+    :meth:`frontier` refuses a hand-built map that does not.
     """
 
     stopped: tuple[range, ...]
@@ -421,17 +422,29 @@ class StoppingTime:
         return t == tree.horizon or nid in self.stopped[t]
 
     def frontier(self, tree: PathTree, start: int) -> list[int]:
-        """First-stop nodes on paths from ``start``; requires stop time > t(start)."""
-        if self.stops_at(tree, start):
+        """First-stop nodes on paths from ``start``, depth first. The stop
+        time must be strictly after t(start), so a stop at the start or at a
+        whole level at or before its time is refused; so is a stop at some
+        nodes of a (time, state) the walk meets but not at others, which a
+        recursion keyed by (time, state) cannot tell apart."""
+        t0 = tree.nodes.locate(start)[0]
+        if self.stops_at(tree, start) or any(self.stopped[t] == tree.levels[t] for t in range(t0)):
             raise GameValidationError("stopping time must be strictly after the start node")
         out: list[int] = []
+        seen: dict[tuple[int, str], bool] = {}
         stack = list(tree.node(start).children)[::-1]
         while stack:
-            nid = stack.pop()
-            if self.stops_at(tree, nid):
-                out.append(nid)
+            node = tree.node(stack.pop())
+            stops = self.stops_at(tree, node.id)
+            if seen.setdefault((node.t, node.state), stops) != stops:
+                raise GameValidationError(
+                    f"stopping time must stop by (time, state): {(node.t, node.state)} "
+                    "stops at some prefixes and runs on at others"
+                )
+            if stops:
+                out.append(node.id)
             else:
-                stack.extend(reversed(tree.node(nid).children))
+                stack.extend(reversed(node.children))
         return out
 
 

@@ -379,6 +379,17 @@ BAD_INPUTS = {
     # The open-loop report enumerates nothing, so it reads neither cap.
     "openloop-cap": ["verify-dpp", "--example", "openloop", "--cap", "5"],
     "openloop-selection-cap": ["verify-dpp", "--example", "openloop", "--selection-cap", "7"],
+    # A cap flag that the command or its engine never reads.
+    "setvalue-dpp-cap": ["setvalue", "--example", "table1", "--engine", "dpp", "--cap", "1"],
+    "setvalue-brute-selection-cap": ["setvalue", "--example", "table1", "--selection-cap", "1"],
+    "planner-selection-cap": ["planner", "--example", "table1", "--selection-cap", "1"],
+    # Play must run on past the start: a whole level at or before its time stops nothing.
+    "stop-time-0-after-start": [
+        "verify-dpp", "--example", "path", "--prefix", "s0/s10", "--stop-time", "0",
+    ],
+    "stop-at-root-state-after-start": [
+        "verify-dpp", "--example", "path", "--prefix", "s0/s10", "--stop-at-state", "s0",
+    ],
     "config-monotone-no": {"preset": "static", "grid": {"monotone": "no"}},
     "config-nx-float": {"preset": "static", "grid": {"nx": 7.0}},
     "config-x-bounds-swapped": {"preset": "static", "grid": {"x_lo": 1.0, "x_hi": -1.0}},
@@ -389,7 +400,14 @@ BAD_INPUTS = {
     "config-array": ["static"],
     "config-not-json": "{preset: static",
 }
-BAD_INPUT_MESSAGES = {"probe-zero-kernel": "the probe needs q > 0"}
+BAD_INPUT_MESSAGES = {
+    "probe-zero-kernel": "the probe needs q > 0",
+    "setvalue-dpp-cap": "--engine dpp takes no --cap without --witnesses",
+    "setvalue-brute-selection-cap": "--engine brute takes no --selection-cap",
+    "planner-selection-cap": "planner takes no --selection-cap",
+    "stop-time-0-after-start": "stopping time must be strictly after the start node",
+    "stop-at-root-state-after-start": "stopping time must be strictly after the start node",
+}
 
 
 @pytest.mark.parametrize("kind", BAD_INPUTS)
@@ -498,6 +516,15 @@ def test_threads_variable_and_flag_below_1_give_one_json_error(capsys, monkeypat
     }
     monkeypatch.setenv("GAMEVAL_THREADS", "3")
     assert run(capsys, "examples", "list")[0] == 0
+
+
+def test_the_caps_an_engine_reads_are_kept(capsys):
+    for argv in (
+        ["--engine", "both", "--cap", "4", "--selection-cap", "1"],
+        ["--engine", "dpp", "--witnesses", "--cap", "4", "--selection-cap", "1"],
+    ):
+        assert run(capsys, "setvalue", "--example", "table1", *argv)[0] == 0
+    assert run(capsys, "planner", "--example", "table1", "--cap", "4")[0] == 0
 
 
 def test_a_cap_of_1_still_exits_3(capsys):

@@ -666,6 +666,17 @@ def test_truncation_missing_terminal_entry_rejected(path_game):
 
 
 def test_stopping_time_must_be_after_start(path_game):
+    """A stop at the start, or at a whole level at or before its time, is
+    refused; a hit that covers part of an earlier level is not one."""
     spec, tree, root = path_game
-    with pytest.raises(GameValidationError):
-        StoppingTime.at_time(tree, 0).frontier(tree, root)
+    s10, s11 = tree.id_of(("s0", "s10")), tree.id_of(("s0", "s11"))
+    for stopping, start in (
+        (StoppingTime.at_time(tree, 0), root),
+        (StoppingTime.at_time(tree, 0), s10),
+        (StoppingTime.at_time(tree, 1), s10),
+        (StoppingTime.hitting_state(tree, "s0"), s10),
+    ):
+        with pytest.raises(GameValidationError, match="^stopping time must be strictly after"):
+            stopping.frontier(tree, start)
+    frontier = StoppingTime.hitting_state(tree, "s10").frontier(tree, s11)
+    assert frontier == list(tree.levels[3][2:])

@@ -8,6 +8,7 @@ the definition (``tests/definitions.py``), which shares no code with either.
 from __future__ import annotations
 
 import ast
+import functools
 import itertools
 import math
 import random
@@ -28,10 +29,11 @@ from gameval.equilibria import (
     variant_set,
 )
 from gameval.errors import EnumerationCapExceeded, GameValidationError
-from gameval.model import PATH_CLASS, tables_of
+from gameval.model import PATH_CLASS, STATE_CLASS, tables_of
 from specgen import random_game
 
 DATA = Path(__file__).parent / "data"
+SELECTIONS, SELECTION_IDS = (PATH_CLASS, STATE_CLASS), ("path", "state")
 
 
 def zero_kernel_games(seed: int, count: int, **kwargs):
@@ -66,18 +68,30 @@ def stopping_times(tree, start: int):
     return out
 
 
-def composed(spec, tree, start, stopping):
+def composed(spec, tree, start, stopping, selection_class=PATH_CLASS):
     """``verify_dpp``'s report from enumerations alone: ``variant_set`` at
-    the start, at every stopped prefix and for every selection psi."""
+    the start, at every stopped prefix and for every selection psi. State
+    selections pick one value per (time, state), and a group whose prefixes
+    have unequal sets is refused."""
     lhs = variant_set(spec, tree, start)
     frontier = stopping.frontier(tree, start)
-    sets = [variant_set(spec, tree, nid).points for nid in frontier]
+    if selection_class == STATE_CLASS:
+        groups = list(tree.group_by_time_state(frontier).values())
+    else:
+        groups = [(nid,) for nid in frontier]
+    sets = []
+    for members in groups:
+        found = {variant_set(spec, tree, nid).points for nid in members}
+        if len(found) > 1:
+            raise GameValidationError("state-dependent selections need equal value sets")
+        sets.append(found.pop())
     rhs = set()
     for chosen in itertools.product(*sets):
-        rhs.update(variant_set(spec, tree, start, frontier=dict(zip(frontier, chosen))))
+        psi = {nid: y for members, y in zip(groups, chosen) for nid in members}
+        rhs.update(variant_set(spec, tree, start, frontier=psi))
     context = {
         "variant": "full",
-        "selection_class": PATH_CLASS,
+        "selection_class": selection_class,
         "n_selections": math.prod(map(len, sets)),
         "stopped_prefixes": [list(tree.node(nid).prefix) for nid in frontier],
     }
@@ -116,10 +130,32 @@ def test_the_recursion_equals_brute_force_on_every_kernel(seed):
             assert set_value_dpp(spec, tree, nid) == set_value_bruteforce(spec, tree, nid)
 
 
-def test_the_dispatched_verify_dpp_equals_the_enumerator_composition():
+def composed_or_refused(spec, tree, start, stopping, selection_class):
+    """:func:`composed`, or None where it refuses a (time, state)."""
+    try:
+        return composed(spec, tree, start, stopping, selection_class)
+    except GameValidationError:
+        return None
+
+
+def assert_dispatched(want, spec, tree, start, stopping, selection_class):
+    """``verify_dpp`` gives ``want``, or refuses where ``want`` is None."""
+    run = functools.partial(
+        verify_dpp, spec, tree, start, stopping, selection_class=selection_class
+    )
+    if want is None:
+        with pytest.raises(GameValidationError, match="^state-dependent selections need equal"):
+            run()
+    else:
+        assert same_report(run(), want)
+
+
+@pytest.mark.parametrize("selection_class", SELECTIONS, ids=SELECTION_IDS)
+def test_the_dispatched_verify_dpp_equals_the_enumerator_composition(selection_class):
     """Every stop time and state hit, from the root and from every time-1
     node, on zero kernels with 2 and 3 players to horizon 2 and two-player
-    ones to horizon 3: lhs, rhs, relation, differences and context alike."""
+    ones to horizon 3: lhs, rhs, relation, differences and context alike, or
+    a refusal on both sides when a (time, state) has unequal sets."""
     rng = random.Random(3)
     games = zero_kernel_games(3, 16, max_periods=2)
     while len(games) < 32:  # two players to horizon 3
@@ -131,11 +167,9 @@ def test_the_dispatched_verify_dpp_equals_the_enumerator_composition():
         tree = build_path_tree(spec)
         for start in starts(tree):
             for stopping in stopping_times(tree, start):
-                if stopping.stops_at(tree, start):
-                    continue
-                got = verify_dpp(spec, tree, start, stopping)
-                assert same_report(got, composed(spec, tree, start, stopping))
-                checks += 1
+                want = composed_or_refused(spec, tree, start, stopping, selection_class)
+                assert_dispatched(want, spec, tree, start, stopping, selection_class)
+                checks += want is not None
     assert checks > 150
 
 
@@ -249,18 +283,24 @@ def test_one_punishment_serves_both_deviators_at_a_stopped_child():
 # -- no enumeration ----------------------------------------------------------------
 
 
-def test_full_path_verify_dpp_runs_no_enumeration(monkeypatch):
+@pytest.mark.parametrize("selection_class", SELECTIONS, ids=SELECTION_IDS)
+def test_full_path_verify_dpp_runs_no_enumeration(monkeypatch, selection_class):
+    """The full variant reads the recursion under either selection class,
+    for its reports and for its refusals alike."""
     cases = [(load_example("path"), 2), (load_example("path"), 1)]
     cases += [(io.load_game(DATA / name), stop) for name, stop in
-              (("zero_kernel_path.json", 2), ("zero_kernel_markov.json", 1))]
+              (("zero_kernel_path.json", 2), ("zero_kernel_path.json", 1),
+               ("zero_kernel_markov.json", 1))]
     wanted = []
     for spec, stop in cases:
         tree = build_path_tree(spec)
         for stopping in (StoppingTime.at_time(tree, stop), *stopping_times(tree, 0)[-1:]):
-            wanted.append((spec, tree, stopping, composed(spec, tree, 0, stopping)))
+            want = composed_or_refused(spec, tree, 0, stopping, selection_class)
+            wanted.append((want, spec, tree, stopping))
+    assert sum(want is not None for want, *_ in wanted) >= 7
     monkeypatch.setattr(equilibria, "iter_equilibria", refuse)
-    for spec, tree, stopping, want in wanted:
-        assert same_report(verify_dpp(spec, tree, 0, stopping), want)
+    for want, spec, tree, stopping in wanted:
+        assert_dispatched(want, spec, tree, 0, stopping, selection_class)
 
 
 def test_a_bad_selection_class_is_reported_before_any_enumeration(path_game, no_enumeration):
@@ -319,6 +359,60 @@ def test_a_memo_verify_dpp_fills_checks_the_selection_cap_on_every_read():
     assert set_value_dpp(spec, tree, root, selection_cap=count) == set_value_bruteforce(
         spec, tree, root
     )
+
+
+def markov_horizon_3(seed: int, widths: tuple[int, ...]):
+    """The first zero-kernel, horizon-3 Markov ``random_game`` of the seed
+    whose levels 1 and 2 have ``widths`` states."""
+    rng = random.Random(seed)
+    while True:
+        spec = random_game(rng, max_states=max(widths), allow_zero=True, state_dependent=True)
+        shape = tuple(map(len, spec.states[1:3]))
+        if spec.horizon == 3 and not spec.q_positive and shape == widths:
+            return spec
+
+
+def test_the_cut_game_is_keyed_by_table_row(monkeypatch):
+    """From the root at stop time 3 the cut game solves each (time, state)
+    once: every memo holds no more entries than the spec has table rows,
+    though the stopped prefixes have more decision nodes above them."""
+    spec = markov_horizon_3(1, (3, 3))
+    tree = build_path_tree(spec)
+    rows = range(tables_of(spec, tree).offset[-1])
+    assert len(tree.decision_nodes(0)) > len(rows)
+    cuts = []
+    stopped = equilibria._Recursion.stopped
+    monkeypatch.setattr(equilibria._Recursion, "stopped",
+                        lambda self, carried: cuts.append(stopped(self, carried)) or cuts[-1])
+    verify_dpp(spec, tree, 0, StoppingTime.at_time(tree, 3), policy_cap=4**13)
+    (cut,) = cuts
+    assert cut.sets and cut.threats
+    for memo in (cut.sets, cut.threats, cut.frontiers):
+        assert set(memo) <= set(rows)
+
+
+def test_a_stopping_time_must_stop_by_time_and_state():
+    """A hand-built stopping time that stops one prefix of a (time, state)
+    and runs on at another is refused before any recursion work. One that
+    stops prefixes the walk never meets is not, and matches the enumeration."""
+    spec = markov_horizon_3(5, (2, 1))
+    tree = build_path_tree(spec)
+    levels = tree.levels
+    one_node = StoppingTime(
+        tuple(level[:1] if t == 2 else level[:0] for t, level in enumerate(levels))
+    )
+    for selection_class in SELECTIONS:
+        with pytest.raises(GameValidationError, match=r"must stop by \(time, state\)"):
+            verify_dpp(spec, tree, 0, one_node, selection_class=selection_class)
+    assert not tables_of(spec, tree).dpp_sets
+    # Level 1's first state stops, so level 2's nodes below it are never met.
+    unmet = StoppingTime(tuple(level[:1] if t in (1, 2) else level[:0]
+                               for t, level in enumerate(levels)))
+    run_on = tree.node(levels[1][1]).children[0]
+    assert unmet.frontier(tree, 0) == [levels[1][0], *tree.node(run_on).children]
+    for selection_class in SELECTIONS:
+        want = composed_or_refused(spec, tree, 0, unmet, selection_class)
+        assert_dispatched(want, spec, tree, 0, unmet, selection_class)
 
 
 # -- the definition ----------------------------------------------------------------
