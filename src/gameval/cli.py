@@ -73,7 +73,7 @@ def _game(args) -> tuple[GameSpec, PathTree, int]:
     """The named spec, its path tree, and the ``--prefix`` node (default: first root)."""
     spec = _load_spec(args)
     tree = build_path_tree(spec)
-    start = tree.id_of(tuple(args.prefix.split("/"))) if args.prefix else tree.levels[0][0]
+    start = tree.levels[0][0] if args.prefix is None else tree.id_of(tuple(args.prefix.split("/")))
     return spec, tree, start
 
 

@@ -98,6 +98,13 @@ def verify_dpp(
     the class size (against ``policy_cap``) and the stopping time are
     checked before any work.
 
+    The class-size check stays on the full variant, which enumerates no
+    profile: it is what lets the recursion run on ``policy_cap`` (no
+    product exceeds the class size), and it bounds the walk to the stopping
+    time, which lists every stopped prefix in the report. Without it a deep
+    Markov spec stopped at time t walks to and lists up to |states|^t
+    prefixes; dropping it first needs a bound on the stopped prefixes.
+
     The full variant reads both sides from the recursion with off-path
     punishments (:class:`_Recursion`) on table rows: V is its E, and V^psi
     the same recursion on the game cut at the stopping time (which stops by

@@ -887,11 +887,11 @@ class _Recursion:
     minimal achievable set (:meth:`frontier`).
 
     Every key is a table row (one per (time, state) on Markov specs, else
-    one per prefix), in the cut game too, as play stops by (time, state)
-    (:meth:`model.StoppingTime.frontier`). ``stops`` is None for the whole
-    game, whose memos are the tables' ``dpp_sets`` (E), ``threats`` (Max P)
-    and ``frontiers``; else it maps the rows where play stops to their
-    carried integer sets, and the memos live with the object. An entry
+    one per prefix), in the cut game too, as a stopping time stops by
+    (time, state) (:class:`model.StoppingTime`). ``stops`` is None for the
+    whole game, whose memos are the tables' ``dpp_sets`` (E), ``threats``
+    (Max P) and ``frontiers``; else it maps the rows where play stops to
+    their carried integer sets, and the memos live with the object. An entry
     holds a set's points and the largest selection count met at its row or
     below, checked against ``cap`` on every read, as every product is.
     ``cap`` is a selection cap, or the policy cap of a class whose size the

@@ -6,12 +6,13 @@ over next states, per-player running costs that depend only on the player's
 own action, and per-player terminal costs. All quantities are
 `fractions.Fraction`; nothing in this module touches floats.
 
-Histories are handled through a prefix tree (`PathTree`). Policies,
-stopping times, and cost evaluation are all keyed by tree nodes, which makes
-adaptedness structural rather than something to check. The tree is implicit:
-a node id is a mixed-radix number of the prefix's state indices, and a
-`Node` is built only when asked for, so a Markov solve, which runs on the
-(time, state) rows, pays for the nodes it reads and not for every prefix.
+Histories are handled through a prefix tree (`PathTree`). Policies and cost
+evaluation are keyed by tree nodes, and stopping times by a node's (time,
+state), which makes adaptedness structural rather than something to check.
+The tree is implicit: a node id is a mixed-radix number of the prefix's state
+indices, and a `Node` is built only when asked for, so a Markov solve, which
+runs on the (time, state) rows, pays for the nodes it reads and not for every
+prefix.
 
 Every exact walk (policy costs, best responses, the planner's dictatorship
 value, the recursion's one-step games) runs on `Tables`, the spec compiled
@@ -352,13 +353,17 @@ class PathTree:
         """Subtree nodes at times < T, where actions are taken."""
         return list(itertools.chain.from_iterable(self._blocks(start, self.horizon)))
 
+    def time_state(self, nid: int) -> tuple[int, str]:
+        """A node's time and current state, by arithmetic on its id."""
+        t, r = self.nodes.locate(nid)
+        level = self.states[t]
+        return t, level[r % len(level)]
+
     def group_by_time_state(self, nodes) -> dict[tuple[int, str], tuple[int, ...]]:
         """Nodes grouped by (time, current state), keys sorted, members in input order."""
         groups: dict[tuple[int, str], list[int]] = {}
         for nid in nodes:
-            t, r = self.nodes.locate(nid)
-            level = self.states[t]
-            groups.setdefault((t, level[r % len(level)]), []).append(nid)
+            groups.setdefault(self.time_state(nid), []).append(nid)
         return {key: tuple(groups[key]) for key in sorted(groups)}
 
 
@@ -388,63 +393,52 @@ class Policy:
 
 @dataclass(frozen=True)
 class StoppingTime:
-    """Stop/continue map on prefixes; stopping happens at the first hit.
+    """Stop/continue rule on prefixes; stopping happens at the first hit.
 
-    Terminal nodes always stop, so the stop time is at most T on every path.
-    Non-anticipativity is automatic because membership is keyed by node.
-    ``stopped[t]`` holds the stopped ids of level t as one ``range``: the
-    whole level, a state's stride, or nothing. So no level of a deep tree is
-    materialized, and membership is arithmetic. Play stops by (time, state):
-    :meth:`frontier` refuses a hand-built map that does not.
+    ``stopped[t]`` holds the state labels where play stops at time t, so a
+    prefix stops by its (time, state) alone and no level of a deep tree is
+    materialized. Terminal nodes always stop, so the stop time is at most T
+    on every path. Non-anticipativity is automatic: a prefix's own time and
+    state decide.
     """
 
-    stopped: tuple[range, ...]
+    stopped: tuple[frozenset[str], ...]
 
     @classmethod
     def at_time(cls, tree: PathTree, t0: int) -> StoppingTime:
         if not 0 <= t0 <= tree.horizon:
             raise GameValidationError(f"stopping time {t0} outside 0..{tree.horizon}")
-        return cls(tuple(level if t == t0 else level[:0] for t, level in enumerate(tree.levels)))
+        stopped = (frozenset(level if t == t0 else ()) for t, level in enumerate(tree.states))
+        return cls(tuple(stopped))
 
     @classmethod
     def hitting_state(cls, tree: PathTree, label: str) -> StoppingTime:
-        # A level's nodes cycle through its states, so each state's ids are a stride.
-        stopped = tuple(
-            level[states.index(label) :: len(states)] if label in states else level[:0]
-            for level, states in zip(tree.levels, tree.states)
-        )
+        stopped = tuple(frozenset({label}).intersection(level) for level in tree.states)
         if not any(stopped):
             raise GameValidationError(f"no node carries state {label!r}")
         return cls(stopped)
 
     def stops_at(self, tree: PathTree, nid: int) -> bool:
-        t = tree.nodes.locate(nid)[0]
-        return t == tree.horizon or nid in self.stopped[t]
+        t, state = tree.time_state(nid)
+        return t == tree.horizon or state in self.stopped[t]
 
     def frontier(self, tree: PathTree, start: int) -> list[int]:
         """First-stop nodes on paths from ``start``, depth first. The stop
         time must be strictly after t(start), so a stop at the start or at a
-        whole level at or before its time is refused; so is a stop at some
-        nodes of a (time, state) the walk meets but not at others, which a
-        recursion keyed by (time, state) cannot tell apart."""
+        whole level at or before its time is refused."""
         t0 = tree.nodes.locate(start)[0]
-        if self.stops_at(tree, start) or any(self.stopped[t] == tree.levels[t] for t in range(t0)):
+        if self.stops_at(tree, start) or any(
+            self.stopped[t].issuperset(tree.states[t]) for t in range(t0)
+        ):
             raise GameValidationError("stopping time must be strictly after the start node")
         out: list[int] = []
-        seen: dict[tuple[int, str], bool] = {}
         stack = list(tree.node(start).children)[::-1]
         while stack:
-            node = tree.node(stack.pop())
-            stops = self.stops_at(tree, node.id)
-            if seen.setdefault((node.t, node.state), stops) != stops:
-                raise GameValidationError(
-                    f"stopping time must stop by (time, state): {(node.t, node.state)} "
-                    "stops at some prefixes and runs on at others"
-                )
-            if stops:
-                out.append(node.id)
+            nid = stack.pop()
+            if self.stops_at(tree, nid):
+                out.append(nid)
             else:
-                stack.extend(reversed(node.children))
+                stack.extend(reversed(tree.node(nid).children))
         return out
 
 

@@ -390,6 +390,13 @@ BAD_INPUTS = {
     "stop-at-root-state-after-start": [
         "verify-dpp", "--example", "path", "--prefix", "s0/s10", "--stop-at-state", "s0",
     ],
+    # The stop time lies in 0..T.
+    "stop-time-99": ["verify-dpp", "--example", "path", "--stop-time", "99"],
+    "stop-time-negative": ["verify-dpp", "--example", "path", "--stop-time", "-1"],
+    # An empty prefix names no node; it is not the default start.
+    "setvalue-prefix-empty": ["setvalue", "--example", "table1", "--prefix", ""],
+    "verify-dpp-prefix-empty": ["verify-dpp", "--example", "path", "--prefix", ""],
+    "planner-prefix-empty": ["planner", "--example", "table1", "--prefix", ""],
     "config-monotone-no": {"preset": "static", "grid": {"monotone": "no"}},
     "config-nx-float": {"preset": "static", "grid": {"nx": 7.0}},
     "config-x-bounds-swapped": {"preset": "static", "grid": {"x_lo": 1.0, "x_hi": -1.0}},
@@ -407,6 +414,12 @@ BAD_INPUT_MESSAGES = {
     "planner-selection-cap": "planner takes no --selection-cap",
     "stop-time-0-after-start": "stopping time must be strictly after the start node",
     "stop-at-root-state-after-start": "stopping time must be strictly after the start node",
+    "stop-time-99": "stopping time 99 outside 0..3",
+    "stop-time-negative": "stopping time -1 outside 0..3",
+    **{
+        f"{command}-prefix-empty": "unknown prefix ('',)"
+        for command in ("setvalue", "verify-dpp", "planner")
+    },
 }
 
 

@@ -193,6 +193,8 @@ def test_pareto_eps_validity_by_structure_recheck():
     for out_of_range in (F(0), F(1, 3), F(1, 2)):
         with pytest.raises(GameValidationError):
             build_pareto_spec(out_of_range)
+    # Any exact rational is read as a Fraction.
+    assert build_pareto_spec("1/100").transitions == build_pareto_spec(F(1, 100)).transitions
 
 
 # -- open-loop linear-quadratic game ---------------------------------------------

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 import random
@@ -12,6 +11,7 @@ import pytest
 from gameval import (
     EnumerationCapExceeded,
     EquilibriumRecord,
+    GameSpec,
     GameValidationError,
     Policy,
     Scalarization,
@@ -132,14 +132,7 @@ def test_table1_best_response(table1):
 
 
 def test_best_response_zero_game_picks_lowest_index():
-    spec = random_game(random.Random(1))
-    zero = copy.copy(spec)
-    zero.running_costs = tuple(
-        {k: F(0) for k in table} for table in spec.running_costs
-    )
-    zero.terminal_costs = tuple(
-        {k: F(0) for k in table} for table in spec.terminal_costs
-    )
+    zero = indifferent(indifferent(random_game(random.Random(1)), 0), 1)
     tree = build_path_tree(zero)
     root = tree.id_of(("r0",))
     frozen = Policy(actions={nid: (1, 1) for nid in tree.decision_nodes(root)})
@@ -346,8 +339,15 @@ def test_class_mismatch_rejected(path_game):
 
 def test_symmetric_class_needs_equal_action_sets():
     spec = random_game(random.Random(2))
-    uneven = copy.copy(spec)
-    uneven.actions = (("0", "1"), ("a", "b"))
+    uneven = GameSpec(
+        horizon=spec.horizon,
+        states=spec.states,
+        actions=(("0", "1"), ("a", "b")),
+        transitions=spec.transitions,
+        running_costs=spec.running_costs,
+        terminal_costs=spec.terminal_costs,
+        state_dependent=spec.state_dependent,
+    )
     tree = build_path_tree(uneven)
     root = tree.id_of(("r0",))
     with pytest.raises(GameValidationError, match="identical action sets"):

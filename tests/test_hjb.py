@@ -850,6 +850,33 @@ def test_grid_fields_outside_their_domain_are_rejected(field, value, message):
         replace(GridConfig(), **{field: value})
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("n_players", 3, "grid solver supports one or two players"),
+        ("running", (lambda t, x, a: 0.0,), "need one running and one terminal cost per player"),
+        ("action_grids", ((0.0,), ()), "every player needs a nonempty action grid"),
+        ("horizon", 0.0, "horizon must be positive"),
+    ],
+)
+def test_diffusion_specs_the_solver_cannot_take_are_rejected(field, value, message):
+    spec, _ = pde_preset("static")
+    with pytest.raises(GameValidationError, match=message):
+        replace(spec, **{field: value})
+
+
+def test_unknown_difference_modes_and_presets_are_rejected():
+    with pytest.raises(GameValidationError, match="unknown difference mode 'sideways'"):
+        first_diff(np.zeros(3), 0.1, 0, mode="sideways")
+    with pytest.raises(GameValidationError, match="no PDE preset named 'nosuch'"):
+        pde_preset("nosuch")
+
+
+def test_the_oracle_aborts_when_its_solve_is_not_finite():
+    with pytest.raises(NumericInstabilityError, match="oracle HJB solve became non-finite"):
+        single_player_hjb(lambda x: math.nan, (0.0,), -1.0, 1.0, 5, 0.1)
+
+
 def test_grid_fields_take_numpy_scalars_and_keep_documented_bounds():
     grid = GridConfig(
         nx=np.int64(21), ny=np.int32(21), nz=np.int64(5), x_lo=np.float64(-1.0),

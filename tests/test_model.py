@@ -135,6 +135,36 @@ def test_rejects_unnormalized_kernel():
         )
 
 
+# A valid one-period, two-player spec; each case below breaks one field.
+TWO_LEAVES = dict(
+    horizon=1,
+    states=[["a"], ["b", "c"]],
+    actions=[["0"], ["0"]],
+    transitions={(0, ("a",), (0, 0)): (F(1, 2), F(1, 2))},
+    running_costs=[{(0, ("a",), 0): F(0)}, {(0, ("a",), 0): F(0)}],
+    terminal_costs=[{("a", "b"): F(0), ("a", "c"): F(0)}] * 2,
+)
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("horizon", 0, "horizon must be >= 1"),
+        ("states", [["a"]], "need 2 state levels, got 1"),
+        ("states", [["a"], ["b", "b"]], "duplicate state labels at time 1"),
+        ("actions", [], "need at least one player"),
+        ("running_costs", [{(0, ("a",), 0): F(0)}], "cost tables must have one entry per player"),
+        ("transitions", {(0, ("a",), (0, 0)): (0.5, 0.5)}, "probabilities must be Fraction"),
+        ("running_costs", [{(0, ("a",), 0): 0}] * 2, "running costs must be Fraction"),
+        ("terminal_costs", [{("a", "b"): 0, ("a", "c"): F(0)}] * 2, "terminal costs must be"),
+    ],
+)
+def test_specs_outside_the_model_are_rejected(field, value, message):
+    GameSpec(**TWO_LEAVES)
+    with pytest.raises(GameValidationError, match=message):
+        GameSpec(**{**TWO_LEAVES, field: value})
+
+
 @pytest.mark.parametrize("delta", [F(1, 12), F(-1, 12)])
 def test_rejects_kernel_off_one_by_a_twelfth(delta):
     with pytest.raises(GameValidationError, match=f"sums to {1 + delta}, not 1"):
@@ -278,7 +308,8 @@ def test_implicit_tree_equals_eager_tree(spec):
     for label in set().union(*spec.states):
         want = frozenset(node.id for node in nodes if node.state == label)
         stopping = StoppingTime.hitting_state(tree, label)
-        assert frozenset(itertools.chain.from_iterable(stopping.stopped)) == want
+        labels = tuple(frozenset(s for s in level if s == label) for level in spec.states)
+        assert stopping.stopped == labels
         for node in nodes:
             stops = node.id in want or node.t == spec.horizon
             assert stopping.stops_at(tree, node.id) == stops
@@ -295,6 +326,23 @@ def test_implicit_tree_rejects_what_the_eager_tree_rejected():
             tree.id_of(prefix)
     with pytest.raises(GameValidationError, match="no node carries"):
         StoppingTime.hitting_state(tree, "z")
+
+
+def test_a_policy_has_no_action_off_its_nodes():
+    with pytest.raises(GameValidationError, match="policy has no action at node 3"):
+        Policy(actions={0: (0, 0)}).action(3)
+
+
+@pytest.mark.parametrize("t0", [-1, 4])
+def test_a_stopping_time_lies_in_the_horizon(path_game, t0):
+    _, tree, _ = path_game
+    with pytest.raises(GameValidationError, match=f"stopping time {t0} outside 0..3"):
+        StoppingTime.at_time(tree, t0)
+
+
+def test_an_unknown_example_is_rejected():
+    with pytest.raises(GameValidationError, match="no spec preset 'nosuch'; choose from"):
+        load_example("nosuch")
 
 
 def test_path_measure_first_branch_half(path_game):

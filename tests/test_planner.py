@@ -30,6 +30,24 @@ def test_scalarization_validation():
         Scalarization.parse("3/2,-1/2")
 
 
+@pytest.mark.parametrize(
+    "weights,message",
+    [
+        ((), "empty weight vector"),
+        ((F(3, 2), F(-1, 2)), "weights must be nonnegative"),
+        ((F(1, 2), F(1, 3)), "weights sum to 5/6, not 1"),
+    ],
+)
+def test_scalarizations_off_the_simplex_are_rejected(weights, message):
+    with pytest.raises(GameValidationError, match=message):
+        Scalarization(weights)
+
+
+def test_a_score_needs_one_weight_per_payoff():
+    with pytest.raises(GameValidationError, match="weight vector length differs"):
+        Scalarization.uniform(2).score((F(0),) * 3)
+
+
 def test_optimum_symmetric_tie():
     vs = ValueSet.of([(F(0), F(1)), (F(1), F(0))])
     opt = planner_optimum(vs, Scalarization.parse("1/2,1/2"))

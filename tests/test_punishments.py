@@ -391,28 +391,20 @@ def test_the_cut_game_is_keyed_by_table_row(monkeypatch):
         assert set(memo) <= set(rows)
 
 
-def test_a_stopping_time_must_stop_by_time_and_state():
-    """A hand-built stopping time that stops one prefix of a (time, state)
-    and runs on at another is refused before any recursion work. One that
-    stops prefixes the walk never meets is not, and matches the enumeration."""
+def test_a_hand_built_stopping_time_stops_by_time_and_state():
+    """A stopping time built from its per-level state labels stops by (time,
+    state) by construction: stopping level 1's first state runs on at its
+    other state, and the report matches the enumeration."""
     spec = markov_horizon_3(5, (2, 1))
     tree = build_path_tree(spec)
     levels = tree.levels
-    one_node = StoppingTime(
-        tuple(level[:1] if t == 2 else level[:0] for t, level in enumerate(levels))
-    )
-    for selection_class in SELECTIONS:
-        with pytest.raises(GameValidationError, match=r"must stop by \(time, state\)"):
-            verify_dpp(spec, tree, 0, one_node, selection_class=selection_class)
-    assert not tables_of(spec, tree).dpp_sets
-    # Level 1's first state stops, so level 2's nodes below it are never met.
-    unmet = StoppingTime(tuple(level[:1] if t in (1, 2) else level[:0]
-                               for t, level in enumerate(levels)))
+    first = StoppingTime(tuple(frozenset(states[:1] if t == 1 else ())
+                               for t, states in enumerate(spec.states)))
     run_on = tree.node(levels[1][1]).children[0]
-    assert unmet.frontier(tree, 0) == [levels[1][0], *tree.node(run_on).children]
+    assert first.frontier(tree, 0) == [levels[1][0], *tree.node(run_on).children]
     for selection_class in SELECTIONS:
-        want = composed_or_refused(spec, tree, 0, unmet, selection_class)
-        assert_dispatched(want, spec, tree, 0, unmet, selection_class)
+        want = composed_or_refused(spec, tree, 0, first, selection_class)
+        assert_dispatched(want, spec, tree, 0, first, selection_class)
 
 
 # -- the definition ----------------------------------------------------------------
