@@ -391,7 +391,12 @@ def _coefficients(spec: DiffusionGameSpec, xs: np.ndarray, zs) -> tuple[list, di
     ``drift(0, x, a)`` is called once per (x, joint action) and
     ``running_i(0, x, a_i)`` once per (x, own action); own_min and excess
     follow by array ops with the float operations and order of
-    ``CoupledCost``. Returns the distinct (player, mu_i = -own_min_i) columns
+    ``CoupledCost``. own_min_i does not read player i's own action, so it is
+    taken once per (player, others' actions, z_i), with the coupled costs it
+    minimizes and its drift id, and shared by the joint actions that differ
+    in player i's action alone; the memo lives for one call, and each excess
+    is the joint action's own coupled cost minus that minimum. Returns the
+    distinct (player, mu_i = -own_min_i) columns
     and, per z, the groups {drift ids per player: minimum over the group of
     sum_i max(excess_i, 0)^1.5}.
     """
@@ -406,15 +411,28 @@ def _coefficients(spec: DiffusionGameSpec, xs: np.ndarray, zs) -> tuple[list, di
         for i, g in enumerate(grids)
     ]
 
-    def own_min(i, a, z_i):
-        best = np.full(len(xs), math.inf)
-        for k, ai in enumerate(grids[i]):
-            c = running[i][k] + drift[a[:i] + (ai,) + a[i + 1:]] * z_i
-            best = np.where(c < best, c, best)  # min() keeps the first of equal values
-        return best
-
     drifts = []
     drift_ids = {}
+    own = {}
+
+    def own_terms(i, idx, a, z_i):
+        """Player i's coupled costs by own action, their minimum and its drift id."""
+        key = (i, idx[:i] + idx[i + 1:], float(z_i).hex())  # hex tells 0.0 from -0.0
+        if key not in own:
+            costs = [
+                running[i][k] + drift[a[:i] + (ai,) + a[i + 1:]] * z_i
+                for k, ai in enumerate(grids[i])
+            ]
+            best = np.full(len(xs), math.inf)
+            for c in costs:
+                best = np.where(c < best, c, best)  # min() keeps the first of equal values
+            column = (i, best.tobytes())
+            if column not in drift_ids:
+                drift_ids[column] = len(drifts)
+                drifts.append((i, -best))
+            own[key] = costs, best, drift_ids[column]
+        return own[key]
+
     groups = {}
     for idx in itertools.product(*(range(len(g)) for g in grids)):
         a = tuple(g[k] for g, k in zip(grids, idx))
@@ -422,16 +440,12 @@ def _coefficients(spec: DiffusionGameSpec, xs: np.ndarray, zs) -> tuple[list, di
             ids = []
             excess_sum = 0.0
             for i in range(n):
-                om = own_min(i, a, z[i])
-                ex = (running[i][idx[i]] + drift[a] * z[i]) - om
+                costs, om, drift_id = own_terms(i, idx, a, z[i])
+                ex = costs[idx[i]] - om
                 if float(ex.min()) < -1e-9:
                     raise GameValidationError("coupled cost fell below its own minimum")
                 excess_sum = excess_sum + np.maximum(ex, 0.0) ** 1.5
-                key = (i, om.tobytes())
-                if key not in drift_ids:
-                    drift_ids[key] = len(drifts)
-                    drifts.append((i, -om))
-                ids.append(drift_ids[key])
+                ids.append(drift_id)
             by_ids = groups.setdefault(z, {})
             ids = tuple(ids)
             by_ids[ids] = np.minimum(by_ids[ids], excess_sum) if ids in by_ids else excess_sum
@@ -838,10 +852,32 @@ def single_player_hjb(
     """Scalar HJB value v(0, .) for a drift-controlled diffusion, upwind explicit.
 
     Solves v_t + 0.5*v_xx + min_a (a * v_x) = 0 backward from v(T, x) = g(x).
-    Entirely independent of the W machinery; used as an oracle.
+    Entirely independent of the W machinery; used as an oracle. The
+    arguments take ``GridConfig``'s domains (at least 5 finite nodes on
+    x_lo < x_hi, a positive t_final and safety) and a nonempty grid of finite
+    actions; anything else is a validation error before any work.
+
+    Each step works on arrays allocated once per call. It computes one
+    difference d = (v[k+1] - v[k]) / hx, read as the forward difference
+    (last entry repeated) and the backward one (first entry repeated), and
+    the second difference ((v[k+1] - 2v[k]) + v[k-1]) / hx^2, whose
+    one-sided end rows are Python floats (IEEE binary64, as float64 is). So
+    v has the bits of the same scheme written with ``first_diff`` and
+    ``second_diff``.
     """
-    xs = np.linspace(x_lo, x_hi, nx)
+    if not _is_count(nx) or nx < 5:
+        raise GameValidationError(f"the oracle needs an integer nx >= 5, got {nx!r}")
+    if not all(map(_is_finite, (x_lo, x_hi, t_final, safety))):
+        raise GameValidationError("x_lo, x_hi, t_final and safety must be finite numbers")
+    if not (x_lo < x_hi and t_final > 0 and safety > 0):
+        raise GameValidationError("the oracle needs x_lo < x_hi and a positive t_final and safety")
     hx = (x_hi - x_lo) / (nx - 1)
+    if not (math.isfinite(x_hi - x_lo) and hx * hx > 0):
+        raise GameValidationError("x_hi - x_lo must be finite, and the x spacing's square nonzero")
+    actions = tuple(actions)
+    if not (actions and all(map(_is_finite, actions))):
+        raise GameValidationError("the oracle needs a nonempty grid of finite actions")
+    xs = np.linspace(x_lo, x_hi, nx)
     a_max = max(abs(float(a)) for a in actions)
     bound = hx * hx
     if a_max > 0:
@@ -849,17 +885,33 @@ def single_player_hjb(
     ht = safety * bound
     nt = max(1, math.ceil(t_final / ht))
     ht = t_final / nt
-    v = np.array([terminal(float(x)) for x in xs])
+    v = np.array([terminal(float(x)) for x in xs], dtype=float)
+    h2 = hx * hx
+    v_xx, drift, term = np.empty(nx), np.empty(nx), np.empty(nx)
+    # d sits in ext[1:nx]; ext[:nx] is the backward difference, ext[1:] the forward
+    ext = np.empty(nx + 1)
+    d, inner = ext[1:nx], v_xx[1:-1]
+    up, mid, down, hi, lo, head, tail = v[2:], v[1:-1], v[:-2], v[1:], v[:-1], v[:3], v[-3:]
+    (a0, diff0), *rest = [(a, ext[1:] if a > 0 else ext[:nx]) for a in map(float, actions)]
     for _ in range(nt):
-        v_xx = second_diff(v, hx, axis=0)
-        fwd = first_diff(v, hx, axis=0, mode="forward")
-        bwd = first_diff(v, hx, axis=0, mode="backward")
-        drift_term = None
-        for a in actions:
-            a = float(a)
-            term = a * (fwd if a > 0 else bwd)
-            drift_term = term if drift_term is None else np.minimum(drift_term, term)
-        v = v + ht * (0.5 * v_xx + drift_term)
+        np.multiply(mid, 2.0, out=inner)
+        np.subtract(up, inner, out=inner)
+        np.add(inner, down, out=inner)
+        np.divide(inner, h2, out=inner)
+        (v0, v1, v2), (u2, u1, u0) = head.tolist(), tail.tolist()
+        v_xx[0] = ((v0 - v1 * 2.0) + v2) / h2
+        v_xx[-1] = ((u0 - u1 * 2.0) + u2) / h2
+        np.subtract(hi, lo, out=d)
+        np.divide(d, hx, out=d)
+        ext[0], ext[-1] = ext[1], ext[-2]
+        np.multiply(a0, diff0, out=drift)
+        for a, diff in rest:
+            np.multiply(a, diff, out=term)
+            np.minimum(drift, term, out=drift)
+        np.multiply(0.5, v_xx, out=v_xx)
+        np.add(v_xx, drift, out=v_xx)
+        np.multiply(ht, v_xx, out=v_xx)
+        np.add(v, v_xx, out=v)
         if not math.isfinite(float(v.min())):
             raise NumericInstabilityError("oracle HJB solve became non-finite")
     return v

@@ -425,7 +425,19 @@ class StoppingTime:
     def frontier(self, tree: PathTree, start: int) -> list[int]:
         """First-stop nodes on paths from ``start``, depth first. The stop
         time must be strictly after t(start), so a stop at the start or at a
-        whole level at or before its time is refused."""
+        whole level at or before its time is refused, and so is a stopping
+        time that does not hold one label set per level of the tree, each
+        within its level's labels."""
+        if len(self.stopped) != len(tree.states):
+            raise GameValidationError(
+                f"stopping time has {len(self.stopped)} label sets for {len(tree.states)} levels"
+            )
+        for t, (stopped, level) in enumerate(zip(self.stopped, tree.states)):
+            unknown = set(stopped).difference(level)
+            if unknown:
+                raise GameValidationError(
+                    f"stopping time stops at labels {sorted(unknown)} that level {t} does not hold"
+                )
         t0 = tree.nodes.locate(start)[0]
         if self.stops_at(tree, start) or any(
             self.stopped[t].issuperset(tree.states[t]) for t in range(t0)

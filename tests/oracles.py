@@ -35,6 +35,8 @@ from gameval.hjb import (
     PdeField,
     _coefficients,
     _terminal_layer,
+    first_diff,
+    second_diff,
 )
 from gameval.model import (
     ONE,
@@ -386,3 +388,76 @@ def padded_sweep(spec, grid, w, layers, want_times, ht, nt, terms, groups):
                 layers[wanted] = w.copy()
     layers[0.0] = w.copy()
     return PdeField(spec=spec, grid=grid, layers=layers, ht=ht, nt=nt, min_w=min_w)
+
+
+# -- the coefficient table and the scalar oracle in their former layouts ---------------
+
+
+def per_joint_coefficients(spec: DiffusionGameSpec, xs, zs) -> tuple[list, dict]:
+    """``_coefficients`` with every own-action minimum taken once per joint action."""
+    n = spec.n_players
+    grids = spec.action_grids
+    drift = {
+        a: np.array([spec.drift(0.0, float(x), a) for x in xs], dtype=float)
+        for a in spec.joint_actions
+    }
+    running = [
+        [np.array([spec.running[i](0.0, float(x), ai) for x in xs], dtype=float) for ai in g]
+        for i, g in enumerate(grids)
+    ]
+
+    def own_min(i, a, z_i):
+        best = np.full(len(xs), math.inf)
+        for k, ai in enumerate(grids[i]):
+            c = running[i][k] + drift[a[:i] + (ai,) + a[i + 1:]] * z_i
+            best = np.where(c < best, c, best)
+        return best
+
+    drifts = []
+    drift_ids = {}
+    groups = {}
+    for idx in itertools.product(*(range(len(g)) for g in grids)):
+        a = tuple(g[k] for g, k in zip(grids, idx))
+        for z in zs:
+            ids = []
+            excess_sum = 0.0
+            for i in range(n):
+                om = own_min(i, a, z[i])
+                ex = (running[i][idx[i]] + drift[a] * z[i]) - om
+                excess_sum = excess_sum + np.maximum(ex, 0.0) ** 1.5
+                key = (i, om.tobytes())
+                if key not in drift_ids:
+                    drift_ids[key] = len(drifts)
+                    drifts.append((i, -om))
+                ids.append(drift_ids[key])
+            by_ids = groups.setdefault(z, {})
+            ids = tuple(ids)
+            by_ids[ids] = np.minimum(by_ids[ids], excess_sum) if ids in by_ids else excess_sum
+    return drifts, groups
+
+
+def diff_call_hjb(terminal, actions, x_lo, x_hi, nx, t_final, safety=0.4) -> np.ndarray:
+    """``single_player_hjb`` stepped with fresh ``first_diff`` and ``second_diff`` arrays."""
+    xs = np.linspace(x_lo, x_hi, nx)
+    hx = (x_hi - x_lo) / (nx - 1)
+    a_max = max(abs(float(a)) for a in actions)
+    bound = hx * hx
+    if a_max > 0:
+        bound = min(bound, hx / a_max)
+    ht = safety * bound
+    nt = max(1, math.ceil(t_final / ht))
+    ht = t_final / nt
+    v = np.array([terminal(float(x)) for x in xs])
+    for _ in range(nt):
+        v_xx = second_diff(v, hx, axis=0)
+        fwd = first_diff(v, hx, axis=0, mode="forward")
+        bwd = first_diff(v, hx, axis=0, mode="backward")
+        drift_term = None
+        for a in actions:
+            a = float(a)
+            term = a * (fwd if a > 0 else bwd)
+            drift_term = term if drift_term is None else np.minimum(drift_term, term)
+        v = v + ht * (0.5 * v_xx + drift_term)
+        if not math.isfinite(float(v.min())):
+            raise NumericInstabilityError("oracle HJB solve became non-finite")
+    return v

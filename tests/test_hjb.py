@@ -31,7 +31,7 @@ from gameval.hjb import (
     solve_w,
 )
 
-from oracles import hamiltonian, padded_solve_w
+from oracles import diff_call_hjb, hamiltonian, padded_solve_w, per_joint_coefficients
 
 
 def small_grid(grid, **overrides):
@@ -481,6 +481,135 @@ def test_tabulated_coefficients_equal_the_per_x_loop(name):
         for z, by_ids in want_groups.items():
             assert list(groups[z]) == list(by_ids)
             assert all(groups[z][ids].tobytes() == ex.tobytes() for ids, ex in by_ids.items())
+
+
+def three_action_spec():
+    """Two players with three actions each, whose drift and costs vary with x."""
+    return DiffusionGameSpec(
+        n_players=2,
+        drift=lambda t, x, a: 0.4 * a[0] - 0.3 * a[1] + 0.2 * x * a[0] * a[1],
+        running=(lambda t, x, a: 0.3 * x * a + 0.2 * a * a, lambda t, x, a: -0.4 * x + 0.3 * a),
+        terminal=(lambda x: 0.4 * x, lambda x: 0.1 - 0.3 * x),
+        action_grids=((-1.0, 0.0, 1.0), (-1.0, 0.5, 1.0)),
+        horizon=0.1,
+        drift_bound=1.0,
+        cost_bound=1.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["single-player", "single-player-81", "zero-sum", "static", "three-action", "signed-zero-z"],
+)
+def test_coefficients_are_byte_identical_to_the_per_joint_own_minimum(name):
+    """Each own-action minimum taken once per (player, others' actions, z_i)
+    gives the drift ids, columns and groups of taking it per joint action."""
+    grid = GridConfig(x_lo=-1.0, x_hi=1.0, nx=9, y_lo=-1.0, y_hi=1.0, ny=9, nz=5, z_max=1.0)
+    extra = []
+    if name == "three-action":
+        spec = three_action_spec()
+    elif name == "signed-zero-z":
+        # at z = -0.0 the coupled cost -0.0 + 1.0*z is -0.0, at z = 0.0 it is
+        # 0.0: two own-min columns, which a memo keyed by z's value would merge
+        spec, _ = pde_preset("single-player")
+        spec = replace(
+            spec, drift=lambda t, x, a: 1.0, running=(lambda t, x, a: -0.0,), action_grids=((1.0,),)
+        )
+        extra = [[(0.0,), (-0.0,)], [(-0.0,), (0.0,)]]
+    else:
+        spec, grid = pde_preset(name.removesuffix("-81"))
+        grid = grid.refined() if name.endswith("-81") else grid
+    n = spec.n_players
+    z_grid = list(itertools.product(grid.z_values.tolist(), repeat=n))
+    for zs in [grid.lattice_stencils(n), z_grid] + extra:
+        drifts, groups = _coefficients(spec, grid.x_values, zs)
+        want_drifts, want_groups = per_joint_coefficients(spec, grid.x_values, zs)
+        assert [i for i, _ in drifts] == [i for i, _ in want_drifts]
+        assert [mu.tobytes() for _, mu in drifts] == [mu.tobytes() for _, mu in want_drifts]
+        assert list(groups) == list(want_groups)
+        for z, by_ids in want_groups.items():
+            assert list(groups[z]) == list(by_ids)
+            assert [ex.tobytes() for ex in groups[z].values()] == [
+                ex.tobytes() for ex in by_ids.values()
+            ]
+
+
+@pytest.mark.parametrize("nx", [41, 81, 641])
+@pytest.mark.parametrize(
+    "name, player", [("single-player", 0), ("zero-sum", 0), ("zero-sum", 1), ("static", 0)]
+)
+def test_the_oracle_is_byte_identical_to_its_difference_call_layout(name, player, nx):
+    spec, grid = pde_preset(name)
+    args = (spec.terminal[player], spec.action_grids[player], grid.x_lo, grid.x_hi, nx,
+            grid.t_final)
+    assert single_player_hjb(*args).tobytes() == diff_call_hjb(*args).tobytes()
+
+
+def seeded_oracle_case(seed):
+    """A terminal, 1-4 actions (0.0, negative, a single one) and a grid from ``seed``."""
+    rng = random.Random(seed)
+    c = [rng.uniform(-1.0, 1.0) for _ in range(4)]
+
+    def terminal(x):
+        return c[0] + c[1] * x + c[2] * math.sin(3.0 * x) + c[3] * abs(x - 0.1)
+
+    pool = [0.0, -1.0, 1.0, -0.5, rng.uniform(-2.0, 2.0)]
+    actions = tuple(rng.sample(pool, rng.randint(1, 4)))
+    x_lo = rng.uniform(-2.0, 0.0)
+    return (terminal, actions, x_lo, x_lo + rng.uniform(0.5, 3.0), rng.randint(5, 60),
+            rng.choice([0.01, 0.05, 0.2]), rng.choice([0.4, 0.25]))
+
+
+def test_seeded_oracles_are_byte_identical_to_the_difference_call_layout():
+    cases = [seeded_oracle_case(seed) for seed in range(40)]
+    sizes = {len(actions) for _, actions, *_ in cases}
+    assert sizes == {1, 2, 3, 4} and min(nx for *_, nx, _, _ in cases) <= 8
+    assert any(0.0 in actions for _, actions, *_ in cases)
+    assert len({t for *_, t, _ in cases}) == 3
+    for case in cases + [(math.cos, (0.0,), -1.0, 1.0, 5, 0.1, 0.4)]:
+        assert single_player_hjb(*case).tobytes() == diff_call_hjb(*case).tobytes()
+
+
+ORACLE_ARGS = dict(terminal=math.sin, actions=(-1.0, 1.0), x_lo=-1.0, x_hi=1.0, nx=11, t_final=0.1)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(nx=4), "integer nx >= 5"),
+        (dict(nx=2), "integer nx >= 5"),
+        (dict(nx=1), "integer nx >= 5"),
+        (dict(nx=11.0), "integer nx >= 5"),
+        (dict(x_lo=1.0), "x_lo < x_hi"),
+        (dict(x_lo=2.0), "x_lo < x_hi"),
+        (dict(t_final=0.0), "positive t_final"),
+        (dict(t_final=-0.1), "positive t_final"),
+        (dict(safety=0.0), "positive t_final and safety"),
+        (dict(x_lo=math.nan), "must be finite numbers"),
+        (dict(x_hi=math.inf), "must be finite numbers"),
+        (dict(t_final=math.nan), "must be finite numbers"),
+        (dict(x_lo=-1e308, x_hi=1e308), "x_hi - x_lo must be finite"),
+        (dict(x_lo=0.0, x_hi=1e-170), "spacing's square nonzero"),
+        (dict(actions=()), "nonempty grid of finite actions"),
+        (dict(actions=(0.0, math.nan)), "nonempty grid of finite actions"),
+        (dict(actions=(math.inf,)), "nonempty grid of finite actions"),
+    ],
+    ids=[
+        "nx-4", "nx-2", "nx-1", "nx-float", "x_lo-equals-x_hi", "x_lo-above-x_hi", "t_final-0",
+        "t_final-negative", "safety-0", "x_lo-nan", "x_hi-inf", "t_final-nan", "span-overflows",
+        "spacing-underflows", "no-actions", "nan-action", "inf-action",
+    ],
+)
+def test_the_oracle_rejects_arguments_outside_the_grid_domains(overrides, message):
+    calls = []
+
+    def terminal(x):
+        calls.append(x)
+        return 0.0
+
+    with pytest.raises(GameValidationError, match=message):
+        single_player_hjb(**{**ORACLE_ARGS, "terminal": terminal, **overrides})
+    assert calls == []
 
 
 def test_single_player_cluster_tracks_the_oracle():

@@ -728,3 +728,20 @@ def test_stopping_time_must_be_after_start(path_game):
             stopping.frontier(tree, start)
     frontier = StoppingTime.hitting_state(tree, "s10").frontier(tree, s11)
     assert frontier == list(tree.levels[3][2:])
+
+
+def test_a_stopping_time_needs_one_label_set_per_level(path_game):
+    spec, tree, root = path_game
+    for stopped in ((frozenset(),), (frozenset(),) * (tree.horizon + 2)):
+        with pytest.raises(GameValidationError, match=rf"has {len(stopped)} label sets for 4 levels"):
+            StoppingTime(stopped).frontier(tree, root)
+
+
+def test_a_stopping_time_stops_only_at_labels_its_level_holds(path_game):
+    spec, tree, root = path_game
+    # s2 is a level-2 label; at level 1 it is unknown, and so is "z" anywhere
+    for t, label in ((1, "s2"), (2, "z")):
+        stopped = tuple(frozenset({label}) if s == t else frozenset() for s in range(4))
+        with pytest.raises(GameValidationError, match=rf"labels \['{label}'\] that level {t}"):
+            StoppingTime(stopped).frontier(tree, root)
+    assert StoppingTime.hitting_state(tree, "s2").frontier(tree, root) == list(tree.levels[2])
