@@ -8,28 +8,38 @@ reports, witness policies) use the same rational encoding.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
 from .errors import GameValidationError
-from .model import GameSpec, PathTree, Policy, Prefix
+from .model import GameSpec, PathTree, Policy, Prefix, _over_lcm
 
 KEY_SEP = "|"
 PATH_SEP = "/"
 
 
 def frac_from_str(text: str) -> Fraction:
+    return Fraction(*_ratio(text))
+
+
+def _ratio(text) -> tuple[int, int]:
+    """A rational string's (or JSON integer's) numerator and denominator, in lowest terms."""
+    if type(text) is str and text.isascii():
+        # Plain "-?digits[/digits]" text skips Fraction's regular-expression parse.
+        num, slash, den = text.partition("/")
+        if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            n, d = int(num), int(den) if slash else 1
+            if d:
+                g = math.gcd(n, d)
+                return n // g, d // g
     if _is_int(text):
-        return Fraction(text)
+        return text, 1
     if not isinstance(text, str):
         raise GameValidationError(f"expected rational string, got {text!r}")
     try:
-        # Plain "-?digits[/digits]" text skips Fraction's regular-expression parse.
-        num, slash, den = text.partition("/")
-        if _digits(num.removeprefix("-")) and (not slash or _digits(den)):
-            return Fraction(int(num), int(den) if slash else 1)
-        return Fraction(text.strip())
+        return Fraction(text.strip()).as_integer_ratio()
     except (ValueError, ZeroDivisionError) as exc:
         raise GameValidationError(f"bad rational {text!r}") from exc
 
@@ -60,15 +70,6 @@ def _prefix_from_str(text: str) -> Prefix:
 def _encode_key(t: int, key, action_part: str) -> str:
     where = key if isinstance(key, str) else _prefix_to_str(key)
     return KEY_SEP.join((str(t), where, action_part))
-
-
-def _split_key(key_text: str, kind: str, state_dependent: bool) -> tuple[int, Any, str]:
-    """A ``t|where|action`` key's time, location and action part."""
-    parts = key_text.split(KEY_SEP)
-    if len(parts) != 3 or not _digits(parts[0]):
-        raise GameValidationError(f"bad {kind} key {key_text!r}")
-    t, where, action_part = parts
-    return int(t), where if state_dependent else _prefix_from_str(where), action_part
 
 
 def _typed(value, kind: type, what: str):
@@ -129,8 +130,6 @@ def load_game(source: str | Path | dict) -> GameSpec:
         raw_terminal = _typed(raw["terminal_costs"], list, "terminal_costs")
     except KeyError as exc:
         raise GameValidationError(f"malformed game document: missing {exc}") from exc
-    if len(states) != horizon + 1:  # checked before a transition reads states[t + 1]
-        raise GameValidationError(f"need {horizon + 1} state levels, got {len(states)}")
     if players != len(actions):
         raise GameValidationError("players count disagrees with actions table")
     if len(raw_running) != players or len(raw_terminal) != players:
@@ -139,92 +138,141 @@ def load_game(source: str | Path | dict) -> GameSpec:
             f"{len(raw_running)} running-cost and {len(raw_terminal)} terminal-cost tables"
         )
 
+    spec = GameSpec._blank(horizon, states, actions, state_dependent, len(raw_trans))
+    n, final = len(spec.joint_actions), spec.offset[horizon]
+    strides = [math.prod(map(len, actions[i + 1 :])) for i in range(players)]
+
     def find_action(i: int, label: str) -> int:
         try:
             return actions[i].index(label)
         except ValueError as exc:
             raise GameValidationError(f"unknown action {label!r} for player {i}") from exc
 
-    # A spec repeats few distinct rationals, probability vectors and action
-    # parts, so this load parses each once; equal data share one object. A
-    # miss takes the unmemoized path, so a bad datum raises at its first key,
-    # and only then is that key formatted into the message.
-    fracs: dict[str, Fraction] = {}
-    vectors: dict[tuple[str, ...], tuple[Fraction, ...]] = {}
-    joints: dict[str, tuple[int, ...]] = {}
+    # A spec repeats few distinct rationals, probability vectors, action parts
+    # and ``t|where`` heads, so this load parses each once; equal data share
+    # one object. A miss takes the unmemoized path, so a bad datum raises at
+    # its first key, and only then is that key formatted into the message.
+    ratios: dict[str, tuple[int, int]] = {}
+    by_labels: dict[tuple[str, ...], dict] = {}  # levels with one label list share a memo
+    vectors = [by_labels.setdefault(tuple(level), {}) for level in states]
+    joints: dict[str, int] = {}
+    owns: list[dict[str, int]] = [{} for _ in actions]
+    heads: dict[str, tuple[int, Any, int | None]] = {}
 
-    def frac(value, table: str, key_text: str, player: int | None = None) -> Fraction:
+    def ratio(value, table: str, key_text: str, player: int | None = None) -> tuple[int, int]:
         try:
             if type(value) is not str:  # a number, a boolean or worse: no memo
-                return frac_from_str(value)
-            out = fracs.get(value)
+                return _ratio(value)
+            out = ratios.get(value)
             if out is None:
-                out = fracs[value] = frac_from_str(value)
+                out = ratios[value] = _ratio(value)
             return out
         except GameValidationError as exc:
             whose = "" if player is None else f" of player {player}"
             raise GameValidationError(f"{table} {key_text!r}{whose}: {exc}") from exc
 
-    transitions: dict = {}
+    def place(head: str, key_text: str, kind: str) -> tuple[int, Any, int | None]:
+        """A ``t|where`` head's time, key and row (None if no row has that key)."""
+        digits, sep, where = head.partition(KEY_SEP)
+        if not sep or KEY_SEP in where or not _digits(digits):
+            raise GameValidationError(f"bad {kind} key {key_text!r}")
+        t, key = int(digits), where if state_dependent else _prefix_from_str(where)
+        out = heads[head] = (t, key, spec._row(t, key))
+        return out
+
+    # Each datum goes straight into its row's slot (see GameSpec._check); a key
+    # that fills no slot is noted, and a slot filled twice names both keys.
+    kern: dict[int, tuple] = {}
+    unread: dict[str, tuple] = {}
     for key_text, vec in raw_trans.items():
-        t, where, action_part = _split_key(key_text, "transition", state_dependent)
-        joint = joints.get(action_part)
-        if joint is None:
+        head, _, action_part = key_text.rpartition(KEY_SEP)
+        t, key, row = heads.get(head) or place(head, key_text, "transition")
+        j = joints.get(action_part)
+        if j is None:
             labels = action_part.split(",")
             if len(labels) != players:
                 raise GameValidationError(
                     f"transition key {key_text!r} must list one action per player"
                 )
-            joint = joints[action_part] = tuple(
-                find_action(i, lab) for i, lab in enumerate(labels)
+            j = joints[action_part] = sum(
+                find_action(i, lab) * stride for i, (lab, stride) in enumerate(zip(labels, strides))
             )
         if t + 1 > horizon:
             raise GameValidationError(f"transition key {key_text!r} beyond horizon")
-        level = states[t + 1]
         if not isinstance(vec, dict):
             raise GameValidationError(f"transition {key_text!r} must be an object of probabilities")
-        raw = tuple(vec.get(s, "0") for s in level)
-        if all(type(p) is str for p in raw):  # hashable, and True never meets 1
-            probs = vectors.get(raw)
-            if probs is None:
-                probs = vectors[raw] = tuple([frac(p, "transition", key_text) for p in raw])
+        memo = vectors[t + 1]
+        try:  # the memo holds string values only, which no other JSON value equals
+            probs = memo.get(items := tuple(vec.items()))
+        except TypeError:  # an array or an object among the values
+            probs = None
+        if probs is None:
+            level = states[t + 1]
+            probs = _over_lcm([ratio(vec.get(s, "0"), "transition", key_text) for s in level])
+            for s in vec:
+                if s not in level:
+                    raise GameValidationError(f"unknown successor state {s!r} in {key_text!r}")
+            if all(type(p) is str for p in vec.values()):
+                memo[items] = probs
+        if row is None:
+            unread.setdefault("transition", (t, key))
+        elif row * n + j in kern:
+            raise _named_twice("transition", raw_trans, key_text)
         else:
-            probs = tuple([frac(p, "transition", key_text) for p in raw])
-        for s in vec:
-            if s not in level:
-                raise GameValidationError(f"unknown successor state {s!r} in {key_text!r}")
-        transitions[(t, where, joint)] = probs
+            kern[row * n + j] = probs
 
-    running: list[dict] = []
+    cost: list[dict[int, tuple[int, int]]] = []
     for i, table in enumerate(raw_running):
-        entry: dict = {}
-        for key_text, cost in _typed(table, dict, f"running costs of player {i}").items():
-            t, where, label = _split_key(key_text, "running-cost", state_dependent)
-            if "," in label:
-                raise GameValidationError(
-                    f"running cost {key_text!r} keys a joint action; costs take only "
-                    "the player's own action"
-                )
-            entry[(t, where, find_action(i, label))] = frac(cost, "running cost", key_text, i)
-        running.append(entry)
+        size, slots = len(actions[i]), {}
+        table = _typed(table, dict, f"running costs of player {i}")
+        for key_text, value in table.items():
+            head, _, label = key_text.rpartition(KEY_SEP)
+            t, key, row = heads.get(head) or place(head, key_text, "running-cost")
+            a = owns[i].get(label)
+            if a is None:
+                if "," in label:
+                    raise GameValidationError(
+                        f"running cost {key_text!r} keys a joint action; costs take only "
+                        "the player's own action"
+                    )
+                a = owns[i][label] = find_action(i, label)
+            c = ratio(value, "running cost", key_text, i)
+            if row is None or t == horizon:
+                unread.setdefault(f"running cost of player {i}", (t, key))
+            elif row * size + a in slots:
+                raise _named_twice("running-cost", table, key_text, f" of player {i}")
+            else:
+                slots[row * size + a] = c
+        cost.append(slots)
 
-    terminal: list[dict] = []
+    # A terminal key is the final state or path itself, so no two name one
+    # datum; each player's table repeats the keys, placed once.
+    end: list[dict[int, tuple[int, int]]] = []
+    finals: dict[str, tuple] = {}
     for i, table in enumerate(raw_terminal):
-        entry = {}
-        for key_text, cost in _typed(table, dict, f"terminal costs of player {i}").items():
-            where = key_text if state_dependent else _prefix_from_str(key_text)
-            entry[where] = frac(cost, "terminal cost", key_text, i)
-        terminal.append(entry)
+        slots = {}
+        for key_text, value in _typed(table, dict, f"terminal costs of player {i}").items():
+            if key_text not in finals:
+                key = key_text if state_dependent else _prefix_from_str(key_text)
+                finals[key_text] = key, spec._row(horizon, key)
+            key, row = finals[key_text]
+            c = ratio(value, "terminal cost", key_text, i)
+            if row is None:
+                unread.setdefault(f"terminal cost of player {i}", (horizon, key))
+            else:
+                slots[row - final] = c
+        end.append(slots)
+    spec._check(kern, cost, end, unread)
+    return spec
 
-    return GameSpec(
-        horizon=horizon,
-        states=states,
-        actions=actions,
-        transitions=transitions,
-        running_costs=running,
-        terminal_costs=terminal,
-        state_dependent=state_dependent,
-    )
+
+def _named_twice(what: str, table: dict, key_text: str, whose: str = "") -> GameValidationError:
+    """The error for ``key_text``, whose slot an earlier key of ``table`` filled:
+    the two differ in their time's digits alone (``0|s0|0`` and ``00|s0|0``)."""
+    t, _, rest = key_text.partition(KEY_SEP)
+    tail = KEY_SEP + rest
+    first = next(k for k in table if k.endswith(tail) and int(k[: -len(tail)]) == int(t))
+    return GameValidationError(f"{what} keys {first!r} and {key_text!r}{whose} name one datum")
 
 
 def dump_game(spec: GameSpec) -> dict:

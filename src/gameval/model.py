@@ -3,7 +3,8 @@
 A game runs over times 0..T with a finite state set per time, finite
 per-player action sets, an exact-rational transition kernel q(t, x, a; x')
 over next states, per-player running costs that depend only on the player's
-own action, and per-player terminal costs. All quantities are
+own action, and per-player terminal costs. All quantities are exact
+rationals, held as integers in the spec's table rows and given out as
 `fractions.Fraction`; nothing in this module touches floats.
 
 Histories are handled through a prefix tree (`PathTree`). Policies and cost
@@ -15,10 +16,10 @@ runs on the (time, state) rows, pays for the nodes it reads and not for every
 prefix.
 
 Every exact walk (policy costs, best responses, the planner's dictatorship
-value, the recursion's one-step games) runs on `Tables`, the spec compiled
-once per tree to Python integers at a common scale per level, and on
-`induct`, the one backward-induction loop; `Fraction` appears only where
-values enter and leave.
+value, the recursion's one-step games) runs on `Tables`, the spec's rows
+scaled once per tree to a common integer scale per level, and on `induct`,
+the one backward-induction loop; `Fraction` appears only where values enter
+and leave.
 """
 
 from __future__ import annotations
@@ -49,12 +50,28 @@ POLICY_CLASSES = (PATH_CLASS, STATE_CLASS, SYMMETRIC_CLASS)
 
 
 class GameSpec:
-    """Full description of a discrete game.
+    """Full description of a discrete game, its data held as integer rows.
 
-    Transition and cost data are stored in dictionaries whose keys use either
-    the current state label (when ``state_dependent`` is true) or the whole
-    history prefix. Accessors take prefixes and resolve the key internally,
-    so callers never branch on the flag.
+    A *row* holds the data at one point of play: one per (time, state) when
+    ``state_dependent`` is true, level by level in state order, else one per
+    history prefix in the tree's id order (see :class:`PathTree`);
+    ``offset[t]`` is level t's first row. Rationals are exact integers:
+    ``kern[row][j]``, joint action j's probabilities over the next level's
+    states (j in ``joint_actions`` order), is a pair ``(nums, den)`` standing
+    for ``nums[k] / den``, with ``den`` the lcm of their denominators.
+    ``cost[i][row][a]``, player i's running cost of own action a, and
+    ``end[i][k]``, its terminal cost at level T's k-th row, are ``(num,
+    den)`` pairs in lowest terms, one table per player as in the document.
+    :class:`Tables` only scales these rows.
+
+    ``io.load_game`` fills the rows from the document. The keyword
+    constructor fills them from dictionaries of Fractions: transitions keyed
+    ``(t, key, joint action)``, running costs ``(t, key, own action)`` and
+    terminal costs ``key``, where a key is the current state label or, path
+    keyed, the whole prefix. Both run one check. ``transitions``,
+    ``running_costs`` and ``terminal_costs`` are those dictionaries again,
+    built on first use. Accessors take prefixes and resolve the key
+    internally, so callers never branch on the flag.
 
     Instances are treated as immutable after construction; every operation on
     them is a pure function, safe to call concurrently.
@@ -71,14 +88,50 @@ class GameSpec:
         terminal_costs: list[dict] | tuple[dict, ...],
         state_dependent: bool = False,
     ):
-        self.horizon = int(horizon)
-        self.states = tuple(tuple(level) for level in states)
-        self.actions = tuple(tuple(acts) for acts in actions)
-        self.transitions = dict(transitions)
-        self.running_costs = tuple(dict(d) for d in running_costs)
-        self.terminal_costs = tuple(dict(d) for d in terminal_costs)
-        self.state_dependent = bool(state_dependent)
-        self._validate()
+        self._shape(horizon, states, actions, state_dependent, len(transitions))
+        if len(running_costs) != self.n_players or len(terminal_costs) != self.n_players:
+            raise GameValidationError("cost tables must have one entry per player")
+        n, final = len(self.joint_actions), self.offset[self.horizon]
+        joint_index = {joint: j for j, joint in enumerate(self.joint_actions)}
+        kern: dict = {}
+        unread: dict = {}
+        vectors: dict[int, tuple] = {}  # by id: a shared vector stays shared
+        for (t, key, joint), vec in transitions.items():
+            row, j = self._row(t, key), joint_index.get(joint)
+            if row is None or row >= final or j is None:
+                unread.setdefault("transition", (t, key))
+                continue
+            if id(vec) not in vectors:
+                vectors[id(vec)] = _over_lcm([_pair(p, "transition probabilities") for p in vec])
+            kern[row * n + j] = vectors[id(vec)]
+        cost: list[dict] = []
+        for i, table in enumerate(running_costs):
+            size, slots = len(self.actions[i]), {}
+            for (t, key, a), c in table.items():
+                row = self._row(t, key)
+                if row is None or row >= final or a not in range(size):
+                    unread.setdefault(f"running cost of player {i}", (t, key))
+                else:
+                    slots[row * size + a] = _pair(c, "running costs")
+            cost.append(slots)
+        end: list[dict] = []
+        for i, table in enumerate(terminal_costs):
+            slots = {}
+            for key, g in table.items():
+                row = self._row(self.horizon, key)
+                if row is None:
+                    unread.setdefault(f"terminal cost of player {i}", (self.horizon, key))
+                else:
+                    slots[row - final] = _pair(g, "terminal costs")
+            end.append(slots)
+        self._check(kern, cost, end, unread)
+
+    @classmethod
+    def _blank(cls, horizon, states, actions, state_dependent, n_transitions) -> GameSpec:
+        """A spec whose shape is set and checked, for a loader to fill and :meth:`_check`."""
+        spec = cls.__new__(cls)
+        spec._shape(horizon, states, actions, state_dependent, n_transitions)
+        return spec
 
     # -- basic shape ---------------------------------------------------------
 
@@ -86,17 +139,71 @@ class GameSpec:
     def n_players(self) -> int:
         return len(self.actions)
 
+    def _shape(self, horizon, states, actions, state_dependent, n_transitions: int) -> None:
+        """Set and check everything but the data, ``n_transitions`` of which are to come."""
+        self.horizon = int(horizon)
+        self.states = tuple(map(tuple, states))
+        self.actions = tuple(map(tuple, actions))
+        self.state_dependent = bool(state_dependent)
+        if self.horizon < 1:
+            raise GameValidationError("horizon must be >= 1")
+        if len(self.states) != self.horizon + 1:
+            raise GameValidationError(
+                f"need {self.horizon + 1} state levels, got {len(self.states)}"
+            )
+        self._index = [dict(zip(level, itertools.count())) for level in self.states]
+        for t, (level, index) in enumerate(zip(self.states, self._index)):
+            if not level:
+                raise GameValidationError(f"empty state set at time {t}")
+            if len(index) != len(level):
+                raise GameValidationError(f"duplicate state labels at time {t}")
+        if not self.actions:
+            raise GameValidationError("need at least one player")
+        for i, acts in enumerate(self.actions):
+            if not acts:
+                raise GameValidationError(f"empty action set for player {i}")
+        # Each time-0 key needs a transition per joint action. Counted before
+        # the joint actions are built: 26 two-action players have 67 million.
+        n_joints = math.prod(map(len, self.actions))
+        if n_transitions < n_joints:
+            raise GameValidationError(
+                f"missing transitions: each of the {n_joints} joint actions needs one "
+                f"at t=0, got {n_transitions} in all"
+            )
+        self.joint_actions: tuple[JointAction, ...] = tuple(
+            itertools.product(*(range(len(acts)) for acts in self.actions))
+        )
+        widths = map(len, self.states)
+        sizes = widths if self.state_dependent else itertools.accumulate(widths, mul)
+        self.offset = list(itertools.accumulate(sizes, initial=0))
+
     def _key(self, prefix: Prefix):
         return prefix[-1] if self.state_dependent else prefix
 
     def _data_keys(self, t: int):
-        """Keys of the time-t data: the states, or every prefix when path keyed."""
+        """Keys of the time-t data in row order: the states, or every prefix when path keyed."""
         if self.state_dependent:
             return self.states[t]
         return itertools.product(*self.states[: t + 1])
 
+    def _row(self, t, key) -> int | None:
+        """The row of the time-t datum at ``key``, found by the tree's arithmetic
+        on path-keyed specs; None when no row has that key."""
+        if t not in range(self.horizon + 1):
+            return None
+        if self.state_dependent:
+            r = self._index[t].get(key)
+        else:
+            r = _radix(self._index, key) if type(key) is tuple and len(key) == t + 1 else None
+        return None if r is None else self.offset[t] + r
+
     def _where(self, key) -> str:
         return f"state={key!r}" if self.state_dependent else f"prefix={key}"
+
+    def _where_row(self, t: int, row: int) -> str:
+        if self.state_dependent:
+            return self._where(self.states[t][row - self.offset[t]])
+        return self._where(_Nodes(self.states)[row].prefix)
 
     # -- data accessors ------------------------------------------------------
 
@@ -111,131 +218,127 @@ class GameSpec:
         key = self._key(path)
         return tuple(self.terminal_costs[i][key] for i in range(self.n_players))
 
-    # -- validation ----------------------------------------------------------
+    def _decision_rows(self, rows: list):
+        """(t, key, row data) for every time-t datum, t < T, in row order."""
+        for t in range(self.horizon):
+            yield from zip(
+                itertools.repeat(t), self._data_keys(t), rows[self.offset[t] : self.offset[t + 1]]
+            )
 
-    def _validate(self) -> None:
-        if self.horizon < 1:
-            raise GameValidationError("horizon must be >= 1")
-        if len(self.states) != self.horizon + 1:
-            raise GameValidationError(
-                f"need {self.horizon + 1} state levels, got {len(self.states)}"
-            )
-        for t, level in enumerate(self.states):
-            if not level:
-                raise GameValidationError(f"empty state set at time {t}")
-            if len(set(level)) != len(level):
-                raise GameValidationError(f"duplicate state labels at time {t}")
-        if not self.actions:
-            raise GameValidationError("need at least one player")
-        for i, acts in enumerate(self.actions):
-            if not acts:
-                raise GameValidationError(f"empty action set for player {i}")
-        if len(self.running_costs) != self.n_players or len(self.terminal_costs) != self.n_players:
-            raise GameValidationError("cost tables must have one entry per player")
-        # Each time-0 key needs a transition per joint action. Counted before
-        # the joint actions are built: 26 two-action players have 67 million.
-        n_joints = math.prod(map(len, self.actions))
-        if len(self.transitions) < n_joints:
-            raise GameValidationError(
-                f"missing transitions: each of the {n_joints} joint actions needs one "
-                f"at t=0, got {len(self.transitions)} in all"
-            )
-        self.joint_actions: tuple[JointAction, ...] = tuple(
-            itertools.product(*(range(len(acts)) for acts in self.actions))
+    @functools.cached_property
+    def transitions(self) -> dict:
+        fractions = functools.cache(lambda vec: tuple(Fraction(x, vec[1]) for x in vec[0]))
+        return {
+            (t, key, joint): fractions(vec)
+            for t, key, row in self._decision_rows(self.kern)
+            for joint, vec in zip(self.joint_actions, row)
+        }
+
+    @functools.cached_property
+    def running_costs(self) -> tuple[dict, ...]:
+        return tuple(
+            {
+                (t, key, a): Fraction(*c)
+                for t, key, costs in self._decision_rows(table)
+                for a, c in enumerate(costs)
+            }
+            for table in self.cost
         )
 
-        # Markov data are keyed by the current state, so each (t, state) entry
-        # is checked once; path-keyed data once per prefix. A vector object met
-        # before passed its content checks there (the transitions hold every
-        # vector, so no id is reused): only its length is checked again.
+    @functools.cached_property
+    def terminal_costs(self) -> tuple[dict, ...]:
+        keys = list(self._data_keys(self.horizon))
+        return tuple({key: Fraction(*g) for key, g in zip(keys, table)} for table in self.end)
+
+    # -- validation ----------------------------------------------------------
+
+    def _check(self, kern: dict, cost: list[dict], end: list[dict], unread: dict) -> None:
+        """Check the filled slots and keep them as rows, level by level.
+
+        ``kern`` holds row r's vector of joint action j at r·len(joint_actions)
+        + j, ``cost[i]`` player i's cost of own action a at r·len(actions[i]) +
+        a, and ``end[i]`` its terminal cost at level T's k-th row at k.
+        ``unread`` gives each table's first key that fills no slot, as (t,
+        key), in table order; it is named only when no slot is empty. A
+        level's first missing transition is named first, then its first
+        missing running cost, then its vectors' first fault. Each vector object
+        is checked once (the rows hold every vector, so no id is reused), and
+        its length at every level that uses it.
+        """
+        joints, n = self.joint_actions, len(self.joint_actions)
+        sizes = tuple(map(len, self.actions))
         positive = True
-        joints = self.joint_actions
-        n_keys = 0
         checked: set[int] = set()
+        self.kern: list[tuple] = []
+        self.cost: list[list[tuple]] = [[] for _ in sizes]
         for t in range(self.horizon):
-            for key in self._data_keys(t):
-                n_keys += 1
-                for joint in joints:
-                    try:
-                        vec = self.transitions[(t, key, joint)]
-                    except KeyError as exc:
-                        raise GameValidationError(
-                            f"missing transition at t={t}, {self._where(key)}, action={joint}"
-                        ) from exc
-                    if len(vec) != len(self.states[t + 1]):
-                        raise GameValidationError(
-                            f"transition vector at t={t}, {self._where(key)}, {joint} "
-                            "has wrong length"
-                        )
-                    if id(vec) in checked:
-                        continue
-                    for p in vec:
-                        if not isinstance(p, Fraction):
-                            raise GameValidationError("transition probabilities must be Fraction")
-                        if p.numerator < 0:
-                            raise GameValidationError("negative transition probability")
-                        if not p.numerator:
-                            positive = False
-                    # Summed in integers over the lcm of the denominators.
-                    den = math.lcm(*(p.denominator for p in vec))
-                    if sum(p.numerator * (den // p.denominator) for p in vec) != den:
-                        raise GameValidationError(
-                            f"transition at t={t}, {self._where(key)}, {joint} sums to "
-                            f"{sum(vec, ZERO)}, not 1"
-                        )
-                    checked.add(id(vec))
-                for i in range(self.n_players):
-                    for ai in range(len(self.actions[i])):
-                        try:
-                            c = self.running_costs[i][(t, key, ai)]
-                        except KeyError as exc:
-                            raise GameValidationError(
-                                f"missing running cost for player {i} at t={t}, "
-                                f"{self._where(key)}"
-                            ) from exc
-                        if not isinstance(c, Fraction):
-                            raise GameValidationError("running costs must be Fraction")
-        n_final = 0
-        for key in self._data_keys(self.horizon):
-            n_final += 1
+            lo, hi, width = self.offset[t], self.offset[t + 1], len(self.states[t + 1])
             try:
-                g = tuple(table[key] for table in self.terminal_costs)
+                flat = list(map(kern.__getitem__, range(lo * n, hi * n)))
             except KeyError as exc:
+                row, j = divmod(exc.args[0], n)
+                where = self._where_row(t, row)
                 raise GameValidationError(
-                    f"missing terminal cost at t={self.horizon}, {self._where(key)}"
-                ) from exc
-            if any(not isinstance(v, Fraction) for v in g):
-                raise GameValidationError("terminal costs must be Fraction")
-        # The loops read each key of a table at most once, so a table with more
-        # keys than they read holds data the game never uses.
-        if len(self.transitions) != n_keys * len(joints):
-            self._unread("transition", self.transitions, joints)
-        for i, table in enumerate(self.running_costs):
-            if len(table) != n_keys * len(self.actions[i]):
-                self._unread(f"running cost of player {i}", table, range(len(self.actions[i])))
-        for i, table in enumerate(self.terminal_costs):
-            if len(table) != n_final:
-                self._unread(f"terminal cost of player {i}", table, None)
+                    f"missing transition at t={t}, {where}, action={joints[j]}"
+                ) from None
+            own = []
+            for i, (table, size) in enumerate(zip(cost, sizes)):
+                try:
+                    own.append(list(map(table.__getitem__, range(lo * size, hi * size))))
+                except KeyError as exc:
+                    where = self._where_row(t, exc.args[0] // size)
+                    raise GameValidationError(
+                        f"missing running cost for player {i} at t={t}, {where}"
+                    ) from None
+            for vec in dict(zip(map(id, flat), flat)).values():  # first met first
+                nums, den = vec
+                fault = None if len(nums) == width else "has wrong length"
+                if fault is None and id(vec) not in checked:
+                    checked.add(id(vec))
+                    if min(nums) < 0:
+                        raise GameValidationError("negative transition probability")
+                    positive = positive and 0 not in nums
+                    if sum(nums) != den:
+                        fault = f"sums to {Fraction(sum(nums), den)}, not 1"
+                if fault:
+                    row, j = divmod(lo * n + next(k for k, v in enumerate(flat) if v is vec), n)
+                    raise GameValidationError(
+                        f"transition at t={t}, {self._where_row(t, row)}, {joints[j]} {fault}"
+                    )
+            self.kern += _cut(flat, n)
+            for table, column, size in zip(self.cost, own, sizes):
+                table += _cut(column, size)
+        final = range(self.offset[self.horizon], self.offset[-1])
+        try:
+            self.end = [list(map(table.__getitem__, range(len(final)))) for table in end]
+        except KeyError:
+            k = next(k for k in itertools.count() if not all(k in table for table in end))
+            where = self._where_row(self.horizon, final[k])
+            raise GameValidationError(
+                f"missing terminal cost at t={self.horizon}, {where}"
+            ) from None
+        if unread:
+            what, (t, key) = next(iter(unread.items()))
+            raise GameValidationError(f"{what} at t={t}, {self._where(key)} is never read")
         self.q_positive = positive
 
-    def _unread(self, what: str, table: dict, actions) -> None:
-        """Raise naming the first key of ``table`` that ``_validate`` does not read.
 
-        ``actions`` are the read keys' last members (joint or own actions), or
-        None for terminal costs, which are keyed by the final state or path.
-        """
-        if actions is None:
-            read = set(self._data_keys(self.horizon))
-        else:
-            read = {
-                (t, key, a)
-                for t in range(self.horizon)
-                for key in self._data_keys(t)
-                for a in actions
-            }
-        unread = next(k for k in table if k not in read)
-        t, where = (self.horizon, unread) if actions is None else unread[:2]
-        raise GameValidationError(f"{what} at t={t}, {self._where(where)} is never read")
+def _pair(x, what: str) -> tuple[int, int]:
+    """A Fraction's numerator and denominator; ``what`` names it in the error."""
+    if not isinstance(x, Fraction):
+        raise GameValidationError(f"{what} must be Fraction")
+    return x.as_integer_ratio()
+
+
+def _over_lcm(pairs) -> tuple[tuple[int, ...], int]:
+    """Rationals given as (num, den) pairs, as numerators over the lcm of the denominators."""
+    den = math.lcm(*(d for _, d in pairs))
+    return tuple([num * (den // d) for num, d in pairs]), den
+
+
+def _cut(flat: list, width: int):
+    """``flat`` cut into consecutive tuples of ``width`` items."""
+    return zip(*[iter(flat)] * width)
 
 
 @dataclass(frozen=True)
@@ -313,7 +416,7 @@ class PathTree:
         # Compiled tables per spec (see tables_of); weak keys, so no spec is pinned.
         self._tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._offset = offset = self.nodes.offset
-        self._index = [{s: k for k, s in enumerate(level)} for level in spec.states]
+        self._index = spec._index
         self.levels = [range(lo, hi) for lo, hi in itertools.pairwise(offset)]
 
     def node(self, nid: int) -> Node:
@@ -321,14 +424,9 @@ class PathTree:
 
     def id_of(self, prefix: Prefix) -> int:
         labels = tuple(prefix)
-        if not 1 <= len(labels) <= self.horizon + 1:
+        r = _radix(self._index, labels) if 1 <= len(labels) <= self.horizon + 1 else None
+        if r is None:
             raise GameValidationError(f"unknown prefix {prefix}")
-        r = 0
-        for level, index, label in zip(self.states, self._index, labels):
-            try:
-                r = r * len(level) + index[label]
-            except KeyError as exc:
-                raise GameValidationError(f"unknown prefix {prefix}") from exc
         return self._offset[len(labels) - 1] + r
 
     @property
@@ -365,6 +463,18 @@ class PathTree:
         for nid in nodes:
             groups.setdefault(self.time_state(nid), []).append(nid)
         return {key: tuple(groups[key]) for key in sorted(groups)}
+
+
+def _radix(index: list[dict], labels) -> int | None:
+    """The mixed-radix number of ``labels``, each read as its place in its
+    level's ``index`` with the level sizes as radices; None at an unknown label."""
+    r = 0
+    for level, label in zip(index, labels):
+        k = level.get(label)
+        if k is None:
+            return None
+        r = r * len(level) + k
+    return r
 
 
 def build_path_tree(spec: GameSpec) -> PathTree:
@@ -466,12 +576,13 @@ def cost_J(spec: GameSpec, tree: PathTree, start: int, policy: Policy) -> Vector
 
 
 class Tables:
-    """A spec's data compiled to Python integers, for every exact walk.
+    """A spec's rows at one integer scale per level, for every exact walk.
 
-    A *row* holds one subgame's data: one per (time, state) on Markov specs,
-    level by level in state order, else one per prefix in the tree's id
-    order (the node id); a row's children are the rows ``range(*kids[row])``,
-    found by the tree's arithmetic, so compiling builds no node. Level t has
+    The rows are the spec's (:class:`GameSpec`): one per (time, state) on
+    Markov specs, level by level in state order, else one per prefix in the
+    tree's id order (the node id); a row's children are the rows
+    ``range(*kids[row])``, found by the tree's arithmetic, so compiling builds
+    no node and looks no key up. Level t has
     the scale ``scale[t]``: ``factor`` times the lcm of L_t·scale[t+1] (L_t:
     the lcm of the level's kernel denominators) and the level's cost
     denominators. An integer v at level t stands for v / scale[t], so sums and
@@ -494,51 +605,44 @@ class Tables:
     def __init__(self, spec: GameSpec, factor: int = 1):
         horizon = spec.horizon
         self.markov = spec.state_dependent
-        # Path-keyed keys come in id order: level t's prefixes, lexicographically.
-        keys = [list(spec._data_keys(t)) for t in range(horizon + 1)]
-        if self.markov:
-            self.index = [{s: k for k, s in enumerate(level)} for level in keys]
-        self.offset = list(itertools.accumulate(map(len, keys), initial=0))
+        self.index = spec._index  # read on Markov specs only
+        self.offset = offset = spec.offset
         self.sizes = tuple(map(len, spec.actions))
         self.strides = tuple(math.prod(self.sizes[i + 1 :]) for i in range(len(self.sizes)))
-        data = [(t, key) for t in range(horizon) for key in keys[t]]
-        kern, cost = [], []
-        for t, key in data:
-            kern.append([spec.transitions[(t, key, joint)] for joint in spec.joint_actions])
-            cost.append(
-                [[table[(t, key, a)] for a in range(size)]
-                 for table, size in zip(spec.running_costs, self.sizes)]
-            )
-        end = [[table[key] for table in spec.terminal_costs] for key in keys[horizon]]
-        scale = [math.lcm(*_denominators([end]))] * (horizon + 1)
-        for t in reversed(range(horizon)):
-            level = slice(self.offset[t], self.offset[t + 1])
-            distinct = {id(vec): vec for row in kern[level] for vec in row}.values()
-            step = math.lcm(*(x.denominator for vec in distinct for x in vec))
-            scale[t] = math.lcm(step * scale[t + 1], *_denominators(cost[level]))
-        self.scale = scale = [s * factor for s in scale]
         # Rows share kernel vector objects (joint actions that move the same
-        # states, the loader's shared tuples), so each is scaled once per ratio;
-        # the spec holds every vector while this runs, so no id is reused.
-        done: dict[tuple[int, int], tuple[int, ...]] = {}
-        self.kern = []
-        for (t, _), row in zip(data, kern):
+        # states, the loader's shared vectors), so each level's distinct ones
+        # are found by id and scaled once; the spec holds every vector, so no
+        # id is reused. Costs are scaled one player's level at a time.
+        levels = [slice(offset[t], offset[t + 1]) for t in range(horizon)]
+        flats = [list(itertools.chain.from_iterable(spec.kern[rows])) for rows in levels]
+        distinct = [dict(zip(map(id, flat), flat)) for flat in flats]
+        costs = [
+            [list(itertools.chain.from_iterable(table[rows])) for table in spec.cost]
+            for rows in levels
+        ]
+        scale = [math.lcm(*_denominators(spec.end))] * (horizon + 1)
+        for t in reversed(range(horizon)):
+            step = math.lcm(*(den for _, den in distinct[t].values()))
+            scale[t] = math.lcm(step * scale[t + 1], *_denominators(costs[t]))
+        self.scale = scale = [s * factor for s in scale]
+        self.kern, self.cost, self.kids = [], [], []
+        n = len(spec.joint_actions)
+        for t, rows in enumerate(levels):
             ratio = scale[t] // scale[t + 1]
-            ints = []
-            for vec in row:
-                key = (id(vec), ratio)
-                scaled = done.get(key)
-                if scaled is None:
-                    scaled = done[key] = tuple(x.numerator * (ratio // x.denominator) for x in vec)
-                ints.append(scaled)
-            self.kern.append(tuple(ints))
-        self.cost = [_scaled(c, scale[t]) for (t, _), c in zip(data, cost)]
-        self.end = [None] * len(data) + list(_scaled(end, scale[horizon]))
-        self.kids = []
-        for row, (t, _) in enumerate(data):
+            ints = {
+                key: tuple([x * (ratio // den) for x in nums])
+                for key, (nums, den) in distinct[t].items()
+            }
+            self.kern += _cut(list(map(ints.__getitem__, map(id, flats[t]))), n)
+            players = zip(_scaled_pairs(costs[t], scale[t]), self.sizes)
+            self.cost += zip(*(_cut(column, size) for column, size in players))
             width = len(spec.states[t + 1])
-            first = self.offset[t + 1] + (0 if self.markov else (row - self.offset[t]) * width)
-            self.kids.append((first, first + width))
+            if self.markov:
+                firsts = itertools.repeat(offset[t + 1], rows.stop - rows.start)
+            else:
+                firsts = range(offset[t + 1], offset[t + 2], width)
+            self.kids += ((first, first + width) for first in firsts)
+        self.end = [None] * offset[horizon] + list(zip(*_scaled_pairs(spec.end, scale[horizon])))
         self.value_index: dict = {}
         self.dpp_sets: dict = {}
         self.threats: dict = {}
@@ -558,12 +662,17 @@ class Tables:
 
 
 def _denominators(rows):
-    return (x.denominator for row in rows for vec in row for x in vec)
+    return (den for row in rows for _, den in row)
 
 
 def _scaled(rows, scale: int) -> tuple[tuple[int, ...], ...]:
     """Rows of fractions as integers over ``scale``, a multiple of their denominators."""
     return tuple(tuple(x.numerator * (scale // x.denominator) for x in vec) for vec in rows)
+
+
+def _scaled_pairs(rows, scale: int) -> list[list[int]]:
+    """Rows of (num, den) pairs as integers over ``scale``, a multiple of every den."""
+    return [[num * (scale // den) for num, den in row] for row in rows]
 
 
 def tables_of(spec: GameSpec, tree: PathTree, factor: int = 1) -> Tables:

@@ -51,6 +51,90 @@ from gameval.model import (
     _Scope,
 )
 
+# -- a spec document by the former dict walk ---------------------------------------
+
+
+def dict_walk(doc: dict, factor: int = 1) -> dict:
+    """A valid spec document read and compiled the former way, by key lookup.
+
+    The document becomes tuple-keyed dictionaries of Fractions, the former
+    ``GameSpec`` data (``transitions``, ``running_costs``, ``terminal_costs``),
+    and ``q_positive`` is read off them. Tables are compiled by looking each
+    key up, as ``Tables`` did: level t's keys are its states on Markov specs,
+    else its prefixes in id order, and level t's scale is ``factor`` times the
+    lcm of L_t·scale[t+1] (L_t: the lcm of the level's kernel denominators) and
+    the level's cost denominators. Returns those dictionaries and ``q_positive``
+    with the tables' ``scale``, ``kern``, ``cost``, ``end`` and ``kids``.
+    """
+    horizon, states, actions = doc["horizon"], doc["states"], doc["actions"]
+    markov = doc.get("flags", {}).get("state_dependent", False)
+
+    def split(key_text: str):
+        t, where, part = key_text.split("|")
+        return int(t), where if markov else tuple(where.split("/")), part
+
+    transitions = {}
+    for key_text, vec in doc["transitions"].items():
+        t, key, part = split(key_text)
+        joint = tuple(acts.index(label) for acts, label in zip(actions, part.split(",")))
+        transitions[(t, key, joint)] = tuple(Fraction(vec.get(s, "0")) for s in states[t + 1])
+    running = []
+    for acts, table in zip(actions, doc["running_costs"]):
+        entry = {}
+        for key_text, cost in table.items():
+            t, key, label = split(key_text)
+            entry[(t, key, acts.index(label))] = Fraction(cost)
+        running.append(entry)
+    terminal = [
+        {(key if markov else tuple(key.split("/"))): Fraction(cost) for key, cost in table.items()}
+        for table in doc["terminal_costs"]
+    ]
+
+    keys = [
+        states[t] if markov else list(itertools.product(*states[: t + 1]))
+        for t in range(horizon + 1)
+    ]
+    joints = list(itertools.product(*(range(len(acts)) for acts in actions)))
+    data = [(t, key) for t in range(horizon) for key in keys[t]]
+    kern = [[transitions[(t, key, joint)] for joint in joints] for t, key in data]
+    cost = [
+        [[table[(t, key, a)] for a in range(len(acts))] for table, acts in zip(running, actions)]
+        for t, key in data
+    ]
+    end = [[table[key] for table in terminal] for key in keys[horizon]]
+    offset = list(itertools.accumulate(map(len, keys), initial=0))
+    scale = [math.lcm(*(x.denominator for g in end for x in g))] * (horizon + 1)
+    for t in reversed(range(horizon)):
+        level = range(offset[t], offset[t + 1])
+        step = math.lcm(*(x.denominator for r in level for vec in kern[r] for x in vec))
+        costs = (x.denominator for r in level for vec in cost[r] for x in vec)
+        scale[t] = math.lcm(step * scale[t + 1], *costs)
+    scale = [s * factor for s in scale]
+
+    def ints(vec, over: int) -> tuple[int, ...]:
+        return tuple(x.numerator * (over // x.denominator) for x in vec)
+
+    kids = []
+    for row, (t, _) in enumerate(data):
+        width = len(states[t + 1])
+        first = offset[t + 1] + (0 if markov else (row - offset[t]) * width)
+        kids.append((first, first + width))
+    return {
+        "transitions": transitions,
+        "running_costs": tuple(running),
+        "terminal_costs": tuple(terminal),
+        "q_positive": all(p > 0 for vec in transitions.values() for p in vec),
+        "scale": scale,
+        "kern": [
+            tuple(ints(vec, scale[t] // scale[t + 1]) for vec in row)
+            for (t, _), row in zip(data, kern)
+        ],
+        "cost": [tuple(ints(vec, scale[t]) for vec in row) for (t, _), row in zip(data, cost)],
+        "end": [None] * len(data) + [ints(g, scale[horizon]) for g in end],
+        "kids": kids,
+    }
+
+
 # -- stopping, measures and truncation -----------------------------------------
 
 

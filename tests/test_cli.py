@@ -184,8 +184,15 @@ def test_exit_code_validation(capsys, tmp_path):
     assert code == 2 and "malformed" in err
 
 
-def malformed_table1(kind: str) -> str:
-    doc = dump_game(load_example("table1"))
+def malformed_doc(kind: str) -> str:
+    """Kind ``kind`` of malformed document: table1's, a path-keyed spec's
+    (``path-`` kinds) or the horizon-30 Markov spec's (``h30-`` kinds)."""
+    if kind.startswith("path-"):
+        doc = json.loads((DATA / "zero_kernel_path.json").read_text())
+    elif kind.startswith("h30-"):
+        doc = json.loads((DATA / "markov_h30.json").read_text())
+    else:
+        doc = dump_game(load_example("table1"))
     if kind == "transition-key":
         doc["transitions"]["x|s0|0,0"] = doc["transitions"].pop("0|s0|0,0")
     elif kind == "negative-time":
@@ -238,6 +245,18 @@ def malformed_table1(kind: str) -> str:
         doc["transitions"]["1|up|0,0"] = doc["transitions"]["0|s0|0,0"]
     elif kind == "unknown-successor":
         doc["transitions"]["0|s0|0,0"]["sideways"] = "0"
+    elif kind == "twice-named-transition":
+        doc["transitions"]["00|s0|0,0"] = doc["transitions"]["0|s0|0,0"]
+    elif kind == "twice-named-running-cost":
+        doc["running_costs"][0]["00|s0|0"] = "5"
+    elif kind == "missing-and-unread":
+        doc["transitions"]["0|nowhere|0,0"] = doc["transitions"].pop("0|s0|0,0")
+    elif kind == "path-unknown-label":
+        doc["transitions"]["0|nowhere|0,0"] = doc["transitions"]["0|r0|0,0"]
+    elif kind == "path-prefix-length":
+        doc["transitions"]["1|r0/t1s0/t2s0|0,0"] = doc["transitions"]["1|r0/t1s0|0,0"]
+    elif kind == "h30-path-keyed":  # 3^30 prefixes: the loader must not make a slot for each
+        doc["flags"]["state_dependent"] = False
     elif kind == "many-players":  # 2^26 joint actions and one transition
         n = 26
         doc.update(
@@ -281,13 +300,19 @@ MALFORMED = {
     "key-beyond-horizon": "transition key '1|up|0,0' beyond horizon",
     "unknown-successor": "unknown successor state 'sideways' in '0|s0|0,0'",
     "many-players": "each of the 67108864 joint actions needs one at t=0, got 1 in all",
+    "twice-named-transition": "transition keys '0|s0|0,0' and '00|s0|0,0' name one datum",
+    "twice-named-running-cost": "running-cost keys '0|s0|0' and '00|s0|0' of player 0 name one",
+    "missing-and-unread": "missing transition at t=0, state='s0', action=(0, 0)",
+    "path-unknown-label": "transition at t=0, prefix=('nowhere',) is never read",
+    "path-prefix-length": "transition at t=1, prefix=('r0', 't1s0', 't2s0') is never read",
+    "h30-path-keyed": "missing transition at t=1, prefix=('r0', 'm0'), action=(0, 0)",
 }
 
 
 @pytest.mark.parametrize("kind", MALFORMED)
 def test_malformed_spec_files_exit_2(capsys, tmp_path, kind):
     path = tmp_path / f"{kind}.json"
-    path.write_text(malformed_table1(kind))
+    path.write_text(malformed_doc(kind))
     code, out, err = run(capsys, "setvalue", "--spec", str(path))
     assert code == 2 and out == ""
     error = json.loads(err)

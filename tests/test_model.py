@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import random
 import re
 from fractions import Fraction as F
@@ -21,9 +22,9 @@ from gameval import (
 )
 from gameval.io import frac_from_str
 from gameval.model import Node, Tables
-from gameval.presets import SPEC_FILES, load_example
+from gameval.presets import SPEC_FILES, build_pareto_spec, load_example
 
-from oracles import path_measure, stop_node_along, truncate_game
+from oracles import dict_walk, path_measure, stop_node_along, truncate_game
 from specgen import random_game
 
 
@@ -552,6 +553,55 @@ def test_loaded_specs_share_vectors_and_cover_zero_kernels():
     assert len({id(vec) for vec in h30.transitions.values()}) < len(h30.transitions)
     assert {spec.q_positive for spec in specs} == {False, True}
     assert {spec.state_dependent for spec in specs} == {False, True}
+
+
+# -- the row form against the former dict walk ----------------------------------
+
+
+def row_form_cases() -> dict:
+    """Documents by name, each with the spec it was dumped from (None for files).
+
+    The examples, every spec in tests/data, and seeded specs of every kind:
+    path keyed and Markov, with and without zero kernels, 2 and 3 players.
+    """
+    cases = {name: (dump_game(load_example(name)), None) for name in SPEC_FILES}
+    pareto = build_pareto_spec(F(1, 100))
+    cases["pareto"] = (dump_game(pareto), pareto)
+    for path in sorted((Path(__file__).parent / "data").glob("*.json")):
+        cases[path.stem] = (json.loads(path.read_text()), None)
+    rng = random.Random(35)
+    for markov, zero, players in itertools.product((False, True), (False, True), (2, 3)):
+        for k in range(3):
+            spec = random_game(
+                rng, state_dependent=markov, allow_zero=zero, n_players=players, max_states=3
+            )
+            kind = f"{'markov' if markov else 'path'}-{'zero' if zero else 'positive'}"
+            cases[f"{kind}-{players}p-{k}"] = (dump_game(spec), spec)
+    return cases
+
+
+ROW_FORM_CASES = row_form_cases()
+
+
+@pytest.mark.parametrize("name", ROW_FORM_CASES)
+def test_the_row_form_equals_the_dict_walk(name):
+    doc, built = ROW_FORM_CASES[name]
+    loaded = load_game(doc)
+    assert dump_game(loaded) == doc
+    for factor in (1, 6):
+        want = dict_walk(doc, factor)
+        for spec in (loaded, built) if built else (loaded,):
+            for field in ("transitions", "running_costs", "terminal_costs", "q_positive"):
+                assert getattr(spec, field) == want[field], field
+            tables = Tables(spec, factor)
+            for field in ("scale", "kern", "cost", "end", "kids"):
+                assert getattr(tables, field) == want[field], field
+
+
+def test_the_row_form_cases_cover_every_kind():
+    specs = [load_game(doc) for doc, _ in ROW_FORM_CASES.values()]
+    kinds = {(spec.state_dependent, spec.q_positive, spec.n_players) for spec in specs}
+    assert kinds == set(itertools.product((False, True), (False, True), (2, 3)))
 
 
 def half_kernel_spec():
