@@ -7,6 +7,8 @@ reports, witness policies) use the same rational encoding.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -67,11 +69,6 @@ def _prefix_from_str(text: str) -> Prefix:
     return tuple(text.split(PATH_SEP))
 
 
-def _encode_key(t: int, key, action_part: str) -> str:
-    where = key if isinstance(key, str) else _prefix_to_str(key)
-    return KEY_SEP.join((str(t), where, action_part))
-
-
 def _typed(value, kind: type, what: str):
     """``value`` when it is a JSON object (dict) or array (list), as ``kind`` asks."""
     if not isinstance(value, kind):
@@ -130,6 +127,15 @@ def load_game(source: str | Path | dict) -> GameSpec:
         raw_terminal = _typed(raw["terminal_costs"], list, "terminal_costs")
     except KeyError as exc:
         raise GameValidationError(f"malformed game document: missing {exc}") from exc
+    # A label holding a separator makes keys that do not split back into their parts.
+    state_seps = KEY_SEP if state_dependent else KEY_SEP + PATH_SEP
+    for what, levels, seps in (("states", states, state_seps), ("actions", actions, KEY_SEP + ",")):
+        for (k, level), sep in itertools.product(enumerate(levels), seps):
+            for label in level:
+                if sep in label:
+                    raise GameValidationError(
+                        f"{what}[{k}] label {label!r} contains {sep!r}, a key separator"
+                    )
     if players != len(actions):
         raise GameValidationError("players count disagrees with actions table")
     if len(raw_running) != players or len(raw_terminal) != players:
@@ -138,7 +144,7 @@ def load_game(source: str | Path | dict) -> GameSpec:
             f"{len(raw_running)} running-cost and {len(raw_terminal)} terminal-cost tables"
         )
 
-    spec = GameSpec._blank(horizon, states, actions, state_dependent, len(raw_trans))
+    spec = GameSpec(horizon, states, actions, state_dependent, len(raw_trans))
     n, final = len(spec.joint_actions), spec.offset[horizon]
     strides = [math.prod(map(len, actions[i + 1 :])) for i in range(players)]
 
@@ -276,30 +282,29 @@ def _named_twice(what: str, table: dict, key_text: str, whose: str = "") -> Game
 
 
 def dump_game(spec: GameSpec) -> dict:
-    """Serialize a spec to a JSON-ready dict; inverse of :func:`load_game`."""
+    """Serialize a spec to a JSON-ready dict; inverse of :func:`load_game`.
+
+    Written from the spec's rows, each table's keys in row order, every
+    rational in lowest terms.
+    """
+    joints = [",".join(map(tuple.__getitem__, spec.actions, j)) for j in spec.joint_actions]
+    texts = functools.cache(lambda vec: [frac_to_str(Fraction(x, vec[1])) for x in vec[0]])
     trans_out: dict[str, dict[str, str]] = {}
-    for (t, where, joint), vec in sorted(
-        spec.transitions.items(), key=lambda kv: (kv[0][0], str(kv[0][1]), kv[0][2])
-    ):
-        labels = ",".join(spec.actions[i][a] for i, a in enumerate(joint))
-        trans_out[_encode_key(t, where, labels)] = {
-            state: frac_to_str(p) for state, p in zip(spec.states[t + 1], vec)
-        }
-    running_out = []
-    for i, table in enumerate(spec.running_costs):
-        entry = {}
-        for (t, where, ai), cost in sorted(
-            table.items(), key=lambda kv: (kv[0][0], str(kv[0][1]), kv[0][2])
-        ):
-            entry[_encode_key(t, where, spec.actions[i][ai])] = frac_to_str(cost)
-        running_out.append(entry)
-    terminal_out = []
-    for table in spec.terminal_costs:
-        entry = {}
-        for where, cost in sorted(table.items(), key=lambda kv: str(kv[0])):
-            name = where if isinstance(where, str) else _prefix_to_str(where)
-            entry[name] = frac_to_str(cost)
-        terminal_out.append(entry)
+    running_out: list[dict[str, str]] = [{} for _ in spec.actions]
+    for t in range(spec.horizon):
+        level = spec.states[t + 1]
+        for row, where in enumerate(_wheres(spec, t), spec.offset[t]):
+            head = f"{t}{KEY_SEP}{where}{KEY_SEP}"
+            for part, vec in zip(joints, spec.kern[row]):
+                trans_out[head + part] = dict(zip(level, texts(vec)))
+            for acts, entry, table in zip(spec.actions, running_out, spec.cost):
+                for label, cost in zip(acts, table[row]):
+                    entry[head + label] = frac_to_str(Fraction(*cost))
+    finals = list(_wheres(spec, spec.horizon))
+    terminal_out = [
+        {where: frac_to_str(Fraction(*cost)) for where, cost in zip(finals, table)}
+        for table in spec.end
+    ]
     return {
         "horizon": spec.horizon,
         "players": spec.n_players,
@@ -310,6 +315,13 @@ def dump_game(spec: GameSpec) -> dict:
         "running_costs": running_out,
         "terminal_costs": terminal_out,
     }
+
+
+def _wheres(spec: GameSpec, t: int):
+    """Level t's keys as the document spells them, in row order."""
+    if spec.state_dependent:
+        return spec.states[t]
+    return map(_prefix_to_str, itertools.product(*spec.states[: t + 1]))
 
 
 # -- result payloads ---------------------------------------------------------

@@ -4,8 +4,9 @@ A game runs over times 0..T with a finite state set per time, finite
 per-player action sets, an exact-rational transition kernel q(t, x, a; x')
 over next states, per-player running costs that depend only on the player's
 own action, and per-player terminal costs. All quantities are exact
-rationals, held as integers in the spec's table rows and given out as
-`fractions.Fraction`; nothing in this module touches floats.
+rationals, read from the spec document (`io.load_game`, the one way to build
+a `GameSpec`) into integer table rows and given out as `fractions.Fraction`;
+nothing in this module touches floats.
 
 Histories are handled through a prefix tree (`PathTree`). Policies and cost
 evaluation are keyed by tree nodes, and stopping times by a node's (time,
@@ -64,82 +65,15 @@ class GameSpec:
     den)`` pairs in lowest terms, one table per player as in the document.
     :class:`Tables` only scales these rows.
 
-    ``io.load_game`` fills the rows from the document. The keyword
-    constructor fills them from dictionaries of Fractions: transitions keyed
-    ``(t, key, joint action)``, running costs ``(t, key, own action)`` and
-    terminal costs ``key``, where a key is the current state label or, path
-    keyed, the whole prefix. Both run one check. ``transitions``,
-    ``running_costs`` and ``terminal_costs`` are those dictionaries again,
-    built on first use. Accessors take prefixes and resolve the key
-    internally, so callers never branch on the flag.
+    ``io.load_game`` is the one way in: the constructor sets and checks the
+    shape, then the loader fills the rows from the document and :meth:`_check`
+    checks them. ``io.dump_game`` writes the rows back out.
 
     Instances are treated as immutable after construction; every operation on
     them is a pure function, safe to call concurrently.
     """
 
-    def __init__(
-        self,
-        *,
-        horizon: int,
-        states: list[list[str]] | tuple[tuple[str, ...], ...],
-        actions: list[list[str]] | tuple[tuple[str, ...], ...],
-        transitions: dict,
-        running_costs: list[dict] | tuple[dict, ...],
-        terminal_costs: list[dict] | tuple[dict, ...],
-        state_dependent: bool = False,
-    ):
-        self._shape(horizon, states, actions, state_dependent, len(transitions))
-        if len(running_costs) != self.n_players or len(terminal_costs) != self.n_players:
-            raise GameValidationError("cost tables must have one entry per player")
-        n, final = len(self.joint_actions), self.offset[self.horizon]
-        joint_index = {joint: j for j, joint in enumerate(self.joint_actions)}
-        kern: dict = {}
-        unread: dict = {}
-        vectors: dict[int, tuple] = {}  # by id: a shared vector stays shared
-        for (t, key, joint), vec in transitions.items():
-            row, j = self._row(t, key), joint_index.get(joint)
-            if row is None or row >= final or j is None:
-                unread.setdefault("transition", (t, key))
-                continue
-            if id(vec) not in vectors:
-                vectors[id(vec)] = _over_lcm([_pair(p, "transition probabilities") for p in vec])
-            kern[row * n + j] = vectors[id(vec)]
-        cost: list[dict] = []
-        for i, table in enumerate(running_costs):
-            size, slots = len(self.actions[i]), {}
-            for (t, key, a), c in table.items():
-                row = self._row(t, key)
-                if row is None or row >= final or a not in range(size):
-                    unread.setdefault(f"running cost of player {i}", (t, key))
-                else:
-                    slots[row * size + a] = _pair(c, "running costs")
-            cost.append(slots)
-        end: list[dict] = []
-        for i, table in enumerate(terminal_costs):
-            slots = {}
-            for key, g in table.items():
-                row = self._row(self.horizon, key)
-                if row is None:
-                    unread.setdefault(f"terminal cost of player {i}", (self.horizon, key))
-                else:
-                    slots[row - final] = _pair(g, "terminal costs")
-            end.append(slots)
-        self._check(kern, cost, end, unread)
-
-    @classmethod
-    def _blank(cls, horizon, states, actions, state_dependent, n_transitions) -> GameSpec:
-        """A spec whose shape is set and checked, for a loader to fill and :meth:`_check`."""
-        spec = cls.__new__(cls)
-        spec._shape(horizon, states, actions, state_dependent, n_transitions)
-        return spec
-
-    # -- basic shape ---------------------------------------------------------
-
-    @property
-    def n_players(self) -> int:
-        return len(self.actions)
-
-    def _shape(self, horizon, states, actions, state_dependent, n_transitions: int) -> None:
+    def __init__(self, horizon, states, actions, state_dependent, n_transitions: int):
         """Set and check everything but the data, ``n_transitions`` of which are to come."""
         self.horizon = int(horizon)
         self.states = tuple(map(tuple, states))
@@ -177,14 +111,9 @@ class GameSpec:
         sizes = widths if self.state_dependent else itertools.accumulate(widths, mul)
         self.offset = list(itertools.accumulate(sizes, initial=0))
 
-    def _key(self, prefix: Prefix):
-        return prefix[-1] if self.state_dependent else prefix
-
-    def _data_keys(self, t: int):
-        """Keys of the time-t data in row order: the states, or every prefix when path keyed."""
-        if self.state_dependent:
-            return self.states[t]
-        return itertools.product(*self.states[: t + 1])
+    @property
+    def n_players(self) -> int:
+        return len(self.actions)
 
     def _row(self, t, key) -> int | None:
         """The row of the time-t datum at ``key``, found by the tree's arithmetic
@@ -204,51 +133,6 @@ class GameSpec:
         if self.state_dependent:
             return self._where(self.states[t][row - self.offset[t]])
         return self._where(_Nodes(self.states)[row].prefix)
-
-    # -- data accessors ------------------------------------------------------
-
-    def transition_vector(self, t: int, prefix: Prefix, joint: JointAction) -> Vector:
-        """Probability vector over states[t+1], in state order."""
-        return self.transitions[(t, self._key(prefix), joint)]
-
-    def running_cost(self, player: int, t: int, prefix: Prefix, own_action: int) -> Fraction:
-        return self.running_costs[player][(t, self._key(prefix), own_action)]
-
-    def terminal_vector(self, path: Prefix) -> Vector:
-        key = self._key(path)
-        return tuple(self.terminal_costs[i][key] for i in range(self.n_players))
-
-    def _decision_rows(self, rows: list):
-        """(t, key, row data) for every time-t datum, t < T, in row order."""
-        for t in range(self.horizon):
-            yield from zip(
-                itertools.repeat(t), self._data_keys(t), rows[self.offset[t] : self.offset[t + 1]]
-            )
-
-    @functools.cached_property
-    def transitions(self) -> dict:
-        fractions = functools.cache(lambda vec: tuple(Fraction(x, vec[1]) for x in vec[0]))
-        return {
-            (t, key, joint): fractions(vec)
-            for t, key, row in self._decision_rows(self.kern)
-            for joint, vec in zip(self.joint_actions, row)
-        }
-
-    @functools.cached_property
-    def running_costs(self) -> tuple[dict, ...]:
-        return tuple(
-            {
-                (t, key, a): Fraction(*c)
-                for t, key, costs in self._decision_rows(table)
-                for a, c in enumerate(costs)
-            }
-            for table in self.cost
-        )
-
-    @functools.cached_property
-    def terminal_costs(self) -> tuple[dict, ...]:
-        keys = list(self._data_keys(self.horizon))
-        return tuple({key: Fraction(*g) for key, g in zip(keys, table)} for table in self.end)
 
     # -- validation ----------------------------------------------------------
 
@@ -321,13 +205,6 @@ class GameSpec:
             what, (t, key) = next(iter(unread.items()))
             raise GameValidationError(f"{what} at t={t}, {self._where(key)} is never read")
         self.q_positive = positive
-
-
-def _pair(x, what: str) -> tuple[int, int]:
-    """A Fraction's numerator and denominator; ``what`` names it in the error."""
-    if not isinstance(x, Fraction):
-        raise GameValidationError(f"{what} must be Fraction")
-    return x.as_integer_ratio()
 
 
 def _over_lcm(pairs) -> tuple[tuple[int, ...], int]:

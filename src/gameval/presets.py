@@ -3,7 +3,7 @@
 The discrete presets are complete spec documents under ``gameval/data`` and
 load through the ordinary JSON reader. The perturbed two-period game behind
 the Pareto counterexample depends on a user-chosen kernel perturbation, so
-its stage tables live in a data file and the full spec is assembled here.
+its stage tables live in a data file and its spec document is assembled here.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from fractions import Fraction
 from importlib import resources
 
 from .errors import GameValidationError
-from .io import frac_from_str, load_game
-from .model import ONE, ZERO, GameSpec
+from .io import frac_from_str, frac_to_str, load_game
+from .model import ONE, GameSpec
 
 SPEC_FILES = {
     "table1": "table1.json",
@@ -61,51 +61,32 @@ def build_pareto_spec(eps: Fraction) -> GameSpec:
     if not 0 < eps < Fraction(1, 3):
         raise GameValidationError("perturbation must satisfy 0 < eps < 1/3 to keep q > 0")
     tables = pareto_tables()
-    branches = list(tables["branches"])
-    f1 = {s: tuple(frac_from_str(v) for v in vec) for s, vec in tables["f_stage1"].items()}
-    g1 = {s: tuple(frac_from_str(v) for v in vec) for s, vec in tables["g_stage1"].items()}
-    q1 = {
-        tuple(int(x) for x in key.split(",")): frac_from_str(v)
-        for key, v in tables["q_stage1_to_s20"].items()
+    branches = tables["branches"]
+    near, far = frac_to_str(ONE - 3 * eps), frac_to_str(eps)
+    # The tables key joint actions by action indices, which are the action labels here.
+    transitions = {
+        f"0|s0|{joint}": {s: near if s == target else far for s in branches}
+        for joint, target in tables["kernel_target"].items()
     }
-    target = {
-        tuple(int(x) for x in key.split(",")): s for key, s in tables["kernel_target"].items()
-    }
-
-    states = [["s0"], branches, ["s20", "s21"]]
-    actions = [["0", "1"], ["0", "1"]]
-    joints = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    root = ("s0",)
-
-    transitions: dict = {}
-    for joint in joints:
-        vec = tuple(ONE - 3 * eps if s == target[joint] else eps for s in branches)
-        transitions[(0, root, joint)] = vec
+    running: list[dict] = [{"0|s0|0": "0", "0|s0|1": "0"} for _ in range(2)]
+    terminal: list[dict] = [{}, {}]
     for s in branches:
-        prefix = ("s0", s)
-        for joint in joints:
-            q = q1[joint]
-            transitions[(1, prefix, joint)] = (q, ONE - q)
-
-    running = [{}, {}]
-    for i in range(2):
-        for ai in range(2):
-            running[i][(0, root, ai)] = ZERO
-            for s in branches:
-                running[i][(1, ("s0", s), ai)] = f1[s][i]
-
-    terminal = [{}, {}]
-    for i in range(2):
-        for s in branches:
-            terminal[i][("s0", s, "s20")] = g1[s][i]
-            terminal[i][("s0", s, "s21")] = ZERO
-
-    return GameSpec(
-        horizon=2,
-        states=states,
-        actions=actions,
-        transitions=transitions,
-        running_costs=running,
-        terminal_costs=terminal,
-        state_dependent=False,
+        for joint, q in tables["q_stage1_to_s20"].items():
+            rest = frac_to_str(ONE - frac_from_str(q))
+            transitions[f"1|s0/{s}|{joint}"] = {"s20": q, "s21": rest}
+        for i in range(2):
+            for a in "01":
+                running[i][f"1|s0/{s}|{a}"] = tables["f_stage1"][s][i]
+            terminal[i][f"s0/{s}/s20"] = tables["g_stage1"][s][i]
+            terminal[i][f"s0/{s}/s21"] = "0"
+    return load_game(
+        {
+            "horizon": 2,
+            "players": 2,
+            "states": [["s0"], branches, ["s20", "s21"]],
+            "actions": [["0", "1"], ["0", "1"]],
+            "transitions": transitions,
+            "running_costs": running,
+            "terminal_costs": terminal,
+        }
     )

@@ -9,12 +9,17 @@ computes none of these itself, so they live here, next to the tests that use
 them. One is a former layout instead: the monotone sweep with full-depth y
 pads, every coefficient as an (nx, 1) column and a loop that walks the
 groups every step, which the current sweep must match bit for bit.
+
+A spec's data as tuple-keyed dictionaries of Fractions, the form the package
+no longer keeps, come from the former dict walk of its document (``views``),
+and ``game_doc`` writes such dictionaries back as a document to load.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 from gameval.equilibria import (
@@ -25,6 +30,7 @@ from gameval.equilibria import (
     iter_equilibria,
 )
 from gameval.errors import EnumerationCapExceeded, GameValidationError, NumericInstabilityError
+from gameval.io import dump_game, load_game
 import numpy as np
 
 from gameval.hjb import (
@@ -51,7 +57,7 @@ from gameval.model import (
     _Scope,
 )
 
-# -- a spec document by the former dict walk ---------------------------------------
+# -- spec documents and the former dict walk ----------------------------------------
 
 
 def dict_walk(doc: dict, factor: int = 1) -> dict:
@@ -135,6 +141,84 @@ def dict_walk(doc: dict, factor: int = 1) -> dict:
     }
 
 
+def game_doc(
+    *, horizon, states, actions, transitions, running_costs, terminal_costs, state_dependent=False
+) -> dict:
+    """The spec document of :func:`dict_walk`'s dictionaries, keys in their order.
+
+    Transitions are keyed ``(t, key, joint action)``, running costs ``(t, key,
+    own action)`` and terminal costs ``key``, where a key is a state label on
+    Markov specs and a prefix otherwise; every value is a Fraction.
+    """
+
+    def where(key) -> str:
+        return key if state_dependent else "/".join(key)
+
+    def labels(joint) -> str:
+        return ",".join(actions[i][a] for i, a in enumerate(joint))
+
+    return {
+        "horizon": horizon,
+        "players": len(actions),
+        "states": [list(level) for level in states],
+        "actions": [list(acts) for acts in actions],
+        "flags": {"state_dependent": bool(state_dependent)},
+        "transitions": {
+            f"{t}|{where(key)}|{labels(joint)}": dict(zip(states[t + 1], map(str, vec)))
+            for (t, key, joint), vec in transitions.items()
+        },
+        "running_costs": [
+            {f"{t}|{where(key)}|{actions[i][a]}": str(c) for (t, key, a), c in table.items()}
+            for i, table in enumerate(running_costs)
+        ],
+        "terminal_costs": [
+            {where(key): str(c) for key, c in table.items()} for table in terminal_costs
+        ],
+    }
+
+
+_VIEWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def views(spec: GameSpec) -> dict:
+    """:func:`dict_walk` of the spec's document, built once per spec."""
+    if spec not in _VIEWS:
+        _VIEWS[spec] = dict_walk(dump_game(spec))
+    return _VIEWS[spec]
+
+
+def rebuilt(spec: GameSpec, **changes) -> GameSpec:
+    """``spec`` loaded again from :func:`game_doc`, with ``changes`` to its arguments."""
+    view = views(spec)
+    fields = dict(
+        horizon=spec.horizon,
+        states=spec.states,
+        actions=spec.actions,
+        transitions=view["transitions"],
+        running_costs=view["running_costs"],
+        terminal_costs=view["terminal_costs"],
+        state_dependent=spec.state_dependent,
+    )
+    return load_game(game_doc(**{**fields, **changes}))
+
+
+def _key(spec: GameSpec, prefix: Prefix):
+    return prefix[-1] if spec.state_dependent else prefix
+
+
+def transition_vector(spec: GameSpec, t: int, prefix: Prefix, joint) -> Vector:
+    """Probabilities over ``states[t + 1]`` at the prefix under the joint action."""
+    return views(spec)["transitions"][(t, _key(spec, prefix), joint)]
+
+
+def running_cost(spec: GameSpec, player: int, t: int, prefix: Prefix, own_action: int) -> Fraction:
+    return views(spec)["running_costs"][player][(t, _key(spec, prefix), own_action)]
+
+
+def terminal_vector(spec: GameSpec, path: Prefix) -> Vector:
+    return tuple(table[_key(spec, path)] for table in views(spec)["terminal_costs"])
+
+
 # -- stopping, measures and truncation -----------------------------------------
 
 
@@ -166,7 +250,7 @@ def path_measure(
         if node.t == tree.horizon:
             out[node.prefix] = out.get(node.prefix, ZERO) + mass
             return
-        vec = spec.transition_vector(node.t, node.prefix, policy.action(nid))
+        vec = transition_vector(spec, node.t, node.prefix, policy.action(nid))
         for child, p in zip(node.children, vec):
             if p != 0:
                 walk(child, mass * p)
@@ -215,13 +299,13 @@ def truncate_game(
             node = tree.node(nid)
             silent = stop_node[nid] is not None
             for joint in spec.joint_actions:
-                transitions[(t, node.prefix, joint)] = spec.transition_vector(
-                    t, node.prefix, joint
+                transitions[(t, node.prefix, joint)] = transition_vector(
+                    spec, t, node.prefix, joint
                 )
             for i in range(n):
                 for ai in range(len(spec.actions[i])):
                     running[i][(t, node.prefix, ai)] = (
-                        ZERO if silent else spec.running_cost(i, t, node.prefix, ai)
+                        ZERO if silent else running_cost(spec, i, t, node.prefix, ai)
                     )
     for nid in tree.levels[spec.horizon]:
         node = tree.node(nid)
@@ -229,10 +313,8 @@ def truncate_game(
         for i in range(n):
             terminal[i][node.prefix] = value[i]
 
-    return GameSpec(
-        horizon=spec.horizon,
-        states=spec.states,
-        actions=spec.actions,
+    return rebuilt(
+        spec,
         transitions=transitions,
         running_costs=running,
         terminal_costs=terminal,

@@ -10,7 +10,10 @@ import itertools
 import random
 from fractions import Fraction
 
+from gameval.io import load_game
 from gameval.model import GameSpec
+
+from oracles import game_doc
 
 
 def random_game(
@@ -65,7 +68,7 @@ def random_game(
         for i in range(n_players):
             terminal[i][key] = cost()
 
-    return GameSpec(
+    return load_game(game_doc(
         horizon=horizon,
         states=states,
         actions=actions,
@@ -73,4 +76,4 @@ def random_game(
         running_costs=running,
         terminal_costs=terminal,
         state_dependent=state_dependent,
-    )
+    ))

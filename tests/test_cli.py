@@ -255,6 +255,14 @@ def malformed_doc(kind: str) -> str:
         doc["transitions"]["0|nowhere|0,0"] = doc["transitions"]["0|r0|0,0"]
     elif kind == "path-prefix-length":
         doc["transitions"]["1|r0/t1s0/t2s0|0,0"] = doc["transitions"]["1|r0/t1s0|0,0"]
+    elif kind == "state-pipe":  # every key spells the label as given
+        doc = json.loads(json.dumps(doc).replace("s0", "s|0"))
+    elif kind == "path-state-slash":
+        doc = json.loads(json.dumps(doc).replace("t1s0", "t1/s0"))
+    elif kind == "action-comma":  # player 0's action "1" renamed "1,5" in every key
+        doc["actions"][0][1] = "1,5"
+        doc["transitions"] = {k.replace("|1,", "|1,5,"): v for k, v in doc["transitions"].items()}
+        doc["running_costs"][0]["0|s0|1,5"] = doc["running_costs"][0].pop("0|s0|1")
     elif kind == "h30-path-keyed":  # 3^30 prefixes: the loader must not make a slot for each
         doc["flags"]["state_dependent"] = False
     elif kind == "many-players":  # 2^26 joint actions and one transition
@@ -306,6 +314,9 @@ MALFORMED = {
     "path-unknown-label": "transition at t=0, prefix=('nowhere',) is never read",
     "path-prefix-length": "transition at t=1, prefix=('r0', 't1s0', 't2s0') is never read",
     "h30-path-keyed": "missing transition at t=1, prefix=('r0', 'm0'), action=(0, 0)",
+    "state-pipe": "states[0] label 's|0' contains '|', a key separator",
+    "path-state-slash": "states[1] label 't1/s0' contains '/', a key separator",
+    "action-comma": "actions[0] label '1,5' contains ',', a key separator",
 }
 
 

@@ -18,6 +18,7 @@ from gameval import GameSpec, Policy, best_response, build_path_tree, cost_J, it
 from gameval.equilibria import _iter_general, _Responder, _Scope, _units_for
 from gameval.model import PATH_CLASS, STATE_CLASS, StoppingTime
 
+from oracles import rebuilt, running_cost, terminal_vector, transition_vector, views
 from specgen import random_game
 
 
@@ -28,39 +29,25 @@ def clone_action(spec: GameSpec, player: int, action: int = 0) -> GameSpec:
     clone = len(spec.actions[player])
     actions = [list(acts) for acts in spec.actions]
     actions[player].append(f"{actions[player][action]}'")
-    transitions = dict(spec.transitions)
-    for (t, key, joint), vec in spec.transitions.items():
+    view = views(spec)
+    transitions = dict(view["transitions"])
+    for (t, key, joint), vec in view["transitions"].items():
         if joint[player] == action:
             transitions[(t, key, joint[:player] + (clone,) + joint[player + 1 :])] = vec
-    running = [dict(table) for table in spec.running_costs]
-    for (t, key, a), cost in spec.running_costs[player].items():
+    running = [dict(table) for table in view["running_costs"]]
+    for (t, key, a), cost in view["running_costs"][player].items():
         if a == action:
             running[player][(t, key, clone)] = cost
-    return GameSpec(
-        horizon=spec.horizon,
-        states=spec.states,
-        actions=actions,
-        transitions=transitions,
-        running_costs=running,
-        terminal_costs=spec.terminal_costs,
-        state_dependent=spec.state_dependent,
-    )
+    return rebuilt(spec, actions=actions, transitions=transitions, running_costs=running)
 
 
 def indifferent(spec: GameSpec, player: int) -> GameSpec:
     """The spec with every running and terminal cost of ``player`` set to zero."""
-    running, terminal = list(spec.running_costs), list(spec.terminal_costs)
+    view = views(spec)
+    running, terminal = list(view["running_costs"]), list(view["terminal_costs"])
     for tables in (running, terminal):
         tables[player] = {key: F(0) for key in tables[player]}
-    return GameSpec(
-        horizon=spec.horizon,
-        states=spec.states,
-        actions=spec.actions,
-        transitions=spec.transitions,
-        running_costs=running,
-        terminal_costs=terminal,
-        state_dependent=spec.state_dependent,
-    )
+    return rebuilt(spec, running_costs=running, terminal_costs=terminal)
 
 
 def tied_game(rng, *, zero_first: bool, **kwargs) -> GameSpec:
@@ -84,13 +71,13 @@ def reference_best_response(spec, tree, start, player, opp_action_at, frontier=N
         if frontier is not None and nid in frontier:
             return frontier[nid][player]
         if node.t == tree.horizon:
-            return spec.terminal_vector(node.prefix)[player]
+            return terminal_vector(spec, node.prefix)[player]
         others = opp_action_at(nid)
         costs = []
         for ai in range(len(spec.actions[player])):
             joint = others[:player] + (ai,) + others[player + 1 :]
-            cost = spec.running_cost(player, node.t, node.prefix, ai)
-            for child, p in zip(node.children, spec.transition_vector(node.t, node.prefix, joint)):
+            cost = running_cost(spec, player, node.t, node.prefix, ai)
+            for child, p in zip(node.children, transition_vector(spec, node.t, node.prefix, joint)):
                 if p:
                     cost += p * walk(child)
             costs.append(cost)
@@ -110,10 +97,10 @@ def reference_value(spec, tree, start, action_at, frontier=None):
         if frontier is not None and nid in frontier:
             return frontier[nid]
         if node.t == tree.horizon:
-            return spec.terminal_vector(node.prefix)
+            return terminal_vector(spec, node.prefix)
         joint = action_at(nid)
-        total = [spec.running_cost(i, node.t, node.prefix, a) for i, a in enumerate(joint)]
-        for child, p in zip(node.children, spec.transition_vector(node.t, node.prefix, joint)):
+        total = [running_cost(spec, i, node.t, node.prefix, a) for i, a in enumerate(joint)]
+        for child, p in zip(node.children, transition_vector(spec, node.t, node.prefix, joint)):
             if p:
                 total = [x + p * v for x, v in zip(total, walk(child))]
         return tuple(total)
@@ -268,7 +255,7 @@ def test_walks_ask_for_actions_only_where_play_can_reach():
             node = tree.node(nid)
             if node.t < tree.horizon:
                 seen.add(nid)
-                vec = spec.transition_vector(node.t, node.prefix, full[nid])
+                vec = transition_vector(spec, node.t, node.prefix, full[nid])
                 stack.extend(child for child, p in zip(node.children, vec) if p)
         policy = Policy(actions={nid: full[nid] for nid in seen})
         dropped += len(full) - len(seen)

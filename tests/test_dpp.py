@@ -11,6 +11,7 @@ from gameval import (
     StoppingTime,
     build_path_tree,
     cost_J,
+    dump_game,
     open_loop_lq_demo,
     pareto_dpp_counterexample,
     verify_dpp,
@@ -194,7 +195,7 @@ def test_pareto_eps_validity_by_structure_recheck():
         with pytest.raises(GameValidationError):
             build_pareto_spec(out_of_range)
     # Any exact rational is read as a Fraction.
-    assert build_pareto_spec("1/100").transitions == build_pareto_spec(F(1, 100)).transitions
+    assert dump_game(build_pareto_spec("1/100")) == dump_game(build_pareto_spec(F(1, 100)))
 
 
 # -- open-loop linear-quadratic game ---------------------------------------------

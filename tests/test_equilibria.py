@@ -11,7 +11,6 @@ import pytest
 from gameval import (
     EnumerationCapExceeded,
     EquilibriumRecord,
-    GameSpec,
     GameValidationError,
     Policy,
     Scalarization,
@@ -52,7 +51,14 @@ from gameval.model import (
 )
 from gameval.presets import build_pareto_spec, load_example
 
-from oracles import all_policy_values, enumerate_equilibria, nash_profiles, truncate_game
+from oracles import (
+    all_policy_values,
+    enumerate_equilibria,
+    nash_profiles,
+    rebuilt,
+    terminal_vector,
+    truncate_game,
+)
 from specgen import random_game
 
 from test_core import clone_action, indifferent, tied_game
@@ -281,7 +287,7 @@ def test_state_class_falls_back_off_markov_scopes():
     root = tree.id_of(("s0",))
     at_horizon = StoppingTime.at_time(tree, spec.horizon)
     leaves = {
-        nid: spec.terminal_vector(tree.node(nid).prefix) for nid in at_horizon.frontier(tree, root)
+        nid: terminal_vector(spec, tree.node(nid).prefix) for nid in at_horizon.frontier(tree, root)
     }
     assert _Scope(spec, tree, root, frontier=leaves).is_markov()
     off = tree.id_of(("s0", "s10", "s2", "s30"))
@@ -339,15 +345,7 @@ def test_class_mismatch_rejected(path_game):
 
 def test_symmetric_class_needs_equal_action_sets():
     spec = random_game(random.Random(2))
-    uneven = GameSpec(
-        horizon=spec.horizon,
-        states=spec.states,
-        actions=(("0", "1"), ("a", "b")),
-        transitions=spec.transitions,
-        running_costs=spec.running_costs,
-        terminal_costs=spec.terminal_costs,
-        state_dependent=spec.state_dependent,
-    )
+    uneven = rebuilt(spec, actions=(("0", "1"), ("a", "b")))
     tree = build_path_tree(uneven)
     root = tree.id_of(("r0",))
     with pytest.raises(GameValidationError, match="identical action sets"):
@@ -362,7 +360,7 @@ def test_one_step_last_period_of_path_game(path_game):
     nid = tree.id_of(("s0", "s10", "s2"))
     node = tree.node(nid)
     continuation = {
-        child: spec.terminal_vector(tree.node(child).prefix) for child in node.children
+        child: terminal_vector(spec, tree.node(child).prefix) for child in node.children
     }
     records = one_step_equilibria(spec, tree, nid, continuation)
     values = {rec.policy.action(nid): rec.value for rec in records}

@@ -23,7 +23,6 @@ import pytest
 
 from gameval import (
     EnumerationCapExceeded,
-    GameSpec,
     GameValidationError,
     StoppingTime,
     build_path_tree,
@@ -41,7 +40,7 @@ from gameval.planner import (
 )
 from gameval.presets import SPEC_FILES
 
-from oracles import all_policy_values, truncate_game
+from oracles import all_policy_values, rebuilt, terminal_vector, truncate_game, views
 from specgen import random_game
 
 WEIGHTS = (Scalarization.uniform(2), Scalarization.parse("1/3,2/3"))
@@ -54,7 +53,7 @@ RANDOM_PROBE_MAX_DECISION_NODES = 7
 
 def path_keyed_twin(spec, tree):
     leaves = tree.levels[spec.horizon]
-    terminal = {nid: spec.terminal_vector(tree.node(nid).prefix) for nid in leaves}
+    terminal = {nid: terminal_vector(spec, tree.node(nid).prefix) for nid in leaves}
     return truncate_game(spec, tree, StoppingTime.at_time(tree, spec.horizon), terminal)
 
 
@@ -378,24 +377,14 @@ def test_a_deep_zero_kernel_spec_exits_3_from_the_command_line(tmp_path):
 
 def _markov_spec(**overrides):
     spec = random_game(random.Random(11), max_periods=3, max_states=3, state_dependent=True)
-    fields = dict(
-        horizon=spec.horizon,
-        states=spec.states,
-        actions=spec.actions,
-        transitions=spec.transitions,
-        running_costs=spec.running_costs,
-        terminal_costs=spec.terminal_costs,
-        state_dependent=True,
-    )
-    fields.update(overrides)
-    return spec, GameSpec(**fields)
+    return spec, rebuilt(spec, **overrides)
 
 
 def test_markov_validation_rejects_missing_transition_by_time_and_state():
     spec, _ = _markov_spec()
     t = spec.horizon - 1
     state = spec.states[t][-1]
-    transitions = dict(spec.transitions)
+    transitions = dict(views(spec)["transitions"])
     del transitions[(t, state, (1, 0))]
     with pytest.raises(GameValidationError, match=rf"t={t}, state='{state}', action=\(1, 0\)"):
         _markov_spec(transitions=transitions)
@@ -407,7 +396,7 @@ def test_markov_validation_zero_entry_clears_q_positive():
     t = next(t for t in range(spec.horizon) if len(spec.states[t + 1]) > 1)
     state = spec.states[t][0]
     width = len(spec.states[t + 1])
-    transitions = dict(spec.transitions)
+    transitions = dict(views(spec)["transitions"])
     transitions[(t, state, (0, 1))] = (F(1),) + (F(0),) * (width - 1)
     _, zeroed = _markov_spec(transitions=transitions)
     assert not zeroed.q_positive

@@ -24,7 +24,16 @@ from gameval.io import frac_from_str
 from gameval.model import Node, Tables
 from gameval.presets import SPEC_FILES, build_pareto_spec, load_example
 
-from oracles import dict_walk, path_measure, stop_node_along, truncate_game
+from oracles import (
+    dict_walk,
+    game_doc,
+    path_measure,
+    running_cost,
+    stop_node_along,
+    terminal_vector,
+    transition_vector,
+    truncate_game,
+)
 from specgen import random_game
 
 
@@ -44,7 +53,7 @@ def naive_measure(spec, tree, start, policy):
         mass = F(1)
         for s in range(node.t, tree.horizon):
             nid = tree.id_of(path[: s + 1])
-            vec = spec.transition_vector(s, path[: s + 1], policy.action(nid))
+            vec = transition_vector(spec, s, path[: s + 1], policy.action(nid))
             mass *= vec[spec.states[s + 1].index(path[s + 1])]
         if mass:
             out[path] = mass
@@ -58,12 +67,10 @@ def naive_cost(spec, tree, start, policy):
     total = [F(0)] * spec.n_players
     for path, mass in masses.items():
         for i in range(spec.n_players):
-            acc = spec.terminal_costs[i][
-                path[-1] if spec.state_dependent else path
-            ]
+            acc = terminal_vector(spec, path)[i]
             for s in range(node.t, tree.horizon):
                 nid = tree.id_of(path[: s + 1])
-                acc += spec.running_cost(i, s, path[: s + 1], policy.action(nid)[i])
+                acc += running_cost(spec, i, s, path[: s + 1], policy.action(nid)[i])
             total[i] += mass * acc
     return tuple(total)
 
@@ -75,14 +82,14 @@ def test_tree_shape_path_game(path_game):
 
 
 def test_tree_shape_degenerate():
-    spec = GameSpec(
+    spec = load_game(game_doc(
         horizon=1,
         states=[["a"], ["b"]],
         actions=[["0"], ["0"]],
         transitions={(0, ("a",), (0, 0)): (F(1),)},
         running_costs=[{(0, ("a",), 0): F(0)}, {(0, ("a",), 0): F(0)}],
         terminal_costs=[{("a", "b"): F(0)}, {("a", "b"): F(0)}],
-    )
+    ))
     tree = build_path_tree(spec)
     assert tree.n_paths == 1
 
@@ -99,31 +106,31 @@ def test_tree_size_is_product_of_level_sizes():
 
 def test_rejects_empty_state_set():
     with pytest.raises(GameValidationError):
-        GameSpec(
+        load_game(game_doc(
             horizon=1,
             states=[["a"], []],
             actions=[["0"], ["0"]],
             transitions={},
             running_costs=[{}, {}],
             terminal_costs=[{}, {}],
-        )
+        ))
 
 
 def test_rejects_empty_action_set():
     with pytest.raises(GameValidationError):
-        GameSpec(
+        load_game(game_doc(
             horizon=1,
             states=[["a"], ["b"]],
             actions=[["0"], []],
             transitions={(0, ("a",), (0,)): (F(1),)},
             running_costs=[{(0, ("a",), 0): F(0)}, {}],
             terminal_costs=[{("a", "b"): F(0)}, {("a", "b"): F(0)}],
-        )
+        ))
 
 
 def test_rejects_unnormalized_kernel():
     with pytest.raises(GameValidationError, match="sums to"):
-        GameSpec(
+        load_game(game_doc(
             horizon=1,
             states=[["a"], ["b", "c"]],
             actions=[["0"], ["0"]],
@@ -133,18 +140,19 @@ def test_rejects_unnormalized_kernel():
                 {("a", "b"): F(0), ("a", "c"): F(0)},
                 {("a", "b"): F(0), ("a", "c"): F(0)},
             ],
-        )
+        ))
 
 
-# A valid one-period, two-player spec; each case below breaks one field.
-TWO_LEAVES = dict(
-    horizon=1,
-    states=[["a"], ["b", "c"]],
-    actions=[["0"], ["0"]],
-    transitions={(0, ("a",), (0, 0)): (F(1, 2), F(1, 2))},
-    running_costs=[{(0, ("a",), 0): F(0)}, {(0, ("a",), 0): F(0)}],
-    terminal_costs=[{("a", "b"): F(0), ("a", "c"): F(0)}] * 2,
-)
+# A valid one-period, two-player spec document; each case below breaks one field.
+TWO_LEAVES = {
+    "horizon": 1,
+    "players": 2,
+    "states": [["a"], ["b", "c"]],
+    "actions": [["0"], ["0"]],
+    "transitions": {"0|a|0,0": {"b": "1/2", "c": "1/2"}},
+    "running_costs": [{"0|a|0": "0"}, {"0|a|0": "0"}],
+    "terminal_costs": [{"a/b": "0", "a/c": "0"}] * 2,
+}
 
 
 @pytest.mark.parametrize(
@@ -154,22 +162,26 @@ TWO_LEAVES = dict(
         ("states", [["a"]], "need 2 state levels, got 1"),
         ("states", [["a"], ["b", "b"]], "duplicate state labels at time 1"),
         ("actions", [], "need at least one player"),
-        ("running_costs", [{(0, ("a",), 0): F(0)}], "cost tables must have one entry per player"),
-        ("transitions", {(0, ("a",), (0, 0)): (0.5, 0.5)}, "probabilities must be Fraction"),
-        ("running_costs", [{(0, ("a",), 0): 0}] * 2, "running costs must be Fraction"),
-        ("terminal_costs", [{("a", "b"): 0, ("a", "c"): F(0)}] * 2, "terminal costs must be"),
+        (
+            "running_costs",
+            [{"0|a|0": "0"}],
+            "need one running-cost and one terminal-cost table per player",
+        ),
     ],
 )
 def test_specs_outside_the_model_are_rejected(field, value, message):
-    GameSpec(**TWO_LEAVES)
+    load_game(TWO_LEAVES)
+    doc = {**TWO_LEAVES, field: value}
+    if field == "actions":  # no players, so no cost tables either
+        doc.update(players=0, running_costs=[], terminal_costs=[])
     with pytest.raises(GameValidationError, match=message):
-        GameSpec(**{**TWO_LEAVES, field: value})
+        load_game(doc)
 
 
 @pytest.mark.parametrize("delta", [F(1, 12), F(-1, 12)])
 def test_rejects_kernel_off_one_by_a_twelfth(delta):
     with pytest.raises(GameValidationError, match=f"sums to {1 + delta}, not 1"):
-        GameSpec(
+        load_game(game_doc(
             horizon=1,
             states=[["a"], ["b", "c"]],
             actions=[["0"], ["0"]],
@@ -179,7 +191,7 @@ def test_rejects_kernel_off_one_by_a_twelfth(delta):
                 {("a", "b"): F(0), ("a", "c"): F(0)},
                 {("a", "b"): F(0), ("a", "c"): F(0)},
             ],
-        )
+        ))
 
 
 @pytest.mark.parametrize(
@@ -247,7 +259,7 @@ def shaped_spec(rng, states, state_dependent):
     for key in keys(horizon):
         for i in range(3):
             terminal[i][key] = F(rng.randint(-4, 4), 4)
-    return GameSpec(
+    return load_game(game_doc(
         horizon=horizon,
         states=states,
         actions=actions,
@@ -255,7 +267,7 @@ def shaped_spec(rng, states, state_dependent):
         running_costs=running,
         terminal_costs=terminal,
         state_dependent=state_dependent,
-    )
+    ))
 
 
 def oracle_specs():
@@ -354,7 +366,7 @@ def test_path_measure_first_branch_half(path_game):
 
 
 def test_path_measure_point_mass_on_deterministic_kernel():
-    spec = GameSpec(
+    spec = load_game(game_doc(
         horizon=2,
         states=[["a"], ["b", "c"], ["d"]],
         actions=[["0"], ["0"]],
@@ -371,7 +383,7 @@ def test_path_measure_point_mass_on_deterministic_kernel():
             {("a", "b", "d"): F(1), ("a", "c", "d"): F(2)},
             {("a", "b", "d"): F(1), ("a", "c", "d"): F(2)},
         ],
-    )
+    ))
     tree = build_path_tree(spec)
     root = tree.id_of(("a",))
     masses = path_measure(spec, tree, root, all_zero_policy(tree, root))
@@ -411,7 +423,7 @@ def test_cost_matches_bruteforce_expansion():
 
 
 def test_cost_zero_for_zero_costs():
-    spec = GameSpec(
+    spec = load_game(game_doc(
         horizon=1,
         states=[["a"], ["b", "c"]],
         actions=[["0", "1"], ["0", "1"]],
@@ -427,7 +439,7 @@ def test_cost_zero_for_zero_costs():
             {("a", "b"): F(0), ("a", "c"): F(0)},
             {("a", "b"): F(0), ("a", "c"): F(0)},
         ],
-    )
+    ))
     tree = build_path_tree(spec)
     root = tree.id_of(("a",))
     for joint in itertools.product(range(2), range(2)):
@@ -454,8 +466,8 @@ def test_tower_property():
         )
         node = tree.node(root)
         joint = policy.action(root)
-        vec = spec.transition_vector(0, node.prefix, joint)
-        expected = [spec.running_cost(i, 0, node.prefix, joint[i]) for i in range(2)]
+        vec = transition_vector(spec, 0, node.prefix, joint)
+        expected = [running_cost(spec, i, 0, node.prefix, joint[i]) for i in range(2)]
         for child, p in zip(node.children, vec):
             sub = cost_J(spec, tree, child, policy)
             for i in range(2):
@@ -502,24 +514,34 @@ def test_running_cost_keyed_by_joint_action_rejected(table1):
         load_game(doc)
 
 
+def test_a_markov_state_label_may_hold_a_slash(table1):
+    doc = json.loads(json.dumps(dump_game(table1[0])).replace("s0", "s/0"))
+    assert dump_game(load_game(doc)) == doc
+
+
 # -- shared data in ingestion --------------------------------------------------
 
 
 def unshared(spec):
-    """``spec`` rebuilt from fresh Fractions: no two vectors or numbers share an object."""
+    """``spec``'s document loaded again with every rational spelled apart.
 
-    def fresh(x):
-        return F(str(x))
+    The k-th rational written has its numerator and denominator multiplied
+    by k + 2 ("2/4", "3/6", ... for 1/2), so no two strings are equal and the
+    loader's string and vector memos miss on every key.
+    """
+    doc = dump_game(spec)
+    factors = itertools.count(2)
 
-    return GameSpec(
-        horizon=spec.horizon,
-        states=spec.states,
-        actions=spec.actions,
-        transitions={k: tuple(map(fresh, vec)) for k, vec in spec.transitions.items()},
-        running_costs=[{k: fresh(c) for k, c in table.items()} for table in spec.running_costs],
-        terminal_costs=[{k: fresh(c) for k, c in table.items()} for table in spec.terminal_costs],
-        state_dependent=spec.state_dependent,
-    )
+    def apart(text: str) -> str:
+        x, k = F(text), next(factors)
+        return f"{x.numerator * k}/{x.denominator * k}"
+
+    doc["transitions"] = {
+        key: {s: apart(p) for s, p in vec.items()} for key, vec in doc["transitions"].items()
+    }
+    for name in ("running_costs", "terminal_costs"):
+        doc[name] = [{key: apart(c) for key, c in table.items()} for table in doc[name]]
+    return load_game(doc)
 
 
 def loaded_specs():
@@ -538,9 +560,9 @@ def loaded_specs():
 @pytest.mark.parametrize("spec", loaded_specs())
 def test_ingestion_does_not_depend_on_shared_objects(spec):
     fresh = unshared(spec)
-    assert fresh.transitions == spec.transitions
-    assert fresh.running_costs == spec.running_costs
-    assert fresh.terminal_costs == spec.terminal_costs
+    vectors = [vec for row in fresh.kern for vec in row]
+    assert len(set(map(id, vectors))) == len(vectors)
+    assert (fresh.kern, fresh.cost, fresh.end) == (spec.kern, spec.cost, spec.end)
     assert fresh.q_positive == spec.q_positive
     a, b = Tables(spec), Tables(fresh)
     for name in ("scale", "kern", "cost", "end", "kids"):
@@ -550,7 +572,8 @@ def test_ingestion_does_not_depend_on_shared_objects(spec):
 def test_loaded_specs_share_vectors_and_cover_zero_kernels():
     specs = loaded_specs()
     h30 = specs[len(SPEC_FILES)]
-    assert len({id(vec) for vec in h30.transitions.values()}) < len(h30.transitions)
+    vectors = [vec for row in h30.kern for vec in row]
+    assert len(set(map(id, vectors))) < len(vectors)
     assert {spec.q_positive for spec in specs} == {False, True}
     assert {spec.state_dependent for spec in specs} == {False, True}
 
@@ -560,6 +583,10 @@ def test_loaded_specs_share_vectors_and_cover_zero_kernels():
 
 def row_form_cases() -> dict:
     """Documents by name, each with the spec it was dumped from (None for files).
+
+    Those specs come from other documents: the Pareto example's is built in
+    ``presets``, a seeded spec's is written from its dictionaries by
+    ``game_doc``.
 
     The examples, every spec in tests/data, and seeded specs of every kind:
     path keyed and Markov, with and without zero kernels, 2 and 3 players.
@@ -591,8 +618,7 @@ def test_the_row_form_equals_the_dict_walk(name):
     for factor in (1, 6):
         want = dict_walk(doc, factor)
         for spec in (loaded, built) if built else (loaded,):
-            for field in ("transitions", "running_costs", "terminal_costs", "q_positive"):
-                assert getattr(spec, field) == want[field], field
+            assert spec.q_positive == want["q_positive"]
             tables = Tables(spec, factor)
             for field in ("scale", "kern", "cost", "end", "kids"):
                 assert getattr(tables, field) == want[field], field
@@ -605,7 +631,8 @@ def test_the_row_form_cases_cover_every_kind():
 
 
 def half_kernel_spec():
-    """Markov spec, one player: one vector object summing to 1/2 at three keys.
+    """Markov spec, one player: one vector summing to 1/2, spelled alike at
+    three keys, so that the loader keeps one object for it.
 
     The transitions are given in reverse validation order, so the first bad
     key in the dict is not the first that validation reads.
@@ -628,27 +655,28 @@ def half_kernel_spec():
 
 def test_a_shared_bad_vector_is_named_at_its_first_key_in_validation_order():
     with pytest.raises(GameValidationError) as err:
-        GameSpec(**half_kernel_spec())
+        load_game(game_doc(**half_kernel_spec()))
     assert str(err.value) == "transition at t=0, state='a', (1,) sums to 1/2, not 1"
 
 
 def test_a_shared_vector_is_length_checked_at_every_key():
-    args = half_kernel_spec()
-    vec = (F(1, 2), F(1, 2))
-    args["states"][2] = ["b", "c", "d"]
-    args["terminal_costs"] = [{"b": F(0), "c": F(0), "d": F(0)}]
-    args["transitions"] = {k: vec for k in args["transitions"]}
+    """The loader reads one probability per state of the next level, so no
+    document holds a vector of the wrong length: the rows are filled by hand
+    here, as the loader fills them, with one vector object in every slot."""
+    spec = GameSpec(2, [["a"], ["b", "c"], ["b", "c", "d"]], [["0", "1"]], True, 6)
+    vec, zero = ((1, 1), 2), (0, 1)
+    kern = dict.fromkeys(range(6), vec)  # 3 rows, 2 joint actions each
     with pytest.raises(GameValidationError, match=r"at t=1, state='b', \(0,\) has wrong length"):
-        GameSpec(**args)
+        spec._check(kern, [dict.fromkeys(range(6), zero)], [dict.fromkeys(range(3), zero)], {})
 
 
 def test_a_shared_vector_with_a_zero_keeps_q_positive_false():
     args = half_kernel_spec()
     zero, good = (F(0), F(1)), (F(1, 2), F(1, 2))
     args["transitions"] = {k: zero if k[0] == 1 else good for k in args["transitions"]}
-    assert not GameSpec(**args).q_positive
+    assert not load_game(game_doc(**args)).q_positive
     args["transitions"] = {k: good for k in args["transitions"]}
-    assert GameSpec(**args).q_positive
+    assert load_game(game_doc(**args)).q_positive
 
 
 def test_a_repeated_bad_rational_raises_at_its_first_key(table1):
@@ -698,7 +726,7 @@ def test_truncation_at_horizon_is_identity(path_game):
     spec, tree, root = path_game
     stopping = StoppingTime.at_time(tree, tree.horizon)
     terminal = {
-        leaf: spec.terminal_vector(tree.node(leaf).prefix)
+        leaf: terminal_vector(spec, tree.node(leaf).prefix)
         for leaf in tree.levels[tree.horizon]
     }
     cut = truncate_game(spec, tree, stopping, terminal, start=root)
@@ -751,7 +779,7 @@ def test_truncation_hitting_time_matches_manual_sum():
         for i in range(2):
             acc = terminal[stop][i] if stop in terminal else F(0)
             for s in range(0, stop_t):
-                acc += spec.running_cost(i, s, path[: s + 1], policy.action(tree.id_of(path[: s + 1]))[i])
+                acc += running_cost(spec, i, s, path[: s + 1], policy.action(tree.id_of(path[: s + 1]))[i])
             expected[i] += mass * acc
     assert cost_J(cut, cut_tree, root, policy) == tuple(expected)
 

@@ -6,7 +6,6 @@ from fractions import Fraction as F
 import pytest
 
 from gameval import (
-    GameSpec,
     GameValidationError,
     Scalarization,
     ValueSet,
@@ -15,10 +14,12 @@ from gameval import (
     pareto_filter,
     planner_optimum,
     set_value_bruteforce,
+    load_game,
     time_inconsistency_probe,
 )
 from gameval.presets import build_pareto_spec
 
+from oracles import game_doc
 from specgen import random_game
 
 
@@ -125,7 +126,7 @@ def test_probe_flags_the_perturbed_two_period_game():
 
 
 def test_probe_single_equilibrium_spec_is_consistent():
-    spec = GameSpec(
+    spec = load_game(game_doc(
         horizon=2,
         states=[["a"], ["b", "c"], ["d", "e"]],
         actions=[["0"], ["0"]],
@@ -142,7 +143,7 @@ def test_probe_single_equilibrium_spec_is_consistent():
             {("a", "b", "d"): F(1), ("a", "b", "e"): F(0), ("a", "c", "d"): F(2), ("a", "c", "e"): F(1)},
             {("a", "b", "d"): F(0), ("a", "b", "e"): F(2), ("a", "c", "d"): F(0), ("a", "c", "e"): F(3)},
         ],
-    )
+    ))
     tree = build_path_tree(spec)
     root = tree.id_of(("a",))
     rep = time_inconsistency_probe(spec, tree, root, Scalarization.parse("1/2,1/2"))

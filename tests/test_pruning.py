@@ -24,6 +24,7 @@ from gameval import (
     build_path_tree,
     iter_equilibria,
     load_example,
+    load_game,
     set_value_bruteforce,
     set_value_dpp,
 )
@@ -31,6 +32,7 @@ from gameval import equilibria
 from gameval.equilibria import _Reach, _Scope, _units_for
 from gameval.model import PATH_CLASS, STATE_CLASS
 
+from oracles import game_doc
 from specgen import random_game
 from test_core import tied_game
 
@@ -178,7 +180,7 @@ def anti_coordination_above_forced_units() -> GameSpec:
         | {(1, key, a): F(a + (key == "B")) for key in "AB" for a in range(2)}
         for player in range(2)
     ]
-    return GameSpec(
+    return load_game(game_doc(
         horizon=2,
         states=[["r0"], ["A", "B"], ["X", "Y"]],
         actions=[["h", "t"], ["h", "t"]],
@@ -186,7 +188,7 @@ def anti_coordination_above_forced_units() -> GameSpec:
         running_costs=running,
         terminal_costs=[{"X": F(0), "Y": F(1)}, {"X": F(1), "Y": F(0)}],
         state_dependent=True,
-    )
+    ))
 
 
 def test_a_start_the_filter_tests_yields_the_walk_search_records_without_a_walk(monkeypatch):
@@ -269,7 +271,7 @@ def unforced_units_below_the_root(n_players: int) -> GameSpec:
         for i in range(n_players)
     ]
     terminal = [{"X": F(0), "Y": F(int(n_players > 2 or i == 1))} for i in range(n_players)]
-    return GameSpec(
+    return load_game(game_doc(
         horizon=2,
         states=[["r"], ["A", "B"], ["X", "Y"]],
         actions=[["h", "t"]] * n_players,
@@ -277,7 +279,7 @@ def unforced_units_below_the_root(n_players: int) -> GameSpec:
         running_costs=running,
         terminal_costs=terminal,
         state_dependent=True,
-    )
+    ))
 
 
 @pytest.mark.parametrize(
@@ -318,7 +320,7 @@ def pennies_below_the_root() -> GameSpec:
     transitions = {(0, "r0", joint): (F(1),) for joint in joints}
     transitions |= {(1, "m", joint): match if joint[0] == joint[1] else differ for joint in joints}
     running = {(t, key, a): F(0) for t, key in ((0, "r0"), (1, "m")) for a in range(2)}
-    return GameSpec(
+    return load_game(game_doc(
         horizon=2,
         states=[["r0"], ["m"], ["A", "B"]],
         actions=[["h", "t"], ["h", "t"]],
@@ -326,7 +328,7 @@ def pennies_below_the_root() -> GameSpec:
         running_costs=[running, running],
         terminal_costs=[{"A": F(0), "B": F(1)}, {"A": F(1), "B": F(0)}],
         state_dependent=True,
-    )
+    ))
 
 
 @pytest.mark.parametrize("cls", [PATH_CLASS, STATE_CLASS])
