@@ -757,8 +757,8 @@ def value_index(
 
     A read-only map from every value :func:`iter_equilibria` yields, in the
     order first yielded, to the first record that attains it, policy and
-    slack included. One enumeration per (start, eps, cls) is memoized with
-    the compiled tables of (spec, tree), so it lives as long as they do. The
+    slack included. One enumeration per (start, eps, cls) is memoized in
+    the ``Tables`` of (spec, tree), so it lives as long as they do. The
     cap is checked against the class size on every call, before any scope
     or table exists, whether the enumeration runs now or ran earlier.
     """
@@ -825,7 +825,7 @@ def set_value_dpp(
     """Set value by the one-step backward recursion (:class:`_Recursion`),
     exact for every kernel.
 
-    Sets of integer points are memoized by table row with the compiled tables
+    Sets of integer points are memoized by table row in the tree's tables
     (``Tables.dpp_sets``), so Markov specs are solved once per (time, state)
     rather than once per prefix, and later calls anywhere in a solved subtree
     read them. The selection cap is checked on every call: an entry keeps the

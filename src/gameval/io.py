@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 from typing import Any
 
@@ -146,7 +147,6 @@ def load_game(source: str | Path | dict) -> GameSpec:
 
     spec = GameSpec(horizon, states, actions, state_dependent, len(raw_trans))
     n, final = len(spec.joint_actions), spec.offset[horizon]
-    strides = [math.prod(map(len, actions[i + 1 :])) for i in range(players)]
 
     def find_action(i: int, label: str) -> int:
         try:
@@ -201,7 +201,7 @@ def load_game(source: str | Path | dict) -> GameSpec:
                     f"transition key {key_text!r} must list one action per player"
                 )
             j = joints[action_part] = sum(
-                find_action(i, lab) * stride for i, (lab, stride) in enumerate(zip(labels, strides))
+                map(mul, map(find_action, range(players), labels), spec.strides)
             )
         if t + 1 > horizon:
             raise GameValidationError(f"transition key {key_text!r} beyond horizon")
@@ -284,26 +284,28 @@ def _named_twice(what: str, table: dict, key_text: str, whose: str = "") -> Game
 def dump_game(spec: GameSpec) -> dict:
     """Serialize a spec to a JSON-ready dict; inverse of :func:`load_game`.
 
-    Written from the spec's rows, each table's keys in row order, every
-    rational in lowest terms.
+    Written from the spec's scaled tables (a weight w at level t stands for
+    w·scale[t+1]/scale[t], a cost c for c/scale[t]), each table's keys in row
+    order, every rational in lowest terms.
     """
     joints = [",".join(map(tuple.__getitem__, spec.actions, j)) for j in spec.joint_actions]
-    texts = functools.cache(lambda vec: [frac_to_str(Fraction(x, vec[1])) for x in vec[0]])
+    scale, horizon = spec.scale, spec.horizon
     trans_out: dict[str, dict[str, str]] = {}
     running_out: list[dict[str, str]] = [{} for _ in spec.actions]
-    for t in range(spec.horizon):
-        level = spec.states[t + 1]
+    for t in range(horizon):
+        level, ratio = spec.states[t + 1], scale[t] // scale[t + 1]
+        texts = functools.cache(lambda vec: [frac_to_str(Fraction(w, ratio)) for w in vec])
         for row, where in enumerate(_wheres(spec, t), spec.offset[t]):
             head = f"{t}{KEY_SEP}{where}{KEY_SEP}"
             for part, vec in zip(joints, spec.kern[row]):
                 trans_out[head + part] = dict(zip(level, texts(vec)))
-            for acts, entry, table in zip(spec.actions, running_out, spec.cost):
-                for label, cost in zip(acts, table[row]):
-                    entry[head + label] = frac_to_str(Fraction(*cost))
-    finals = list(_wheres(spec, spec.horizon))
+            for acts, entry, own in zip(spec.actions, running_out, spec.cost[row]):
+                for label, cost in zip(acts, own):
+                    entry[head + label] = frac_to_str(Fraction(cost, scale[t]))
+    finals = list(zip(_wheres(spec, horizon), spec.end[spec.offset[horizon] :]))
     terminal_out = [
-        {where: frac_to_str(Fraction(*cost)) for where, cost in zip(finals, table)}
-        for table in spec.end
+        {where: frac_to_str(Fraction(end[i], scale[horizon])) for where, end in finals}
+        for i in range(spec.n_players)
     ]
     return {
         "horizon": spec.horizon,

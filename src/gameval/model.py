@@ -5,8 +5,8 @@ per-player action sets, an exact-rational transition kernel q(t, x, a; x')
 over next states, per-player running costs that depend only on the player's
 own action, and per-player terminal costs. All quantities are exact
 rationals, read from the spec document (`io.load_game`, the one way to build
-a `GameSpec`) into integer table rows and given out as `fractions.Fraction`;
-nothing in this module touches floats.
+a `GameSpec`), checked and scaled once into integer tables, and given out as
+`fractions.Fraction`; nothing in this module touches floats.
 
 Histories are handled through a prefix tree (`PathTree`). Policies and cost
 evaluation are keyed by tree nodes, and stopping times by a node's (time,
@@ -17,10 +17,10 @@ runs on the (time, state) rows, pays for the nodes it reads and not for every
 prefix.
 
 Every exact walk (policy costs, best responses, the planner's dictatorship
-value, the recursion's one-step games) runs on `Tables`, the spec's rows
-scaled once per tree to a common integer scale per level, and on `induct`,
-the one backward-induction loop; `Fraction` appears only where values enter
-and leave.
+value, the recursion's one-step games) runs on `Tables`, the spec's tables at
+one common integer scale per level with the memos of one tree, and on
+`induct`, the one backward-induction loop; `Fraction` appears only where
+values enter and leave.
 """
 
 from __future__ import annotations
@@ -51,23 +51,27 @@ POLICY_CLASSES = (PATH_CLASS, STATE_CLASS, SYMMETRIC_CLASS)
 
 
 class GameSpec:
-    """Full description of a discrete game, its data held as integer rows.
+    """Full description of a discrete game, its data held as scaled integer tables.
 
     A *row* holds the data at one point of play: one per (time, state) when
     ``state_dependent`` is true, level by level in state order, else one per
     history prefix in the tree's id order (see :class:`PathTree`);
-    ``offset[t]`` is level t's first row. Rationals are exact integers:
-    ``kern[row][j]``, joint action j's probabilities over the next level's
-    states (j in ``joint_actions`` order), is a pair ``(nums, den)`` standing
-    for ``nums[k] / den``, with ``den`` the lcm of their denominators.
-    ``cost[i][row][a]``, player i's running cost of own action a, and
-    ``end[i][k]``, its terminal cost at level T's k-th row, are ``(num,
-    den)`` pairs in lowest terms, one table per player as in the document.
-    :class:`Tables` only scales these rows.
+    ``offset[t]`` is level t's first row, and a row's children are the rows
+    ``range(*kids[row])``. Level t has one integer scale ``scale[t]``: the
+    lcm of L_t·scale[t+1] (L_t: the lcm of the level's kernel denominators)
+    and the level's cost denominators, with ``scale[T]`` the lcm of the
+    terminal denominators. An integer v at level t stands for v / scale[t].
+    ``kern[row][j]`` are joint action j's child weights p·scale[t]/scale[t+1]
+    (j in ``joint_actions`` order, j = Σ a_i·strides[i]; ``sizes[i]`` is
+    player i's action count), ``cost[row][i][a]`` player i's running cost of
+    own action a, times scale[t], and ``end[row]`` the players' terminal
+    costs, times scale[T] (None before the horizon). :class:`Tables` shares
+    these lists.
 
     ``io.load_game`` is the one way in: the constructor sets and checks the
-    shape, then the loader fills the rows from the document and :meth:`_check`
-    checks them. ``io.dump_game`` writes the rows back out.
+    shape, then the loader fills the slots from the document and
+    :meth:`_check` checks and scales them. ``io.dump_game`` writes the tables
+    back out.
 
     Instances are treated as immutable after construction; every operation on
     them is a pure function, safe to call concurrently.
@@ -96,20 +100,22 @@ class GameSpec:
         for i, acts in enumerate(self.actions):
             if not acts:
                 raise GameValidationError(f"empty action set for player {i}")
+        self.sizes = sizes = tuple(map(len, self.actions))
+        self.strides = tuple(math.prod(sizes[i + 1 :]) for i in range(len(sizes)))
         # Each time-0 key needs a transition per joint action. Counted before
         # the joint actions are built: 26 two-action players have 67 million.
-        n_joints = math.prod(map(len, self.actions))
+        n_joints = math.prod(sizes)
         if n_transitions < n_joints:
             raise GameValidationError(
                 f"missing transitions: each of the {n_joints} joint actions needs one "
                 f"at t=0, got {n_transitions} in all"
             )
         self.joint_actions: tuple[JointAction, ...] = tuple(
-            itertools.product(*(range(len(acts)) for acts in self.actions))
+            itertools.product(*(range(size) for size in sizes))
         )
         widths = map(len, self.states)
-        sizes = widths if self.state_dependent else itertools.accumulate(widths, mul)
-        self.offset = list(itertools.accumulate(sizes, initial=0))
+        counts = widths if self.state_dependent else itertools.accumulate(widths, mul)
+        self.offset = list(itertools.accumulate(counts, initial=0))
 
     @property
     def n_players(self) -> int:
@@ -137,26 +143,24 @@ class GameSpec:
     # -- validation ----------------------------------------------------------
 
     def _check(self, kern: dict, cost: list[dict], end: list[dict], unread: dict) -> None:
-        """Check the filled slots and keep them as rows, level by level.
+        """Check the filled slots, then keep them as scaled tables, level by level.
 
         ``kern`` holds row r's vector of joint action j at r·len(joint_actions)
-        + j, ``cost[i]`` player i's cost of own action a at r·len(actions[i]) +
-        a, and ``end[i]`` its terminal cost at level T's k-th row at k.
-        ``unread`` gives each table's first key that fills no slot, as (t,
-        key), in table order; it is named only when no slot is empty. A
-        level's first missing transition is named first, then its first
-        missing running cost, then its vectors' first fault. Each vector object
-        is checked once (the rows hold every vector, so no id is reused), and
-        its length at every level that uses it.
+        + j, as a pair ``(nums, den)`` standing for nums[k] / den; ``cost[i]``
+        holds player i's cost of own action a at r·sizes[i] + a, and ``end[i]``
+        its terminal cost at level T's k-th row at k, as ``(num, den)`` pairs
+        in lowest terms. ``unread`` gives each table's first key that fills no
+        slot, as (t, key), in table order; it is named only when no slot is
+        empty. A level's first missing transition is named first, then its
+        first missing running cost, then its vectors' first fault. Each level's
+        distinct vector objects are checked once and scaled once (the level
+        holds every one, so no id is reused).
         """
-        joints, n = self.joint_actions, len(self.joint_actions)
-        sizes = tuple(map(len, self.actions))
+        joints, n, sizes = self.joint_actions, len(self.joint_actions), self.sizes
         positive = True
-        checked: set[int] = set()
-        self.kern: list[tuple] = []
-        self.cost: list[list[tuple]] = [[] for _ in sizes]
+        levels = []  # per level: its vectors, the distinct ones by id, its costs
         for t in range(self.horizon):
-            lo, hi, width = self.offset[t], self.offset[t + 1], len(self.states[t + 1])
+            lo, hi = self.offset[t], self.offset[t + 1]
             try:
                 flat = list(map(kern.__getitem__, range(lo * n, hi * n)))
             except KeyError as exc:
@@ -174,27 +178,22 @@ class GameSpec:
                     raise GameValidationError(
                         f"missing running cost for player {i} at t={t}, {where}"
                     ) from None
-            for vec in dict(zip(map(id, flat), flat)).values():  # first met first
+            distinct = dict(zip(map(id, flat), flat))  # first met first
+            for vec in distinct.values():
                 nums, den = vec
-                fault = None if len(nums) == width else "has wrong length"
-                if fault is None and id(vec) not in checked:
-                    checked.add(id(vec))
-                    if min(nums) < 0:
-                        raise GameValidationError("negative transition probability")
-                    positive = positive and 0 not in nums
-                    if sum(nums) != den:
-                        fault = f"sums to {Fraction(sum(nums), den)}, not 1"
-                if fault:
+                if min(nums) < 0:
+                    raise GameValidationError("negative transition probability")
+                positive = positive and 0 not in nums
+                if sum(nums) != den:
                     row, j = divmod(lo * n + next(k for k, v in enumerate(flat) if v is vec), n)
                     raise GameValidationError(
-                        f"transition at t={t}, {self._where_row(t, row)}, {joints[j]} {fault}"
+                        f"transition at t={t}, {self._where_row(t, row)}, {joints[j]} "
+                        f"sums to {Fraction(sum(nums), den)}, not 1"
                     )
-            self.kern += _cut(flat, n)
-            for table, column, size in zip(self.cost, own, sizes):
-                table += _cut(column, size)
+            levels.append((flat, distinct, own))
         final = range(self.offset[self.horizon], self.offset[-1])
         try:
-            self.end = [list(map(table.__getitem__, range(len(final)))) for table in end]
+            ends = [list(map(table.__getitem__, range(len(final)))) for table in end]
         except KeyError:
             k = next(k for k in itertools.count() if not all(k in table for table in end))
             where = self._where_row(self.horizon, final[k])
@@ -205,6 +204,28 @@ class GameSpec:
             what, (t, key) = next(iter(unread.items()))
             raise GameValidationError(f"{what} at t={t}, {self._where(key)} is never read")
         self.q_positive = positive
+
+        scale = [math.lcm(*_denominators(ends))] * (self.horizon + 1)
+        for t, (_, distinct, own) in reversed(list(enumerate(levels))):
+            step = math.lcm(*(den for _, den in distinct.values()))
+            scale[t] = math.lcm(step * scale[t + 1], *_denominators(own))
+        self.scale, self.kern, self.cost, self.kids = scale, [], [], []
+        for t, (flat, distinct, own) in enumerate(levels):
+            ratio = scale[t] // scale[t + 1]
+            ints = {
+                key: tuple([x * (ratio // den) for x in nums])
+                for key, (nums, den) in distinct.items()
+            }
+            self.kern += _cut(list(map(ints.__getitem__, map(id, flat))), n)
+            players = zip(_scaled_pairs(own, scale[t]), sizes)
+            self.cost += zip(*(_cut(column, size) for column, size in players))
+            width = len(self.states[t + 1])
+            if self.state_dependent:
+                firsts = itertools.repeat(self.offset[t + 1], len(flat) // n)
+            else:
+                firsts = range(self.offset[t + 1], self.offset[t + 2], width)
+            self.kids += ((first, first + width) for first in firsts)
+        self.end = [None] * final.start + list(zip(*_scaled_pairs(ends, scale[-1])))
 
 
 def _over_lcm(pairs) -> tuple[tuple[int, ...], int]:
@@ -453,23 +474,16 @@ def cost_J(spec: GameSpec, tree: PathTree, start: int, policy: Policy) -> Vector
 
 
 class Tables:
-    """A spec's rows at one integer scale per level, for every exact walk.
+    """A spec's scaled tables at one factor, with the memos of one tree.
 
-    The rows are the spec's (:class:`GameSpec`): one per (time, state) on
-    Markov specs, level by level in state order, else one per prefix in the
-    tree's id order (the node id); a row's children are the rows
-    ``range(*kids[row])``, found by the tree's arithmetic, so compiling builds
-    no node and looks no key up. Level t has
-    the scale ``scale[t]``: ``factor`` times the lcm of L_t·scale[t+1] (L_t:
-    the lcm of the level's kernel denominators) and the level's cost
-    denominators. An integer v at level t stands for v / scale[t], so sums and
-    ties are exact.
-    ``kern[row][j]`` are joint action j's child weights p·scale[t]/scale[t+1],
-    ``cost[row][i][a]`` player i's running cost of own action a, and
-    ``end[row]`` the terminal vector (None before the horizon), all scaled.
-    Joint action (a_0, a_1, ...) is j = Σ a_i·strides[i], its place in
-    ``GameSpec.joint_actions``. The tables refer to neither the spec nor a
-    tree, so keeping them with the tree (:func:`tables_of`) pins neither.
+    The tables are the spec's (:class:`GameSpec`): ``scale``, ``kern``,
+    ``cost``, ``end`` and ``kids``, with the joint-action layout ``sizes``
+    and ``strides``. At factor 1 they are the spec's own lists; at another
+    factor ``scale``, ``cost`` and ``end`` are multiplied by it, and the
+    child weights ``kern`` and the child ranges ``kids``, which do not
+    change with the scale, are shared. Nothing is compiled here. The tables
+    refer to neither the spec nor a tree, so keeping them with the tree
+    (:func:`tables_of`) pins neither.
     ``value_index`` is the memo of ``equilibria.value_index``: the
     equilibrium values of full scopes by (start, eps, class), with witness
     records that hold node ids and numbers only; ``dpp_sets`` (Nash values
@@ -480,46 +494,17 @@ class Tables:
     """
 
     def __init__(self, spec: GameSpec, factor: int = 1):
-        horizon = spec.horizon
         self.markov = spec.state_dependent
         self.index = spec._index  # read on Markov specs only
-        self.offset = offset = spec.offset
-        self.sizes = tuple(map(len, spec.actions))
-        self.strides = tuple(math.prod(self.sizes[i + 1 :]) for i in range(len(self.sizes)))
-        # Rows share kernel vector objects (joint actions that move the same
-        # states, the loader's shared vectors), so each level's distinct ones
-        # are found by id and scaled once; the spec holds every vector, so no
-        # id is reused. Costs are scaled one player's level at a time.
-        levels = [slice(offset[t], offset[t + 1]) for t in range(horizon)]
-        flats = [list(itertools.chain.from_iterable(spec.kern[rows])) for rows in levels]
-        distinct = [dict(zip(map(id, flat), flat)) for flat in flats]
-        costs = [
-            [list(itertools.chain.from_iterable(table[rows])) for table in spec.cost]
-            for rows in levels
-        ]
-        scale = [math.lcm(*_denominators(spec.end))] * (horizon + 1)
-        for t in reversed(range(horizon)):
-            step = math.lcm(*(den for _, den in distinct[t].values()))
-            scale[t] = math.lcm(step * scale[t + 1], *_denominators(costs[t]))
-        self.scale = scale = [s * factor for s in scale]
-        self.kern, self.cost, self.kids = [], [], []
-        n = len(spec.joint_actions)
-        for t, rows in enumerate(levels):
-            ratio = scale[t] // scale[t + 1]
-            ints = {
-                key: tuple([x * (ratio // den) for x in nums])
-                for key, (nums, den) in distinct[t].items()
-            }
-            self.kern += _cut(list(map(ints.__getitem__, map(id, flats[t]))), n)
-            players = zip(_scaled_pairs(costs[t], scale[t]), self.sizes)
-            self.cost += zip(*(_cut(column, size) for column, size in players))
-            width = len(spec.states[t + 1])
-            if self.markov:
-                firsts = itertools.repeat(offset[t + 1], rows.stop - rows.start)
-            else:
-                firsts = range(offset[t + 1], offset[t + 2], width)
-            self.kids += ((first, first + width) for first in firsts)
-        self.end = [None] * offset[horizon] + list(zip(*_scaled_pairs(spec.end, scale[horizon])))
+        self.offset = spec.offset
+        self.sizes, self.strides = spec.sizes, spec.strides
+        self.kern, self.kids = spec.kern, spec.kids
+        self.scale, self.cost, self.end = spec.scale, spec.cost, spec.end
+        if factor != 1:
+            final = spec.offset[spec.horizon]
+            self.scale = [s * factor for s in spec.scale]
+            self.cost = [tuple(_times(own, factor) for own in row) for row in spec.cost]
+            self.end = [None] * final + [_times(vec, factor) for vec in spec.end[final:]]
         self.value_index: dict = {}
         self.dpp_sets: dict = {}
         self.threats: dict = {}
@@ -552,8 +537,13 @@ def _scaled_pairs(rows, scale: int) -> list[list[int]]:
     return [[num * (scale // den) for num, den in row] for row in rows]
 
 
+def _times(vec, factor: int) -> tuple[int, ...]:
+    """``vec``'s integers, each times ``factor``."""
+    return tuple([x * factor for x in vec])
+
+
 def tables_of(spec: GameSpec, tree: PathTree, factor: int = 1) -> Tables:
-    """The tables of (spec, tree), compiled on first use and kept with the tree."""
+    """The tables of (spec, tree) at ``factor``, made on first use and kept with the tree."""
     cache = tree._tables.setdefault(spec, {})
     if factor not in cache:
         cache[factor] = Tables(spec, factor)

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from gameval import (
-    GameSpec,
     GameValidationError,
     Policy,
     StoppingTime,
@@ -21,8 +20,8 @@ from gameval import (
     load_game,
 )
 from gameval.io import frac_from_str
-from gameval.model import Node, Tables
-from gameval.presets import SPEC_FILES, build_pareto_spec, load_example
+from gameval.model import Node, Tables, tables_of
+from gameval.presets import SPEC_FILES, _data_text, build_pareto_spec, load_example
 
 from oracles import (
     dict_walk,
@@ -624,6 +623,32 @@ def test_the_row_form_equals_the_dict_walk(name):
                 assert getattr(tables, field) == want[field], field
 
 
+@pytest.mark.parametrize("name", SPEC_FILES)
+def test_each_preset_file_is_its_dump(name):
+    """The dump, written from the scaled tables, gives back the shipped file."""
+    assert dump_game(load_example(name)) == json.loads(_data_text(SPEC_FILES[name]))
+
+
+@pytest.mark.parametrize("name", ["path", "state", "markov_h30"])
+def test_the_spec_is_compiled_once_and_each_tree_keeps_its_memos(name):
+    if name in SPEC_FILES:
+        spec = load_example(name)
+    else:
+        spec = load_game(Path(__file__).parent / "data" / f"{name}.json")
+    a, b = (tables_of(spec, build_path_tree(spec)) for _ in range(2))
+    assert a is not b
+    for tables in (a, b):
+        for field in ("scale", "kern", "cost", "end", "kids", "sizes", "strides"):
+            assert getattr(tables, field) is getattr(spec, field), field
+    a.dpp_sets[0] = "solved"
+    assert not b.dpp_sets and a.value_index is not b.value_index
+    six = Tables(spec, 6)
+    assert six.kern is spec.kern and six.kids is spec.kids
+    assert six.scale == [6 * s for s in spec.scale]
+    assert six.cost == [tuple(tuple(6 * c for c in own) for own in row) for row in spec.cost]
+    assert six.end == [vec and tuple(6 * e for e in vec) for vec in spec.end]
+
+
 def test_the_row_form_cases_cover_every_kind():
     specs = [load_game(doc) for doc, _ in ROW_FORM_CASES.values()]
     kinds = {(spec.state_dependent, spec.q_positive, spec.n_players) for spec in specs}
@@ -657,17 +682,6 @@ def test_a_shared_bad_vector_is_named_at_its_first_key_in_validation_order():
     with pytest.raises(GameValidationError) as err:
         load_game(game_doc(**half_kernel_spec()))
     assert str(err.value) == "transition at t=0, state='a', (1,) sums to 1/2, not 1"
-
-
-def test_a_shared_vector_is_length_checked_at_every_key():
-    """The loader reads one probability per state of the next level, so no
-    document holds a vector of the wrong length: the rows are filled by hand
-    here, as the loader fills them, with one vector object in every slot."""
-    spec = GameSpec(2, [["a"], ["b", "c"], ["b", "c", "d"]], [["0", "1"]], True, 6)
-    vec, zero = ((1, 1), 2), (0, 1)
-    kern = dict.fromkeys(range(6), vec)  # 3 rows, 2 joint actions each
-    with pytest.raises(GameValidationError, match=r"at t=1, state='b', \(0,\) has wrong length"):
-        spec._check(kern, [dict.fromkeys(range(6), zero)], [dict.fromkeys(range(3), zero)], {})
 
 
 def test_a_shared_vector_with_a_zero_keeps_q_positive_false():
